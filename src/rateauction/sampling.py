@@ -35,6 +35,10 @@ class Fixed:
 
     value: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError(f"FIXED value must be finite, got {self.value}")
+
 
 @dataclass(frozen=True)
 class Normal:
@@ -44,6 +48,8 @@ class Normal:
     sigma: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError(f"NORM parameters must be finite, got ({self.mu}, {self.sigma})")
         if not self.sigma > 0:
             raise ValueError(f"NORM sigma must be > 0, got {self.sigma}")
 
@@ -57,6 +63,10 @@ class Triangular:
     hi: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in (self.lo, self.mode, self.hi)):
+            raise ValueError(
+                f"TRIA parameters must be finite, got ({self.lo}, {self.mode}, {self.hi})"
+            )
         if not (self.lo <= self.mode <= self.hi):
             raise ValueError(
                 f"TRIA requires min <= ml <= max, got ({self.lo}, {self.mode}, {self.hi})"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .engine import LogarithmicUserSpec, Scenario, SigmoidalUserSpec, UserSpec
+from .engine import LogarithmicUserSpec, Scenario, SigmoidalUserSpec, SpecError, UserSpec
 from .sampling import Fixed, Normal, Triangular, format_param_spec, parse_param_spec
 
 PRESET_CAPACITY = 100.0
@@ -73,14 +73,17 @@ def _parse_user(source: str, index: int, raw: Any) -> UserSpec:
                 specs[key] = parse_param_spec(raw[key])
             except ValueError as exc:
                 _fail(source, f"{where}.{key}", str(exc))
-        return SigmoidalUserSpec(a=specs["a"], b=specs["b"])
+        try:
+            return SigmoidalUserSpec(a=specs["a"], b=specs["b"])
+        except SpecError as exc:
+            _fail(source, f"{where}.{exc.field}", str(exc))
 
     k = _require_number(source, f"{where}.k", raw["k"])
     r_max = _require_number(source, f"{where}.r_max", raw["r_max"])
     try:
         return LogarithmicUserSpec(k=float(k), r_max=float(r_max))
-    except ValueError as exc:
-        _fail(source, where, str(exc))
+    except SpecError as exc:
+        _fail(source, f"{where}.{exc.field}", str(exc))
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -122,8 +125,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             users=users,
             allow_early_stop=early,
         )
-    except ValueError as exc:
-        raise ScenarioError(f"{source}: {exc}") from exc
+    except SpecError as exc:
+        _fail(source, exc.field, str(exc))
 
 
 def load_scenario(path) -> Scenario:

@@ -29,6 +29,32 @@ class RateDomainError(ValueError):
     """log-utility is undefined: U(r) underflows to zero at the given rate."""
 
 
+def sigmoid_log_slope(a, b, r):
+    """d(log U)/dr of the sigmoidal family, elementwise over a, b and r.
+
+    The single home of the formula and its domain guard: the utility
+    method and the lane solver both call it, so a scalar solve and a lane
+    solve perform the same float operations.
+    """
+    neg_a = -a
+    x = neg_a * r
+    decay = -np.expm1(x)
+    # count_nonzero, not np.any: the guard runs on every evaluation, and
+    # np.any's reduction costs several times the formula on small inputs
+    if np.count_nonzero(decay <= 0.0):
+        raise RateDomainError(f"log-slope undefined: a*r underflows for a={a}, r={r}")
+    return a * (np.exp(x) / decay + expit(neg_a * (r - b)))
+
+
+def logarithmic_log_slope(k, r):
+    """d(log U)/dr of the logarithmic family, elementwise over k and r."""
+    kr = k * r
+    growth = np.log1p(kr)
+    if np.count_nonzero(growth <= 0.0):
+        raise RateDomainError(f"log-slope undefined: k*r underflows for k={k}, r={r}")
+    return k / ((1.0 + kr) * growth)
+
+
 @dataclass(frozen=True)
 class SigmoidalUtility:
     """S-shaped utility ``c * (1/(1 + exp(-a*(r - b))) - d)``.
@@ -90,12 +116,7 @@ class SigmoidalUtility:
         closed form avoids the 0/0 of derivative(r)/value(r) where U
         underflows.
         """
-        decay = -np.expm1(-self.a * r)
-        if np.any(decay <= 0.0):
-            raise RateDomainError(
-                f"log-slope undefined: a*r underflows for a={self.a}, r={r}"
-            )
-        return self.a * (np.exp(-self.a * r) / decay + expit(-self.a * (r - self.b)))
+        return sigmoid_log_slope(self.a, self.b, r)
 
 
 @dataclass(frozen=True)
@@ -130,12 +151,7 @@ class LogarithmicUtility:
 
         The closed form sidesteps the 0/0 of derivative/value near r = 0.
         """
-        growth = np.log1p(self.k * r)
-        if np.any(growth <= 0.0):
-            raise RateDomainError(
-                f"log-slope undefined: k*r underflows for k={self.k}, r={r}"
-            )
-        return self.k / ((1.0 + self.k * r) * growth)
+        return logarithmic_log_slope(self.k, r)
 
 
 UtilityFunction = Union[SigmoidalUtility, LogarithmicUtility]

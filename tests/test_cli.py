@@ -1,6 +1,7 @@
 """CLI and trace-emission tests."""
 
 import json
+import re
 
 import pytest
 
@@ -104,6 +105,22 @@ class TestRunCommand:
         path.write_text('{"R": 100, "unknown": 1}', encoding="utf-8")
         assert main(["run", "--scenario", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"users": [{"type": "sigmoidal", "a": -1, "b": 10}]}, r"users\[0\]\.a"),
+            ({"users": [{"type": "logarithmic", "k": float("nan"), "r_max": 50.0}]}, r"users\[0\]\.k"),
+            ({"delta": float("inf")}, "delta"),
+            ({"users": [{"type": "logarithmic", "k": 1e308, "r_max": 50.0}]}, r"users\[0\]\.k"),
+        ],
+        ids=["negative-fixed-a", "nan-k", "infinite-delta", "overflowing-k"],
+    )
+    def test_invalid_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
+        path = write_scenario(tmp_path, **overrides)
+        assert main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"field '{field}'", err), err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Engine tests: full-auction behavior on the reference scenarios, stop
 conditions, determinism, and the fixed-point identities."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -204,16 +205,25 @@ class TestTrace:
 
 
 class TestErrorContext:
-    def test_solver_failure_names_user_and_iteration(self, monkeypatch):
-        import rateauction.engine as engine_mod
+    def test_solver_failure_names_user_and_iteration(self):
+        # tol below the float spacing at R = 100: no bracket ever gets that
+        # narrow, so the bisection cap fires on the first solve
         from rateauction import SimulationError
 
-        def boom(state, msg, capacity, tol):
-            raise RuntimeError("synthetic solver failure")
+        start = time.perf_counter()
+        with pytest.raises(SimulationError) as info:
+            run(preset("fixed"), solver_tol=1e-20)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "user 1 failed at iteration 1: no convergence after 200 bisection steps "
+            "(price=1.0, capacity=100.0, tol=1e-20)"
+        )
 
-        monkeypatch.setattr(engine_mod, "ue_step", boom)
-        with pytest.raises(SimulationError, match=r"user 1 failed at iteration 1"):
-            run(preset("fixed"))
+    def test_replication_failure_names_user_and_iteration(self):
+        from rateauction import SimulationError
+
+        with pytest.raises(SimulationError, match=r"^user 1 failed at iteration 1: tol must be > 0"):
+            run_replication(preset("normal"), [0, 1], solver_tol=0.0)
 
 
 class TestScenarioValidation:
@@ -229,6 +239,28 @@ class TestScenarioValidation:
             Scenario(capacity=100.0, delta=1e-2, max_iterations=20, seed=-1, users=users)
         with pytest.raises(ValueError):
             Scenario(capacity=100.0, delta=1e-2, max_iterations=20, seed=0, users=())
+        with pytest.raises(ValueError, match="finite"):
+            Scenario(capacity=float("inf"), delta=1e-2, max_iterations=20, seed=0, users=users)
+        with pytest.raises(ValueError, match="finite"):
+            Scenario(capacity=100.0, delta=float("nan"), max_iterations=20, seed=0, users=users)
+        with pytest.raises(ValueError, match=r"k\*R"):
+            Scenario(
+                capacity=1e10, delta=1e-2, max_iterations=20, seed=0,
+                users=(LogarithmicUserSpec(k=1e300, r_max=1e-10),),
+            )
+
+    def test_user_specs_reject_values_no_run_can_use(self):
+        with pytest.raises(ValueError, match="> 0"):
+            SigmoidalUserSpec(a=Fixed(-1.0), b=Fixed(10.0))
+        with pytest.raises(ValueError, match="> 0"):
+            SigmoidalUserSpec(a=Fixed(5.0), b=Fixed(0.0))
+        SigmoidalUserSpec(a=Normal(-1.0, 2.0), b=Fixed(10.0))  # draws are clamped
+        with pytest.raises(ValueError, match="finite"):
+            LogarithmicUserSpec(k=float("nan"), r_max=100.0)
+        with pytest.raises(ValueError, match="> 0"):
+            LogarithmicUserSpec(k=1.0, r_max=-1.0)
+        with pytest.raises(ValueError, match=r"k\*r_max"):
+            LogarithmicUserSpec(k=1e308, r_max=100.0)
 
     def test_stochastic_flags(self):
         assert preset("fixed").is_stochastic is False

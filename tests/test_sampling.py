@@ -1,5 +1,7 @@
 """Sampling tests: spec parsing, draw distributions, clamping, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -45,6 +47,13 @@ class TestParamSpecs:
             Triangular(5.0, 4.0, 6.0)
         with pytest.raises(ValueError):
             Triangular(5.0, 5.0, 5.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Fixed(bad)
+            with pytest.raises(ValueError, match="finite"):
+                Normal(bad, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                Triangular(0.0, 1.0, bad)
 
     def test_format_round_trips(self):
         for spec in (Fixed(15.0), Normal(5.0, 2.0), Triangular(3.0, 5.0, 7.0), Fixed(0.125)):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rateauction import (
     BidMessage,
+    BisectionError,
     LogarithmicUtility,
     PriceUpdate,
     SigmoidalUtility,
@@ -13,6 +16,7 @@ from rateauction import (
     solve_rate,
     ue_step,
 )
+from rateauction.ue import solve_lanes
 
 LOG_SLOPE_K1_R10 = 0.0379120355840223937  # 1/(11 ln 11)
 
@@ -99,6 +103,67 @@ class TestSolveRate:
             solve_rate(u, 1.0, 0.0)
         with pytest.raises(ValueError):
             solve_rate(u, 1.0, R, tol=0.0)
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+# One UE: a sigmoidal (a, b) or a logarithmic k, and the price it sees.
+# Prices down to 1e-12 leave some lanes clamped at the capacity.
+lane_users = st.one_of(
+    st.tuples(st.just("sig"), log_uniform(-1.5, 1.5), log_uniform(-1, 3.5), log_uniform(-12, 3)),
+    st.tuples(st.just("log"), log_uniform(-3, 2), st.none(), log_uniform(-12, 3)),
+)
+
+
+class TestSolveLanes:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        users=st.lists(lane_users, min_size=1, max_size=12),
+        capacity=log_uniform(0, 4),
+        tol=log_uniform(-13, 0),
+    )
+    def test_every_lane_equals_solve_rate_bit_for_bit(self, users, capacity, tol):
+        # users arrive with the families in any order; the lanes hold the
+        # sigmoid users first, then the logarithmic ones
+        sig = [u for u in users if u[0] == "sig"]
+        log = [u for u in users if u[0] == "log"]
+        lanes = (
+            np.array([u[1] for u in sig]),
+            np.array([u[2] for u in sig]),
+            np.array([u[1] for u in log]),
+            np.array([u[3] for u in sig + log]),
+            capacity,
+            tol,
+        )
+        utilities = [SigmoidalUtility(a=u[1], b=u[2]) for u in sig] + [
+            LogarithmicUtility(k=u[1], r_max=capacity) for u in log
+        ]
+        try:
+            want = [solve_rate(u, p[3], capacity, tol) for u, p in zip(utilities, sig + log)]
+        except BisectionError:
+            # tol below the float spacing near some root: the cap must fire
+            # in the lanes too
+            with pytest.raises(BisectionError):
+                solve_lanes(*lanes)
+            return
+        got = solve_lanes(*lanes)
+        assert got.tobytes() == np.array(want).tobytes(), (got, want)
+
+    def test_clamped_and_interior_lanes_side_by_side(self):
+        u = LogarithmicUtility(k=0.1, r_max=R)
+        binding = float(u.log_slope(R))
+        got = solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1, 0.1]),
+                          np.array([0.3, binding, 2.0 * binding]), R)
+        assert got[1] == R
+        assert got[2] < R
+        assert got[0] == solve_rate(SigmoidalUtility(a=5.0, b=35.0), 0.3, R)
+
+    def test_step_cap_raises(self):
+        # tol below the float spacing at R: no bracket can get that narrow
+        with pytest.raises(BisectionError, match="200 bisection steps"):
+            solve_lanes(np.array([15.0]), np.array([20.0]), np.array([1.0]), np.full(2, 1.0), R, 1e-20)
 
 
 class TestComputeBid:
