@@ -1,13 +1,17 @@
 """Golden-trace gate: each case below must reproduce the sha256 digests
-recorded before the engine was batched into lanes.
+recorded before the refactor it guards -- the presets, the tight-delta,
+tiled and early-stop cases before the engine was batched into lanes, the
+single-family and mixed cases before the per-user message objects gave
+way to parameter arrays.
 
 Two digests per case: the rendered trace file, and every traced and final
 number at full precision (``float.hex``).  The trace file prints nine
 significant digits, so a change in the last bits -- the order of a sum, a
 different bisection midpoint -- can leave it untouched; the exact digest
 catches that.  The cases cover the three presets at seeds 0-4,
-a long run to a tight delta, a large user count, and stochastic runs that
-stop early at different rounds (lanes leaving a lockstep batch).
+a long run to a tight delta, a large user count, each utility family
+alone, users with one fixed and one drawn parameter, and stochastic runs
+that stop early at different rounds (lanes leaving a lockstep batch).
 """
 
 import hashlib
@@ -15,7 +19,16 @@ from dataclasses import replace
 
 import pytest
 
-from rateauction import preset, render_trace, run, run_replication
+from rateauction import (
+    Fixed,
+    LogarithmicUserSpec,
+    Normal,
+    SigmoidalUserSpec,
+    preset,
+    render_trace,
+    run,
+    run_replication,
+)
 
 TILE_COPIES = 100
 TILED_CAPACITY = 10_000.0
@@ -32,6 +45,25 @@ def early_stop_normal():
     return replace(preset("normal"), delta=EARLY_STOP_DELTA, allow_early_stop=True, max_iterations=50)
 
 
+def mixed_stochastic():
+    """Users with one fixed and one drawn parameter.  Every round the fixed
+    halves are clamped with the draws: a to 0.1, b to R."""
+    users = (
+        SigmoidalUserSpec(a=Fixed(0.05), b=Normal(20.0, 2.0)),
+        SigmoidalUserSpec(a=Normal(10.0, 2.0), b=Fixed(150.0)),
+        LogarithmicUserSpec(k=1.0, r_max=100.0),
+    )
+    return replace(preset("normal"), users=users)
+
+
+def one_family(sigmoidal: bool):
+    """The fixed preset's sigmoid users alone, or its logarithmic users
+    alone (then every sigmoid lane slice is empty)."""
+    fixed = preset("fixed")
+    users = tuple(u for u in fixed.users if isinstance(u, SigmoidalUserSpec) == sigmoidal)
+    return replace(fixed, users=users)
+
+
 def cases():
     """Case name -> scenario, every one run with the default solver tolerance."""
     out = {
@@ -41,6 +73,10 @@ def cases():
     }
     out["fixed-delta1e-6-cap200"] = replace(preset("fixed"), delta=1e-6, max_iterations=200)
     out["fixed-tiled100-R10000"] = tiled_fixed()
+    out["fixed-sigmoid-only"] = one_family(sigmoidal=True)
+    out["fixed-log-only"] = one_family(sigmoidal=False)
+    for seed in range(2):
+        out[f"mixed-stochastic-seed{seed}"] = replace(mixed_stochastic(), seed=seed)
     for seed in EARLY_STOP_SEEDS:
         out[f"normal-early-stop-seed{seed}"] = replace(early_stop_normal(), seed=seed)
     return out
@@ -50,6 +86,10 @@ GOLDEN = {
     "fixed-delta1e-6-cap200": (
         "9d56f26fce4ab56887e0bba95d8b8317ee9ef683c65dab225f25c395e3d88045",
         "1d7cb7d599639a4b92df78ed85dd2f474d4f7796ae81934b1951e4786badf9f1",
+    ),
+    "fixed-log-only": (
+        "008a1f5e2114e4dea1a5603aeba5af9eadcd1f13a087f1ade9df0603e60bb9fa",
+        "e367a49512729595cc65c116409185f09fedaa1878d6fce403420cf338481d87",
     ),
     "fixed-seed0": (
         "f1187e516217d25bd33703b3ed3a47c330cd7628a1a8cde36b07f7bfb34adfdd",
@@ -71,9 +111,21 @@ GOLDEN = {
         "f1187e516217d25bd33703b3ed3a47c330cd7628a1a8cde36b07f7bfb34adfdd",
         "7cadefb73c1be595109a06bcacd9f6298ff892ec2727e80892de4c361075b5fb",
     ),
+    "fixed-sigmoid-only": (
+        "417fa94c0de2c50b2f649a4a8f563fdcef766f8cb2234d5d4177080bface9ffe",
+        "01cdefc9fbcb7e1d5dcfebe8c6bfa17e23910ffdd19ac692c5125b41c7a37311",
+    ),
     "fixed-tiled100-R10000": (
         "643b3865d53f4fbae11e7ed976085b1aa0465605a0d02f09aa0c8c94675bbb32",
         "53ba95cbc48fe84fda2b91aa54de477466401e120860a4e9f2e0646ce786f710",
+    ),
+    "mixed-stochastic-seed0": (
+        "6850df2ff165a1e1f83de2287724f8c3470c7e67943b9f37df1de0731104bdec",
+        "e7cb8dddb67c54e0fdb4edf8231154a4204bd7a8eeeaa77696b9123918b704bd",
+    ),
+    "mixed-stochastic-seed1": (
+        "4b3f73f48d303d65bd9fc880f06c51b103b78ccbecf10008a25032f9e08842be",
+        "44e5c5537a2d471b1b06aaa5d971c69747d416389a648416e4356617b5f54056",
     ),
     "normal-early-stop-seed0": (
         "597d90413e27b0bd70fa1a233633c0672d6ab41497827304f7e36f662c45ffca",
@@ -196,8 +248,9 @@ def test_trace_matches_golden(name):
         (early_stop_normal(), EARLY_STOP_SEEDS),
         (preset("triangular"), [4, 0, 4, 2]),
         (replace(preset("fixed"), max_iterations=60), [0, 1]),
+        (mixed_stochastic(), [1, 0]),
     ],
-    ids=["normal-early-stop", "triangular-repeated-seed", "fixed"],
+    ids=["normal-early-stop", "triangular-repeated-seed", "fixed", "mixed-stochastic"],
 )
 def test_replication_equals_independent_runs(scenario, seeds):
     batched = run_replication(scenario, seeds)
