@@ -8,7 +8,6 @@ delay-tolerant (logarithmic-utility) user a positive rate.
 """
 
 from .engine import (
-    BOOTSTRAP_PRICE,
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
     LogarithmicUserSpec,
@@ -30,7 +29,6 @@ from .oracle import (
 from .sampling import (
     Fixed,
     Normal,
-    ParamSpec,
     Triangular,
     format_param_spec,
     parse_param_spec,
@@ -39,7 +37,6 @@ from .sampling import (
     stream_rng,
 )
 from .scenarios import (
-    PRESETS,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -49,21 +46,11 @@ from .scenarios import (
 )
 from .station import BidLedger, DegenerateBidsError
 from .trace import emit_trace, render_trace
-from .ue import (
-    DEFAULT_RATE_TOL,
-    BidMessage,
-    BisectionError,
-    PriceUpdate,
-    UserState,
-    compute_bid,
-    solve_rate,
-    ue_step,
-)
+from .ue import BisectionError, solve_rate, ue_step
 from .utility import (
     LogarithmicUtility,
     RateDomainError,
     SigmoidalUtility,
-    UtilityFunction,
 )
 
 __version__ = "0.1.0"

@@ -31,6 +31,16 @@ EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
 
+def _positive(kind):
+    """argparse type: a ``kind`` number > 0, else a usage error naming the flag."""
+    def parse(text: str):
+        if not kind(text) > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse says "invalid <type> value"
+    return parse
+
+
 def _scenario_from_args(args) -> Scenario:
     if args.scenario is not None:
         scenario = load_scenario(args.scenario)
@@ -143,12 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="compare the auction against the brute-force reference"
     )
     p_verify.add_argument("--scenario", required=True, help="scenario JSON (max 3 users)")
-    p_verify.add_argument("--step", type=float, required=True, help="reference grid step")
+    p_verify.add_argument("--step", type=_positive(float), required=True, help="reference grid step")
     p_verify.set_defaults(func=cmd_verify)
 
     p_rep = sub.add_parser("replicate", help="run a preset under seeds 0..n-1")
     p_rep.add_argument("--preset", required=True, choices=sorted(PRESETS))
-    p_rep.add_argument("--seeds", type=int, required=True, help="number of seeds")
+    p_rep.add_argument("--seeds", type=_positive(int), required=True, help="number of seeds")
     p_rep.add_argument("--output-dir", required=True, help="directory for trace files")
     p_rep.set_defaults(func=cmd_replicate)
 

@@ -8,10 +8,11 @@ delta (if early stopping applies) or at the iteration cap; the final
 allocation divides each bid by the closing price, which fills the
 capacity exactly.
 
-Runs are made in lockstep batches.  Each round, every UE of every live run
-is one lane of a single vectorised solve (:func:`~rateauction.ue.solve_lanes`),
-which performs the scalar solver's float operations lane for lane; prices,
-convergence tests and allocations stay per run, in each run's
+Runs are made in lockstep batches, whose parameters are arrays: one row
+per run.  Each round, every UE of every live run is one lane of a single
+vectorised solve (:func:`~rateauction.ue.solve_lanes`), which performs the
+scalar solver's float operations lane for lane, and bids ``price * rate``;
+prices, convergence tests and allocations stay per run, in each run's
 :class:`~rateauction.station.BidLedger`.  ``run`` is a batch of one,
 ``run_replication`` runs all its seeds together, and a run leaves the batch
 when it converges.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .sampling import Fixed, Normal, ParamSpec, Triangular, clamp_sigmoid_params, is_stochastic, resample_user, stream_rng
 from .station import BidLedger
-from .ue import DEFAULT_RATE_TOL, BidMessage, PriceUpdate, UserState, solve_lanes, ue_step
+from .ue import DEFAULT_RATE_TOL, solve_lanes, ue_step
 from .utility import LogarithmicUtility, SigmoidalUtility
 
 BOOTSTRAP_PRICE = 1.0
@@ -187,126 +188,113 @@ class RunResult:
 
 
 class _Run:
-    """One run of a lockstep batch: its users, its ledger and its trace so far."""
+    """One run of a lockstep batch: its ledger, its price and its rounds so far."""
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.states = [
-            UserState(user_id=i + 1, utility=spec.initial_utility(scenario.capacity))
-            for i, spec in enumerate(scenario.users)
-        ]
-        self.user_ids = [state.user_id for state in self.states]
         self.ledger = BidLedger(scenario.capacity, scenario.delta)
         self.early_stop = scenario.early_stop_enabled
         self.price = BOOTSTRAP_PRICE
-        self.trace: list[TraceRecord] = []
-        self.iterations = 0
+        self.rounds: list[tuple] = []  # per round: price, rates, bids, a, b
         self.converged_at: Optional[int] = None
 
-    def resample(self, n: int, stochastic: list[int]) -> None:
-        """Fresh draws for the stochastic users, keyed by (seed, n, user_id)."""
-        capacity = self.scenario.capacity
-        for i in stochastic:
-            spec = self.scenario.users[i]
-            rng = stream_rng(self.scenario.seed, n, i + 1)
-            self.states[i] = resample_user(self.states[i], spec.a, spec.b, capacity, rng)
-
-    def close_round(self, n: int, rates: list[float], bids: list[float]) -> None:
-        """Trace the round, hand its bids to the station, and either stop or
+    def close_round(self, n: int, rates, bids, a, b) -> None:
+        """Keep the round, hand its bids to the station, and either stop or
         take the next price."""
-        self.iterations = n
-        for state, rate, bid in zip(self.states, rates, bids):
-            u = state.utility
-            sig = isinstance(u, SigmoidalUtility)
-            self.trace.append(
-                TraceRecord(n, state.user_id, self.price, rate, bid,
-                            float(u.a) if sig else None, float(u.b) if sig else None)
-            )
-        self.ledger.ingest(map(BidMessage, self.user_ids, bids))
+        self.rounds.append((self.price, rates, bids, a, b))
+        self.ledger.ingest(bids)
         if self.early_stop and self.ledger.check_convergence():
             self.converged_at = n
         else:
-            self.price = self.ledger.compute_price().price
+            self.price = self.ledger.compute_price()
 
-    def result(self) -> RunResult:
-        final_price = self.ledger.compute_price().price
+    def result(self, sig: list[int]) -> RunResult:
+        """The run's outcome; ``sig`` are the columns of the sigmoid users,
+        whose a and b the trace carries (None for the logarithmic users)."""
+        prices, rates, bids, a, b = map(np.array, zip(*self.rounds))
+        rounds, users = rates.shape
+        params = np.full((2, rounds, users), None, dtype=object)
+        params[:, :, sig] = np.stack((a, b))
+        trace = map(
+            TraceRecord,
+            np.arange(1, rounds + 1).repeat(users).tolist(),
+            list(range(1, users + 1)) * rounds,
+            prices.repeat(users).tolist(),
+            rates.ravel().tolist(),
+            bids.ravel().tolist(),
+            params[0].ravel().tolist(),
+            params[1].ravel().tolist(),
+        )
+        final_price = self.ledger.compute_price()
         return RunResult(
             stop_reason=STOP_CONVERGED if self.converged_at is not None else STOP_ITERATION_CAP,
             converged_at=self.converged_at,
-            iterations=self.iterations,
+            iterations=rounds,
             final_price=final_price,
             final_rates=self.ledger.allocate_rates(final_price),
-            trace=tuple(self.trace),
+            trace=tuple(trace),
         )
 
 
-def _solve_round(
-    live: list[_Run], sig: list[int], log: list[int], prices: np.ndarray, n: int, tol: float
-) -> np.ndarray:
-    """Every live run's rates for round n: one row per run, users in order.
-
-    All UEs of all live runs go through one lane solve: the sigmoid users
-    ``sig`` of every run, then the logarithmic users ``log``, each run's
-    lanes at its own price.  Should it fail, the round is solved again one
-    ``ue_step`` per user (:func:`_solve_by_user`), so the error names the
-    failing user and round exactly as a scalar solve would.
-    """
-    scenario = live[0].scenario
-    a = np.array([r.states[i].utility.a for r in live for i in sig], dtype=float)
-    b = np.array([r.states[i].utility.b for r in live for i in sig], dtype=float)
-    k = np.array([r.states[i].utility.k for r in live for i in log], dtype=float)
-    try:
-        lanes = solve_lanes(
-            a, b, k, np.concatenate((prices.repeat(len(sig)), prices.repeat(len(log)))),
-            scenario.capacity, tol,
-        )
-    except Exception:  # any failure: the scalar re-solve raises the precise error
-        return _solve_by_user(live, n, tol)
-    rates = np.empty((len(live), len(scenario.users)))
-    rates[:, sig] = lanes[: a.size].reshape(len(live), len(sig))
-    rates[:, log] = lanes[a.size :].reshape(len(live), len(log))
-    return rates
-
-
-def _solve_by_user(live: list[_Run], n: int, tol: float) -> np.ndarray:
-    """Round n solved by the scalar reference, in run and user order; raises
-    SimulationError at the first user that fails."""
-    rows = []
-    for r in live:
-        msg = PriceUpdate(iteration=n, price=r.price)
-        row = []
-        for state in r.states:
+def _raise_first_failure(live: list[_Run], a: np.ndarray, b: np.ndarray, n: int, tol: float) -> None:
+    """Solve round n again with the scalar reference, one ``ue_step`` per
+    user in run and user order, and raise SimulationError naming the first
+    user that fails."""
+    for r, a_row, b_row in zip(live, a.tolist(), b.tolist()):
+        sigmoid = map(SigmoidalUtility, a_row, b_row)
+        capacity = r.scenario.capacity
+        for uid, spec in enumerate(r.scenario.users, start=1):
+            utility = next(sigmoid) if isinstance(spec, SigmoidalUserSpec) else spec.initial_utility(capacity)
             try:
-                row.append(ue_step(state, msg, r.scenario.capacity, tol)[0].last_rate)
+                ue_step(utility, r.price, capacity, tol)
             except Exception as exc:
-                raise SimulationError(
-                    f"user {state.user_id} failed at iteration {n}: {exc}"
-                ) from exc
-        rows.append(row)
-    return np.array(rows)
+                raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
 
 
 def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResult]:
     """Runs of scenarios that differ at most in their seed, round by round
-    together; a run leaves the batch when it converges."""
+    together; a run leaves the batch when it converges.  ``a`` and ``b``
+    hold the sigmoid users' parameters, one row per live run, and ``k`` the
+    logarithmic users', shared by every run."""
     first = scenarios[0]
+    capacity = first.capacity
     sig = [i for i, spec in enumerate(first.users) if isinstance(spec, SigmoidalUserSpec)]
     log = [i for i, spec in enumerate(first.users) if not isinstance(spec, SigmoidalUserSpec)]
-    stochastic = [i for i, spec in enumerate(first.users) if spec.is_stochastic]
+    # (column, user id, spec) of every sigmoid user that draws its parameters
+    stochastic = [(j, i + 1, first.users[i]) for j, i in enumerate(sig) if first.users[i].is_stochastic]
+    nominal = [first.users[i].initial_utility(capacity) for i in sig]
+    a = np.tile([u.a for u in nominal], (len(scenarios), 1))
+    b = np.tile([u.b for u in nominal], (len(scenarios), 1))
+    k = np.array([first.users[i].k for i in log], dtype=float)
     runs = [_Run(s) for s in scenarios]
     live = runs
     for n in range(1, first.max_iterations + 1):
-        for r in live:
-            r.resample(n, stochastic)
+        for row, r in enumerate(live):
+            for j, uid, spec in stochastic:
+                rng = stream_rng(r.scenario.seed, n, uid)
+                a[row, j], b[row, j] = resample_user(spec.a, spec.b, capacity, rng)
         prices = np.array([r.price for r in live])
-        rates = _solve_round(live, sig, log, prices, n, solver_tol)
+        try:
+            lanes = solve_lanes(
+                a.ravel(), b.ravel(), np.tile(k, len(live)),
+                np.concatenate((prices.repeat(len(sig)), prices.repeat(len(log)))),
+                capacity, solver_tol,
+            )
+        except Exception:  # any failure: the scalar re-solve raises the precise error
+            _raise_first_failure(live, a, b, n, solver_tol)
+            raise
+        rates = np.empty((len(live), len(first.users)))
+        rates[:, sig] = lanes[: a.size].reshape(a.shape)
+        rates[:, log] = lanes[a.size :].reshape(len(live), len(log))
         bids = prices[:, None] * rates
-        for r, rate_row, bid_row in zip(live, rates.tolist(), bids.tolist()):
-            r.close_round(n, rate_row, bid_row)
-        live = [r for r in live if r.converged_at is None]
+        for row, r in enumerate(live):
+            r.close_round(n, rates[row], bids[row], a[row], b[row])
+        keep = [row for row, r in enumerate(live) if r.converged_at is None]
+        live = [live[row] for row in keep]
+        a, b = a[keep], b[keep]  # copies: the runs keep this round's rows
         if not live:
             break
-    return [r.result() for r in runs]
+    return [r.result(sig) for r in runs]
 
 
 def run(scenario: Scenario, solver_tol: float = DEFAULT_RATE_TOL) -> RunResult:

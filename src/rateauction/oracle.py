@@ -37,11 +37,20 @@ class GridSpec:
             raise ValueError(f"point_budget must be >= 1, got {self.point_budget}")
 
 
-def _axis(capacity: float, step: float) -> tuple[np.ndarray, float, int]:
-    """Uniform grid over [0, capacity] with pitch as close to step as possible."""
-    n = max(2, int(round(capacity / step)))
-    pitch = capacity / n
-    return pitch * np.arange(n + 1), pitch, n
+def _axis(capacity: float, grid: GridSpec, dims: int) -> tuple[np.ndarray, int]:
+    """Uniform grid over [0, capacity] with pitch as close to ``grid.step`` as
+    possible, refused before it is built when enumerating it over ``dims``
+    axes would exceed the point budget."""
+    ratio = capacity / grid.step
+    # clipped before round(): a tiny step (ratio up to inf) is refused
+    # without int() or np.arange ever seeing it, and past budget + 1 the
+    # count is over the budget whatever the rounding
+    n = max(2, round(min(ratio, grid.point_budget + 1)))
+    if n**dims > grid.point_budget:
+        raise BudgetExceededError(
+            f"{ratio:.6g} grid points per axis over {dims} axes exceed the budget of {grid.point_budget}"
+        )
+    return capacity / n * np.arange(n + 1), n
 
 
 def log_objective(utilities: Sequence[UtilityFunction], rates: Sequence[float]) -> float:
@@ -72,12 +81,7 @@ def centralized_argmax(
     if m == 1:
         return {1: capacity}
 
-    grid_values, _, n = _axis(capacity, grid.step)
-    if n ** (m - 1) > grid.point_budget:
-        raise BudgetExceededError(
-            f"{n}^{m - 1} grid points exceed the budget of {grid.point_budget}"
-        )
-
+    grid_values, n = _axis(capacity, grid, m - 1)
     logs = [np.asarray(u.log_value(grid_values)) for u in utilities]
 
     if m == 2:
@@ -115,11 +119,7 @@ def subproblem_argmax(
     """Dense-grid argmax of log U(r) - price * r over [step, capacity]."""
     if not price > 0:
         raise ValueError(f"price must be > 0, got {price}")
-    grid_values, _, n = _axis(capacity, grid.step)
-    if n > grid.point_budget:
-        raise BudgetExceededError(
-            f"{n} grid points exceed the budget of {grid.point_budget}"
-        )
+    grid_values, _ = _axis(capacity, grid, 1)
     r = grid_values[1:]
     obj = np.asarray(utility.log_value(r)) - price * r
     return float(r[int(np.argmax(obj))])

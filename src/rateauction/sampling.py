@@ -15,13 +15,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-from .ue import UserState
-from .utility import SigmoidalUtility
 
 # Clamp bounds for sampled sigmoid parameters.  Normal specs put tail mass
 # on non-positive values, which would make the utility invalid.
@@ -154,22 +151,16 @@ def clamp_sigmoid_params(a: float, b: float, capacity: float) -> tuple[float, fl
 
 
 def resample_user(
-    state: UserState,
     a_spec: ParamSpec,
     b_spec: ParamSpec,
     capacity: float,
     rng: np.random.Generator,
-) -> UserState:
-    """Fresh (a, b) draws for a sigmoid user; a drawn first, then b.
+) -> tuple[float, float]:
+    """Fresh (a, b) for a sigmoid user: a drawn first, then b.
 
-    Fully fixed specs return the state unchanged.  Draws are clamped so
-    the resulting utility is always valid.
+    Both are clamped, fixed halves included, so the utility they define is
+    always valid.
     """
-    if not isinstance(state.utility, SigmoidalUtility):
-        raise TypeError(f"user {state.user_id} is not sigmoidal; nothing to resample")
-    if isinstance(a_spec, Fixed) and isinstance(b_spec, Fixed):
-        return state
     a = sample(a_spec, rng)
     b = sample(b_spec, rng)
-    a, b = clamp_sigmoid_params(a, b, capacity)
-    return replace(state, utility=SigmoidalUtility(a=a, b=b))
+    return clamp_sigmoid_params(a, b, capacity)

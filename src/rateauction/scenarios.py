@@ -167,63 +167,13 @@ def save_scenario(scenario: Scenario, path) -> None:
         fh.write(scenario_to_json(scenario))
 
 
-def _log_users() -> tuple[UserSpec, ...]:
-    # r_max is taken equal to the capacity: the utility must reach 1
-    # somewhere and the pool size is the only scale available
-    return (
-        LogarithmicUserSpec(k=1.0, r_max=PRESET_CAPACITY),
-        LogarithmicUserSpec(k=0.1, r_max=PRESET_CAPACITY),
-        LogarithmicUserSpec(k=0.02, r_max=PRESET_CAPACITY),
-    )
-
-
-def _preset(users: tuple[UserSpec, ...]) -> Scenario:
-    return Scenario(
-        capacity=PRESET_CAPACITY,
-        delta=PRESET_DELTA,
-        max_iterations=PRESET_ITERATIONS,
-        seed=0,
-        users=users,
-    )
-
-
-def _fixed_preset() -> Scenario:
-    return _preset(
-        _log_users()
-        + (
-            SigmoidalUserSpec(a=Fixed(15.0), b=Fixed(20.0)),
-            SigmoidalUserSpec(a=Fixed(10.0), b=Fixed(25.0)),
-            SigmoidalUserSpec(a=Fixed(5.0), b=Fixed(35.0)),
-        )
-    )
-
-
-def _normal_preset() -> Scenario:
-    return _preset(
-        _log_users()
-        + (
-            SigmoidalUserSpec(a=Normal(15.0, 2.0), b=Normal(20.0, 2.0)),
-            SigmoidalUserSpec(a=Normal(10.0, 2.0), b=Normal(25.0, 2.0)),
-            SigmoidalUserSpec(a=Normal(5.0, 2.0), b=Normal(35.0, 2.0)),
-        )
-    )
-
-
-def _triangular_preset() -> Scenario:
-    return _preset(
-        _log_users()
-        + (
-            SigmoidalUserSpec(a=Triangular(13.0, 15.0, 17.0), b=Triangular(18.0, 20.0, 22.0)),
-            SigmoidalUserSpec(a=Triangular(8.0, 10.0, 12.0), b=Triangular(23.0, 25.0, 27.0)),
-            SigmoidalUserSpec(a=Triangular(3.0, 5.0, 7.0), b=Triangular(33.0, 35.0, 37.0)),
-        )
-    )
-
-
+# The real-time users' (a, b) centres, and how each preset spreads a centre
+# c into a parameter spec: FIXED(c), NORM(c, 2) or TRIA(c - 2, c, c + 2).
+_SIGMOID_CENTRES = ((15.0, 20.0), (10.0, 25.0), (5.0, 35.0))
 PRESETS = {
-    "fixed": _fixed_preset,
-    "normal": _normal_preset,
-    "triangular": _triangular_preset,
+    "fixed": Fixed,
+    "normal": lambda c: Normal(c, 2.0),
+    "triangular": lambda c: Triangular(c - 2.0, c, c + 2.0),
 }
 
 
@@ -231,9 +181,19 @@ def preset(name: str) -> Scenario:
     """Built-in scenario: three delay-tolerant users (k = 1, 0.1, 0.02)
     plus three real-time users under the named parameter regime."""
     try:
-        builder = PRESETS[name]
+        spread = PRESETS[name]
     except KeyError:
         raise ScenarioError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
-    return builder()
+    # r_max is taken equal to the capacity: the utility must reach 1
+    # somewhere and the pool size is the only scale available
+    log_users = tuple(LogarithmicUserSpec(k=k, r_max=PRESET_CAPACITY) for k in (1.0, 0.1, 0.02))
+    sigmoid_users = tuple(SigmoidalUserSpec(a=spread(a), b=spread(b)) for a, b in _SIGMOID_CENTRES)
+    return Scenario(
+        capacity=PRESET_CAPACITY,
+        delta=PRESET_DELTA,
+        max_iterations=PRESET_ITERATIONS,
+        seed=0,
+        users=log_users + sigmoid_users,
+    )

@@ -3,9 +3,9 @@ convergence test, and the final allocation."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Optional
 
-from .ue import BidMessage, PriceUpdate
+import numpy as np
 
 
 class DegenerateBidsError(RuntimeError):
@@ -15,9 +15,9 @@ class DegenerateBidsError(RuntimeError):
 class BidLedger:
     """Current and previous bid vectors for one capacity pool.
 
-    Bids are keyed by user id, so ingestion order within a round does not
-    matter.  ``delta`` is the absolute per-user bid-change threshold under
-    which the auction is declared converged.
+    Bids are held in user order: element i is the bid of user i + 1.
+    ``delta`` is the absolute per-user bid-change threshold under which the
+    auction is declared converged.
     """
 
     def __init__(self, capacity: float, delta: float) -> None:
@@ -27,52 +27,47 @@ class BidLedger:
             raise ValueError(f"delta must be > 0, got {delta}")
         self.capacity = capacity
         self.delta = delta
-        self.round = 0
-        self.current: dict[int, float] = {}
-        self.previous: dict[int, float] = {}
+        self.current: Optional[np.ndarray] = None
+        self.previous: Optional[np.ndarray] = None
 
-    def ingest(self, bids: Iterable[BidMessage]) -> None:
+    def ingest(self, bids) -> None:
         """Replace the current bids with a new round, keeping the old round."""
-        incoming: dict[int, float] = {}
-        for msg in bids:
-            if msg.bid < 0:
-                raise ValueError(f"user {msg.user_id} sent negative bid {msg.bid}")
-            if msg.user_id in incoming:
-                raise ValueError(f"duplicate bid from user {msg.user_id}")
-            incoming[msg.user_id] = msg.bid
-        if not incoming:
-            raise ValueError("a bid round must contain at least one bid")
-        self.previous = self.current
-        self.current = incoming
-        self.round += 1
+        bids = np.array(bids, dtype=float)
+        negative = np.flatnonzero(bids < 0)
+        if negative.size:
+            i = int(negative[0])
+            raise ValueError(f"user {i + 1} sent negative bid {bids[i]}")
+        self.previous, self.current = self.current, bids
 
-    def compute_price(self) -> PriceUpdate:
-        """Shadow price = sum of current bids / capacity."""
-        total = sum(self.current.values())
+    def compute_price(self) -> float:
+        """Shadow price = sum of current bids / capacity.
+
+        The sum runs sequentially in user order (``cumsum``, not numpy's
+        pairwise ``sum``), so the price does not depend on how numpy or
+        Python chooses to reduce.
+        """
+        total = float(np.cumsum(self.current)[-1])
         if not total > 0:
             raise DegenerateBidsError("all current bids are zero")
-        return PriceUpdate(iteration=self.round, price=total / self.capacity)
+        return total / self.capacity
 
     def check_convergence(self) -> bool:
         """True iff every user's absolute bid change is within delta.
 
-        False until two full rounds covering the same users exist.  The
-        absolute value matters: a signed test would fire on any bid
-        decrease long before the auction settles.
+        False until two rounds of the same users exist.  The absolute value
+        matters: a signed test would fire on any bid decrease long before
+        the auction settles.
         """
-        if not self.previous or self.previous.keys() != self.current.keys():
+        if self.previous is None or self.previous.shape != self.current.shape:
             return False
-        return all(
-            abs(self.current[uid] - self.previous[uid]) <= self.delta
-            for uid in self.current
-        )
+        return float(np.max(np.abs(self.current - self.previous))) <= self.delta
 
     def allocate_rates(self, price: float) -> dict[int, float]:
-        """Final rates bid/price per user.
+        """Final rates bid/price per user id.
 
         With the price from :meth:`compute_price` these sum to the capacity
         identically (each rate is bid * capacity / total bids).
         """
         if not price > 0:
             raise ValueError(f"price must be > 0, got {price}")
-        return {uid: bid / price for uid, bid in self.current.items()}
+        return {i + 1: bid / price for i, bid in enumerate(self.current.tolist())}

@@ -10,13 +10,12 @@ by bisection on the marginal condition, and answers with the bid
 always strictly positive: every user keeps a minimum level of service
 no matter how high the price.
 
-:func:`solve_rate` solves one UE; :func:`solve_lanes` solves many at once
-with the same float operations, one array element (a *lane*) per UE.
+:func:`solve_rate` solves one UE and :func:`ue_step` adds its bid;
+:func:`solve_lanes` solves many at once with the same float operations,
+one array element (a *lane*) per UE.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,33 +26,8 @@ MAX_BISECTION_STEPS = 200
 
 
 class BisectionError(RuntimeError):
-    """The bisection step cap was hit; indicates a bug, not a bad input."""
-
-
-@dataclass(frozen=True)
-class PriceUpdate:
-    """Shadow-price broadcast from the base station, one per round."""
-
-    iteration: int
-    price: float
-
-
-@dataclass(frozen=True)
-class BidMessage:
-    """A UE's answer to a price broadcast."""
-
-    user_id: int
-    bid: float
-
-
-@dataclass(frozen=True)
-class UserState:
-    """One UE: identity, current utility, and its latest response."""
-
-    user_id: int
-    utility: UtilityFunction
-    last_rate: float = 0.0
-    last_bid: float = 0.0
+    """The bisection step cap was hit: tol is below the float spacing near
+    the root, so no bracket can get that narrow."""
 
 
 def solve_rate(
@@ -152,28 +126,13 @@ def solve_lanes(a, b, k, price, capacity: float, tol: float = DEFAULT_RATE_TOL) 
     return mid
 
 
-def compute_bid(price: float, rate: float) -> float:
-    """Bid = price * rate, the signal sent back to the base station.
-
-    This closure makes the station's two rules mutually consistent: rates
-    recovered as bid/price and a price of total-bids/capacity reproduce
-    each other exactly at the fixed point where rates fill the capacity.
-    """
-    if not price > 0:
-        raise ValueError(f"price must be > 0, got {price}")
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    return price * rate
-
-
 def ue_step(
-    state: UserState,
-    msg: PriceUpdate,
+    utility: UtilityFunction,
+    price: float,
     capacity: float,
     tol: float = DEFAULT_RATE_TOL,
-) -> tuple[UserState, BidMessage]:
-    """One UE round: solve for the new rate, bid, and updated state."""
-    rate = solve_rate(state.utility, msg.price, capacity, tol)
-    bid = compute_bid(msg.price, rate)
-    new_state = replace(state, last_rate=rate, last_bid=bid)
-    return new_state, BidMessage(user_id=state.user_id, bid=bid)
+) -> tuple[float, float]:
+    """One UE round: the best response to the broadcast price, and its bid
+    ``price * rate`` -- which the station inverts as bid/price."""
+    rate = solve_rate(utility, price, capacity, tol)
+    return rate, price * rate

@@ -184,6 +184,19 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--scenario", str(path), "--step", "1e-6"]) == 4
 
+    def test_tiny_step_exits_4(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        assert main(["verify", "--scenario", str(path), "--step", "1e-300"]) == 4
+        assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
+    def test_non_positive_step_exits_2_naming_flag(self, tmp_path, capsys, step):
+        path = write_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scenario", str(path), "--step", step])
+        assert exc.value.code == 2
+        assert "--step" in capsys.readouterr().err
+
 
 class TestReplicateCommand:
     def test_replicate_writes_one_file_per_seed(self, tmp_path, capsys):
@@ -203,6 +216,15 @@ class TestReplicateCommand:
         a = (out_dir / "fixed-seed0.csv").read_bytes()
         b = (out_dir / "fixed-seed1.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_non_positive_seed_count_exits_2_before_writing(self, tmp_path, capsys, seeds):
+        out_dir = tmp_path / "reps"
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", "--preset", "fixed", "--seeds", seeds, "--output-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestScenarioEmission:

@@ -86,6 +86,14 @@ class TestCentralizedArgmax:
         with pytest.raises(BudgetExceededError):
             centralized_argmax([LogarithmicUtility(k=1.0, r_max=1.0)] * 4, 100.0, GridSpec(1e-2))
 
+    @pytest.mark.parametrize("step", [1e-7, 1e-300, 5e-324])
+    def test_tiny_step_refused_before_the_grid_is_built(self, step):
+        # 1e-7 on two users would be a 1e9-point axis (8 GB); 5e-324 makes
+        # capacity/step infinite
+        users = [LogarithmicUtility(k=1.0, r_max=100.0)] * 2
+        with pytest.raises(BudgetExceededError, match="per axis"):
+            centralized_argmax(users, 100.0, GridSpec(step=step))
+
 
 class TestSubproblemArgmax:
     def test_matches_solve_rate(self):
@@ -117,3 +125,13 @@ class TestSubproblemArgmax:
         u = LogarithmicUtility(k=1.0, r_max=100.0)
         with pytest.raises(BudgetExceededError):
             subproblem_argmax(u, 1.0, 100.0, GridSpec(step=1e-4, point_budget=1000))
+        with pytest.raises(BudgetExceededError, match="per axis"):
+            subproblem_argmax(u, 1.0, 100.0, GridSpec(step=1e-300))
+
+    def test_budget_boundary_is_exact(self):
+        # capacity/step = 1000.4 rounds to a 1000-interval axis, within the budget
+        u = LogarithmicUtility(k=1.0, r_max=100.0)
+        best = subproblem_argmax(u, 1.0, 100.0, GridSpec(step=100.0 / 1000.4, point_budget=1000))
+        assert 0.0 < best <= 100.0
+        with pytest.raises(BudgetExceededError):
+            subproblem_argmax(u, 1.0, 100.0, GridSpec(step=100.0 / 1000.6, point_budget=1000))

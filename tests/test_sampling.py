@@ -9,9 +9,7 @@ from scipy import stats
 from rateauction import (
     Fixed,
     Normal,
-    SigmoidalUtility,
     Triangular,
-    UserState,
     format_param_spec,
     parse_param_spec,
     resample_user,
@@ -110,28 +108,24 @@ class TestSample:
 
 
 class TestResampleUser:
-    def state(self):
-        return UserState(user_id=4, utility=SigmoidalUtility(a=15.0, b=20.0))
-
     def test_fixed_specs_leave_state_unchanged(self):
-        state = self.state()
         for n in range(1, 6):
-            out = resample_user(state, Fixed(15.0), Fixed(20.0), 100.0, stream_rng(0, n, 4))
-            assert out is state
+            rng, fresh = stream_rng(0, n, 4), stream_rng(0, n, 4)
+            assert resample_user(Fixed(15.0), Fixed(20.0), 100.0, rng) == (15.0, 20.0)
+            assert rng.random() == fresh.random()  # nothing drawn
 
     def test_draws_update_utility(self):
-        out = resample_user(
-            self.state(), Normal(15.0, 2.0), Normal(20.0, 2.0), 100.0, stream_rng(0, 1, 4)
-        )
-        assert isinstance(out.utility, SigmoidalUtility)
-        assert out.utility != self.state().utility
+        a, b = resample_user(Normal(15.0, 2.0), Normal(20.0, 2.0), 100.0, stream_rng(0, 1, 4))
+        assert (a, b) != (15.0, 20.0)
+        # a is drawn first, then b, from the same stream
+        rng = stream_rng(0, 1, 4)
+        assert (a, b) == (sample(Normal(15.0, 2.0), rng), sample(Normal(20.0, 2.0), rng))
 
-    def test_rejects_logarithmic_users(self):
-        from rateauction import LogarithmicUtility
-
-        log_state = UserState(user_id=1, utility=LogarithmicUtility(k=1.0, r_max=100.0))
-        with pytest.raises(TypeError):
-            resample_user(log_state, Fixed(1.0), Fixed(2.0), 100.0, stream_rng(0, 1, 1))
+    def test_fixed_half_clamped_with_the_draw(self):
+        a, b = resample_user(Fixed(0.05), Normal(20.0, 2.0), 100.0, stream_rng(0, 1, 4))
+        assert a == 0.1
+        a, b = resample_user(Normal(10.0, 2.0), Fixed(150.0), 100.0, stream_rng(0, 1, 4))
+        assert b == 100.0
 
     def test_steepness_clamped_at_floor(self):
         # NORM(5,2) puts ~0.7% of its mass below 0.1; scan iterations until
@@ -140,24 +134,20 @@ class TestResampleUser:
         clamped = 0
         for n in range(1, 4000):
             raw = sample(spec_a, stream_rng(2024, n, 4))
-            out = resample_user(self.state(), spec_a, spec_b, 100.0, stream_rng(2024, n, 4))
+            a, _ = resample_user(spec_a, spec_b, 100.0, stream_rng(2024, n, 4))
             if raw < 0.1:
                 clamped += 1
-                assert out.utility.a == 0.1
+                assert a == 0.1
             else:
-                assert out.utility.a == raw
-            assert out.utility.a >= 0.1
+                assert a == raw
+            assert a >= 0.1
         assert clamped > 0
 
     def test_inflection_clamped_into_capacity(self):
-        out = resample_user(
-            self.state(), Fixed(5.0), Normal(500.0, 1.0), 100.0, stream_rng(0, 1, 4)
-        )
-        assert out.utility.b == 100.0
-        out = resample_user(
-            self.state(), Fixed(5.0), Normal(-50.0, 1.0), 100.0, stream_rng(0, 1, 4)
-        )
-        assert out.utility.b == 1.0
+        _, b = resample_user(Fixed(5.0), Normal(500.0, 1.0), 100.0, stream_rng(0, 1, 4))
+        assert b == 100.0
+        _, b = resample_user(Fixed(5.0), Normal(-50.0, 1.0), 100.0, stream_rng(0, 1, 4))
+        assert b == 1.0
 
     def test_clamp_helper_bounds(self):
         assert clamp_sigmoid_params(-3.0, 0.0, 100.0) == (0.1, 1.0)

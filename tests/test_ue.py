@@ -1,4 +1,4 @@
-"""UE subproblem tests: bisection solve, bids, and the single-round step."""
+"""UE subproblem tests: bisection solve, lane solve, and the single-round step."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rateauction import (
-    BidMessage,
     BisectionError,
     LogarithmicUtility,
-    PriceUpdate,
     SigmoidalUtility,
-    UserState,
-    compute_bid,
     solve_rate,
     ue_step,
 )
@@ -167,39 +163,41 @@ class TestSolveLanes:
 
 
 class TestComputeBid:
-    def test_direct_product(self):
-        assert compute_bid(0.5, 20.0) == 10.0
+    """The bid rule w = price * rate, as ``ue_step`` answers a price."""
 
-    def test_zero_rate_bids_zero(self):
-        assert compute_bid(0.6, 0.0) == 0.0
+    def test_direct_product(self):
+        u = SigmoidalUtility(a=5.0, b=35.0)
+        rate, bid = ue_step(u, 0.3, R)
+        assert bid == 0.3 * rate
 
     def test_round_trips_with_allocation(self):
+        # rates recovered as bid/price by the station are the solved rates
         rng = np.random.default_rng(43)
         for _ in range(200):
-            price = float(10.0 ** rng.uniform(-4, 2))
-            rate = float(rng.uniform(0.0, 100.0))
-            assert compute_bid(price, rate) / price == pytest.approx(rate, rel=1e-15)
+            u, price = random_case(rng)
+            rate, bid = ue_step(u, price, R)
+            assert bid / price == pytest.approx(rate, rel=1e-15)
 
     def test_rejects_bad_inputs(self):
+        u = LogarithmicUtility(k=1.0, r_max=R)
         with pytest.raises(ValueError):
-            compute_bid(0.0, 1.0)
+            ue_step(u, 0.0, R)
         with pytest.raises(ValueError):
-            compute_bid(1.0, -1.0)
+            ue_step(u, -1.0, R)
 
 
 class TestUeStep:
     def test_chains_solve_and_bid(self):
-        state = UserState(user_id=1, utility=LogarithmicUtility(k=1.0, r_max=R))
-        msg = PriceUpdate(iteration=1, price=LOG_SLOPE_K1_R10)
-        new_state, bid = ue_step(state, msg, R, tol=1e-6)
-        assert new_state.last_rate == pytest.approx(10.0, abs=1e-4)
-        assert bid == BidMessage(user_id=1, bid=new_state.last_bid)
-        assert new_state.last_bid == pytest.approx(LOG_SLOPE_K1_R10 * 10.0, rel=1e-4)
+        u = LogarithmicUtility(k=1.0, r_max=R)
+        rate, bid = ue_step(u, LOG_SLOPE_K1_R10, R, tol=1e-6)
+        assert rate == solve_rate(u, LOG_SLOPE_K1_R10, R, tol=1e-6)
+        assert rate == pytest.approx(10.0, abs=1e-4)
+        assert bid == LOG_SLOPE_K1_R10 * rate
+        assert bid / LOG_SLOPE_K1_R10 == rate
 
     def test_deterministic(self):
-        state = UserState(user_id=3, utility=SigmoidalUtility(a=10.0, b=25.0))
-        msg = PriceUpdate(iteration=5, price=0.2)
-        assert ue_step(state, msg, R) == ue_step(state, msg, R)
+        u = SigmoidalUtility(a=10.0, b=25.0)
+        assert ue_step(u, 0.2, R) == ue_step(u, 0.2, R)
 
     def test_halving_price_increases_rate(self):
         rng = np.random.default_rng(47)
@@ -207,17 +205,8 @@ class TestUeStep:
             u, price = random_case(rng)
             if solve_rate(u, price, R) == R:
                 continue  # already clamped; halving cannot increase further
-            state = UserState(user_id=1, utility=u)
-            s1, _ = ue_step(state, PriceUpdate(1, price), R)
-            s2, _ = ue_step(state, PriceUpdate(2, price / 2.0), R)
-            assert s2.last_rate > s1.last_rate
+            r1, _ = ue_step(u, price, R)
+            r2, _ = ue_step(u, price / 2.0, R)
+            assert r2 > r1
             ref, _ = grid_argmax(u, price / 2.0, R, step=1e-3)
-            assert s2.last_rate == pytest.approx(ref, abs=2e-3)
-
-    def test_keeps_identity_and_utility(self):
-        u = SigmoidalUtility(a=5.0, b=35.0)
-        state = UserState(user_id=9, utility=u, last_rate=1.0, last_bid=2.0)
-        new_state, msg = ue_step(state, PriceUpdate(1, 0.3), R)
-        assert new_state.user_id == 9
-        assert new_state.utility is u
-        assert msg.user_id == 9
+            assert r2 == pytest.approx(ref, abs=2e-3)
