@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rateauction import (
+    BidLedger,
     BisectionError,
     LogarithmicUtility,
     SigmoidalUtility,
@@ -171,12 +172,16 @@ class TestComputeBid:
         assert bid == 0.3 * rate
 
     def test_round_trips_with_allocation(self):
-        # rates recovered as bid/price by the station are the solved rates
+        # the station's allocation bid/price recovers every solved rate
         rng = np.random.default_rng(43)
-        for _ in range(200):
-            u, price = random_case(rng)
-            rate, bid = ue_step(u, price, R)
-            assert bid / price == pytest.approx(rate, rel=1e-15)
+        for _ in range(40):
+            price = float(10.0 ** rng.uniform(-3.0, 0.5))
+            answers = [ue_step(random_case(rng)[0], price, R) for _ in range(5)]
+            ledger = BidLedger(R, 1e-2)
+            ledger.ingest([bid for _, bid in answers])
+            allocated = ledger.allocate_rates(price)
+            for uid, (rate, _) in enumerate(answers, start=1):
+                assert allocated[uid] == pytest.approx(rate, rel=1e-15)
 
     def test_rejects_bad_inputs(self):
         u = LogarithmicUtility(k=1.0, r_max=R)
