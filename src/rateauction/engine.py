@@ -13,9 +13,10 @@ per run.  Each round, every UE of every live run is one lane of a single
 vectorised solve (:func:`~rateauction.ue.solve_lanes`), which performs the
 scalar solver's float operations lane for lane, and bids ``price * rate``;
 prices, convergence tests and allocations stay per run, in each run's
-:class:`~rateauction.station.BidLedger`.  ``run`` is a batch of one,
-``run_replication`` runs all its seeds together, and a run leaves the batch
-when it converges.
+:class:`~rateauction.station.BidLedger`.  A round's draws come from one
+:func:`~rateauction.sampling.stream_rngs` call, one generator per live run
+and stochastic user.  ``run`` is a batch of one, ``run_replication`` runs
+all its seeds together, and a run leaves the batch when it converges.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -29,7 +30,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .sampling import Fixed, Normal, ParamSpec, Triangular, clamp_sigmoid_params, is_stochastic, resample_user, stream_rng
+# stream_rng, the one-cell case of stream_rngs, stays importable from here
+# for code that wraps the engine's sampling calls by name
+from .sampling import Fixed, Normal, ParamSpec, Triangular, clamp_sigmoid_params, is_stochastic, resample_user, stream_rng, stream_rngs
 from .station import BidLedger
 from .ue import DEFAULT_RATE_TOL, solve_lanes, ue_step
 from .utility import LogarithmicUtility, SigmoidalUtility
@@ -260,8 +263,9 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     capacity = first.capacity
     sig = [i for i, spec in enumerate(first.users) if isinstance(spec, SigmoidalUserSpec)]
     log = [i for i, spec in enumerate(first.users) if not isinstance(spec, SigmoidalUserSpec)]
-    # (column, user id, spec) of every sigmoid user that draws its parameters
-    stochastic = [(j, i + 1, first.users[i]) for j, i in enumerate(sig) if first.users[i].is_stochastic]
+    # (column, spec) and user id of every sigmoid user that draws its parameters
+    drawn = [(j, first.users[i]) for j, i in enumerate(sig) if first.users[i].is_stochastic]
+    drawn_ids = [i + 1 for i in sig if first.users[i].is_stochastic]
     nominal = [first.users[i].initial_utility(capacity) for i in sig]
     a = np.tile([u.a for u in nominal], (len(scenarios), 1))
     b = np.tile([u.b for u in nominal], (len(scenarios), 1))
@@ -269,10 +273,12 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     runs = [_Run(s) for s in scenarios]
     live = runs
     for n in range(1, first.max_iterations + 1):
-        for row, r in enumerate(live):
-            for j, uid, spec in stochastic:
-                rng = stream_rng(r.scenario.seed, n, uid)
-                a[row, j], b[row, j] = resample_user(spec.a, spec.b, capacity, rng)
+        if drawn:  # one generator per (live run, drawn user), row-major
+            seeds = [r.scenario.seed for r in live for _ in drawn_ids]
+            rngs = iter(stream_rngs(seeds, n, drawn_ids * len(live)))
+            for row in range(len(live)):
+                for j, spec in drawn:
+                    a[row, j], b[row, j] = resample_user(spec.a, spec.b, capacity, next(rngs))
         prices = np.array([r.price for r in live])
         try:
             lanes = solve_lanes(

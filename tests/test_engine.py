@@ -18,6 +18,7 @@ from rateauction import (
     Normal,
     centralized_argmax,
     preset,
+    resample_user,
     run,
     run_replication,
 )
@@ -162,6 +163,39 @@ class TestDeterminismAndReplication:
             finals = np.array([r.final_rates[uid] for r in results])
             assert np.all(np.isfinite(finals))
             assert finals.min() < fixed.final_rates[uid] < finals.max()
+
+
+class TestStreamSeeding:
+    def test_large_seeds_draw_numpys_streams(self):
+        # seeds of one, two and five words; traced (a, b) must be numpy's
+        # SeedSequence draws for (seed, iteration, user id)
+        scenario = preset("normal")
+        seeds = [0, 2**32, 2**128 + 5]
+        results = run_replication(scenario, seeds)
+        assert results == [run(replace(scenario, seed=s)) for s in seeds]
+        for seed, result in zip(seeds, results):
+            drawn = 0
+            for rec in result.trace:
+                spec = scenario.users[rec.user_id - 1]
+                if not isinstance(spec, SigmoidalUserSpec):
+                    continue
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(rec.iteration, rec.user_id))
+                )
+                assert (rec.a, rec.b) == resample_user(spec.a, spec.b, scenario.capacity, rng)
+                drawn += 1
+            assert drawn == 3 * result.iterations
+
+    def test_rounds_build_no_seed_sequence(self, monkeypatch):
+        # every cell's stream comes from one batched hash per round, never
+        # from a SeedSequence built per cell
+        expected = [run(replace(preset("triangular"), seed=s)) for s in (0, 1)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.random.SeedSequence built during a run")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert run_replication(preset("triangular"), [0, 1]) == expected
 
 
 class TestTrace:

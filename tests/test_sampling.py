@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rateauction import (
@@ -16,7 +18,21 @@ from rateauction import (
     sample,
     stream_rng,
 )
-from rateauction.sampling import clamp_sigmoid_params, triangular_inverse_cdf
+from rateauction.sampling import clamp_sigmoid_params, stream_rngs, triangular_inverse_cdf
+
+# Seeds on each side of every word-count boundary of SeedSequence's entropy:
+# one word, two, the full four-word pool, and past it.
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128 + 5]
+EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**34 + 1]
+
+
+def numpy_rng(seed, iteration, user_id):
+    """The reference stream: numpy's own SeedSequence for the cell."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration, user_id)))
+
+
+def first_draws(rng):
+    return rng.normal(size=4).tolist() + rng.random(4).tolist()
 
 
 class TestParamSpecs:
@@ -180,3 +196,55 @@ class TestDeterminism:
 
         assert sequence(5) == sequence(5)
         assert sequence(5) != sequence(6)
+
+
+class TestStreamSeeding:
+    """Batched seeding against numpy's SeedSequence itself, not against
+    ``stream_rng``, which is the batch's one-cell case."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**200),
+                st.sampled_from(EDGE_KEYS) | st.integers(0, 2**70),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        iteration=st.sampled_from(EDGE_KEYS) | st.integers(0, 2**70),
+    )
+    def test_every_cell_matches_numpy(self, cells, iteration):
+        seeds = [seed for seed, _ in cells]
+        user_ids = [uid for _, uid in cells]
+        batch = stream_rngs(seeds, iteration, user_ids)
+        assert len(batch) == len(cells)
+        for (seed, uid), rng in zip(cells, batch):
+            want = first_draws(numpy_rng(seed, iteration, uid))
+            assert first_draws(rng) == want
+            assert first_draws(stream_rng(seed, iteration, uid)) == want
+
+    def test_edge_seeds_and_keys_in_one_batch(self):
+        # every entropy length at once, so cells of different lengths share
+        # one pass
+        cells = [(seed, uid) for seed in EDGE_SEEDS for uid in EDGE_KEYS]
+        for iteration in (0, 1, 2**32):
+            batch = stream_rngs([s for s, _ in cells], iteration, [u for _, u in cells])
+            for (seed, uid), rng in zip(cells, batch):
+                assert first_draws(rng) == first_draws(numpy_rng(seed, iteration, uid)), (seed, iteration, uid)
+
+    def test_numpy_integers_accepted(self):
+        want = first_draws(numpy_rng(7, 3, 2))
+        assert first_draws(stream_rngs(np.array([7]), np.int64(3), np.array([2]))[0]) == want
+
+    def test_empty_and_mismatched_batches(self):
+        assert stream_rngs([], 1, []) == []
+        with pytest.raises(ValueError, match="2 seeds for 1 user ids"):
+            stream_rngs([1, 2], 1, [4])
+
+    @pytest.mark.parametrize("seed,iteration,uid", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_negative_values_rejected_like_numpy(self, seed, iteration, uid):
+        with pytest.raises(ValueError):
+            numpy_rng(seed, iteration, uid)
+        with pytest.raises(ValueError, match=">= 0"):
+            stream_rng(seed, iteration, uid)
