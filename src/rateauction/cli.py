@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run`` -- execute one scenario (file or preset) and emit its trace;
 * ``verify`` -- compare the auction against the brute-force reference on
-  a small scenario (at most three users);
+  a small scenario (at most three users, every parameter fixed);
 * ``replicate`` -- run a preset under many seeds, one trace file each.
 
 Exit codes: 0 success, 2 usage/scenario errors, 3 solver failures,
@@ -14,12 +14,14 @@ Exit codes: 0 success, 2 usage/scenario errors, 3 solver failures,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import Scenario, SimulationError, run, run_replication
-from .oracle import BudgetExceededError, GridSpec, centralized_argmax, log_objective
+from .engine import Scenario, SigmoidalUserSpec, SimulationError, run, run_replication
+from .oracle import BudgetExceededError, GridSpec, GridStepError, centralized_argmax, log_objective
+from .sampling import format_param_spec, is_stochastic
 from .scenarios import PRESETS, ScenarioError, load_scenario, preset
 from .station import DegenerateBidsError
 from .trace import emit_trace, format_number
@@ -32,11 +34,13 @@ EXIT_BUDGET = 4
 
 
 def _positive(kind):
-    """argparse type: a ``kind`` number > 0, else a usage error naming the flag."""
+    """argparse type: a finite ``kind`` number > 0, else a usage error naming
+    the flag."""
     def parse(text: str):
-        if not kind(text) > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-        return kind(text)
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        return value
     parse.__name__ = kind.__name__  # argparse says "invalid <type> value"
     return parse
 
@@ -83,11 +87,30 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _require_fixed(source: str, scenario: Scenario) -> None:
+    """The reference optimum is for one set of parameters, which a run that
+    draws them does not have: name the first drawn field."""
+    for i, spec in enumerate(scenario.users):
+        if not isinstance(spec, SigmoidalUserSpec):
+            continue
+        for name in ("a", "b"):
+            param = getattr(spec, name)
+            if is_stochastic(param):
+                raise ScenarioError(
+                    f"{source}: field 'users[{i}].{name}': verify needs fixed parameters, "
+                    f"got {format_param_spec(param)}"
+                )
+
+
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
-    result = run(scenario)
+    _require_fixed(args.scenario, scenario)
     utilities = [spec.initial_utility(scenario.capacity) for spec in scenario.users]
-    reference = centralized_argmax(utilities, scenario.capacity, GridSpec(step=args.step))
+    try:
+        reference = centralized_argmax(utilities, scenario.capacity, GridSpec(step=args.step))
+    except GridStepError as exc:
+        raise ScenarioError(f"--step: {exc}") from exc
+    result = run(scenario)
 
     worst = 0.0
     for uid in sorted(result.final_rates):

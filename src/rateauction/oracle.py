@@ -23,6 +23,10 @@ class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
 
 
+class GridStepError(ValueError):
+    """The grid step leaves fewer than two intervals over the capacity."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Grid resolution and the enumeration ceiling guarding it."""
@@ -39,13 +43,18 @@ class GridSpec:
 
 def _axis(capacity: float, grid: GridSpec, dims: int) -> tuple[np.ndarray, int]:
     """Uniform grid over [0, capacity] with pitch as close to ``grid.step`` as
-    possible, refused before it is built when enumerating it over ``dims``
-    axes would exceed the point budget."""
+    possible, refused before it is built when it has fewer than two
+    intervals or enumerating it over ``dims`` axes would exceed the point
+    budget."""
     ratio = capacity / grid.step
     # clipped before round(): a tiny step (ratio up to inf) is refused
     # without int() or np.arange ever seeing it, and past budget + 1 the
     # count is over the budget whatever the rounding
-    n = max(2, round(min(ratio, grid.point_budget + 1)))
+    n = round(min(ratio, grid.point_budget + 1))
+    if n < 2:
+        raise GridStepError(
+            f"step {grid.step!r} gives {n} grid interval(s) over capacity {capacity!r}; at least 2 are needed"
+        )
     if n**dims > grid.point_budget:
         raise BudgetExceededError(
             f"{ratio:.6g} grid points per axis over {dims} axes exceed the budget of {grid.point_budget}"

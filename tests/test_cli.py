@@ -198,6 +198,51 @@ class TestVerifyCommand:
         assert "--step" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("step", ["inf", "1e400"])
+    def test_infinite_step_exits_2_naming_flag(self, tmp_path, capsys, step):
+        path = write_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scenario", str(path), "--step", step])
+        assert exc.value.code == 2
+        assert "--step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step,code", [("2", 0), ("2.0000001", 2), ("40", 2)])
+    def test_step_needs_two_intervals_over_capacity(self, tmp_path, capsys, step, code):
+        # R=3: step 2 is 1.5 intervals, rounded to 2; a hair more is 1
+        path = write_scenario(
+            tmp_path,
+            R=3.0,
+            users=[
+                {"type": "logarithmic", "k": 1.0, "r_max": 3.0},
+                {"type": "logarithmic", "k": 0.1, "r_max": 3.0},
+            ],
+        )
+        assert main(["verify", "--scenario", str(path), "--step", step]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert "--step" in captured.err and "grid interval" in captured.err
+            assert captured.out == ""  # refused before the auction runs
+        else:
+            assert "max rate discrepancy" in captured.out
+
+    @pytest.mark.parametrize(
+        "users,field",
+        [
+            ([{"type": "sigmoidal", "a": "NORM(0.5,0.1)", "b": "NORM(20,2)"},
+              {"type": "logarithmic", "k": 0.1, "r_max": 50.0}], r"users\[0\]\.a"),
+            ([{"type": "logarithmic", "k": 0.1, "r_max": 50.0},
+              {"type": "sigmoidal", "a": "FIXED(0.5)", "b": "TRIA(18,20,22)"}], r"users\[1\]\.b"),
+        ],
+        ids=["drawn-a", "drawn-b-after-log-user"],
+    )
+    def test_stochastic_scenario_exits_2_naming_field(self, tmp_path, capsys, users, field):
+        path = write_scenario(tmp_path, users=users)
+        assert main(["verify", "--scenario", str(path), "--step", "1e-2"]) == 2
+        captured = capsys.readouterr()
+        assert re.search(rf"field '{field}': verify needs fixed parameters", captured.err), captured.err
+        assert captured.out == ""
+
+
 class TestReplicateCommand:
     def test_replicate_writes_one_file_per_seed(self, tmp_path, capsys):
         out_dir = tmp_path / "reps"

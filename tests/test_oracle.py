@@ -13,6 +13,7 @@ from rateauction import (
     solve_rate,
     subproblem_argmax,
 )
+from rateauction.oracle import GridStepError
 
 
 class TestCentralizedArgmax:
@@ -135,3 +136,17 @@ class TestSubproblemArgmax:
         assert 0.0 < best <= 100.0
         with pytest.raises(BudgetExceededError):
             subproblem_argmax(u, 1.0, 100.0, GridSpec(step=100.0 / 1000.6, point_budget=1000))
+
+
+class TestGridIntervals:
+    def test_fewer_than_two_intervals_refused(self):
+        # capacity/step = 1.5 rounds to a 2-interval axis; just past it, 1
+        u = LogarithmicUtility(k=1.0, r_max=3.0)
+        assert subproblem_argmax(u, 1.0, 3.0, GridSpec(step=2.0)) == 1.5
+        with pytest.raises(GridStepError, match="1 grid interval"):
+            subproblem_argmax(u, 1.0, 3.0, GridSpec(step=2.0000001))
+
+    def test_infinite_step_refused(self):
+        users = [LogarithmicUtility(k=1.0, r_max=50.0)] * 2
+        with pytest.raises(GridStepError, match="0 grid interval"):
+            centralized_argmax(users, 50.0, GridSpec(step=float("inf")))
