@@ -12,11 +12,12 @@ Runs are made in lockstep batches, whose parameters are arrays: one row
 per run.  Each round, every UE of every live run is one lane of a single
 vectorised solve (:func:`~rateauction.ue.solve_lanes`), which performs the
 scalar solver's float operations lane for lane, and bids ``price * rate``;
-prices, convergence tests and allocations stay per run, in each run's
-:class:`~rateauction.station.BidLedger`.  A round's draws come from one
-:func:`~rateauction.sampling.stream_rngs` call, one generator per live run
-and stochastic user.  ``run`` is a batch of one, ``run_replication`` runs
-all its seeds together, and a run leaves the batch when it converges.
+one :class:`~rateauction.station.BidLedger`, one row per live run, gives
+every run's price, convergence test and allocation.  A round's draws come
+from one :func:`~rateauction.sampling.stream_rngs` call, one generator per
+live run and stochastic user.  ``run`` is a batch of one,
+``run_replication`` runs all its seeds together, and a run leaves the
+batch when it converges.  A result holds its rounds as arrays.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -25,7 +26,8 @@ an identical result, trace included, whatever batch it ran in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -182,87 +184,67 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's outcome and its rounds: ``prices`` per round; ``rates`` and
+    ``bids`` (the ``price * rate`` the station priced) per round and user;
+    ``a`` and ``b`` per round and sigmoid user, the users ``sigmoid`` marks."""
+
     stop_reason: str
     converged_at: Optional[int]
     iterations: int
     final_price: float
     final_rates: dict[int, float]
-    trace: tuple[TraceRecord, ...] = field(repr=False)
+    prices: np.ndarray = field(repr=False)
+    rates: np.ndarray = field(repr=False)
+    bids: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    sigmoid: np.ndarray = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        """Every field equal, the arrays bit for bit."""
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return all(_bits(getattr(self, f.name)) == _bits(getattr(other, f.name)) for f in fields(self))
+
+    @cached_property
+    def trace(self) -> tuple[TraceRecord, ...]:
+        """One record per (iteration, user), built on first access; a and b
+        are None for the logarithmic users."""
+        params = np.full((2, *self.rates.shape), None, dtype=object)
+        params[:, :, self.sigmoid] = np.stack((self.a, self.b))
+        prices = np.broadcast_to(self.prices[:, None], self.rates.shape)
+        columns = (*np.indices(self.rates.shape) + 1, prices, self.rates, self.bids, *params)
+        return tuple(map(TraceRecord, *(c.ravel().tolist() for c in columns)))
 
 
-class _Run:
-    """One run of a lockstep batch: its ledger, its price and its rounds so far."""
-
-    def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario
-        self.ledger = BidLedger(scenario.capacity, scenario.delta)
-        self.early_stop = scenario.early_stop_enabled
-        self.price = BOOTSTRAP_PRICE
-        self.rounds: list[tuple] = []  # per round: price, rates, bids, a, b
-        self.converged_at: Optional[int] = None
-
-    def close_round(self, n: int, rates, bids, a, b) -> None:
-        """Keep the round, hand its bids to the station, and either stop or
-        take the next price."""
-        self.rounds.append((self.price, rates, bids, a, b))
-        self.ledger.ingest(bids)
-        if self.early_stop and self.ledger.check_convergence():
-            self.converged_at = n
-        else:
-            self.price = self.ledger.compute_price()
-
-    def result(self, sig: list[int]) -> RunResult:
-        """The run's outcome; ``sig`` are the columns of the sigmoid users,
-        whose a and b the trace carries (None for the logarithmic users)."""
-        prices, rates, bids, a, b = map(np.array, zip(*self.rounds))
-        rounds, users = rates.shape
-        params = np.full((2, rounds, users), None, dtype=object)
-        params[:, :, sig] = np.stack((a, b))
-        trace = map(
-            TraceRecord,
-            np.arange(1, rounds + 1).repeat(users).tolist(),
-            list(range(1, users + 1)) * rounds,
-            prices.repeat(users).tolist(),
-            rates.ravel().tolist(),
-            bids.ravel().tolist(),
-            params[0].ravel().tolist(),
-            params[1].ravel().tolist(),
-        )
-        final_price = self.ledger.compute_price()
-        return RunResult(
-            stop_reason=STOP_CONVERGED if self.converged_at is not None else STOP_ITERATION_CAP,
-            converged_at=self.converged_at,
-            iterations=rounds,
-            final_price=final_price,
-            final_rates=self.ledger.allocate_rates(final_price),
-            trace=tuple(trace),
-        )
+def _bits(x):
+    return (x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
 
 
-def _raise_first_failure(live: list[_Run], a: np.ndarray, b: np.ndarray, n: int, tol: float) -> None:
+def _raise_first_failure(scenario: Scenario, prices, a: np.ndarray, b: np.ndarray, n: int, tol: float) -> None:
     """Solve round n again with the scalar reference, one ``ue_step`` per
     user in run and user order, and raise SimulationError naming the first
     user that fails."""
-    for r, a_row, b_row in zip(live, a.tolist(), b.tolist()):
+    capacity = scenario.capacity
+    for price, a_row, b_row in zip(prices.tolist(), a.tolist(), b.tolist()):
         sigmoid = map(SigmoidalUtility, a_row, b_row)
-        capacity = r.scenario.capacity
-        for uid, spec in enumerate(r.scenario.users, start=1):
+        for uid, spec in enumerate(scenario.users, start=1):
             utility = next(sigmoid) if isinstance(spec, SigmoidalUserSpec) else spec.initial_utility(capacity)
             try:
-                ue_step(utility, r.price, capacity, tol)
+                ue_step(utility, price, capacity, tol)
             except Exception as exc:
                 raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
 
 
 def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResult]:
     """Runs of scenarios that differ at most in their seed, round by round
-    together; a run leaves the batch when it converges.  ``a`` and ``b``
-    hold the sigmoid users' parameters, one row per live run, and ``k`` the
-    logarithmic users', shared by every run."""
+    together; a run leaves the batch when it converges.  ``live`` indexes
+    the runs still in the batch; ``a`` and ``b`` hold the sigmoid users'
+    parameters, one row per live run, and ``k`` the logarithmic users'."""
     first = scenarios[0]
     capacity = first.capacity
-    sig = [i for i, spec in enumerate(first.users) if isinstance(spec, SigmoidalUserSpec)]
-    log = [i for i, spec in enumerate(first.users) if not isinstance(spec, SigmoidalUserSpec)]
+    sigmoid = np.array([isinstance(spec, SigmoidalUserSpec) for spec in first.users])
+    sig, log = np.flatnonzero(sigmoid).tolist(), np.flatnonzero(~sigmoid).tolist()
     # (column, spec) and user id of every sigmoid user that draws its parameters
     drawn = [(j, first.users[i]) for j, i in enumerate(sig) if first.users[i].is_stochastic]
     drawn_ids = [i + 1 for i in sig if first.users[i].is_stochastic]
@@ -270,16 +252,22 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     a = np.tile([u.a for u in nominal], (len(scenarios), 1))
     b = np.tile([u.b for u in nominal], (len(scenarios), 1))
     k = np.array([first.users[i].k for i in log], dtype=float)
-    runs = [_Run(s) for s in scenarios]
-    live = runs
+    seeds = [s.seed for s in scenarios]
+    ledger = BidLedger(capacity, first.delta)
+    live = np.arange(len(scenarios))
+    prices = np.full(len(scenarios), BOOTSTRAP_PRICE)
+    rounds = []  # per round: live, prices, rates, bids, a, b
+    converged_at = np.zeros(len(scenarios), dtype=int)  # 0: not converged
+    final_prices = np.empty(len(scenarios))
+    final_rates = np.empty((len(scenarios), len(first.users)))
     for n in range(1, first.max_iterations + 1):
         if drawn:  # one generator per (live run, drawn user), row-major
-            seeds = [r.scenario.seed for r in live for _ in drawn_ids]
-            rngs = iter(stream_rngs(seeds, n, drawn_ids * len(live)))
+            a, b = a.copy(), b.copy()  # the kept rounds hold the old rows
+            cells = [seeds[i] for i in live.tolist() for _ in drawn_ids]
+            rngs = iter(stream_rngs(cells, n, drawn_ids * len(live)))
             for row in range(len(live)):
                 for j, spec in drawn:
                     a[row, j], b[row, j] = resample_user(spec.a, spec.b, capacity, next(rngs))
-        prices = np.array([r.price for r in live])
         try:
             lanes = solve_lanes(
                 a.ravel(), b.ravel(), np.tile(k, len(live)),
@@ -287,20 +275,35 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
                 capacity, solver_tol,
             )
         except Exception:  # any failure: the scalar re-solve raises the precise error
-            _raise_first_failure(live, a, b, n, solver_tol)
+            _raise_first_failure(first, prices, a, b, n, solver_tol)
             raise
         rates = np.empty((len(live), len(first.users)))
         rates[:, sig] = lanes[: a.size].reshape(a.shape)
         rates[:, log] = lanes[a.size :].reshape(len(live), len(log))
         bids = prices[:, None] * rates
-        for row, r in enumerate(live):
-            r.close_round(n, rates[row], bids[row], a[row], b[row])
-        keep = [row for row, r in enumerate(live) if r.converged_at is None]
-        live = [live[row] for row in keep]
-        a, b = a[keep], b[keep]  # copies: the runs keep this round's rows
-        if not live:
-            break
-    return [r.result(sig) for r in runs]
+        rounds.append((live, prices, rates, bids, a, b))
+        ledger.ingest(bids)
+        prices = ledger.compute_price()
+        done = ledger.check_convergence() if first.early_stop_enabled else np.zeros(len(live), dtype=bool)
+        converged_at[live[done]] = n
+        done |= n == first.max_iterations
+        if done.any():
+            final_prices[live[done]] = prices[done]
+            final_rates[live[done]] = ledger.allocate_rates(prices)[done]
+            ledger.drop(done)
+            live, prices, a, b = live[~done], prices[~done], a[~done], b[~done]
+            if not live.size:
+                break
+    # each run's prices, rates, bids, a and b, in round order
+    run_of, *kept = map(np.concatenate, zip(*rounds))
+    order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of))[:-1]
+    arrays = zip(*(np.split(c[order], ends) for c in kept))
+    finals = zip(converged_at.tolist(), final_prices.tolist(), final_rates.tolist(), arrays)
+    return [
+        RunResult(STOP_CONVERGED if stop else STOP_ITERATION_CAP, stop or None, len(cols[0]), price,
+                  dict(enumerate(rates, start=1)), *cols, sigmoid)
+        for stop, price, rates, cols in finals
+    ]
 
 
 def run(scenario: Scenario, solver_tol: float = DEFAULT_RATE_TOL) -> RunResult:

@@ -1,5 +1,5 @@
-"""Base-station side of the auction: bid bookkeeping, shadow price,
-convergence test, and the final allocation."""
+"""Base-station side of the auction, one row per run of a batch: bid
+bookkeeping, shadow price, convergence test, and the final allocation."""
 
 from __future__ import annotations
 
@@ -9,15 +9,15 @@ import numpy as np
 
 
 class DegenerateBidsError(RuntimeError):
-    """Every current bid is zero; the shadow price would be degenerate."""
+    """Every current bid of a run is zero; its shadow price would be degenerate."""
 
 
 class BidLedger:
-    """Current and previous bid vectors for one capacity pool.
+    """Current and previous bid matrices for one capacity pool.
 
-    Bids are held in user order: element i is the bid of user i + 1.
-    ``delta`` is the absolute per-user bid-change threshold under which the
-    auction is declared converged.
+    Each row is one live run of a batch and holds its bids in user order:
+    column i is the bid of user i + 1.  ``delta`` is the absolute per-user
+    bid-change threshold under which a run is declared converged.
     """
 
     def __init__(self, capacity: float, delta: float) -> None:
@@ -33,41 +33,49 @@ class BidLedger:
     def ingest(self, bids) -> None:
         """Replace the current bids with a new round, keeping the old round."""
         bids = np.array(bids, dtype=float)
-        negative = np.flatnonzero(bids < 0)
-        if negative.size:
-            i = int(negative[0])
-            raise ValueError(f"user {i + 1} sent negative bid {bids[i]}")
+        if (bids < 0).any():
+            row, i = np.argwhere(bids < 0)[0].tolist()
+            raise ValueError(f"user {i + 1} sent negative bid {bids[row, i]}")
         self.previous, self.current = self.current, bids
 
-    def compute_price(self) -> float:
-        """Shadow price = sum of current bids / capacity.
+    def compute_price(self) -> np.ndarray:
+        """Shadow price of every run = sum of its current bids / capacity.
 
-        The sum runs sequentially in user order (``cumsum``, not numpy's
+        Each row sums sequentially in user order (``cumsum``, not numpy's
         pairwise ``sum``), so the price does not depend on how numpy or
         Python chooses to reduce.
         """
-        total = float(np.cumsum(self.current)[-1])
-        if not total > 0:
-            raise DegenerateBidsError("all current bids are zero")
-        return total / self.capacity
+        totals = self.current.cumsum(axis=1)[:, -1]
+        if not totals.min() > 0:
+            raise DegenerateBidsError("all current bids of a run are zero")
+        return totals / self.capacity
 
-    def check_convergence(self) -> bool:
-        """True iff every user's absolute bid change is within delta.
+    def check_convergence(self) -> np.ndarray:
+        """Per run: True iff every user's absolute bid change is within delta.
 
         False until two rounds of the same users exist.  The absolute value
         matters: a signed test would fire on any bid decrease long before
         the auction settles.
         """
+        if self.previous is not None and len(self.previous) != len(self.current):
+            raise ValueError("rounds differ in run count: drop the rows of runs that left")
         if self.previous is None or self.previous.shape != self.current.shape:
-            return False
-        return float(np.max(np.abs(self.current - self.previous))) <= self.delta
+            return np.zeros(len(self.current), dtype=bool)
+        return np.abs(self.current - self.previous).max(axis=1) <= self.delta
 
-    def allocate_rates(self, price: float) -> dict[int, float]:
-        """Final rates bid/price per user id.
+    def drop(self, rows) -> None:
+        """Remove the runs marked in the boolean mask ``rows`` from both rounds."""
+        keep = ~np.asarray(rows, dtype=bool)
+        self.current = self.current[keep]
+        self.previous = None if self.previous is None else self.previous[keep]
 
-        With the price from :meth:`compute_price` these sum to the capacity
-        identically (each rate is bid * capacity / total bids).
+    def allocate_rates(self, prices) -> np.ndarray:
+        """Final rates bid/price, one row per run and one price per row.
+
+        With the prices from :meth:`compute_price` each row sums to the
+        capacity identically (each rate is bid * capacity / total bids).
         """
-        if not price > 0:
-            raise ValueError(f"price must be > 0, got {price}")
-        return {i + 1: bid / price for i, bid in enumerate(self.current.tolist())}
+        prices = np.asarray(prices, dtype=float)
+        if not (prices > 0).all():
+            raise ValueError(f"prices must be > 0, got {prices}")
+        return self.current / prices[:, None]

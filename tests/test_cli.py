@@ -2,12 +2,26 @@
 
 import json
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rateauction import preset, run, render_trace, emit_trace, save_scenario, scenario_to_json
+import rateauction.engine
+from rateauction import (
+    RunResult,
+    emit_trace,
+    preset,
+    render_trace,
+    run,
+    run_replication,
+    save_scenario,
+    scenario_to_json,
+)
 from rateauction.cli import main
-from rateauction.trace import TRACE_HEADER
+from rateauction.trace import BLOCK_ROWS, TRACE_HEADER, format_number
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -26,6 +40,120 @@ def write_scenario(tmp_path, name="scenario.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def reference_render(result) -> str:
+    """The trace file with one format call per field, from the records."""
+    lines = [TRACE_HEADER]
+    for rec in result.trace:
+        lines.append(
+            ",".join(
+                (
+                    str(rec.iteration),
+                    str(rec.user_id),
+                    format_number(rec.price),
+                    format_number(rec.rate),
+                    format_number(rec.bid),
+                    format_number(rec.a) if rec.a is not None else "",
+                    format_number(rec.b) if rec.b is not None else "",
+                )
+            )
+        )
+    lines.append(f"# stop_reason,{result.stop_reason}")
+    lines.append(
+        f"# converged_at,{result.converged_at if result.converged_at is not None else ''}"
+    )
+    lines.append(f"# iterations,{result.iterations}")
+    lines.append(f"# final_price,{format_number(result.final_price)}")
+    for uid in sorted(result.final_rates):
+        lines.append(f"# final_rate,{uid},{format_number(result.final_rates[uid])}")
+    return "\n".join(lines) + "\n"
+
+
+# values at the nine-digit rounding boundary (9.9999999995 prints as 10),
+# scaled across the exponent range, subnormals included
+ROUND_UP = st.builds(
+    lambda m, e: m * 10.0**e,
+    st.sampled_from([9.9999999995, 9.99999999951, 1.0000000005, 4.99999999949, 1.23456789500001]),
+    st.integers(-320, 300),
+)
+NUMBERS = st.one_of(st.floats(width=64), ROUND_UP, st.sampled_from([5e-324, 2.2250738585072014e-308, -0.0]))
+FAMILIES = {
+    "sigmoid-only": st.lists(st.just(True), min_size=1, max_size=12),
+    "log-only": st.lists(st.just(False), min_size=1, max_size=12),
+    "mixed": st.lists(st.booleans(), min_size=2, max_size=12).filter(lambda f: 0 < sum(f) < len(f)),
+}
+
+
+@st.composite
+def run_results(draw, family):
+    sigmoid = np.array(draw(FAMILIES[family]))
+    users, nsig = len(sigmoid), int(sigmoid.sum())
+    rounds = draw(st.integers(1, 3))
+
+    def matrix(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(NUMBERS, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    converged_at = draw(st.one_of(st.none(), st.just(rounds)))
+    return RunResult(
+        stop_reason="converged" if converged_at else "iteration_cap",
+        converged_at=converged_at,
+        iterations=rounds,
+        final_price=draw(NUMBERS),
+        final_rates=dict(enumerate(matrix(users).tolist(), start=1)),
+        prices=matrix(rounds),
+        rates=matrix(rounds, users),
+        bids=matrix(rounds, users),
+        a=matrix(rounds, nsig),
+        b=matrix(rounds, nsig),
+        sigmoid=sigmoid,
+    )
+
+
+class TestRendererMatchesPerFieldFormatting:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_byte_equal(self, family, data):
+        result = data.draw(run_results(family))
+        assert render_trace(result) == reference_render(result)
+
+    @pytest.mark.parametrize("name", ["fixed", "normal", "triangular"])
+    def test_presets(self, name):
+        result = run(replace(preset(name), users=preset(name).users * 2))  # user ids up to 12
+        assert render_trace(result) == reference_render(result)
+
+
+class TestStreamedEmission:
+    def test_run_longer_than_a_block(self, tmp_path):
+        fixed = preset("fixed")
+        scenario = replace(fixed, capacity=10_000.0, users=fixed.users * 100, max_iterations=30)
+        result = run(scenario)
+        assert result.rates.size > BLOCK_ROWS
+        path = tmp_path / "trace.csv"
+        emit_trace(result, path)
+        text = render_trace(result)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert text == reference_render(result)
+
+
+class TestNoRecordsOnTheOutputPath:
+    def test_runs_render_and_emit_without_trace_records(self, tmp_path, monkeypatch, capsys):
+        # a TraceRecord is built only when .trace is read, never by the
+        # runs, the renderer, the writer or the CLI
+        def refuse(*args, **kwargs):
+            raise AssertionError("TraceRecord built")
+
+        monkeypatch.setattr(rateauction.engine, "TraceRecord", refuse)
+        result = run(preset("normal"))
+        results = run_replication(preset("triangular"), [0, 1])
+        render_trace(result)
+        emit_trace(results[1], tmp_path / "trace.csv")
+        assert main(["run", "--preset", "fixed", "--output", str(tmp_path / "run.csv")]) == 0
+        assert main(["replicate", "--preset", "normal", "--seeds", "2", "--output-dir", str(tmp_path)]) == 0
+        with pytest.raises(AssertionError, match="TraceRecord built"):
+            result.trace
 
 
 class TestTraceRendering:

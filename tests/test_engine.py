@@ -146,6 +146,18 @@ class TestDeterminismAndReplication:
         results = run_replication(scenario, [0, 1, 2, 3])
         assert all(r == results[0] for r in results)
 
+    def test_results_compare_every_array_bit_for_bit(self):
+        # log users carry no a or b; equal runs still compare equal
+        result = run(preset("normal"))
+        assert result == run(preset("normal"))
+        assert result != "not a result"
+        for name, (row, col) in (("rates", (3, 4)), ("a", (7, 1))):
+            values = getattr(result, name).copy()
+            values[row, col] = np.nextafter(values[row, col], np.inf)
+            nudged = replace(result, **{name: values})
+            assert nudged != result
+            assert result != nudged
+
     def test_replication_rejects_empty_seed_list(self):
         with pytest.raises(ValueError):
             run_replication(preset("normal"), [])

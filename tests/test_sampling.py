@@ -149,8 +149,8 @@ class TestResampleUser:
         spec_a, spec_b = Normal(5.0, 2.0), Normal(35.0, 2.0)
         clamped = 0
         for n in range(1, 4000):
-            raw = sample(spec_a, stream_rng(2024, n, 4))
-            a, _ = resample_user(spec_a, spec_b, 100.0, stream_rng(2024, n, 4))
+            raw = sample(spec_a, numpy_rng(2024, n, 4))
+            a, _ = resample_user(spec_a, spec_b, 100.0, numpy_rng(2024, n, 4))
             if raw < 0.1:
                 clamped += 1
                 assert a == 0.1

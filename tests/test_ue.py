@@ -178,10 +178,10 @@ class TestComputeBid:
             price = float(10.0 ** rng.uniform(-3.0, 0.5))
             answers = [ue_step(random_case(rng)[0], price, R) for _ in range(5)]
             ledger = BidLedger(R, 1e-2)
-            ledger.ingest([bid for _, bid in answers])
-            allocated = ledger.allocate_rates(price)
-            for uid, (rate, _) in enumerate(answers, start=1):
-                assert allocated[uid] == pytest.approx(rate, rel=1e-15)
+            ledger.ingest([[bid for _, bid in answers]])
+            allocated = ledger.allocate_rates([price])[0].tolist()
+            for allocated_rate, (rate, _) in zip(allocated, answers):
+                assert allocated_rate == pytest.approx(rate, rel=1e-15)
 
     def test_rejects_bad_inputs(self):
         u = LogarithmicUtility(k=1.0, r_max=R)
