@@ -21,7 +21,6 @@ from .engine import (
 )
 from .oracle import (
     BudgetExceededError,
-    GridSpec,
     centralized_argmax,
     log_objective,
     subproblem_argmax,

@@ -19,9 +19,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import Scenario, SigmoidalUserSpec, SimulationError, run, run_replication
-from .oracle import BudgetExceededError, GridSpec, GridStepError, centralized_argmax, log_objective
-from .sampling import format_param_spec, is_stochastic
+from .engine import Scenario, SimulationError, SpecError, run, run_replication
+from .oracle import BudgetExceededError, GridStepError, centralized_argmax, log_objective
+from .sampling import format_param_spec
 from .scenarios import PRESETS, ScenarioError, load_scenario, preset
 from .station import DegenerateBidsError
 from .trace import emit_trace, format_number
@@ -87,50 +87,39 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _require_fixed(source: str, scenario: Scenario) -> None:
-    """The reference optimum is for one set of parameters, which a run that
-    draws them does not have: name the first drawn field."""
-    for i, spec in enumerate(scenario.users):
-        if not isinstance(spec, SigmoidalUserSpec):
-            continue
-        for name in ("a", "b"):
-            param = getattr(spec, name)
-            if is_stochastic(param):
-                raise ScenarioError(
-                    f"{source}: field 'users[{i}].{name}': verify needs fixed parameters, "
-                    f"got {format_param_spec(param)}"
-                )
-
-
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
-    _require_fixed(args.scenario, scenario)
-    utilities = [spec.initial_utility(scenario.capacity) for spec in scenario.users]
+    utilities = []
+    for i, spec in enumerate(scenario.users):
+        try:
+            utilities.append(spec.initial_utility(scenario.capacity))
+        except SpecError as exc:  # the reference is the optimum of one fixed set of parameters
+            param = format_param_spec(getattr(spec, exc.field))
+            raise ScenarioError(
+                f"{args.scenario}: field 'users[{i}].{exc.field}': verify needs fixed parameters, got {param}"
+            ) from exc
     try:
-        reference = centralized_argmax(utilities, scenario.capacity, GridSpec(step=args.step))
+        reference = centralized_argmax(utilities, scenario.capacity, args.step)
     except GridStepError as exc:
         raise ScenarioError(f"--step: {exc}") from exc
     result = run(scenario)
 
-    worst = 0.0
-    for uid in sorted(result.final_rates):
-        got = result.final_rates[uid]
-        want = reference[uid]
-        diff = abs(got - want)
-        worst = max(worst, diff)
+    uids = sorted(reference)
+    rates = [result.final_rates[uid] for uid in uids]
+    refs = [reference[uid] for uid in uids]
+    diffs = [abs(got - want) for got, want in zip(rates, refs)]
+    for uid, got, want, diff in zip(uids, rates, refs, diffs):
         print(
             f"user {uid}: auction={format_number(got)} "
             f"reference={format_number(want)} |diff|={format_number(diff)}"
         )
-    rates = [result.final_rates[uid] for uid in sorted(result.final_rates)]
-    refs = [reference[uid] for uid in sorted(reference)]
     obj_run = log_objective(utilities, rates)
     obj_ref = log_objective(utilities, refs)
     print(
         f"log-objective: auction={format_number(obj_run)} "
         f"reference={format_number(obj_ref)} gap={format_number(abs(obj_run - obj_ref))}"
     )
-    print(f"max rate discrepancy: {format_number(worst)}")
+    print(f"max rate discrepancy: {format_number(max(diffs))}")
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 # stream_rng, the one-cell case of stream_rngs, stays importable from here
 # for code that wraps the engine's sampling calls by name
-from .sampling import Fixed, Normal, ParamSpec, Triangular, clamp_sigmoid_params, is_stochastic, resample_user, stream_rng, stream_rngs
+from .sampling import Fixed, ParamSpec, format_param_spec, is_stochastic, resample_user, stream_rng, stream_rngs
 from .station import BidLedger
 from .ue import DEFAULT_RATE_TOL, solve_lanes, ue_step
 from .utility import LogarithmicUtility, SigmoidalUtility
@@ -62,16 +62,6 @@ def _require_finite_positive(field: str, value: float) -> None:
         raise SpecError(field, f"{field} must be finite and > 0, got {value!r}")
 
 
-def _nominal(spec: ParamSpec) -> float:
-    if isinstance(spec, Fixed):
-        return spec.value
-    if isinstance(spec, Normal):
-        return spec.mu
-    if isinstance(spec, Triangular):
-        return spec.mode
-    raise TypeError(f"not a ParamSpec: {spec!r}")
-
-
 @dataclass(frozen=True)
 class SigmoidalUserSpec:
     """A real-time user; a and b may be distribution-driven."""
@@ -92,12 +82,11 @@ class SigmoidalUserSpec:
         return is_stochastic(self.a) or is_stochastic(self.b)
 
     def initial_utility(self, capacity: float) -> SigmoidalUtility:
-        a, b = _nominal(self.a), _nominal(self.b)
-        if self.is_stochastic:
-            # nominal center of a stochastic spec may be invalid; the
-            # iteration-1 resample replaces it before any solve anyway
-            a, b = clamp_sigmoid_params(a, b, capacity)
-        return SigmoidalUtility(a=a, b=b)
+        """The utility of fixed a and b; SpecError names a drawn one."""
+        for name, spec in (("a", self.a), ("b", self.b)):
+            if is_stochastic(spec):
+                raise SpecError(name, f"{name} is drawn from {format_param_spec(spec)}")
+        return SigmoidalUtility(a=self.a.value, b=self.b.value)
 
 
 @dataclass(frozen=True)
@@ -245,12 +234,13 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     capacity = first.capacity
     sigmoid = np.array([isinstance(spec, SigmoidalUserSpec) for spec in first.users])
     sig, log = np.flatnonzero(sigmoid).tolist(), np.flatnonzero(~sigmoid).tolist()
-    # (column, spec) and user id of every sigmoid user that draws its parameters
-    drawn = [(j, first.users[i]) for j, i in enumerate(sig) if first.users[i].is_stochastic]
-    drawn_ids = [i + 1 for i in sig if first.users[i].is_stochastic]
-    nominal = [first.users[i].initial_utility(capacity) for i in sig]
-    a = np.tile([u.a for u in nominal], (len(scenarios), 1))
-    b = np.tile([u.b for u in nominal], (len(scenarios), 1))
+    specs = [first.users[i] for i in sig]
+    # (column, user id, spec) of every sigmoid user that draws its parameters
+    drawn = [(j, sig[j] + 1, spec) for j, spec in enumerate(specs) if spec.is_stochastic]
+    drawn_ids = [uid for _, uid, _ in drawn]
+    # NaN holds a drawn user's place until each round's draw, before the solve
+    a = np.tile([np.nan if s.is_stochastic else s.a.value for s in specs], (len(scenarios), 1))
+    b = np.tile([np.nan if s.is_stochastic else s.b.value for s in specs], (len(scenarios), 1))
     k = np.array([first.users[i].k for i in log], dtype=float)
     seeds = [s.seed for s in scenarios]
     ledger = BidLedger(capacity, first.delta)
@@ -260,14 +250,18 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     converged_at = np.zeros(len(scenarios), dtype=int)  # 0: not converged
     final_prices = np.empty(len(scenarios))
     final_rates = np.empty((len(scenarios), len(first.users)))
+    early_stop = first.early_stop_enabled
     for n in range(1, first.max_iterations + 1):
         if drawn:  # one generator per (live run, drawn user), row-major
             a, b = a.copy(), b.copy()  # the kept rounds hold the old rows
             cells = [seeds[i] for i in live.tolist() for _ in drawn_ids]
             rngs = iter(stream_rngs(cells, n, drawn_ids * len(live)))
             for row in range(len(live)):
-                for j, spec in drawn:
-                    a[row, j], b[row, j] = resample_user(spec.a, spec.b, capacity, next(rngs))
+                for j, uid, spec in drawn:
+                    try:
+                        a[row, j], b[row, j] = resample_user(spec.a, spec.b, capacity, next(rngs))
+                    except ValueError as exc:  # a non-finite draw
+                        raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
         try:
             lanes = solve_lanes(
                 a.ravel(), b.ravel(), np.tile(k, len(live)),
@@ -284,7 +278,7 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
         rounds.append((live, prices, rates, bids, a, b))
         ledger.ingest(bids)
         prices = ledger.compute_price()
-        done = ledger.check_convergence() if first.early_stop_enabled else np.zeros(len(live), dtype=bool)
+        done = ledger.check_convergence() if early_stop else np.zeros(len(live), dtype=bool)
         converged_at[live[done]] = n
         done |= n == first.max_iterations
         if done.any():

@@ -9,55 +9,41 @@ utilities never underflow the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .utility import UtilityFunction
 
-DEFAULT_POINT_BUDGET = 200_000_000
+POINT_BUDGET = 200_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
+    """The requested enumeration is too large: over three users or ``POINT_BUDGET`` points."""
 
 
 class GridStepError(ValueError):
     """The grid step leaves fewer than two intervals over the capacity."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid resolution and the enumeration ceiling guarding it."""
-
-    step: float
-    point_budget: int = DEFAULT_POINT_BUDGET
-
-    def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if self.point_budget < 1:
-            raise ValueError(f"point_budget must be >= 1, got {self.point_budget}")
-
-
-def _axis(capacity: float, grid: GridSpec, dims: int) -> tuple[np.ndarray, int]:
-    """Uniform grid over [0, capacity] with pitch as close to ``grid.step`` as
+def _axis(capacity: float, step: float, dims: int) -> tuple[np.ndarray, int]:
+    """Uniform grid over [0, capacity] with pitch as close to ``step`` as
     possible, refused before it is built when it has fewer than two
-    intervals or enumerating it over ``dims`` axes would exceed the point
-    budget."""
-    ratio = capacity / grid.step
+    intervals or enumerating it over ``dims`` axes would exceed the budget."""
+    if not step > 0:
+        raise ValueError(f"step must be > 0, got {step}")
+    ratio = capacity / step
     # clipped before round(): a tiny step (ratio up to inf) is refused
     # without int() or np.arange ever seeing it, and past budget + 1 the
     # count is over the budget whatever the rounding
-    n = round(min(ratio, grid.point_budget + 1))
+    n = round(min(ratio, POINT_BUDGET + 1))
     if n < 2:
         raise GridStepError(
-            f"step {grid.step!r} gives {n} grid interval(s) over capacity {capacity!r}; at least 2 are needed"
+            f"step {step!r} gives {n} grid interval(s) over capacity {capacity!r}; at least 2 are needed"
         )
-    if n**dims > grid.point_budget:
+    if n**dims > POINT_BUDGET:
         raise BudgetExceededError(
-            f"{ratio:.6g} grid points per axis over {dims} axes exceed the budget of {grid.point_budget}"
+            f"{ratio:.6g} grid points per axis over {dims} axes exceed the budget of {POINT_BUDGET}"
         )
     return capacity / n * np.arange(n + 1), n
 
@@ -70,7 +56,7 @@ def log_objective(utilities: Sequence[UtilityFunction], rates: Sequence[float]) 
 def centralized_argmax(
     utilities: Sequence[UtilityFunction],
     capacity: float,
-    grid: GridSpec,
+    step: float,
 ) -> dict[int, float]:
     """Grid maximizer of the utility product on {sum r_i = capacity, r_i > 0}.
 
@@ -90,7 +76,7 @@ def centralized_argmax(
     if m == 1:
         return {1: capacity}
 
-    grid_values, n = _axis(capacity, grid, m - 1)
+    grid_values, n = _axis(capacity, step, m - 1)
     logs = [np.asarray(u.log_value(grid_values)) for u in utilities]
 
     if m == 2:
@@ -123,12 +109,12 @@ def subproblem_argmax(
     utility: UtilityFunction,
     price: float,
     capacity: float,
-    grid: GridSpec,
+    step: float,
 ) -> float:
     """Dense-grid argmax of log U(r) - price * r over [step, capacity]."""
     if not price > 0:
         raise ValueError(f"price must be > 0, got {price}")
-    grid_values, _ = _axis(capacity, grid, 1)
+    grid_values, _ = _axis(capacity, step, 1)
     r = grid_values[1:]
     obj = np.asarray(utility.log_value(r)) - price * r
     return float(r[int(np.argmax(obj))])

@@ -279,14 +279,18 @@ def triangular_inverse_cdf(u: float, lo: float, mode: float, hi: float) -> float
 
 
 def sample(spec: ParamSpec, rng: np.random.Generator) -> float:
-    """One draw; Fixed consumes no randomness."""
+    """One draw; Fixed consumes no randomness, and a non-finite draw raises."""
     if isinstance(spec, Fixed):
         return spec.value
     if isinstance(spec, Normal):
-        return float(rng.normal(spec.mu, spec.sigma))
-    if isinstance(spec, Triangular):
-        return triangular_inverse_cdf(float(rng.random()), spec.lo, spec.mode, spec.hi)
-    raise TypeError(f"not a ParamSpec: {spec!r}")
+        value = float(rng.normal(spec.mu, spec.sigma))
+    elif isinstance(spec, Triangular):
+        value = triangular_inverse_cdf(float(rng.random()), spec.lo, spec.mode, spec.hi)
+    else:
+        raise TypeError(f"not a ParamSpec: {spec!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{format_param_spec(spec)} drew {value!r}")
+    return value
 
 
 def clamp_sigmoid_params(a: float, b: float, capacity: float) -> tuple[float, float]:

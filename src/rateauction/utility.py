@@ -24,6 +24,8 @@ from typing import Union
 import numpy as np
 from scipy.special import expit
 
+SMALLEST_NORMAL = np.finfo(float).tiny
+
 
 class RateDomainError(ValueError):
     """log-utility is undefined: U(r) underflows to zero at the given rate."""
@@ -40,8 +42,9 @@ def sigmoid_log_slope(a, b, r):
     x = neg_a * r
     decay = -np.expm1(x)
     # count_nonzero, not np.any: the guard runs on every evaluation, and
-    # np.any's reduction costs several times the formula on small inputs
-    if np.count_nonzero(decay <= 0.0):
+    # np.any's reduction costs several times the formula on small inputs;
+    # below the smallest normal float, exp(x) / decay overflows
+    if np.count_nonzero(decay < SMALLEST_NORMAL):
         raise RateDomainError(f"log-slope undefined: a*r underflows for a={a}, r={r}")
     return a * (np.exp(x) / decay + expit(neg_a * (r - b)))
 

@@ -39,7 +39,6 @@ from rateauction import (
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
     Fixed,
-    GridSpec,
     LogarithmicUserSpec,
     LogarithmicUtility,
     Normal,
@@ -211,7 +210,7 @@ def test_criterion_2_oracle_equivalence():
         )
         utilities = [u.initial_utility(CAPACITY) for u in scenario.users]
         step = 1e-3 if m <= 2 else 1e-2
-        reference = centralized_argmax(utilities, CAPACITY, GridSpec(step))
+        reference = centralized_argmax(utilities, CAPACITY, step)
         for uid in sorted(reference):
             diff = abs(result.final_rates[uid] - reference[uid])
             _check(
@@ -237,7 +236,7 @@ def test_criterion_3_subproblem_certification():
     # 200 halvings of [1e-6, 100] is far beyond float64 resolution, so the
     # step cap can only fire on a broken bracket
     _check(failures, math.log2((CAPACITY - tol) / tol) < 200, "step budget implausible")
-    grid = GridSpec(step=1e-4)
+    step = 1e-4
     for case in range(500):
         if rng.random() < 0.5:
             u = SigmoidalUtility(
@@ -252,7 +251,7 @@ def test_criterion_3_subproblem_certification():
             failures.append(f"case {case}: solver raised {exc!r}")
             continue
         _check(failures, rate > 0.0, f"case {case}: non-positive rate {rate}")
-        ref_rate = subproblem_argmax(u, price, CAPACITY, grid)
+        ref_rate = subproblem_argmax(u, price, CAPACITY, step)
         obj = float(u.log_value(rate)) - price * rate
         ref_obj = float(u.log_value(ref_rate)) - price * ref_rate
         _check(

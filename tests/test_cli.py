@@ -261,6 +261,54 @@ class TestRunCommand:
         assert exc.value.code == 2
 
 
+class TestExtremeParameters:
+    """A sigmoid user (b = 20) beside a log user (k = 1, r_max = 100), with
+    R = 100, delta = 1e-6 and a 300-round cap, whose steepness a lies at
+    the edge of the float range."""
+
+    @staticmethod
+    def run_with_steepness(tmp_path, a):
+        path = write_scenario(
+            tmp_path, R=100.0, delta=1e-6, max_iterations=300,
+            users=[
+                {"type": "sigmoidal", "a": a, "b": "FIXED(20)"},
+                {"type": "logarithmic", "k": 1.0, "r_max": 100.0},
+            ],
+        )
+        return main(["run", "--scenario", str(path)])
+
+    def test_subnormal_steepness_fails_naming_the_user(self, tmp_path, capsys):
+        # a*r is subnormal, so exp(x) / decay would overflow to inf and the
+        # user would clamp at R every round; every warning fails this suite
+        assert self.run_with_steepness(tmp_path, "FIXED(1e-320)") == 3
+        assert capsys.readouterr().err == (
+            "error: user 1 failed at iteration 1: log-slope undefined: a*r underflows for a=1e-320, r=100.0\n"
+        )
+
+    def test_tiny_normal_steepness_converges(self, tmp_path, capsys):
+        assert self.run_with_steepness(tmp_path, "FIXED(1e-12)") == 0
+        out = capsys.readouterr().out
+        assert "converged_at: 7\n" in out
+        assert "final_rate[1]: 76.859735\nfinal_rate[2]: 23.140265\n" in out
+
+    def test_infinite_triangular_draw_fails_naming_user_and_iteration(self, tmp_path, capsys):
+        # hi - lo overflows in the inverse CDF, so every draw is -inf
+        assert self.run_with_steepness(tmp_path, "TRIA(-1e308,0,1e308)") == 3
+        assert capsys.readouterr().err == (
+            "error: user 1 failed at iteration 1: TRIA(-1e+308,0.0,1e+308) drew -inf\n"
+        )
+
+    def test_infinite_normal_draw_fails_naming_user_and_iteration(self, tmp_path, capsys):
+        # rounds 1 and 2 draw finite a of about 1.7e308 and 1.3e308, whose
+        # a*r overflows in the lane arithmetic; round 3 draws inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = self.run_with_steepness(tmp_path, "NORM(1e308,1e308)")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: user 1 failed at iteration 3: NORM(1e+308,1e+308) drew inf\n"
+        )
+
+
 class TestVerifyCommand:
     def test_two_user_verification(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

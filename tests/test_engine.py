@@ -7,21 +7,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rateauction.engine
 from rateauction import (
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
-    GridSpec,
     LogarithmicUserSpec,
     Scenario,
     SigmoidalUserSpec,
     Fixed,
     Normal,
+    SigmoidalUtility,
+    Triangular,
     centralized_argmax,
     preset,
     resample_user,
     run,
     run_replication,
 )
+from rateauction.engine import SpecError
 
 # measured behavior of the fixed reference scenario: from the bootstrap
 # price 1.0 the bid iteration contracts by ~0.83 per round and first gets
@@ -125,7 +128,7 @@ class TestSmallScenarios:
         result = run(scenario, solver_tol=1e-9)
         assert result.stop_reason == STOP_CONVERGED
         utilities = [u.initial_utility(50.0) for u in scenario.users]
-        reference = centralized_argmax(utilities, 50.0, GridSpec(step=1e-3))
+        reference = centralized_argmax(utilities, 50.0, 1e-3)
         for uid in (1, 2):
             assert result.final_rates[uid] == pytest.approx(reference[uid], abs=0.05)
 
@@ -208,6 +211,33 @@ class TestStreamSeeding:
 
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         assert run_replication(preset("triangular"), [0, 1]) == expected
+
+
+class TestParameterColumns:
+    def test_setup_builds_no_utility(self, monkeypatch):
+        # fixed columns come from the Fixed values and drawn ones from each
+        # round's draw: a SigmoidalUtility is built only to re-solve a failure
+        names = ("fixed", "normal", "triangular")
+        expected = [run(preset(name)) for name in names]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SigmoidalUtility built during a run")
+
+        monkeypatch.setattr(rateauction.engine, "SigmoidalUtility", refuse)
+        assert [run(preset(name)) for name in names] == expected
+
+    def test_drawn_users_keep_their_draws_not_placeholders(self):
+        # a fixed half of a drawn user is clamped with the draw, every round
+        users = (
+            SigmoidalUserSpec(a=Fixed(0.05), b=Normal(20.0, 2.0)),
+            LogarithmicUserSpec(k=1.0, r_max=100.0),
+            SigmoidalUserSpec(a=Fixed(5.0), b=Fixed(30.0)),
+        )
+        scenario = Scenario(capacity=100.0, delta=1e-2, max_iterations=15, seed=4, users=users)
+        for result in run_replication(scenario, [0, 1, 2]):
+            assert np.all(result.a[:, 0] == 0.1)
+            assert np.all(np.isfinite(result.b[:, 0])) and len(set(result.b[:, 0].tolist())) > 1
+            assert np.all(result.a[:, 1] == 5.0) and np.all(result.b[:, 1] == 30.0)
 
 
 class TestTrace:
@@ -315,8 +345,14 @@ class TestScenarioValidation:
         assert preset("normal").early_stop_enabled is False
         assert replace(preset("normal"), allow_early_stop=True).early_stop_enabled is True
 
-    def test_nominal_utility_clamped_for_stochastic_specs(self):
-        spec = SigmoidalUserSpec(a=Normal(0.05, 1.0), b=Normal(250.0, 1.0))
-        u = spec.initial_utility(100.0)
-        assert u.a == 0.1
-        assert u.b == 100.0
+    def test_initial_utility_refuses_drawn_parameters(self):
+        fixed = SigmoidalUserSpec(a=Fixed(5.0), b=Fixed(20.0))
+        assert fixed.initial_utility(100.0) == SigmoidalUtility(a=5.0, b=20.0)
+        cases = [
+            (SigmoidalUserSpec(a=Normal(0.05, 1.0), b=Normal(250.0, 1.0)), "a", r"NORM\(0\.05,1\.0\)"),
+            (SigmoidalUserSpec(a=Fixed(5.0), b=Triangular(18.0, 20.0, 22.0)), "b", r"TRIA\(18\.0,20\.0,22\.0\)"),
+        ]
+        for spec, field, drawn_from in cases:
+            with pytest.raises(SpecError, match=rf"^{field} is drawn from {drawn_from}$") as info:
+                spec.initial_utility(100.0)
+            assert info.value.field == field

@@ -5,7 +5,6 @@ import pytest
 
 from rateauction import (
     BudgetExceededError,
-    GridSpec,
     LogarithmicUtility,
     SigmoidalUtility,
     centralized_argmax,
@@ -13,30 +12,31 @@ from rateauction import (
     solve_rate,
     subproblem_argmax,
 )
+from rateauction import oracle
 from rateauction.oracle import GridStepError
 
 
 class TestCentralizedArgmax:
     def test_single_user_takes_capacity(self):
-        out = centralized_argmax([LogarithmicUtility(k=1.0, r_max=10.0)], 10.0, GridSpec(1e-3))
+        out = centralized_argmax([LogarithmicUtility(k=1.0, r_max=10.0)], 10.0, 1e-3)
         assert out == {1: 10.0}
 
     def test_identical_log_users_split_evenly(self):
         users = [LogarithmicUtility(k=0.5, r_max=100.0)] * 2
-        out = centralized_argmax(users, 100.0, GridSpec(1e-3))
+        out = centralized_argmax(users, 100.0, 1e-3)
         assert out[1] == pytest.approx(50.0, abs=1e-3)
         assert out[2] == pytest.approx(50.0, abs=1e-3)
 
     def test_mixed_pair_stable_across_resolutions(self):
         users = [SigmoidalUtility(a=5.0, b=10.0), LogarithmicUtility(k=0.1, r_max=50.0)]
-        coarse = centralized_argmax(users, 50.0, GridSpec(1e-2))
-        fine = centralized_argmax(users, 50.0, GridSpec(1e-3))
+        coarse = centralized_argmax(users, 50.0, 1e-2)
+        fine = centralized_argmax(users, 50.0, 1e-3)
         for uid in (1, 2):
             assert abs(coarse[uid] - fine[uid]) <= 2e-2
 
     def test_three_identical_log_users(self):
         users = [LogarithmicUtility(k=0.2, r_max=90.0)] * 3
-        out = centralized_argmax(users, 90.0, GridSpec(5e-2))
+        out = centralized_argmax(users, 90.0, 5e-2)
         for uid in (1, 2, 3):
             assert out[uid] == pytest.approx(30.0, abs=5e-2)
 
@@ -48,7 +48,7 @@ class TestCentralizedArgmax:
                 LogarithmicUtility(k=float(rng.uniform(0.05, 1.0)), r_max=100.0)
                 for _ in range(m)
             ]
-            out = centralized_argmax(users, 100.0, GridSpec(5e-2))
+            out = centralized_argmax(users, 100.0, 5e-2)
             assert sum(out.values()) == pytest.approx(100.0, rel=1e-12)
             assert all(r > 0.0 for r in out.values())
 
@@ -60,8 +60,8 @@ class TestCentralizedArgmax:
                 LogarithmicUtility(k=float(rng.uniform(0.05, 1.0)), r_max=100.0),
             ]
             coarse_step = 0.05
-            coarse = centralized_argmax(users, 100.0, GridSpec(coarse_step))
-            fine = centralized_argmax(users, 100.0, GridSpec(coarse_step / 2.0))
+            coarse = centralized_argmax(users, 100.0, coarse_step)
+            fine = centralized_argmax(users, 100.0, coarse_step / 2.0)
             for uid in coarse:
                 assert abs(coarse[uid] - fine[uid]) <= coarse_step + 1e-12
 
@@ -80,12 +80,13 @@ class TestCentralizedArgmax:
                     float(np.log(product)), abs=1e-10
                 )
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         users = [LogarithmicUtility(k=1.0, r_max=100.0)] * 3
+        monkeypatch.setattr(oracle, "POINT_BUDGET", 10_000)
         with pytest.raises(BudgetExceededError):
-            centralized_argmax(users, 100.0, GridSpec(step=1e-3, point_budget=10_000))
+            centralized_argmax(users, 100.0, 1e-3)
         with pytest.raises(BudgetExceededError):
-            centralized_argmax([LogarithmicUtility(k=1.0, r_max=1.0)] * 4, 100.0, GridSpec(1e-2))
+            centralized_argmax([LogarithmicUtility(k=1.0, r_max=1.0)] * 4, 100.0, 1e-2)
 
     @pytest.mark.parametrize("step", [1e-7, 1e-300, 5e-324])
     def test_tiny_step_refused_before_the_grid_is_built(self, step):
@@ -93,7 +94,7 @@ class TestCentralizedArgmax:
         # capacity/step infinite
         users = [LogarithmicUtility(k=1.0, r_max=100.0)] * 2
         with pytest.raises(BudgetExceededError, match="per axis"):
-            centralized_argmax(users, 100.0, GridSpec(step=step))
+            centralized_argmax(users, 100.0, step)
 
 
 class TestSubproblemArgmax:
@@ -106,47 +107,55 @@ class TestSubproblemArgmax:
             else:
                 u = LogarithmicUtility(k=float(rng.uniform(0.02, 2.0)), r_max=100.0)
             price = float(10.0 ** rng.uniform(-3, 0.5))
-            grid_best = subproblem_argmax(u, price, 100.0, GridSpec(step))
+            grid_best = subproblem_argmax(u, price, 100.0, step)
             solved = solve_rate(u, price, 100.0, tol=1e-9)
             assert abs(grid_best - solved) <= step
 
     def test_huge_price_pushes_to_smallest_point(self):
         u = LogarithmicUtility(k=1.0, r_max=100.0)
-        grid = GridSpec(step=1e-2)
-        assert subproblem_argmax(u, 1e6, 100.0, grid) == pytest.approx(1e-2, rel=1e-9)
+        assert subproblem_argmax(u, 1e6, 100.0, 1e-2) == pytest.approx(1e-2, rel=1e-9)
 
     def test_low_price_clamps_to_capacity(self):
         u = LogarithmicUtility(k=0.1, r_max=100.0)
         price = float(u.log_slope(100.0))
-        grid = GridSpec(step=1e-3)
-        assert subproblem_argmax(u, price, 100.0, grid) == pytest.approx(100.0)
-        assert subproblem_argmax(u, 0.5 * price, 100.0, grid) == pytest.approx(100.0)
+        assert subproblem_argmax(u, price, 100.0, 1e-3) == pytest.approx(100.0)
+        assert subproblem_argmax(u, 0.5 * price, 100.0, 1e-3) == pytest.approx(100.0)
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         u = LogarithmicUtility(k=1.0, r_max=100.0)
+        monkeypatch.setattr(oracle, "POINT_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
-            subproblem_argmax(u, 1.0, 100.0, GridSpec(step=1e-4, point_budget=1000))
+            subproblem_argmax(u, 1.0, 100.0, 1e-4)
         with pytest.raises(BudgetExceededError, match="per axis"):
-            subproblem_argmax(u, 1.0, 100.0, GridSpec(step=1e-300))
+            subproblem_argmax(u, 1.0, 100.0, 1e-300)
 
-    def test_budget_boundary_is_exact(self):
+    def test_budget_boundary_is_exact(self, monkeypatch):
         # capacity/step = 1000.4 rounds to a 1000-interval axis, within the budget
         u = LogarithmicUtility(k=1.0, r_max=100.0)
-        best = subproblem_argmax(u, 1.0, 100.0, GridSpec(step=100.0 / 1000.4, point_budget=1000))
+        monkeypatch.setattr(oracle, "POINT_BUDGET", 1000)
+        best = subproblem_argmax(u, 1.0, 100.0, 100.0 / 1000.4)
         assert 0.0 < best <= 100.0
         with pytest.raises(BudgetExceededError):
-            subproblem_argmax(u, 1.0, 100.0, GridSpec(step=100.0 / 1000.6, point_budget=1000))
+            subproblem_argmax(u, 1.0, 100.0, 100.0 / 1000.6)
 
 
 class TestGridIntervals:
     def test_fewer_than_two_intervals_refused(self):
         # capacity/step = 1.5 rounds to a 2-interval axis; just past it, 1
         u = LogarithmicUtility(k=1.0, r_max=3.0)
-        assert subproblem_argmax(u, 1.0, 3.0, GridSpec(step=2.0)) == 1.5
+        assert subproblem_argmax(u, 1.0, 3.0, 2.0) == 1.5
         with pytest.raises(GridStepError, match="1 grid interval"):
-            subproblem_argmax(u, 1.0, 3.0, GridSpec(step=2.0000001))
+            subproblem_argmax(u, 1.0, 3.0, 2.0000001)
 
     def test_infinite_step_refused(self):
         users = [LogarithmicUtility(k=1.0, r_max=50.0)] * 2
         with pytest.raises(GridStepError, match="0 grid interval"):
-            centralized_argmax(users, 50.0, GridSpec(step=float("inf")))
+            centralized_argmax(users, 50.0, float("inf"))
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan")])
+    def test_non_positive_step_refused(self, step):
+        u = LogarithmicUtility(k=1.0, r_max=50.0)
+        with pytest.raises(ValueError, match="step must be > 0"):
+            subproblem_argmax(u, 1.0, 50.0, step)
+        with pytest.raises(ValueError, match="step must be > 0"):
+            centralized_argmax([u, u], 50.0, step)

@@ -1,6 +1,7 @@
 """Sampling tests: spec parsing, draw distributions, clamping, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ class TestSample:
         # degenerate modes at an endpoint still stay inside the support
         assert 3.0 <= triangular_inverse_cdf(0.5, 3.0, 3.0, 7.0) <= 7.0
         assert 3.0 <= triangular_inverse_cdf(0.5, 3.0, 7.0, 7.0) <= 7.0
+
+    @pytest.mark.parametrize(
+        "spec,drawn",
+        [(Normal(1e308, 1e308), "inf"), (Triangular(-1e308, 0.0, 1e308), "-inf")],
+        ids=["normal", "triangular"],
+    )
+    def test_non_finite_draw_refused(self, spec, drawn):
+        # mu + sigma*z passes the float maximum for z > 0.8; hi - lo
+        # overflows, which makes every triangular draw -inf
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=rf"^{re.escape(format_param_spec(spec))} drew {drawn}$"):
+            for _ in range(100):
+                sample(spec, rng)
 
 
 class TestResampleUser:
