@@ -19,12 +19,21 @@ live run and stochastic user.  ``run`` is a batch of one,
 ``run_replication`` runs all its seeds together, and a run leaves the
 batch when it converges.  A result holds its rounds as arrays.
 
+A batch keeps one :class:`~rateauction.ue.LanePaths`: each lane's last
+bisection path, which the next round's solve replays exactly, walking on
+only below the first flipped decision.  A run that leaves the batch drops
+its lanes' paths with its ledger row.  A batch with a drawn user forgets
+every path each round, since fresh parameters flip a path within a few
+levels and the replay would cost more than it saves.  One DEBUG line per
+batch reports the levels walked and replayed.
+
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -36,8 +45,10 @@ import numpy as np
 # for code that wraps the engine's sampling calls by name
 from .sampling import Fixed, ParamSpec, format_param_spec, is_stochastic, resample_user, stream_rng, stream_rngs
 from .station import BidLedger
-from .ue import DEFAULT_RATE_TOL, solve_lanes, ue_step
+from .ue import DEFAULT_RATE_TOL, LanePaths, solve_lanes, ue_step
 from .utility import LogarithmicUtility, SigmoidalUtility
+
+logger = logging.getLogger(__name__)
 
 BOOTSTRAP_PRICE = 1.0
 
@@ -146,6 +157,14 @@ class Scenario:
                 raise SpecError(
                     f"users[{i}].k", f"k*R must be finite, got {user.k!r}*{self.capacity!r}"
                 )
+            # the slope evaluates a*r and a*(r - b) for r up to R; a drawn b
+            # is clamped to R
+            if isinstance(user, SigmoidalUserSpec) and isinstance(user.a, Fixed):
+                reach = max(user.b.value, self.capacity) if isinstance(user.b, Fixed) else self.capacity
+                if not math.isfinite(user.a.value * reach):
+                    raise SpecError(
+                        f"users[{i}].a", f"a*max(b, R) must be finite, got {user.a.value!r}*{reach!r}"
+                    )
 
     @property
     def is_stochastic(self) -> bool:
@@ -244,6 +263,7 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     k = np.array([first.users[i].k for i in log], dtype=float)
     seeds = [s.seed for s in scenarios]
     ledger = BidLedger(capacity, first.delta)
+    paths = LanePaths()
     live = np.arange(len(scenarios))
     prices = np.full(len(scenarios), BOOTSTRAP_PRICE)
     rounds = []  # per round: live, prices, rates, bids, a, b
@@ -260,13 +280,14 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
                 for j, uid, spec in drawn:
                     try:
                         a[row, j], b[row, j] = resample_user(spec.a, spec.b, capacity, next(rngs))
-                    except ValueError as exc:  # a non-finite draw
+                    except ValueError as exc:  # a non-finite draw, or a*R
                         raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
+            paths.clear()  # fresh draws flip a path within a few levels: no replay would pay
         try:
             lanes = solve_lanes(
                 a.ravel(), b.ravel(), np.tile(k, len(live)),
                 np.concatenate((prices.repeat(len(sig)), prices.repeat(len(log)))),
-                capacity, solver_tol,
+                capacity, solver_tol, paths,
             )
         except Exception:  # any failure: the scalar re-solve raises the precise error
             _raise_first_failure(first, prices, a, b, n, solver_tol)
@@ -285,9 +306,11 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
             final_prices[live[done]] = prices[done]
             final_rates[live[done]] = ledger.allocate_rates(prices)[done]
             ledger.drop(done)
+            paths.drop(np.concatenate((done.repeat(len(sig)), done.repeat(len(log)))))
             live, prices, a, b = live[~done], prices[~done], a[~done], b[~done]
             if not live.size:
                 break
+    logger.debug("lane solve: %d levels walked, %d replayed", paths.walked, paths.replayed)
     # each run's prices, rates, bids, a and b, in round order
     run_of, *kept = map(np.concatenate, zip(*rounds))
     order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of))[:-1]

@@ -307,8 +307,12 @@ def resample_user(
     """Fresh (a, b) for a sigmoid user: a drawn first, then b.
 
     Both are clamped, fixed halves included, so the utility they define is
-    always valid.
+    always valid; a draw whose a*R overflows, which no slope evaluation can
+    survive, raises.
     """
     a = sample(a_spec, rng)
     b = sample(b_spec, rng)
-    return clamp_sigmoid_params(a, b, capacity)
+    a, b = clamp_sigmoid_params(a, b, capacity)
+    if not math.isfinite(a * capacity):
+        raise ValueError(f"a*R must be finite, got {a!r}*{capacity!r}")
+    return a, b

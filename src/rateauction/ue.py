@@ -12,10 +12,19 @@ no matter how high the price.
 
 :func:`solve_rate` solves one UE and :func:`ue_step` adds its bid;
 :func:`solve_lanes` solves many at once with the same float operations,
-one array element (a *lane*) per UE.
+one array element (a *lane*) per UE.  Given a :class:`LanePaths`, it
+replays each lane's last bisection path first.  A level's midpoint depends
+only on ``tol``, ``capacity`` and the decisions above it, so levels whose
+decisions still hold at the new price are the levels a fresh walk would
+visit, with the same float operations: the replay is exact, and the walk
+resumes below the first level at which any lane's decision flips.  Only
+lanes whose parameters stay keep a path; fresh parameters flip a path
+within a few levels.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -23,6 +32,7 @@ from .utility import UtilityFunction, logarithmic_log_slope, sigmoid_log_slope
 
 DEFAULT_RATE_TOL = 1e-6
 MAX_BISECTION_STEPS = 200
+REPLAY_BLOCK = 8  # recorded levels a replay evaluates per slope call
 
 
 class BisectionError(RuntimeError):
@@ -71,7 +81,89 @@ def solve_rate(
     return 0.5 * (lo + hi)
 
 
-def solve_lanes(a, b, k, price, capacity: float, tol: float = DEFAULT_RATE_TOL) -> np.ndarray:
+class LanePaths:
+    """Each lane's last bisection path, for the next solve of the same lanes.
+
+    A level's midpoint depends only on ``tol``, ``capacity`` and the
+    decisions of the levels above it.  So while a lane's new
+    ``slope >= price`` decisions match its recorded ones, it visits the
+    recorded midpoints with the same float operations: :func:`solve_lanes`
+    evaluates the new slopes at them, ``REPLAY_BLOCK`` levels per call, and
+    resumes the lockstep walk below the first level at which any lane's
+    decision flips.  A replay also evaluates recorded levels past a flip,
+    which only the parameters that walked them are known to evaluate
+    cleanly, so :meth:`clear` the paths when a lane's parameters change; a
+    solve at another ``capacity`` or ``tol`` clears them itself.
+    ``walked`` and ``replayed`` count the lockstep levels walked and
+    replayed over all solves.
+    """
+
+    def __init__(self) -> None:
+        self.walked = 0
+        self.replayed = 0
+        self.bracket: Optional[tuple[float, float]] = None  # (capacity, tol) of the paths
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every path: the next solve walks each lane from level 0."""
+        self.mids: Optional[np.ndarray] = None  # (level, lane): the midpoint
+        self.moves: Optional[np.ndarray] = None  # (level, lane): slope >= price there
+        self.depth: Optional[np.ndarray] = None  # per lane: levels on its path
+
+    def drop(self, lanes) -> None:
+        """Remove the lanes marked in the boolean mask ``lanes``."""
+        if self.depth is not None:
+            keep = ~np.asarray(lanes, dtype=bool)
+            self.mids, self.moves, self.depth = self.mids[:, keep], self.moves[:, keep], self.depth[keep]
+
+    def _replay(self, a, b, k, price, clamped, lo, hi) -> int:
+        """The level at which the walk resumes: below the first level at which
+        any lane's decision flips, or past every path if none flips.  Takes
+        the flipped decisions, and narrows ``lo`` and ``hi`` to each lane's
+        bracket at that level."""
+        if self.depth is None:
+            self.mids = np.empty((MAX_BISECTION_STEPS, len(price)))
+            self.moves = np.empty(self.mids.shape, dtype=bool)
+            self.depth = np.zeros(len(price), dtype=int)
+            return 0
+        if len(self.depth) != len(price):
+            raise ValueError(f"paths hold {len(self.depth)} lanes, the solve has {len(price)}")
+        # a clamped lane walks no path: once it leaves the clamp, the walk
+        # starts again from level 0
+        self.depth = depth = np.where(clamped, 0, self.depth)
+        if np.count_nonzero(~clamped & (depth == 0)):
+            return 0
+        on_path = np.arange(depth.max(initial=0))[:, None] < depth
+        s = len(a)
+        level = 0
+        while level < len(on_path):
+            # a walk writes every lane into each row it reaches, so every
+            # slope taken here was taken before, with the same parameters
+            mids = self.mids[level : min(level + REPLAY_BLOCK, len(on_path))]
+            flips = np.empty(mids.shape, dtype=bool)
+            np.greater_equal(sigmoid_log_slope(a, b, mids[:, :s]), price[:s], out=flips[:, :s])
+            np.greater_equal(logarithmic_log_slope(k, mids[:, s:]), price[s:], out=flips[:, s:])
+            flips ^= self.moves[level : level + len(mids)]
+            flips &= on_path[level : level + len(mids)]
+            self.replayed += len(mids)
+            if np.count_nonzero(flips):
+                row = int(flips.any(axis=1).argmax())
+                self.moves[level + row] ^= flips[row]
+                level += row + 1
+                break
+            level += len(mids)
+        # lo only rises and hi only falls along a path, so a lane's bracket
+        # is the last midpoint each decision moved to
+        if level:
+            mids, moves, before = self.mids[:level], self.moves[:level], on_path[:level]
+            np.maximum(lo, mids.max(axis=0, where=before & moves, initial=-np.inf), out=lo)
+            np.minimum(hi, mids.min(axis=0, where=before & ~moves, initial=np.inf), out=hi)
+        return level
+
+
+def solve_lanes(
+    a, b, k, price, capacity: float, tol: float = DEFAULT_RATE_TOL, paths: Optional[LanePaths] = None
+) -> np.ndarray:
     """Best responses of many UEs at once, one lane per UE.
 
     Lanes ``[0, len(a))`` are sigmoidal users with parameters ``a``, ``b``;
@@ -82,6 +174,10 @@ def solve_lanes(a, b, k, price, capacity: float, tol: float = DEFAULT_RATE_TOL) 
     stops moving once its bracket is within ``tol``, so every lane equals
     its own :func:`solve_rate` bit for bit.  Raises :class:`BisectionError`
     when any lane needs more than ``MAX_BISECTION_STEPS`` steps.
+
+    ``paths`` holds each lane's path from an earlier solve of the same
+    lanes; the solve replays it and records the new paths there.  Without
+    it the solve walks every lane from level 0.
     """
     price = np.asarray(price, dtype=float)
     if not np.all(price > 0):
@@ -90,40 +186,57 @@ def solve_lanes(a, b, k, price, capacity: float, tol: float = DEFAULT_RATE_TOL) 
         raise ValueError(f"capacity must be > 0, got {capacity}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if paths is None:
+        paths = LanePaths()
+    elif paths.bracket != (capacity, tol):
+        paths.clear()
+    paths.bracket = (capacity, tol)
 
     # Basic slices keep both families' views contiguous and copy-free.
     s = len(a)
     slope = np.empty_like(price)
     slope[:s] = sigmoid_log_slope(a, b, capacity)
     slope[s:] = logarithmic_log_slope(k, capacity)
+    clamped = slope >= price
     # A clamped lane starts as the bracket [capacity, capacity]: never
     # active, and its midpoint is capacity exactly.
-    lo = np.where(slope >= price, capacity, tol)
+    lo = np.where(clamped, capacity, tol)
     hi = np.full_like(price, capacity)
-    mid = np.empty_like(price)
+    resume = paths._replay(a, b, k, price, clamped, lo, hi)
+    # The walk writes each level's midpoints and decisions into the paths.
+    mids, moves = paths.mids[resume:], paths.moves[resume:]
+    actives = np.empty((len(mids) + 1, len(price)), dtype=bool)
+    rows = zip(mids, mids[:, :s], mids[:, s:], moves, moves[:, :s], moves[:, s:], actives[1:])
+    price_sig, price_log = price[:s], price[s:]
     move = np.empty(price.shape, dtype=bool)
-    active = hi - lo > tol
-    steps = 0
+    width = np.subtract(hi, lo)
+    active = np.greater(width, tol, out=actives[0])
+    depth, paths.depth = paths.depth, None  # a walk that raises leaves no paths
+    level = resume
     while np.count_nonzero(active):
-        if steps >= MAX_BISECTION_STEPS:
+        if level >= MAX_BISECTION_STEPS:
             raise BisectionError(
                 f"no convergence after {MAX_BISECTION_STEPS} bisection steps in "
                 f"{np.count_nonzero(active)} lane(s) (capacity={capacity}, tol={tol})"
             )
+        mid, mid_sig, mid_log, moved, moved_sig, moved_log, next_active = next(rows)
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        np.greater_equal(sigmoid_log_slope(a, b, mid[:s]), price[:s], out=move[:s])
-        np.greater_equal(logarithmic_log_slope(k, mid[s:]), price[s:], out=move[s:])
-        move &= active
+        np.greater_equal(sigmoid_log_slope(a, b, mid_sig), price_sig, out=moved_sig)
+        np.greater_equal(logarithmic_log_slope(k, mid_log), price_log, out=moved_log)
+        np.logical_and(moved, active, out=move)
         np.copyto(lo, mid, where=move)
         np.not_equal(active, move, out=move)  # active lanes whose slope fell below price
         np.copyto(hi, mid, where=move)
-        width = np.subtract(hi, lo, out=mid)  # mid is spent; reuse its buffer
-        np.greater(width, tol, out=active)
-        steps += 1
-    np.add(lo, hi, out=mid)
-    mid *= 0.5
-    return mid
+        np.subtract(hi, lo, out=width)
+        active = np.greater(width, tol, out=next_active)
+        level += 1
+    # a lane's path ends where it stopped: before the walk, or in it
+    paths.depth = np.minimum(depth, resume) + actives[: level - resume].sum(axis=0)
+    paths.walked += level - resume
+    rates = np.add(lo, hi, out=width)
+    rates *= 0.5
+    return rates
 
 
 def ue_step(

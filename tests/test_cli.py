@@ -299,14 +299,15 @@ class TestExtremeParameters:
         )
 
     def test_infinite_normal_draw_fails_naming_user_and_iteration(self, tmp_path, capsys):
-        # rounds 1 and 2 draw finite a of about 1.7e308 and 1.3e308, whose
-        # a*r overflows in the lane arithmetic; round 3 draws inf
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = self.run_with_steepness(tmp_path, "NORM(1e308,1e308)")
-        assert code == 3
+        # round 1 draws a finite a of about 1.7e308, whose a*R overflows
+        assert self.run_with_steepness(tmp_path, "NORM(1e308,1e308)") == 3
         assert capsys.readouterr().err == (
-            "error: user 1 failed at iteration 3: NORM(1e+308,1e+308) drew inf\n"
+            "error: user 1 failed at iteration 1: a*R must be finite, got 1.7384200608380669e+308*100.0\n"
         )
+
+    def test_fixed_steepness_whose_a_times_r_overflows_is_refused(self, tmp_path, capsys):
+        assert self.run_with_steepness(tmp_path, "FIXED(1e307)") == 2
+        assert "field 'users[0].a': a*max(b, R) must be finite, got 1e+307*100.0\n" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

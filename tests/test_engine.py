@@ -1,6 +1,8 @@
 """Engine tests: full-auction behavior on the reference scenarios, stop
 conditions, determinism, and the fixed-point identities."""
 
+import logging
+import re
 import time
 from dataclasses import replace
 
@@ -280,6 +282,33 @@ class TestTrace:
             assert all(rec.a == a and rec.b == b for rec in rows)
 
 
+class TestLanePaths:
+    """A batch whose parameters stay replays each lane's last bisection
+    path; one DEBUG line per batch reports the levels walked and replayed."""
+
+    @staticmethod
+    def lane_work(caplog, execute) -> tuple[int, int]:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rateauction.engine"):
+            execute()
+        (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lane solve:")]
+        walked, replayed = map(int, re.fullmatch(r"lane solve: (\d+) levels walked, (\d+) replayed", message).groups())
+        return walked, replayed
+
+    def test_fixed_preset_walks_about_half_the_levels(self, caplog):
+        scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
+        counts = [self.lane_work(caplog, lambda: run(scenario)) for _ in range(2)]
+        assert counts[0] == counts[1] == (1165, 1446)
+        # solved from level 0, each of the 87 rounds walks 27 levels
+        assert counts[0][0] <= 0.55 * 87 * 27
+
+    def test_drawn_batches_replay_nothing(self, caplog):
+        for name in ("normal", "triangular"):
+            walked, replayed = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
+            assert walked > 0
+            assert replayed == 0
+
+
 class TestErrorContext:
     def test_solver_failure_names_user_and_iteration(self):
         # tol below the float spacing at R = 100: no bracket ever gets that
@@ -324,6 +353,16 @@ class TestScenarioValidation:
                 capacity=1e10, delta=1e-2, max_iterations=20, seed=0,
                 users=(LogarithmicUserSpec(k=1e300, r_max=1e-10),),
             )
+        # a*r and a*(r - b) reach a*max(b, R); a drawn b is clamped to R
+        for a, b, capacity in ((1e300, Fixed(1e10), 1.0), (1e300, Fixed(1.0), 1e10), (1e300, Normal(5.0, 1.0), 1e10)):
+            with pytest.raises(SpecError, match=r"a\*max\(b, R\) must be finite") as info:
+                Scenario(
+                    capacity=capacity, delta=1e-2, max_iterations=20, seed=0,
+                    users=(LogarithmicUserSpec(k=1.0, r_max=1.0), SigmoidalUserSpec(a=Fixed(a), b=b)),
+                )
+            assert info.value.field == "users[1].a"
+        Scenario(capacity=1e10, delta=1e-2, max_iterations=20, seed=0,
+                 users=(SigmoidalUserSpec(a=Fixed(1e290), b=Fixed(1e10)),))
 
     def test_user_specs_reject_values_no_run_can_use(self):
         with pytest.raises(ValueError, match="> 0"):

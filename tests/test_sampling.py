@@ -157,6 +157,11 @@ class TestResampleUser:
         a, b = resample_user(Normal(10.0, 2.0), Fixed(150.0), 100.0, stream_rng(0, 1, 4))
         assert b == 100.0
 
+    def test_steepness_whose_a_times_r_overflows_raises(self):
+        with pytest.raises(ValueError, match=r"^a\*R must be finite, got 1e\+307\*100\.0$"):
+            resample_user(Fixed(1e307), Normal(20.0, 2.0), 100.0, stream_rng(0, 1, 4))
+        assert resample_user(Fixed(1e305), Fixed(20.0), 100.0, stream_rng(0, 1, 4)) == (1e305, 20.0)
+
     def test_steepness_clamped_at_floor(self):
         # NORM(5,2) puts ~0.7% of its mass below 0.1; scan iterations until
         # a raw draw lands there and check the clamp caught it

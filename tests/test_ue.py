@@ -13,7 +13,7 @@ from rateauction import (
     solve_rate,
     ue_step,
 )
-from rateauction.ue import solve_lanes
+from rateauction.ue import LanePaths, solve_lanes
 
 LOG_SLOPE_K1_R10 = 0.0379120355840223937  # 1/(11 ln 11)
 
@@ -161,6 +161,84 @@ class TestSolveLanes:
         # tol below the float spacing at R: no bracket can get that narrow
         with pytest.raises(BisectionError, match="200 bisection steps"):
             solve_lanes(np.array([15.0]), np.array([20.0]), np.array([1.0]), np.full(2, 1.0), R, 1e-20)
+
+
+# One round of price moves: every price drifts by a relative 1e-9 to 1 in
+# either direction, a share of the lanes jumps by up to 1e±6 (across the
+# clamp, often), and a share of the lanes leaves before the round.
+price_rounds = st.lists(
+    st.tuples(
+        log_uniform(-9, 0),
+        st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+        st.sampled_from([0.0, 0.0, 0.3]),
+        st.integers(0, 2**32 - 1),  # picks the lanes and the directions
+    ),
+    min_size=10,
+    max_size=14,
+)
+
+
+class TestLanePaths:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        users=st.lists(lane_users, min_size=1, max_size=8),
+        capacity=log_uniform(0, 4),
+        tol=log_uniform(-13, 0),
+        rounds=price_rounds,
+    )
+    def test_every_round_equals_a_solve_without_paths(self, users, capacity, tol, rounds):
+        sig = [u for u in users if u[0] == "sig"]
+        log = [u for u in users if u[0] == "log"]
+        a, b = np.array([u[1] for u in sig]), np.array([u[2] for u in sig])
+        k = np.array([u[1] for u in log])
+        price = np.array([u[3] for u in sig + log])
+        paths = LanePaths()
+        for drift, jump, drop, seed in rounds:
+            rng = np.random.default_rng(seed)
+            gone = rng.random(len(price)) < drop
+            if not gone.all():
+                paths.drop(gone)
+                a, b, k, price = a[~gone[: len(a)]], b[~gone[: len(a)]], k[~gone[len(a) :]], price[~gone]
+            price = price * np.exp(drift * rng.choice([-1.0, 1.0], len(price)))
+            jumps = rng.random(len(price)) < jump
+            price[jumps] *= 10.0 ** rng.uniform(-6.0, 6.0, np.count_nonzero(jumps))
+            try:
+                want = solve_lanes(a, b, k, price, capacity, tol)
+            except BisectionError:
+                # tol below the float spacing near some root: the cap must
+                # fire in the same round with the paths
+                with pytest.raises(BisectionError):
+                    solve_lanes(a, b, k, price, capacity, tol, paths)
+                return
+            got = solve_lanes(a, b, k, price, capacity, tol, paths)
+            assert got.tobytes() == want.tobytes(), (got, want)
+
+    def test_lane_leaving_the_clamp_gets_every_step(self):
+        # both roots need 190 of the 200 steps; lane 1, clamped in the first
+        # round, has no path, so the walk must start again from level 0
+        k, none = np.array([1.0, 1.0]), np.empty(0)
+        paths = LanePaths()
+        first = solve_lanes(none, none, k, np.array([1e40, 1e-12]), 1e4, 1e-53, paths)
+        assert first[1] == 1e4
+        price = np.array([1e40 * (1 + 1e-15), 1e45])
+        want = solve_lanes(none, none, k, price, 1e4, 1e-53)
+        assert solve_lanes(none, none, k, price, 1e4, 1e-53, paths).tobytes() == want.tobytes()
+        assert paths.walked == 2 * 190
+
+    def test_paths_of_another_bracket_are_forgotten(self):
+        # the paths walked at tol 1e-3 would end the solve at tol 1e-6 early
+        lanes = np.array([5.0]), np.array([35.0]), np.array([0.1])
+        paths = LanePaths()
+        solve_lanes(*lanes, np.full(2, 0.3), R, 1e-3, paths)
+        want = solve_lanes(*lanes, np.full(2, 0.3), R, TOL)
+        assert solve_lanes(*lanes, np.full(2, 0.3), R, TOL, paths).tobytes() == want.tobytes()
+        assert paths.replayed == 0
+
+    def test_paths_of_other_lanes_are_refused(self):
+        paths = LanePaths()
+        solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1]), np.full(2, 0.3), R, TOL, paths)
+        with pytest.raises(ValueError, match="paths hold 2 lanes, the solve has 3"):
+            solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1, 0.1]), np.full(3, 0.3), R, TOL, paths)
 
 
 class TestComputeBid:
