@@ -13,19 +13,21 @@ per run.  Each round, every UE of every live run is one lane of a single
 vectorised solve (:func:`~rateauction.ue.solve_lanes`), which performs the
 scalar solver's float operations lane for lane, and bids ``price * rate``;
 one :class:`~rateauction.station.BidLedger`, one row per live run, gives
-every run's price, convergence test and allocation.  A round's draws come
-from one :func:`~rateauction.sampling.stream_rngs` call, one generator per
-live run and stochastic user.  ``run`` is a batch of one,
-``run_replication`` runs all its seeds together, and a run leaves the
-batch when it converges.  A result holds its rounds as arrays.
+every run's price, convergence test and allocation.  One
+:class:`~rateauction.sampling.BatchSampler` draws each round's (a, b) for
+every live run and drawn user at once, as array arithmetic, bit for bit
+the draws of each cell's own generator; a cell whose draw fails is drawn
+again by the scalar reference, which names the error.  ``run`` is a batch
+of one, ``run_replication`` runs all its seeds together, and a run leaves
+the batch when it converges.  A result holds its rounds as arrays.
 
 A batch keeps one :class:`~rateauction.ue.LanePaths`: each lane's last
 bisection path, which the next round's solve replays exactly, walking on
 only below the first flipped decision.  A run that leaves the batch drops
-its lanes' paths with its ledger row.  A batch with a drawn user forgets
-every path each round, since fresh parameters flip a path within a few
-levels and the replay would cost more than it saves.  One DEBUG line per
-batch reports the levels walked and replayed.
+its lanes' paths and its sampler row with its ledger row.  A batch with a
+drawn user forgets every path each round, since fresh parameters flip a
+path within a few levels and the replay would cost more than it saves.
+One DEBUG line per batch reports the levels walked and replayed.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -41,9 +43,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-# stream_rng, the one-cell case of stream_rngs, stays importable from here
-# for code that wraps the engine's sampling calls by name
-from .sampling import Fixed, ParamSpec, format_param_spec, is_stochastic, resample_user, stream_rng, stream_rngs
+# a failed draw is named by the scalar reference, one cell's resample_user
+# on its stream_rng, looked up here by name
+from .sampling import BatchSampler, Fixed, ParamSpec, format_param_spec, is_stochastic, resample_user, stream_rng
 from .station import BidLedger
 from .ue import DEFAULT_RATE_TOL, LanePaths, solve_lanes, ue_step
 from .utility import LogarithmicUtility, SigmoidalUtility
@@ -244,6 +246,19 @@ def _raise_first_failure(scenario: Scenario, prices, a: np.ndarray, b: np.ndarra
                 raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
 
 
+def _raise_draw_failure(scenarios: list[Scenario], drawn, failed: np.ndarray, n: int) -> None:
+    """Draw round n's first failed cell, in run and user order, again with
+    the scalar reference, and raise SimulationError naming its user.
+    ``scenarios`` are the live runs, ``failed`` marks cells (run, drawn user)."""
+    row, col = np.argwhere(failed)[0].tolist()
+    scenario, (_, uid, spec) = scenarios[row], drawn[col]
+    try:
+        resample_user(spec.a, spec.b, scenario.capacity, stream_rng(scenario.seed, n, uid))
+    except ValueError as exc:  # a non-finite draw, or a*R
+        raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
+    raise AssertionError(f"user {uid}'s draw at iteration {n} failed only in the batch sampler")
+
+
 def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResult]:
     """Runs of scenarios that differ at most in their seed, round by round
     together; a run leaves the batch when it converges.  ``live`` indexes
@@ -256,12 +271,14 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     specs = [first.users[i] for i in sig]
     # (column, user id, spec) of every sigmoid user that draws its parameters
     drawn = [(j, sig[j] + 1, spec) for j, spec in enumerate(specs) if spec.is_stochastic]
-    drawn_ids = [uid for _, uid, _ in drawn]
+    drawn_cols = [j for j, _, _ in drawn]
     # NaN holds a drawn user's place until each round's draw, before the solve
     a = np.tile([np.nan if s.is_stochastic else s.a.value for s in specs], (len(scenarios), 1))
     b = np.tile([np.nan if s.is_stochastic else s.b.value for s in specs], (len(scenarios), 1))
     k = np.array([first.users[i].k for i in log], dtype=float)
-    seeds = [s.seed for s in scenarios]
+    if drawn:
+        sampler = BatchSampler([s.seed for s in scenarios], [uid for _, uid, _ in drawn],
+                               [(spec.a, spec.b) for _, _, spec in drawn], capacity)
     ledger = BidLedger(capacity, first.delta)
     paths = LanePaths()
     live = np.arange(len(scenarios))
@@ -272,16 +289,12 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     final_rates = np.empty((len(scenarios), len(first.users)))
     early_stop = first.early_stop_enabled
     for n in range(1, first.max_iterations + 1):
-        if drawn:  # one generator per (live run, drawn user), row-major
+        if drawn:
+            drawn_a, drawn_b, failed = sampler.draw(n)
+            if failed.any():
+                _raise_draw_failure([scenarios[i] for i in live.tolist()], drawn, failed, n)
             a, b = a.copy(), b.copy()  # the kept rounds hold the old rows
-            cells = [seeds[i] for i in live.tolist() for _ in drawn_ids]
-            rngs = iter(stream_rngs(cells, n, drawn_ids * len(live)))
-            for row in range(len(live)):
-                for j, uid, spec in drawn:
-                    try:
-                        a[row, j], b[row, j] = resample_user(spec.a, spec.b, capacity, next(rngs))
-                    except ValueError as exc:  # a non-finite draw, or a*R
-                        raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
+            a[:, drawn_cols], b[:, drawn_cols] = drawn_a, drawn_b
             paths.clear()  # fresh draws flip a path within a few levels: no replay would pay
         try:
             lanes = solve_lanes(
@@ -307,6 +320,8 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
             final_rates[live[done]] = ledger.allocate_rates(prices)[done]
             ledger.drop(done)
             paths.drop(np.concatenate((done.repeat(len(sig)), done.repeat(len(log)))))
+            if drawn:
+                sampler.drop(done)
             live, prices, a, b = live[~done], prices[~done], a[~done], b[~done]
             if not live.size:
                 break

@@ -330,6 +330,51 @@ class TestErrorContext:
         with pytest.raises(SimulationError, match=r"^user 1 failed at iteration 1: tol must be > 0"):
             run_replication(preset("normal"), [0, 1], solver_tol=0.0)
 
+    def test_first_failed_draw_in_run_then_user_order(self):
+        # at iteration 1, seed 2 draws cleanly, seed 3 fails on user 3's b
+        # and seed 5 on user 1's a*R: the error names seed 3's cell, which a
+        # user-major scan would have passed over for seed 5's
+        from rateauction import SimulationError
+
+        users = (
+            SigmoidalUserSpec(a=Normal(1.797e306, 2e305), b=Fixed(20.0)),
+            LogarithmicUserSpec(k=1.0, r_max=100.0),
+            SigmoidalUserSpec(a=Fixed(5.0), b=Normal(1.797e308, 1e306)),
+        )
+        scenario = Scenario(capacity=100.0, delta=1e-2, max_iterations=5, seed=0, users=users)
+        with pytest.raises(SimulationError) as info:
+            run_replication(scenario, [2, 3, 5])
+        assert str(info.value) == "user 3 failed at iteration 1: NORM(1.797e+308,1e+306) drew inf"
+        with pytest.raises(SimulationError, match=r"^user 1 failed at iteration 1: a\*R must be finite"):
+            run(replace(scenario, seed=5))
+
+    @pytest.mark.parametrize(
+        "b,message",
+        [
+            (Normal(1.797e308, 2e306), "NORM(1.797e+308,2e+306) drew inf"),
+            (Fixed(20.0), "a*R must be finite, got 1.9975605680337667e+306*100.0"),
+        ],
+        ids=["b-before-a-times-r", "a-times-r"],
+    )
+    def test_within_a_cell_a_then_b_then_a_times_r(self, b, message):
+        # seed 5, iteration 1: a's draw overflows a*R and b's draw is inf
+        from rateauction import SimulationError
+
+        users = (SigmoidalUserSpec(a=Normal(1.797e306, 2e305), b=b), LogarithmicUserSpec(k=1.0, r_max=100.0))
+        scenario = Scenario(capacity=100.0, delta=1e-2, max_iterations=5, seed=5, users=users)
+        with pytest.raises(SimulationError) as info:
+            run(scenario)
+        assert str(info.value) == f"user 1 failed at iteration 1: {message}"
+
+    def test_non_finite_a_is_named_before_b(self):
+        from rateauction import SimulationError
+
+        users = (SigmoidalUserSpec(a=Normal(1.797e308, 1e306), b=Normal(1.797e308, 2e306)),)
+        scenario = Scenario(capacity=100.0, delta=1e-2, max_iterations=5, seed=5, users=users)
+        with pytest.raises(SimulationError) as info:
+            run(scenario)
+        assert str(info.value) == "user 1 failed at iteration 1: NORM(1.797e+308,1e+306) drew inf"
+
 
 class TestScenarioValidation:
     def test_rejects_bad_fields(self):

@@ -19,7 +19,15 @@ from rateauction import (
     sample,
     stream_rng,
 )
-from rateauction.sampling import clamp_sigmoid_params, stream_rngs, triangular_inverse_cdf
+from rateauction import _ziggurat, sampling
+from rateauction.sampling import (
+    BatchSampler,
+    PCG64_MULT,
+    clamp_sigmoid_params,
+    is_stochastic,
+    stream_rngs,
+    triangular_inverse_cdf,
+)
 
 # Seeds on each side of every word-count boundary of SeedSequence's entropy:
 # one word, two, the full four-word pool, and past it.
@@ -267,3 +275,181 @@ class TestStreamSeeding:
             numpy_rng(seed, iteration, uid)
         with pytest.raises(ValueError, match=">= 0"):
             stream_rng(seed, iteration, uid)
+
+
+CAPACITY = 100.0
+
+fixed_specs = st.builds(Fixed, st.floats(0.5, 50.0))
+normal_specs = st.builds(Normal, st.floats(-20.0, 60.0), st.floats(0.01, 10.0))
+triangular_specs = st.lists(st.floats(-20.0, 60.0), min_size=3, max_size=3, unique=True).map(
+    lambda v: Triangular(*sorted(v))
+)
+user_specs = st.tuples(*[fixed_specs | normal_specs | triangular_specs] * 2).filter(
+    lambda pair: any(map(is_stochastic, pair))
+)
+
+
+def reference_draws(seeds, iteration, user_ids, specs):
+    """Each cell's (a, b) from resample_user on numpy's own stream, as rows
+    of runs and columns of users."""
+    cells = [
+        [resample_user(a, b, CAPACITY, numpy_rng(seed, iteration, uid)) for uid, (a, b) in zip(user_ids, specs)]
+        for seed in seeds
+    ]
+    return [[a for a, _ in row] for row in cells], [[b for _, b in row] for row in cells]
+
+
+def assert_draws_match(sampler, seeds, iteration, user_ids, specs):
+    a, b, failed = sampler.draw(iteration)
+    assert a.shape == b.shape == failed.shape == (len(seeds), len(user_ids))
+    assert not failed.any()
+    assert (a.tolist(), b.tolist()) == reference_draws(seeds, iteration, user_ids, specs)
+
+
+class TestBatchSampler:
+    """The batch sampler against resample_user on numpy's SeedSequence
+    streams, cell for cell."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        specs=st.lists(user_specs, min_size=1, max_size=4),
+        seeds=st.lists(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**200), min_size=1, max_size=5),
+        keys=st.lists(st.sampled_from(EDGE_KEYS[1:]) | st.integers(1, 2**70), min_size=4, max_size=4, unique=True),
+        first=st.sampled_from([1, 2**32 - 2, 2**64 - 2]) | st.integers(0, 2**70),
+        data=st.data(),
+    )
+    def test_every_cell_matches_resample_user(self, specs, seeds, keys, first, data):
+        # three rounds, dropping runs between them; the first iterations
+        # listed cross a word boundary within the three
+        user_ids = keys[: len(specs)]
+        sampler = BatchSampler(seeds, user_ids, specs, CAPACITY)
+        for n in range(first, first + 3):
+            assert_draws_match(sampler, seeds, n, user_ids, specs)
+            dropped = data.draw(st.lists(st.booleans(), min_size=len(seeds), max_size=len(seeds)))
+            if all(dropped):
+                break
+            sampler.drop(dropped)
+            seeds = [seed for seed, gone in zip(seeds, dropped) if not gone]
+
+    def test_every_half_mix_in_one_batch(self):
+        # a fixed a leaves b the first output; a drawn a moves it to the second
+        halves = (Fixed(0.05), Normal(15.0, 2.0), Triangular(3.0, 5.0, 7.0))
+        specs = [(a, b) for a in halves for b in halves if is_stochastic(a) or is_stochastic(b)]
+        user_ids = list(range(1, len(specs) + 1))
+        sampler = BatchSampler(EDGE_SEEDS, user_ids, specs, CAPACITY)
+        for n in (1, 2**32 - 1, 2**32, 2**32 + 1):
+            assert_draws_match(sampler, EDGE_SEEDS, n, user_ids, specs)
+
+    def test_dropped_runs_leave_the_seed_pools(self):
+        seeds, user_ids = [11, 2**130 + 1, 13, 2**40, 15], [4, 2**33]
+        specs = [(Normal(15.0, 2.0), Normal(35.0, 2.0)), (Fixed(5.0), Triangular(3.0, 5.0, 7.0))]
+        sampler = BatchSampler(seeds, user_ids, specs, CAPACITY)
+        for n, dropped in ((1, [True, False, False, True, False]), (2, [False, True, False]), (3, [False, True])):
+            assert_draws_match(sampler, seeds, n, user_ids, specs)
+            sampler.drop(dropped)
+            seeds = [seed for seed, gone in zip(seeds, dropped) if not gone]
+        assert_draws_match(sampler, seeds, 4, user_ids, specs)
+
+    def test_cells_off_the_fast_path_are_redrawn_exactly(self, monkeypatch):
+        # about 1.5% of normal draws leave the ziggurat's fast path, so
+        # 1,600 draws all but certainly include some: the count is fixed by
+        # the seeds, and each such cell is redrawn from its own generator
+        redrawn = []
+
+        def counting(state, real=sampling._cell_rng):
+            redrawn.append(state.tolist())
+            return real(state)
+
+        monkeypatch.setattr(sampling, "_cell_rng", counting)
+        seeds, user_ids = list(range(100)), [1, 3, 4]
+        specs = [
+            (Normal(15.0, 2.0), Normal(35.0, 2.0)),
+            (Fixed(5.0), Normal(20.0, 2.0)),
+            (Normal(5.0, 2.0), Triangular(3.0, 5.0, 7.0)),
+        ]
+        sampler = BatchSampler(seeds, user_ids, specs, CAPACITY)
+        for n in range(1, 5):
+            assert_draws_match(sampler, seeds, n, user_ids, specs)
+        assert len(redrawn) >= 10
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Normal(1e308, 1e308), Triangular(-1e308, 0.0, 1e308), Normal(1.797e306, 2e305)],
+        ids=["normal-overflow", "triangular-inf", "a-times-r"],
+    )
+    def test_failed_cells_are_flagged_without_warnings(self, spec):
+        # every warning fails this suite, and the array arithmetic meets
+        # inf and 0*inf where the scalar reference raises first; a*R
+        # overflows for about half of NORM(1.797e306, 2e305)'s draws
+        seeds = list(range(8))
+        a, b, failed = BatchSampler(seeds, [1], [(spec, Fixed(20.0))], CAPACITY).draw(1)
+        want = []
+        for seed in seeds:
+            try:
+                resample_user(spec, Fixed(20.0), CAPACITY, numpy_rng(seed, 1, 1))
+            except ValueError:
+                want.append(True)
+            else:
+                want.append(False)
+        assert failed[:, 0].tolist() == want
+        assert any(want)
+
+    def test_pcg64_outputs_match_numpy(self):
+        rng = np.random.default_rng(5)
+        words = rng.integers(0, 2**64, size=(500, 4), dtype=np.uint64, endpoint=False)
+        words[0], words[1] = 0, 2**64 - 1
+        outputs = sampling._pcg64_outputs(words, 2)
+        for row, state in enumerate(words):
+            want = sampling._cell_rng(state.copy()).bit_generator.random_raw(2)
+            assert outputs[:, row].tolist() == want.tolist()
+
+
+class TestZigguratTables:
+    """numpy does not expose its ziggurat tables, so they are recovered from
+    its generator: steering a PCG64 so that its next output is a chosen r
+    shows which r numpy's standard normal takes on its fast path, and the
+    value it returns there."""
+
+    MULT_INVERSE = pow(PCG64_MULT, -1, 2**128)
+
+    def steered(self, output):
+        """A generator whose next output is ``output``: with the stream
+        increment 1, the state before it steps to ``output`` itself, whose
+        high half is 0, so XSL-RR returns it unrotated."""
+        bits = np.random.PCG64()
+        state = ((output - 1) * self.MULT_INVERSE) % 2**128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": 1}, "has_uint32": 0, "uinteger": 0}
+        return np.random.Generator(bits)
+
+    def normal_at(self, output):
+        """numpy's standard normal from ``output``, and whether it took more outputs."""
+        rng = self.steered(output)
+        z = rng.standard_normal()
+        return z, rng.bit_generator.state["state"]["state"] != output
+
+    def test_tables_match_numpys_draws(self):
+        for strip in range(256):
+            lo, hi = 0, 2**52  # the fast path takes exactly rabs < ki
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if self.normal_at(mid << 9 | strip)[1] else (mid + 1, hi)
+            assert _ziggurat.KI[strip] == lo, strip
+            if lo > 1:
+                assert _ziggurat.WI[strip] == self.normal_at(1 << 9 | strip)[0], strip
+
+    def test_fast_path_boundary_of_every_strip(self):
+        # the last rabs on each strip's fast path and the first off it,
+        # with either sign, against numpy
+        outputs, expected = [], []
+        for strip, ki in enumerate(_ziggurat.KI):
+            for rabs in (ki - 1, ki):
+                for sign in (0, 1):
+                    if rabs >= 0:
+                        output = rabs << 9 | sign << 8 | strip
+                        outputs.append(output)
+                        expected.append(self.normal_at(output))
+        z, missed = sampling._fast_normals(np.array(outputs, dtype=np.uint64))
+        assert missed.tolist() == [more for _, more in expected]
+        assert [x for x, off in zip(z.tolist(), missed.tolist()) if not off] == [
+            want for want, more in expected if not more
+        ]
