@@ -25,9 +25,9 @@ A batch keeps one :class:`~rateauction.ue.LanePaths`: each lane's last
 bisection path, which the next round's solve replays exactly, walking on
 only below the first flipped decision.  A run that leaves the batch drops
 its lanes' paths and its sampler row with its ledger row.  A batch with a
-drawn user forgets every path each round, since fresh parameters flip a
-path within a few levels and the replay would cost more than it saves.
-One DEBUG line per batch reports the levels walked and replayed.
+drawn user forgets every path each round, since the slopes a path records
+belong to the parameters that walked it.  One DEBUG line per batch reports
+the levels walked, and the recorded levels the replays compared.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -295,7 +295,7 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
                 _raise_draw_failure([scenarios[i] for i in live.tolist()], drawn, failed, n)
             a, b = a.copy(), b.copy()  # the kept rounds hold the old rows
             a[:, drawn_cols], b[:, drawn_cols] = drawn_a, drawn_b
-            paths.clear()  # fresh draws flip a path within a few levels: no replay would pay
+            paths.clear()  # the recorded slopes belong to the old parameters
         try:
             lanes = solve_lanes(
                 a.ravel(), b.ravel(), np.tile(k, len(live)),

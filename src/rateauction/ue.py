@@ -16,10 +16,10 @@ one array element (a *lane*) per UE.  Given a :class:`LanePaths`, it
 replays each lane's last bisection path first.  A level's midpoint depends
 only on ``tol``, ``capacity`` and the decisions above it, so levels whose
 decisions still hold at the new price are the levels a fresh walk would
-visit, with the same float operations: the replay is exact, and the walk
-resumes below the first level at which any lane's decision flips.  Only
-lanes whose parameters stay keep a path; fresh parameters flip a path
-within a few levels.
+visit, and the slope recorded at each is what the same float operations
+give again: the replay compares recorded slopes with the new price and is
+exact, and the walk resumes below the first level at which any lane's
+decision flips.  Only lanes whose parameters stay keep a path.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .utility import UtilityFunction, logarithmic_log_slope, sigmoid_log_slope
 
 DEFAULT_RATE_TOL = 1e-6
 MAX_BISECTION_STEPS = 200
-REPLAY_BLOCK = 8  # recorded levels a replay evaluates per slope call
 
 
 class BisectionError(RuntimeError):
@@ -85,73 +84,68 @@ class LanePaths:
     """Each lane's last bisection path, for the next solve of the same lanes.
 
     A level's midpoint depends only on ``tol``, ``capacity`` and the
-    decisions of the levels above it.  So while a lane's new
-    ``slope >= price`` decisions match its recorded ones, it visits the
-    recorded midpoints with the same float operations: :func:`solve_lanes`
-    evaluates the new slopes at them, ``REPLAY_BLOCK`` levels per call, and
-    resumes the lockstep walk below the first level at which any lane's
-    decision flips.  A replay also evaluates recorded levels past a flip,
-    which only the parameters that walked them are known to evaluate
-    cleanly, so :meth:`clear` the paths when a lane's parameters change; a
-    solve at another ``capacity`` or ``tol`` clears them itself.
-    ``walked`` and ``replayed`` count the lockstep levels walked and
-    replayed over all solves.
+    decisions of the levels above it, and the paths keep, at each level,
+    the midpoint, the slope there and the ``slope >= price`` decision, and
+    each lane's slope at ``capacity``.  While a lane's decisions at the new
+    price match its recorded ones it visits the recorded midpoints, whose
+    slopes are what the same float operations would give again:
+    :func:`solve_lanes` compares every recorded slope with the new price in
+    one pass, evaluating none, and resumes the lockstep walk below the first
+    level at which any lane's decision flips.  The slopes belong to the
+    parameters that walked them, so :meth:`clear` the paths when a lane's
+    parameters change; a solve at another ``capacity`` or ``tol`` clears
+    them itself.  ``walked`` and ``replayed`` count the lockstep levels
+    walked and the recorded levels compared over all solves.
     """
 
     def __init__(self) -> None:
         self.walked = 0
         self.replayed = 0
         self.bracket: Optional[tuple[float, float]] = None  # (capacity, tol) of the paths
+        self.mids = self.slopes = self.moves = None  # (level, lane): midpoint, slope there, slope >= price
         self.clear()
 
     def clear(self) -> None:
-        """Forget every path: the next solve walks each lane from level 0."""
-        self.mids: Optional[np.ndarray] = None  # (level, lane): the midpoint
-        self.moves: Optional[np.ndarray] = None  # (level, lane): slope >= price there
+        """Forget every path, keeping the buffers: the next solve walks each lane from level 0."""
         self.depth: Optional[np.ndarray] = None  # per lane: levels on its path
+        self.at_capacity: Optional[np.ndarray] = None  # per lane: the slope at capacity
 
     def drop(self, lanes) -> None:
         """Remove the lanes marked in the boolean mask ``lanes``."""
         if self.depth is not None:
             keep = ~np.asarray(lanes, dtype=bool)
-            self.mids, self.moves, self.depth = self.mids[:, keep], self.moves[:, keep], self.depth[keep]
+            kept = (x[..., keep] for x in (self.mids, self.slopes, self.moves, self.depth, self.at_capacity))
+            self.mids, self.slopes, self.moves, self.depth, self.at_capacity = kept
 
-    def _replay(self, a, b, k, price, clamped, lo, hi) -> int:
+    def _replay(self, price, clamped, lo, hi) -> int:
         """The level at which the walk resumes: below the first level at which
         any lane's decision flips, or past every path if none flips.  Takes
         the flipped decisions, and narrows ``lo`` and ``hi`` to each lane's
         bracket at that level."""
         if self.depth is None:
-            self.mids = np.empty((MAX_BISECTION_STEPS, len(price)))
-            self.moves = np.empty(self.mids.shape, dtype=bool)
+            if self.mids is None or self.mids.shape[1] != len(price):
+                self.mids, self.slopes = np.empty((2, MAX_BISECTION_STEPS, len(price)))
+                self.moves = np.empty(self.mids.shape, dtype=bool)
             self.depth = np.zeros(len(price), dtype=int)
             return 0
-        if len(self.depth) != len(price):
-            raise ValueError(f"paths hold {len(self.depth)} lanes, the solve has {len(price)}")
         # a clamped lane walks no path: once it leaves the clamp, the walk
         # starts again from level 0
         self.depth = depth = np.where(clamped, 0, self.depth)
         if np.count_nonzero(~clamped & (depth == 0)):
             return 0
         on_path = np.arange(depth.max(initial=0))[:, None] < depth
-        s = len(a)
-        level = 0
-        while level < len(on_path):
-            # a walk writes every lane into each row it reaches, so every
-            # slope taken here was taken before, with the same parameters
-            mids = self.mids[level : min(level + REPLAY_BLOCK, len(on_path))]
-            flips = np.empty(mids.shape, dtype=bool)
-            np.greater_equal(sigmoid_log_slope(a, b, mids[:, :s]), price[:s], out=flips[:, :s])
-            np.greater_equal(logarithmic_log_slope(k, mids[:, s:]), price[s:], out=flips[:, s:])
-            flips ^= self.moves[level : level + len(mids)]
-            flips &= on_path[level : level + len(mids)]
-            self.replayed += len(mids)
-            if np.count_nonzero(flips):
-                row = int(flips.any(axis=1).argmax())
-                self.moves[level + row] ^= flips[row]
-                level += row + 1
-                break
-            level += len(mids)
+        # a walk writes every lane into each row it reaches, so each slope
+        # on a path is the one its midpoint gives with these parameters
+        flips = np.greater_equal(self.slopes[: len(on_path)], price)
+        flips ^= self.moves[: len(on_path)]
+        flips &= on_path
+        self.replayed += len(on_path)
+        flipped = np.flatnonzero(flips)  # row-major: the first is on the first flipped level
+        level = len(on_path)
+        if len(flipped):
+            level = int(flipped[0]) // len(price)
+            self.moves[level] ^= flips[level]
+            level += 1
         # lo only rises and hi only falls along a path, so a lane's bracket
         # is the last midpoint each decision moved to
         if level:
@@ -194,24 +188,27 @@ def solve_lanes(
 
     # Basic slices keep both families' views contiguous and copy-free.
     s = len(a)
-    slope = np.empty_like(price)
-    slope[:s] = sigmoid_log_slope(a, b, capacity)
-    slope[s:] = logarithmic_log_slope(k, capacity)
-    clamped = slope >= price
+    at_capacity = paths.at_capacity
+    if at_capacity is None:
+        at_capacity = np.empty_like(price)
+        sigmoid_log_slope(a, b, capacity, out=at_capacity[:s])
+        logarithmic_log_slope(k, capacity, out=at_capacity[s:])
+    elif len(at_capacity) != len(price):
+        raise ValueError(f"paths hold {len(at_capacity)} lanes, the solve has {len(price)}")
+    clamped = at_capacity >= price
     # A clamped lane starts as the bracket [capacity, capacity]: never
     # active, and its midpoint is capacity exactly.
     lo = np.where(clamped, capacity, tol)
     hi = np.full_like(price, capacity)
-    resume = paths._replay(a, b, k, price, clamped, lo, hi)
-    # The walk writes each level's midpoints and decisions into the paths.
-    mids, moves = paths.mids[resume:], paths.moves[resume:]
+    resume = paths._replay(price, clamped, lo, hi)
+    # The walk writes each level's midpoints, slopes and decisions into the paths.
+    mids, slopes, moves = paths.mids[resume:], paths.slopes[resume:], paths.moves[resume:]
     actives = np.empty((len(mids) + 1, len(price)), dtype=bool)
-    rows = zip(mids, mids[:, :s], mids[:, s:], moves, moves[:, :s], moves[:, s:], actives[1:])
-    price_sig, price_log = price[:s], price[s:]
+    rows = zip(mids, mids[:, :s], mids[:, s:], slopes, slopes[:, :s], slopes[:, s:], moves, actives[1:])
     move = np.empty(price.shape, dtype=bool)
     width = np.subtract(hi, lo)
     active = np.greater(width, tol, out=actives[0])
-    depth, paths.depth = paths.depth, None  # a walk that raises leaves no paths
+    depth, paths.depth, paths.at_capacity = paths.depth, None, None  # a walk that raises leaves no paths
     level = resume
     while np.count_nonzero(active):
         if level >= MAX_BISECTION_STEPS:
@@ -219,11 +216,12 @@ def solve_lanes(
                 f"no convergence after {MAX_BISECTION_STEPS} bisection steps in "
                 f"{np.count_nonzero(active)} lane(s) (capacity={capacity}, tol={tol})"
             )
-        mid, mid_sig, mid_log, moved, moved_sig, moved_log, next_active = next(rows)
+        mid, mid_sig, mid_log, slope, slope_sig, slope_log, moved, next_active = next(rows)
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        np.greater_equal(sigmoid_log_slope(a, b, mid_sig), price_sig, out=moved_sig)
-        np.greater_equal(logarithmic_log_slope(k, mid_log), price_log, out=moved_log)
+        sigmoid_log_slope(a, b, mid_sig, out=slope_sig)
+        logarithmic_log_slope(k, mid_log, out=slope_log)
+        np.greater_equal(slope, price, out=moved)
         np.logical_and(moved, active, out=move)
         np.copyto(lo, mid, where=move)
         np.not_equal(active, move, out=move)  # active lanes whose slope fell below price
@@ -233,6 +231,7 @@ def solve_lanes(
         level += 1
     # a lane's path ends where it stopped: before the walk, or in it
     paths.depth = np.minimum(depth, resume) + actives[: level - resume].sum(axis=0)
+    paths.at_capacity = at_capacity
     paths.walked += level - resume
     rates = np.add(lo, hi, out=width)
     rates *= 0.5

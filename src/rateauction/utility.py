@@ -31,13 +31,12 @@ class RateDomainError(ValueError):
     """log-utility is undefined: U(r) underflows to zero at the given rate."""
 
 
-def sigmoid_log_slope(a, b, r):
+def sigmoid_log_slope(a, b, r, out=None):
     """d(log U)/dr of the sigmoidal family, elementwise over a, b and r.
 
     The single home of the formula and its domain guard: the utility
     method and the lane solver both call it, so a scalar solve and a lane
-    solve perform the same float operations.
-    """
+    solve perform the same float operations.  It writes into ``out`` if given."""
     neg_a = -a
     x = neg_a * r
     decay = -np.expm1(x)
@@ -46,16 +45,18 @@ def sigmoid_log_slope(a, b, r):
     # below the smallest normal float, exp(x) / decay overflows
     if np.count_nonzero(decay < SMALLEST_NORMAL):
         raise RateDomainError(f"log-slope undefined: a*r underflows for a={a}, r={r}")
-    return a * (np.exp(x) / decay + expit(neg_a * (r - b)))
+    slope = np.exp(x) / decay + expit(neg_a * (r - b))
+    return a * slope if out is None else np.multiply(a, slope, out=out)  # scalars: the operator is faster
 
 
-def logarithmic_log_slope(k, r):
-    """d(log U)/dr of the logarithmic family, elementwise over k and r."""
+def logarithmic_log_slope(k, r, out=None):
+    """d(log U)/dr of the logarithmic family, elementwise over k and r (into ``out``)."""
     kr = k * r
     growth = np.log1p(kr)
     if np.count_nonzero(growth <= 0.0):
         raise RateDomainError(f"log-slope undefined: k*r underflows for k={k}, r={r}")
-    return k / ((1.0 + kr) * growth)
+    scale = (1.0 + kr) * growth
+    return k / scale if out is None else np.divide(k, scale, out=out)
 
 
 @dataclass(frozen=True)

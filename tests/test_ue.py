@@ -1,19 +1,25 @@
 """UE subproblem tests: bisection solve, lane solve, and the single-round step."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rateauction.ue
 from rateauction import (
     BidLedger,
     BisectionError,
     LogarithmicUtility,
     SigmoidalUtility,
+    preset,
+    run,
     solve_rate,
     ue_step,
 )
 from rateauction.ue import LanePaths, solve_lanes
+from rateauction.utility import logarithmic_log_slope, sigmoid_log_slope
 
 LOG_SLOPE_K1_R10 = 0.0379120355840223937  # 1/(11 ln 11)
 
@@ -165,12 +171,14 @@ class TestSolveLanes:
 
 # One round of price moves: every price drifts by a relative 1e-9 to 1 in
 # either direction, a share of the lanes jumps by up to 1e±6 (across the
-# clamp, often), and a share of the lanes leaves before the round.
+# clamp, often), a share of the lanes leaves before the round, and a share
+# redraws its parameters.
 price_rounds = st.lists(
     st.tuples(
         log_uniform(-9, 0),
         st.sampled_from([0.0, 0.0, 0.25, 1.0]),
         st.sampled_from([0.0, 0.0, 0.3]),
+        st.sampled_from([0.0, 0.0, 0.0, 0.5]),
         st.integers(0, 2**32 - 1),  # picks the lanes and the directions
     ),
     min_size=10,
@@ -193,7 +201,7 @@ class TestLanePaths:
         k = np.array([u[1] for u in log])
         price = np.array([u[3] for u in sig + log])
         paths = LanePaths()
-        for drift, jump, drop, seed in rounds:
+        for drift, jump, drop, redraw, seed in rounds:
             rng = np.random.default_rng(seed)
             gone = rng.random(len(price)) < drop
             if not gone.all():
@@ -202,6 +210,21 @@ class TestLanePaths:
             price = price * np.exp(drift * rng.choice([-1.0, 1.0], len(price)))
             jumps = rng.random(len(price)) < jump
             price[jumps] *= 10.0 ** rng.uniform(-6.0, 6.0, np.count_nonzero(jumps))
+            fresh = rng.random(len(price)) < redraw
+            if np.count_nonzero(fresh):
+                # fresh parameters in lane_users' ranges; half the redrawn
+                # lanes get a price between their old and new slopes at
+                # capacity (which can underflow to 0), so exactly one of the
+                # two parameter sets clamps them.  The old paths belong to
+                # the old parameters.
+                old = self.capacity_slopes(a, b, k, capacity)
+                a = np.where(fresh[: len(a)], 10.0 ** rng.uniform(-1.5, 1.5, len(a)), a)
+                b = np.where(fresh[: len(a)], 10.0 ** rng.uniform(-1.0, 3.5, len(a)), b)
+                k = np.where(fresh[len(a) :], 10.0 ** rng.uniform(-3.0, 2.0, len(k)), k)
+                between = 0.5 * (old + self.capacity_slopes(a, b, k, capacity))
+                across = fresh & (rng.random(len(price)) < 0.5) & (between > 0.0)
+                price[across] = between[across]
+                paths.clear()
             try:
                 want = solve_lanes(a, b, k, price, capacity, tol)
             except BisectionError:
@@ -212,6 +235,10 @@ class TestLanePaths:
                 return
             got = solve_lanes(a, b, k, price, capacity, tol, paths)
             assert got.tobytes() == want.tobytes(), (got, want)
+
+    @staticmethod
+    def capacity_slopes(a, b, k, capacity):
+        return np.concatenate((sigmoid_log_slope(a, b, capacity), logarithmic_log_slope(k, capacity)))
 
     def test_lane_leaving_the_clamp_gets_every_step(self):
         # both roots need 190 of the 200 steps; lane 1, clamped in the first
@@ -239,6 +266,39 @@ class TestLanePaths:
         solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1]), np.full(2, 0.3), R, TOL, paths)
         with pytest.raises(ValueError, match="paths hold 2 lanes, the solve has 3"):
             solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1, 0.1]), np.full(3, 0.3), R, TOL, paths)
+
+
+class TestSlopeCalls:
+    """A solve with paths takes no slope a path has recorded: replayed
+    levels and the clamp test at capacity reuse the recorded slopes."""
+
+    @staticmethod
+    def count_calls(monkeypatch) -> dict[str, int]:
+        calls = {"sigmoid_log_slope": 0, "logarithmic_log_slope": 0}
+        for name in calls:
+            def counted(*args, _name=name, _slope=getattr(rateauction.ue, name), **kwargs):
+                calls[_name] += 1
+                return _slope(*args, **kwargs)
+
+            monkeypatch.setattr(rateauction.ue, name, counted)
+        return calls
+
+    def test_a_repeated_solve_takes_no_slope(self, monkeypatch):
+        lanes = np.array([15.0, 5.0]), np.array([20.0, 35.0]), np.array([0.1, 1.0])
+        price = np.array([0.3, 0.05, 0.02, 1e-9])  # the last lane is clamped
+        paths = LanePaths()
+        first = solve_lanes(*lanes, price, R, TOL, paths)
+        calls = self.count_calls(monkeypatch)
+        again = solve_lanes(*lanes, price, R, TOL, paths)
+        assert calls == {"sigmoid_log_slope": 0, "logarithmic_log_slope": 0}
+        assert again.tobytes() == first.tobytes()
+        assert again[3] == R
+
+    def test_fixed_preset_takes_each_walked_slope_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        run(replace(preset("fixed"), delta=1e-6, max_iterations=200))
+        # 1,165 walked levels and the first round's clamp test
+        assert calls == {"sigmoid_log_slope": 1166, "logarithmic_log_slope": 1166}
 
 
 class TestComputeBid:
