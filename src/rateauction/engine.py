@@ -325,7 +325,7 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
             live, prices, a, b = live[~done], prices[~done], a[~done], b[~done]
             if not live.size:
                 break
-    logger.debug("lane solve: %d levels walked, %d replayed", paths.walked, paths.replayed)
+    logger.debug("lane solve: %d levels walked, %d compared", paths.walked, paths.compared)
     # each run's prices, rates, bids, a and b, in round order
     run_of, *kept = map(np.concatenate, zip(*rounds))
     order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of))[:-1]

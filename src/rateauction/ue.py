@@ -94,13 +94,13 @@ class LanePaths:
     level at which any lane's decision flips.  The slopes belong to the
     parameters that walked them, so :meth:`clear` the paths when a lane's
     parameters change; a solve at another ``capacity`` or ``tol`` clears
-    them itself.  ``walked`` and ``replayed`` count the lockstep levels
+    them itself.  ``walked`` and ``compared`` count the lockstep levels
     walked and the recorded levels compared over all solves.
     """
 
     def __init__(self) -> None:
         self.walked = 0
-        self.replayed = 0
+        self.compared = 0
         self.bracket: Optional[tuple[float, float]] = None  # (capacity, tol) of the paths
         self.mids = self.slopes = self.moves = None  # (level, lane): midpoint, slope there, slope >= price
         self.clear()
@@ -139,7 +139,7 @@ class LanePaths:
         flips = np.greater_equal(self.slopes[: len(on_path)], price)
         flips ^= self.moves[: len(on_path)]
         flips &= on_path
-        self.replayed += len(on_path)
+        self.compared += len(on_path)
         flipped = np.flatnonzero(flips)  # row-major: the first is on the first flipped level
         level = len(on_path)
         if len(flipped):
@@ -169,9 +169,9 @@ def solve_lanes(
     its own :func:`solve_rate` bit for bit.  Raises :class:`BisectionError`
     when any lane needs more than ``MAX_BISECTION_STEPS`` steps.
 
-    ``paths`` holds each lane's path from an earlier solve of the same
-    lanes; the solve replays it and records the new paths there.  Without
-    it the solve walks every lane from level 0.
+    ``paths`` holds each lane's path from a solve with the same ``a``, ``b``
+    and ``k``, and takes the new paths; ``clear()`` it when any of them
+    changes, or its recorded slopes give wrong rates and raise nothing.
     """
     price = np.asarray(price, dtype=float)
     if not np.all(price > 0):

@@ -46,7 +46,7 @@ def sigmoid_log_slope(a, b, r, out=None):
     if np.count_nonzero(decay < SMALLEST_NORMAL):
         raise RateDomainError(f"log-slope undefined: a*r underflows for a={a}, r={r}")
     slope = np.exp(x) / decay + expit(neg_a * (r - b))
-    return a * slope if out is None else np.multiply(a, slope, out=out)  # scalars: the operator is faster
+    return np.multiply(a, slope, out=out)
 
 
 def logarithmic_log_slope(k, r, out=None):
@@ -56,7 +56,7 @@ def logarithmic_log_slope(k, r, out=None):
     if np.count_nonzero(growth <= 0.0):
         raise RateDomainError(f"log-slope undefined: k*r underflows for k={k}, r={r}")
     scale = (1.0 + kr) * growth
-    return k / scale if out is None else np.divide(k, scale, out=out)
+    return np.divide(k, scale, out=out)
 
 
 @dataclass(frozen=True)

@@ -293,8 +293,8 @@ class TestLanePaths:
         with caplog.at_level(logging.DEBUG, logger="rateauction.engine"):
             execute()
         (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lane solve:")]
-        walked, replayed = map(int, re.fullmatch(r"lane solve: (\d+) levels walked, (\d+) replayed", message).groups())
-        return walked, replayed
+        walked, compared = map(int, re.fullmatch(r"lane solve: (\d+) levels walked, (\d+) compared", message).groups())
+        return walked, compared
 
     def test_fixed_preset_walks_about_half_the_levels(self, caplog):
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
@@ -306,9 +306,9 @@ class TestLanePaths:
 
     def test_drawn_batches_replay_nothing(self, caplog):
         for name in ("normal", "triangular"):
-            walked, replayed = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
+            walked, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
             assert walked > 0
-            assert replayed == 0
+            assert compared == 0
 
 
 class TestErrorContext:

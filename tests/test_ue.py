@@ -259,7 +259,7 @@ class TestLanePaths:
         solve_lanes(*lanes, np.full(2, 0.3), R, 1e-3, paths)
         want = solve_lanes(*lanes, np.full(2, 0.3), R, TOL)
         assert solve_lanes(*lanes, np.full(2, 0.3), R, TOL, paths).tobytes() == want.tobytes()
-        assert paths.replayed == 0
+        assert paths.compared == 0
 
     def test_paths_of_other_lanes_are_refused(self):
         paths = LanePaths()
