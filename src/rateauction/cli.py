@@ -51,13 +51,13 @@ def _scenario_from_args(args) -> Scenario:
     else:
         scenario = preset(args.preset)
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "delta", None) is not None:
+    if args.delta is not None:
         overrides["delta"] = args.delta
-    if getattr(args, "iterations", None) is not None:
+    if args.iterations is not None:
         overrides["max_iterations"] = args.iterations
-    if getattr(args, "allow_early_stop", False):
+    if args.allow_early_stop:
         overrides["allow_early_stop"] = True
     if overrides:
         try:

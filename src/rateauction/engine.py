@@ -144,6 +144,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _require_finite_positive("R", self.capacity)
+        # the log-slopes grow like 1/r near 0, and 1/R overflows for a subnormal R
+        if self.capacity < (smallest := float(np.finfo(float).tiny)):
+            raise SpecError("R", f"R must be at least the smallest normal float {smallest!r}, got {self.capacity!r}")
         _require_finite_positive("delta", self.delta)
         if self.max_iterations < 1:
             raise SpecError(

@@ -14,15 +14,15 @@ numpy itself; :func:`resample_user` draws a cell's (a, b) from it and is
 the scalar reference.
 
 A lockstep batch draws a whole round as arrays (:class:`BatchSampler`),
-with no generator per cell.  SeedSequence's hash runs as uint32 array
-arithmetic, and its pool after a seed's own words is kept per batch.
-PCG64 runs as uint64 arithmetic on the resulting state words, and numpy's
-uniform double and the fast path of its ziggurat normal turn the outputs
-into draws.  The few cells whose normal draw leaves that path are drawn
-from their own generator.  :func:`stream_rngs` gives each cell of a batch
-its generator from the same hash code, and the tests check both cell by
-cell against numpy's SeedSequence and ``resample_user``, for seeds and
-keys of every word count.
+with no generator per cell.  Each seed's pool is numpy's
+``SeedSequence(seed).pool``, built once per batch; the rest of the hash,
+absorbing the spawn key's words and generating the output words, runs as
+uint32 array arithmetic.  PCG64 runs as uint64 arithmetic on the resulting
+state words, and numpy's uniform double and the fast path of its ziggurat
+normal turn the outputs into draws.  The few cells whose normal draw
+leaves that path are drawn from their own generator.  The tests check the
+batch cell by cell against numpy's SeedSequence and ``resample_user``,
+for seeds and keys of every word count.
 """
 
 from __future__ import annotations
@@ -137,9 +137,10 @@ def is_stochastic(spec: ParamSpec) -> bool:
     return not isinstance(spec, Fixed)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32
-# words.  Each hashmix takes the next value of hash constant A; each output
-# word takes the next value of hash constant B.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) past a seed's
+# own words, on uint32 words: the spawn key's absorption and the output.
+# Each hashmix takes the next value of hash constant A; each output word
+# takes the next value of hash constant B.
 POOL_SIZE = 4
 INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -177,21 +178,8 @@ def _pairs(consts: np.ndarray, positions) -> np.ndarray:
     return np.stack((consts[positions], consts[positions + 1]))
 
 
-def _cross_positions() -> np.ndarray:
-    """Hash constant A's position for each (src, dst) step of the pool's
-    cross-mix, in which every word absorbs every other, src-major; the
-    diagonal is unused."""
-    positions = np.zeros((POOL_SIZE, POOL_SIZE), dtype=int)
-    off_diagonal = ~np.eye(POOL_SIZE, dtype=bool)
-    positions[off_diagonal] = POOL_SIZE + np.arange(POOL_SIZE * (POOL_SIZE - 1))
-    return positions
-
-
-# The fill and the cross-mix take A's first POOL_SIZE**2 values whatever
-# the entropy; the output words take B's in order, cycling over the pool.
-_A_HEAD = _hash_consts(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE + 1)
-_FILL_CONSTS = _pairs(_A_HEAD, range(POOL_SIZE))
-_CROSS_CONSTS = _pairs(_A_HEAD, _cross_positions())
+# The output words take hash constant B's values in order, cycling over the
+# pool.
 _OUT_CONSTS = _pairs(_hash_consts(INIT_B, MULT_B, 2 * PCG64_STATE_WORDS + 1), range(2 * PCG64_STATE_WORDS))
 _OUT_SOURCE = np.arange(2 * PCG64_STATE_WORDS) % POOL_SIZE
 
@@ -229,22 +217,6 @@ def _mix_in(pool: np.ndarray, absorbed: np.ndarray, counts) -> np.ndarray:
     return pool
 
 
-def _seed_pools(seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Each seed's pool once its own words are absorbed, and the entropy
-    index at which the spawn key's words start: the seed's word count,
-    zero-padded to the pool size."""
-    words, counts = _int_words(seeds)
-    fill = np.zeros((len(words), POOL_SIZE), dtype=np.uint32)
-    fill[:, : words.shape[1]] = words[:, :POOL_SIZE]
-    pool = _hashmix(fill, _FILL_CONSTS)
-    for src in range(POOL_SIZE):
-        mixed = _mix(pool, _hashmix(pool[:, src, None], _CROSS_CONSTS[:, src]))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    pool = _mix_in(pool, _absorbed(words[:, POOL_SIZE:], POOL_SIZE), counts - POOL_SIZE)
-    return pool, np.maximum(counts, POOL_SIZE)
-
-
 def _state_words(pool: np.ndarray) -> np.ndarray:
     """generate_state(PCG64_STATE_WORDS, uint64) of each pool: pairs of
     output words, low word first.  PCG64 reads a cell's row straight from
@@ -273,34 +245,13 @@ def _cell_rng(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_CellSeed(state)))
 
 
-def stream_rngs(seeds, iteration: int, user_ids) -> list[np.random.Generator]:
-    """One generator per cell (seeds[i], iteration, user_ids[i]), each equal
-    to ``default_rng(SeedSequence(seed, spawn_key=(iteration, user_id)))``.
-
-    SeedSequence's hash runs once over all cells, as uint32 array
-    arithmetic.  A cell's entropy is its seed's words zero-padded to the
-    pool size, then the iteration's words, then the user id's.  A word's
-    hash constants follow from its position in the entropy, and a cell
-    whose entropy is shorter than the longest skips the columns past its
-    end, so cells of every length share one pass.
-    """
-    if len(seeds) != len(user_ids):
-        raise ValueError(f"{len(seeds)} seeds for {len(user_ids)} user ids")
-    if not len(seeds):
-        return []
-    pool, start = _seed_pools(seeds)
-    words, counts = _int_words([iteration, *user_ids])
-    pool = _mix_in(pool, _absorbed(words[:1], start), counts[0])
-    pool = _mix_in(pool, _absorbed(words[1:], start + counts[0]), counts[1:])
-    return list(map(_cell_rng, _state_words(pool)))
-
-
 def stream_rng(seed: int, iteration: int, user_id: int) -> np.random.Generator:
     """Independent generator for one (iteration, user) cell of one run.
 
-    One cell is seeded by numpy's own SeedSequence, which
-    :func:`stream_rngs` reproduces: the batch hash's fixed cost of about a
-    hundred array calls would be all of a one-cell call's cost.
+    One cell is seeded by numpy's own SeedSequence, whose hash
+    :class:`BatchSampler` finishes as arrays for a whole round: the batch
+    hash's fixed cost of dozens of array calls would be all of a one-cell
+    call's cost.
     """
     if min(map(operator.index, (seed, iteration, user_id))) < 0:
         raise ValueError(f"seeds and spawn keys must be >= 0, got {min(seed, iteration, user_id)}")
@@ -434,15 +385,16 @@ class BatchSampler:
     of every live run, bit for bit those of :func:`resample_user` with the
     cell's :func:`stream_rng`.
 
-    Every cell's stream is derived at once, as array arithmetic: the seed
-    hash pools once per batch, the user ids' hashmixes once per iteration
-    word count, and each round only the iteration's words.  Then PCG64's
-    first outputs, numpy's uniform and the ziggurat normal's fast path,
-    which all but about 1.5% of normal draws take.  A cell in which a
-    normal draw leaves that path is redrawn whole from its own generator.
-    Rows are runs, in batch order, and columns users; :meth:`drop` removes
-    the runs that leave the batch.  The per-user arrays have a leading axis
-    of two halves, a then b.
+    Every cell's stream is derived at once.  Each seed's pool is numpy's
+    ``SeedSequence(seed).pool``, built once per batch; the rest of the hash
+    runs as array arithmetic: the user ids' hashmixes once per iteration
+    word count, and each round the iteration's words and the output words.
+    Then PCG64's first outputs, numpy's uniform and the ziggurat normal's
+    fast path, which all but about 1.5% of normal draws take.  A cell in
+    which a normal draw leaves that path is redrawn whole from its own
+    generator.  Rows are runs, in batch order, and columns users;
+    :meth:`drop` removes the runs that leave the batch.  The per-user arrays
+    have a leading axis of two halves, a then b.
     """
 
     def __init__(self, seeds, user_ids, specs, capacity: float) -> None:
@@ -460,7 +412,10 @@ class BatchSampler:
         # b takes the second output where a is drawn, the first where it is fixed
         self.second = np.array([[False] * len(specs), [is_stochastic(a) for a, _ in specs]])[:, None]
         self.user_words, self.user_counts = _int_words(user_ids)
-        self.pool, self.start = _seed_pools(seeds)
+        # the spawn key's words start past the seed's, zero-padded to the pool
+        _, seed_counts = _int_words(seeds)
+        self.start = np.maximum(seed_counts, POOL_SIZE)
+        self.pool = np.array([np.random.SeedSequence(seed).pool for seed in seeds])
         self.users_absorbed: Optional[tuple[int, np.ndarray]] = None  # (iteration word count, hashmixes)
 
     def drop(self, rows) -> None:

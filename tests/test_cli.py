@@ -1,14 +1,18 @@
 """CLI and trace-emission tests."""
 
 import json
+import math
 import re
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rateauction.cli
 import rateauction.engine
 from rateauction import (
     RunResult,
@@ -241,8 +245,14 @@ class TestRunCommand:
             ({"users": [{"type": "logarithmic", "k": float("nan"), "r_max": 50.0}]}, r"users\[0\]\.k"),
             ({"delta": float("inf")}, "delta"),
             ({"users": [{"type": "logarithmic", "k": 1e308, "r_max": 50.0}]}, r"users\[0\]\.k"),
+            # both log-slopes grow like 1/r near 0, and 1/R overflows
+            (
+                {"R": 5e-324, "delta": 0.01, "max_iterations": 16,
+                 "users": [{"type": "logarithmic", "k": 5, "r_max": 1e-9}] * 2},
+                "R",
+            ),
         ],
-        ids=["negative-fixed-a", "nan-k", "infinite-delta", "overflowing-k"],
+        ids=["negative-fixed-a", "nan-k", "infinite-delta", "overflowing-k", "subnormal-R"],
     )
     def test_invalid_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
         path = write_scenario(tmp_path, **overrides)
@@ -308,6 +318,67 @@ class TestExtremeParameters:
     def test_fixed_steepness_whose_a_times_r_overflows_is_refused(self, tmp_path, capsys):
         assert self.run_with_steepness(tmp_path, "FIXED(1e307)") == 2
         assert "field 'users[0].a': a*max(b, R) must be finite, got 1e+307*100.0\n" in capsys.readouterr().err
+
+
+# floats at the edges of the range: subnormal, the smallest normal, and
+# near the largest
+EDGE_FLOATS = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-9, 1.0, 100.0, 1e300, 1.7976931348623157e308]
+positive_floats = (
+    st.sampled_from(EDGE_FLOATS)
+    | st.floats(1e-3, 1e3)
+    | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+)
+# mostly positive: a spec argument that is negative, infinite or NaN, or
+# unordered TRIA bounds, exits 2 before the run
+spec_floats = positive_floats | positive_floats.map(lambda x: -x) | st.floats()
+spec_texts = (
+    st.builds("FIXED({!r})".format, spec_floats)
+    | st.builds("NORM({!r},{!r})".format, spec_floats, positive_floats)
+    | st.lists(spec_floats, min_size=3, max_size=3).map(lambda v: "TRIA({!r},{!r},{!r})".format(*sorted(v)))
+)
+user_docs = st.fixed_dictionaries({"type": st.just("sigmoidal"), "a": spec_texts, "b": spec_texts}) | (
+    st.fixed_dictionaries({"type": st.just("logarithmic"), "k": positive_floats, "r_max": positive_floats})
+)
+scenario_docs = st.fixed_dictionaries(
+    {
+        "R": positive_floats,
+        "delta": positive_floats,
+        "max_iterations": st.integers(1, 25),
+        "seed": st.integers(0, 2**70),
+        "users": st.lists(user_docs, min_size=1, max_size=5),
+    }
+)
+
+
+class TestScenarioFuzz:
+    """Every scenario document runs or exits with a diagnostic, never a
+    traceback or a warning.  Warnings are recorded, not raised as this
+    suite's filter would: a warning raised inside a run is caught by the
+    engine's error path and reported as a solver failure, where the
+    command line would go on with a wrong result."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(doc=scenario_docs)
+    def test_documents_run_or_exit_with_a_code(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        results = []
+
+        def recording(scenario, real=rateauction.cli.run):
+            results.append(real(scenario))
+            return results[-1]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with mock.patch.object(rateauction.cli, "run", recording):
+                code = main(["run", "--scenario", str(path)])
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            rates = list(results[0].final_rates.values())
+            assert min(rates) > 0, rates
+            # shares of R, so that a sum near the float maximum cannot overflow
+            assert math.fsum(r / doc["R"] for r in rates) == pytest.approx(1.0, rel=1e-9, abs=0)
 
 
 class TestVerifyCommand:

@@ -204,15 +204,26 @@ class TestStreamSeeding:
             assert drawn == 3 * result.iterations
 
     def test_rounds_build_no_seed_sequence(self, monkeypatch):
-        # every cell's stream comes from one batched hash per round, never
-        # from a SeedSequence built per cell
-        expected = [run(replace(preset("triangular"), seed=s)) for s in (0, 1)]
+        # a batch takes each seed's pool from one SeedSequence; every
+        # round's cells are hashed as arrays, never from a SeedSequence
+        # built per round or per cell
+        real = np.random.SeedSequence
+        built = []
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.random.SeedSequence built during a run")
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        assert run_replication(preset("triangular"), [0, 1]) == expected
+        for rounds in (20, 40):
+            scenario = replace(preset("triangular"), max_iterations=rounds)
+            expected = [run(replace(scenario, seed=s)) for s in (0, 1)]
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "SeedSequence", counting)
+                results = run_replication(scenario, [0, 1])
+            assert [r.iterations for r in results] == [rounds, rounds]
+            assert built == [(0,), (1,)], rounds
+            assert results == expected
 
 
 class TestParameterColumns:

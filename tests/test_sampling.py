@@ -25,7 +25,6 @@ from rateauction.sampling import (
     PCG64_MULT,
     clamp_sigmoid_params,
     is_stochastic,
-    stream_rngs,
     triangular_inverse_cdf,
 )
 
@@ -42,6 +41,21 @@ def numpy_rng(seed, iteration, user_id):
 
 def first_draws(rng):
     return rng.normal(size=4).tolist() + rng.random(4).tolist()
+
+
+def numpy_states(seeds, iteration, user_ids):
+    """Each cell's PCG64 state words from numpy's own SeedSequence, as rows
+    of runs and columns of users."""
+    return [
+        [np.random.SeedSequence(seed, spawn_key=(iteration, uid)).generate_state(4, np.uint64).tolist() for uid in user_ids]
+        for seed in seeds
+    ]
+
+
+def batch_states(seeds, iteration, user_ids):
+    """The same cells' state words from one batch sampler's hash."""
+    specs = [(Normal(15.0, 2.0), Fixed(5.0))] * len(user_ids)
+    return BatchSampler(seeds, user_ids, specs, CAPACITY)._cell_states(iteration).tolist()
 
 
 class TestParamSpecs:
@@ -226,8 +240,8 @@ class TestDeterminism:
 
 
 class TestStreamSeeding:
-    """Batched seeding against numpy's SeedSequence itself, not against
-    ``stream_rng``, which is the batch's one-cell case."""
+    """The batch sampler's seeding hash against numpy's SeedSequence itself,
+    cell for cell."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -242,32 +256,22 @@ class TestStreamSeeding:
         iteration=st.sampled_from(EDGE_KEYS) | st.integers(0, 2**70),
     )
     def test_every_cell_matches_numpy(self, cells, iteration):
+        # every seed with every user id: cells of different entropy lengths
+        # share one pass
         seeds = [seed for seed, _ in cells]
         user_ids = [uid for _, uid in cells]
-        batch = stream_rngs(seeds, iteration, user_ids)
-        assert len(batch) == len(cells)
-        for (seed, uid), rng in zip(cells, batch):
-            want = first_draws(numpy_rng(seed, iteration, uid))
-            assert first_draws(rng) == want
-            assert first_draws(stream_rng(seed, iteration, uid)) == want
+        assert batch_states(seeds, iteration, user_ids) == numpy_states(seeds, iteration, user_ids)
+        for seed, uid in cells:
+            assert first_draws(stream_rng(seed, iteration, uid)) == first_draws(numpy_rng(seed, iteration, uid))
 
     def test_edge_seeds_and_keys_in_one_batch(self):
-        # every entropy length at once, so cells of different lengths share
-        # one pass
-        cells = [(seed, uid) for seed in EDGE_SEEDS for uid in EDGE_KEYS]
+        # every entropy length at once, and iterations of one and two words
         for iteration in (0, 1, 2**32):
-            batch = stream_rngs([s for s, _ in cells], iteration, [u for _, u in cells])
-            for (seed, uid), rng in zip(cells, batch):
-                assert first_draws(rng) == first_draws(numpy_rng(seed, iteration, uid)), (seed, iteration, uid)
+            assert batch_states(EDGE_SEEDS, iteration, EDGE_KEYS) == numpy_states(EDGE_SEEDS, iteration, EDGE_KEYS)
 
     def test_numpy_integers_accepted(self):
-        want = first_draws(numpy_rng(7, 3, 2))
-        assert first_draws(stream_rngs(np.array([7]), np.int64(3), np.array([2]))[0]) == want
-
-    def test_empty_and_mismatched_batches(self):
-        assert stream_rngs([], 1, []) == []
-        with pytest.raises(ValueError, match="2 seeds for 1 user ids"):
-            stream_rngs([1, 2], 1, [4])
+        want = numpy_states([7], 3, [2])
+        assert batch_states(np.array([7]), np.int64(3), np.array([2])) == want
 
     @pytest.mark.parametrize("seed,iteration,uid", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     def test_negative_values_rejected_like_numpy(self, seed, iteration, uid):
