@@ -14,10 +14,11 @@ vectorised solve (:func:`~rateauction.ue.solve_lanes`), which performs the
 scalar solver's float operations lane for lane, and bids ``price * rate``;
 one :class:`~rateauction.station.BidLedger`, one row per live run, gives
 every run's price, convergence test and allocation.  One
-:class:`~rateauction.sampling.BatchSampler` draws each round's (a, b) for
-every live run and drawn user at once, as array arithmetic, bit for bit
-the draws of each cell's own generator; a cell whose draw fails is drawn
-again by the scalar reference, which names the error.  ``run`` is a batch
+:class:`~rateauction.sampling.BatchSampler` draws a block of rounds' (a, b)
+for every live run and drawn user at once, as array arithmetic, bit for
+bit the draws of each cell's own generator, and serves each round from
+the block; a cell whose draw fails is drawn again, in its round, by the
+scalar reference, which names the error.  ``run`` is a batch
 of one, ``run_replication`` runs all its seeds together, and a run leaves
 the batch when it converges.  A result holds its rounds as arrays.
 
@@ -27,7 +28,8 @@ only below the first flipped decision.  A run that leaves the batch drops
 its lanes' paths and its sampler row with its ledger row.  A batch with a
 drawn user forgets every path each round, since the slopes a path records
 belong to the parameters that walked it.  One DEBUG line per batch reports
-the levels walked, and the recorded levels the replays compared.
+the levels walked, the recorded levels the replays compared, and the
+sampler's blocks, cells and cells redrawn off the ziggurat's fast path.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -281,7 +283,7 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     k = np.array([first.users[i].k for i in log], dtype=float)
     if drawn:
         sampler = BatchSampler([s.seed for s in scenarios], [uid for _, uid, _ in drawn],
-                               [(spec.a, spec.b) for _, _, spec in drawn], capacity)
+                               [(spec.a, spec.b) for _, _, spec in drawn], capacity, first.max_iterations)
     ledger = BidLedger(capacity, first.delta)
     paths = LanePaths()
     live = np.arange(len(scenarios))
@@ -328,7 +330,9 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
             live, prices, a, b = live[~done], prices[~done], a[~done], b[~done]
             if not live.size:
                 break
-    logger.debug("lane solve: %d levels walked, %d compared", paths.walked, paths.compared)
+    drew = (sampler.blocks, sampler.cells, sampler.redrawn) if drawn else (0, 0, 0)
+    logger.debug("lane solve: %d levels walked, %d compared; sampler: %d blocks, %d cells, %d redrawn",
+                 paths.walked, paths.compared, *drew)
     # each run's prices, rates, bids, a and b, in round order
     run_of, *kept = map(np.concatenate, zip(*rounds))
     order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of))[:-1]

@@ -13,13 +13,13 @@ identical results.  :func:`stream_rng` is one cell's generator, seeded by
 numpy itself; :func:`resample_user` draws a cell's (a, b) from it and is
 the scalar reference.
 
-A lockstep batch draws a whole round as arrays (:class:`BatchSampler`),
-with no generator per cell.  Each seed's pool is numpy's
-``SeedSequence(seed).pool``, built once per batch; the rest of the hash,
-absorbing the spawn key's words and generating the output words, runs as
-uint32 array arithmetic.  PCG64 runs as uint64 arithmetic on the resulting
-state words, and numpy's uniform double and the fast path of its ziggurat
-normal turn the outputs into draws.  The few cells whose normal draw
+A lockstep batch draws a block of rounds at once as arrays
+(:class:`BatchSampler`), with no generator per cell.  Each seed's pool is
+numpy's ``SeedSequence(seed).pool``, built once per batch; the rest of the
+hash, absorbing the spawn key's words and generating the output words, runs
+as uint32 array arithmetic over every round of the block.  PCG64 runs as
+uint64 arithmetic on the resulting state words, and numpy's uniform double
+and the fast path of its ziggurat normal turn the outputs into draws.  The few cells whose normal draw
 leaves that path are drawn from their own generator.  The tests check the
 batch cell by cell against numpy's SeedSequence and ``resample_user``,
 for seeds and keys of every word count.
@@ -42,6 +42,9 @@ from . import _ziggurat
 # on non-positive values, which would make the utility invalid.
 MIN_STEEPNESS = 0.1
 MIN_INFLECTION = 1.0
+
+# The most cells a BatchSampler draws in one block of rounds.
+BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -184,14 +187,19 @@ _OUT_CONSTS = _pairs(_hash_consts(INIT_B, MULT_B, 2 * PCG64_STATE_WORDS + 1), ra
 _OUT_SOURCE = np.arange(2 * PCG64_STATE_WORDS) % POOL_SIZE
 
 
+def _word_count(value: int) -> int:
+    """The 32-bit words of a non-negative integer; 0 has one, as in
+    SeedSequence."""
+    return max(1, -(-value.bit_length() // 32))
+
+
 def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
     """The little-endian 32-bit words of non-negative integers, one
-    zero-padded row per value, and each value's word count (0 has one word,
-    as in SeedSequence)."""
+    zero-padded row per value, and each value's word count."""
     ints = [operator.index(v) for v in values]
     if min(ints) < 0:
         raise ValueError(f"seeds and spawn keys must be >= 0, got {min(ints)}")
-    counts = [max(1, -(-v.bit_length() // 32)) for v in ints]
+    counts = list(map(_word_count, ints))
     width = max(counts)
     words = [[(v >> (32 * j)) & 0xFFFFFFFF for j in range(width)] for v in ints]
     return np.array(words, dtype=np.uint32), np.array(counts)
@@ -249,7 +257,7 @@ def stream_rng(seed: int, iteration: int, user_id: int) -> np.random.Generator:
     """Independent generator for one (iteration, user) cell of one run.
 
     One cell is seeded by numpy's own SeedSequence, whose hash
-    :class:`BatchSampler` finishes as arrays for a whole round: the batch
+    :class:`BatchSampler` finishes as arrays for a block of rounds: the batch
     hash's fixed cost of dozens of array calls would be all of a one-cell
     call's cost.
     """
@@ -385,22 +393,31 @@ class BatchSampler:
     of every live run, bit for bit those of :func:`resample_user` with the
     cell's :func:`stream_rng`.
 
-    Every cell's stream is derived at once.  Each seed's pool is numpy's
+    The draws are made a block of rounds at a time, and each round is
+    served from the block held.  A block holds whole rounds, at least one,
+    of at most BLOCK_CELLS cells; it ends at the batch's iteration cap, and
+    before the iteration's word count changes, since the spawn key's words
+    set the hash constants of the words after them.
+
+    Every cell of a block is derived at once.  Each seed's pool is numpy's
     ``SeedSequence(seed).pool``, built once per batch; the rest of the hash
     runs as array arithmetic: the user ids' hashmixes once per iteration
-    word count, and each round the iteration's words and the output words.
+    word count, and each block the iterations' words and the output words.
     Then PCG64's first outputs, numpy's uniform and the ziggurat normal's
     fast path, which all but about 1.5% of normal draws take.  A cell in
     which a normal draw leaves that path is redrawn whole from its own
     generator.  Rows are runs, in batch order, and columns users;
-    :meth:`drop` removes the runs that leave the batch.  The per-user arrays
-    have a leading axis of two halves, a then b.
+    :meth:`drop` removes the runs that leave the batch, from the block held
+    too.  The per-user arrays have a leading axis of two halves, a then b.
+    ``blocks``, ``cells`` and ``redrawn`` count the blocks drawn, their
+    cells, and the cells redrawn off the fast path.
     """
 
-    def __init__(self, seeds, user_ids, specs, capacity: float) -> None:
+    def __init__(self, seeds, user_ids, specs, capacity: float, cap: int) -> None:
         """``specs`` holds each user's (a_spec, b_spec), at least one of
-        them drawn."""
+        them drawn; ``cap`` is the last iteration the batch draws."""
         self.capacity = capacity
+        self.cap = cap
         self.specs = specs
         halves = list(zip(*specs))
         self.normal = np.array([[isinstance(s, Normal) for s in h] for h in halves])[:, None]
@@ -417,25 +434,36 @@ class BatchSampler:
         self.start = np.maximum(seed_counts, POOL_SIZE)
         self.pool = np.array([np.random.SeedSequence(seed).pool for seed in seeds])
         self.users_absorbed: Optional[tuple[int, np.ndarray]] = None  # (iteration word count, hashmixes)
+        # the block held: its first iteration, its (half, round, run, user)
+        # draws and its (round, run, user) failed cells
+        self.first = 0
+        self.held = np.empty((2, 0, len(seeds), len(specs)))
+        self.failed = np.empty((0, len(seeds), len(specs)), dtype=bool)
+        self.blocks = self.cells = self.redrawn = 0
 
     def drop(self, rows) -> None:
         """Remove the runs marked in the boolean mask ``rows``."""
         keep = ~np.asarray(rows, dtype=bool)
         self.pool, self.start = self.pool[keep], self.start[keep]
+        self.held, self.failed = self.held[:, :, keep], self.failed[:, keep]
         if self.users_absorbed is not None:
             self.users_absorbed = (self.users_absorbed[0], self.users_absorbed[1][keep])
 
-    def _cell_states(self, iteration: int) -> np.ndarray:
-        """Every cell's PCG64 state words: (runs, users, PCG64_STATE_WORDS)."""
-        words, counts = _int_words([iteration])
-        pool = _mix_in(self.pool, _absorbed(words, self.start), counts)
-        if self.users_absorbed is None or self.users_absorbed[0] != counts[0]:
-            absorbed = _absorbed(self.user_words, (self.start + counts[0])[:, None])
-            self.users_absorbed = (counts[0], absorbed)
-        return _state_words(_mix_in(pool[:, None], self.users_absorbed[1], self.user_counts))
+    def _cell_states(self, iterations) -> np.ndarray:
+        """Every cell's PCG64 state words at iterations of one word count:
+        (rounds, runs, users, PCG64_STATE_WORDS)."""
+        words, counts = _int_words(iterations)
+        if counts.min() != counts.max():
+            raise ValueError(f"a block's iterations must share one word count, got {sorted(set(counts.tolist()))}")
+        count = counts[0]
+        pool = _mix_in(self.pool, _absorbed(words[:, None], self.start), count)
+        if self.users_absorbed is None or self.users_absorbed[0] != count:
+            absorbed = _absorbed(self.user_words, (self.start + count)[:, None])
+            self.users_absorbed = (count, absorbed)
+        return _state_words(_mix_in(pool[:, :, None], self.users_absorbed[1], self.user_counts))
 
     def _variates(self, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each cell's variates from its outputs, (half, runs, users): a
+        """Each cell's variates from its outputs, (half, rows, users): a
         standard normal for a NORM spec, a uniform otherwise; and the
         normal draws that leave the ziggurat's fast path."""
         variates = (outputs >> UNIFORM_SHIFT) * UNIFORM_SCALE
@@ -456,16 +484,20 @@ class BatchSampler:
         upper = third - np.sqrt((1.0 - variates) * (third - first) * (third - second))
         return np.where(self.triangular, np.where(variates < split, lower, upper), values)
 
-    def draw(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The round's clamped a and b, (runs, users), and the cells that
-        fail: a or b drawn non-finite, or a*R overflowing.  A failed cell's
-        a and b are not valid; the reference draw names its error."""
-        state = self._cell_states(iteration)
+    def _draw_block(self, first: int) -> None:
+        """Draw the block of rounds from iteration ``first`` on, and hold it."""
+        if not 0 <= first <= self.cap:
+            raise ValueError(f"iteration {first} is outside the batch's 0..{self.cap}")
+        runs, users = self.pool.shape[0], len(self.specs)
+        stop = min(first + max(1, BLOCK_CELLS // (runs * users)), self.cap + 1, 2 ** (32 * _word_count(first)))
+        # rounds and runs flattened into one axis of rows
+        state = self._cell_states(range(first, stop)).reshape(-1, users, PCG64_STATE_WORDS)
         outputs = _pcg64_outputs(state, 2 if self.second.any() else 1)
         with np.errstate(all="ignore"):  # a failed cell is reported, not warned about
             variates, off_path = self._variates(np.where(self.second, outputs[-1], outputs[0]))
-            for cell in np.flatnonzero(off_path.any(axis=0)).tolist():
-                row, col = divmod(cell, len(self.specs))
+            redrawn = np.flatnonzero(off_path.any(axis=0)).tolist()
+            for cell in redrawn:
+                row, col = divmod(cell, users)
                 rng = _cell_rng(state[row, col])
                 for half, spec in enumerate(self.specs[col]):
                     if is_stochastic(spec):
@@ -475,4 +507,22 @@ class BatchSampler:
             a = np.maximum(a, MIN_STEEPNESS)
             b = np.minimum(np.maximum(b, MIN_INFLECTION), self.capacity)
             failed |= ~np.isfinite(a * self.capacity)
-        return a, b, failed
+        self.first = first
+        self.held = np.stack((a, b)).reshape(2, -1, runs, users)
+        self.failed = failed.reshape(-1, runs, users)
+        self.blocks += 1
+        self.cells += failed.size
+        self.redrawn += len(redrawn)
+
+    def draw(self, iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The round's clamped a and b, (runs, users), and the cells that
+        fail: a or b drawn non-finite, or a*R overflowing.  A failed cell's
+        a and b are not valid; the reference draw names its error.  A round
+        outside the block held starts a new block."""
+        iteration = operator.index(iteration)
+        offset = iteration - self.first
+        if not 0 <= offset < len(self.failed):
+            self._draw_block(iteration)
+            offset = 0
+        a, b = self.held[:, offset]
+        return a, b, self.failed[offset]

@@ -3,7 +3,10 @@
 One CSV row per (iteration, user) with nine-significant-digit numbers,
 followed by a commented summary block.  Output is byte-stable: the same
 run always renders the same file.  Rows are rendered from the result's
-arrays in blocks of whole rounds, with one ``%`` operation per block.
+arrays in blocks of whole rounds, with one ``%`` operation per block.  What
+a run holds constant is printed once: the user ids, and a sigmoid user's a
+or b that every round shares, into the row template; the price once per
+round.
 """
 
 from __future__ import annotations
@@ -26,21 +29,28 @@ def _blocks(result: RunResult):
     yield TRACE_HEADER + "\n"
     rounds, users = result.rates.shape
     sig = result.sigmoid
-    # one round's rows, user ids baked in; a log user's a and b are empty
-    template = "".join(
-        f"%d,{uid},%.9g,%.9g,%.9g," + ("%.9g,%.9g\n" if s else ",\n")
-        for uid, s in enumerate(sig.tolist(), start=1)
-    )
+    # a sigmoid user's a or b with one bit pattern in every round is printed
+    # once, into the template, as the user id is; a log user's are empty
+    params = np.stack((result.a, result.b), axis=-1)  # (round, sigmoid user, half)
+    bits = params.view(np.uint64)
+    varying = (bits != bits[:1]).any(axis=0)
+    fields = [("", "")] * users
+    for uid, vary, first in zip(np.flatnonzero(sig).tolist(), varying.tolist(), params[0].tolist()):
+        fields[uid] = ["%.9g" if v else format_number(x) for v, x in zip(vary, first)]
+    # one round's rows; the iteration and the price, formatted once per
+    # round, fill its %s fields
+    template = "".join(f"%s,{uid},%s,%.9g,%.9g,{a},{b}\n" for uid, (a, b) in enumerate(fields, start=1))
     filled = np.ones((users, 6), dtype=bool)  # iteration, price, rate, bid, a, b
     filled[~sig, 4:] = False
+    filled[sig, 4:] = varying
     step = max(1, BLOCK_ROWS // users)
     for lo in range(0, rounds, step):
         hi = min(lo + step, rounds)
-        values = np.empty((hi - lo, users, 6))
+        values = np.empty((hi - lo, users, 6), dtype=object)
         values[..., 0] = np.arange(lo + 1, hi + 1)[:, None]
-        values[..., 1] = result.prices[lo:hi, None]
+        values[..., 1] = np.array(list(map(format_number, result.prices[lo:hi].tolist())), dtype=object)[:, None]
         values[..., 2], values[..., 3] = result.rates[lo:hi], result.bids[lo:hi]
-        values[:, sig, 4], values[:, sig, 5] = result.a[lo:hi], result.b[lo:hi]
+        values[:, sig, 4:] = params[lo:hi]
         yield template * (hi - lo) % tuple(values[:, filled].ravel().tolist())
     lines = [
         f"# stop_reason,{result.stop_reason}",

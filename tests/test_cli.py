@@ -15,6 +15,12 @@ from hypothesis import strategies as st
 import rateauction.cli
 import rateauction.engine
 from rateauction import (
+    Fixed,
+    LogarithmicUserSpec,
+    Normal,
+    Scenario,
+    SigmoidalUserSpec,
+    Triangular,
     RunResult,
     emit_trace,
     preset,
@@ -127,6 +133,30 @@ class TestRendererMatchesPerFieldFormatting:
     def test_presets(self, name):
         result = run(replace(preset(name), users=preset(name).users * 2))  # user ids up to 12
         assert render_trace(result) == reference_render(result)
+
+    def test_drawn_column_held_constant_by_the_clamp(self):
+        # NORM(-100, 1) draws far below the floor, so a is 0.1 every round
+        # and is printed once, into the row template, beside a varying b
+        users = (
+            LogarithmicUserSpec(k=1.0, r_max=100.0),
+            SigmoidalUserSpec(a=Normal(-100.0, 1.0), b=Normal(20.0, 2.0)),
+        )
+        result = run(Scenario(capacity=100.0, delta=1e-2, max_iterations=20, seed=4, users=users))
+        assert result.a[:, 0].tolist() == [0.1] * 20
+        assert len(set(result.b[:, 0].tolist())) == 20
+        assert render_trace(result) == reference_render(result)
+
+    def test_fixed_steepness_beside_a_drawn_inflection(self):
+        users = (
+            SigmoidalUserSpec(a=Fixed(5.0), b=Triangular(10.0, 20.0, 30.0)),
+            LogarithmicUserSpec(k=1.0, r_max=100.0),
+            SigmoidalUserSpec(a=Fixed(2.5), b=Fixed(35.0)),
+        )
+        results = run_replication(Scenario(capacity=100.0, delta=1e-2, max_iterations=15, seed=0, users=users), [0, 1])
+        for result in results:
+            assert result.a[:, 0].tolist() == [5.0] * 15
+            assert len(set(result.b[:, 0].tolist())) == 15
+            assert render_trace(result) == reference_render(result)
 
 
 class TestStreamedEmission:

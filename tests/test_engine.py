@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rateauction.engine
+import rateauction.sampling
 from rateauction import (
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
@@ -293,6 +294,18 @@ class TestTrace:
             assert all(rec.a == a and rec.b == b for rec in rows)
 
 
+def batch_counts(caplog, execute) -> tuple[int, ...]:
+    """The counts of the one batch ``execute`` runs, from its DEBUG line:
+    levels walked and compared, and the sampler's blocks, cells and cells
+    redrawn."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="rateauction.engine"):
+        execute()
+    (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lane solve:")]
+    pattern = r"lane solve: (\d+) levels walked, (\d+) compared; sampler: (\d+) blocks, (\d+) cells, (\d+) redrawn"
+    return tuple(map(int, re.fullmatch(pattern, message).groups()))
+
+
 class TestLanePaths:
     """A batch whose parameters stay replays each lane's last bisection
     path; one DEBUG line per batch reports the levels walked, and the
@@ -300,12 +313,7 @@ class TestLanePaths:
 
     @staticmethod
     def lane_work(caplog, execute) -> tuple[int, int]:
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="rateauction.engine"):
-            execute()
-        (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lane solve:")]
-        walked, compared = map(int, re.fullmatch(r"lane solve: (\d+) levels walked, (\d+) compared", message).groups())
-        return walked, compared
+        return batch_counts(caplog, execute)[:2]
 
     def test_fixed_preset_walks_about_half_the_levels(self, caplog):
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
@@ -320,6 +328,24 @@ class TestLanePaths:
             walked, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
             assert walked > 0
             assert compared == 0
+
+
+class TestSamplerCounts:
+    """The batch's DEBUG line reports the sampler's blocks, the cells they
+    hold, and the cells redrawn off the ziggurat's fast path."""
+
+    def test_normal_replicate_draws_one_block(self, caplog):
+        # 20 rounds of 50 runs and 3 drawn users fit one block
+        execute = lambda: run_replication(preset("normal"), range(50))
+        assert batch_counts(caplog, execute)[2:] == (1, 3000, 95)
+
+    def test_one_round_per_block(self, caplog, monkeypatch):
+        monkeypatch.setattr(rateauction.sampling, "BLOCK_CELLS", 50 * 3)
+        execute = lambda: run_replication(preset("normal"), range(50))
+        assert batch_counts(caplog, execute)[2:] == (20, 3000, 95)
+
+    def test_fixed_batches_draw_nothing(self, caplog):
+        assert batch_counts(caplog, lambda: run(preset("fixed")))[2:] == (0, 0, 0)
 
 
 class TestErrorContext:
@@ -378,6 +404,22 @@ class TestErrorContext:
         with pytest.raises(SimulationError) as info:
             run(scenario)
         assert str(info.value) == f"user 1 failed at iteration 1: {message}"
+
+    def test_draw_failure_is_reported_in_its_own_round(self):
+        # a*R overflows for about half of NORM(1.797e306, 2e305)'s draws;
+        # seeds 2, 4 and 16 first fail at iterations 5, 6 and 4.  The batch
+        # draws all 8 rounds in one block at round 1, and still fails in
+        # round 4; a solve failure in round 1 comes first, and a cap of 3
+        # rounds meets no failed draw
+        from rateauction import SimulationError
+
+        users = (SigmoidalUserSpec(a=Normal(1.797e306, 2e305), b=Fixed(20.0)), LogarithmicUserSpec(k=1.0, r_max=100.0))
+        scenario = Scenario(capacity=100.0, delta=1e-2, max_iterations=8, seed=0, users=users)
+        with pytest.raises(SimulationError, match=r"^user 1 failed at iteration 4: a\*R must be finite"):
+            run_replication(scenario, [2, 4, 16])
+        with pytest.raises(SimulationError, match=r"^user 1 failed at iteration 1: no convergence"):
+            run_replication(scenario, [2, 4, 16], solver_tol=1e-20)
+        assert [r.iterations for r in run_replication(replace(scenario, max_iterations=3), [2, 4, 16])] == [3, 3, 3]
 
     def test_non_finite_a_is_named_before_b(self):
         from rateauction import SimulationError

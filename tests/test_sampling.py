@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from rateauction import (
     Triangular,
     format_param_spec,
     parse_param_spec,
+    preset,
     resample_user,
+    run_replication,
     sample,
     stream_rng,
 )
@@ -55,7 +58,8 @@ def numpy_states(seeds, iteration, user_ids):
 def batch_states(seeds, iteration, user_ids):
     """The same cells' state words from one batch sampler's hash."""
     specs = [(Normal(15.0, 2.0), Fixed(5.0))] * len(user_ids)
-    return BatchSampler(seeds, user_ids, specs, CAPACITY)._cell_states(iteration).tolist()
+    sampler = BatchSampler(seeds, user_ids, specs, CAPACITY, iteration)
+    return sampler._cell_states([iteration])[0].tolist()
 
 
 class TestParamSpecs:
@@ -326,7 +330,7 @@ class TestBatchSampler:
         # three rounds, dropping runs between them; the first iterations
         # listed cross a word boundary within the three
         user_ids = keys[: len(specs)]
-        sampler = BatchSampler(seeds, user_ids, specs, CAPACITY)
+        sampler = BatchSampler(seeds, user_ids, specs, CAPACITY, first + 2)
         for n in range(first, first + 3):
             assert_draws_match(sampler, seeds, n, user_ids, specs)
             dropped = data.draw(st.lists(st.booleans(), min_size=len(seeds), max_size=len(seeds)))
@@ -340,14 +344,14 @@ class TestBatchSampler:
         halves = (Fixed(0.05), Normal(15.0, 2.0), Triangular(3.0, 5.0, 7.0))
         specs = [(a, b) for a in halves for b in halves if is_stochastic(a) or is_stochastic(b)]
         user_ids = list(range(1, len(specs) + 1))
-        sampler = BatchSampler(EDGE_SEEDS, user_ids, specs, CAPACITY)
+        sampler = BatchSampler(EDGE_SEEDS, user_ids, specs, CAPACITY, 2**32 + 1)
         for n in (1, 2**32 - 1, 2**32, 2**32 + 1):
             assert_draws_match(sampler, EDGE_SEEDS, n, user_ids, specs)
 
     def test_dropped_runs_leave_the_seed_pools(self):
         seeds, user_ids = [11, 2**130 + 1, 13, 2**40, 15], [4, 2**33]
         specs = [(Normal(15.0, 2.0), Normal(35.0, 2.0)), (Fixed(5.0), Triangular(3.0, 5.0, 7.0))]
-        sampler = BatchSampler(seeds, user_ids, specs, CAPACITY)
+        sampler = BatchSampler(seeds, user_ids, specs, CAPACITY, 4)
         for n, dropped in ((1, [True, False, False, True, False]), (2, [False, True, False]), (3, [False, True])):
             assert_draws_match(sampler, seeds, n, user_ids, specs)
             sampler.drop(dropped)
@@ -371,10 +375,10 @@ class TestBatchSampler:
             (Fixed(5.0), Normal(20.0, 2.0)),
             (Normal(5.0, 2.0), Triangular(3.0, 5.0, 7.0)),
         ]
-        sampler = BatchSampler(seeds, user_ids, specs, CAPACITY)
+        sampler = BatchSampler(seeds, user_ids, specs, CAPACITY, 4)
         for n in range(1, 5):
             assert_draws_match(sampler, seeds, n, user_ids, specs)
-        assert len(redrawn) >= 10
+        assert sampler.redrawn == len(redrawn) >= 10
 
     @pytest.mark.parametrize(
         "spec",
@@ -386,7 +390,7 @@ class TestBatchSampler:
         # inf and 0*inf where the scalar reference raises first; a*R
         # overflows for about half of NORM(1.797e306, 2e305)'s draws
         seeds = list(range(8))
-        a, b, failed = BatchSampler(seeds, [1], [(spec, Fixed(20.0))], CAPACITY).draw(1)
+        a, b, failed = BatchSampler(seeds, [1], [(spec, Fixed(20.0))], CAPACITY, 1).draw(1)
         want = []
         for seed in seeds:
             try:
@@ -406,6 +410,71 @@ class TestBatchSampler:
         for row, state in enumerate(words):
             want = sampling._cell_rng(state.copy()).bit_generator.random_raw(2)
             assert outputs[:, row].tolist() == want.tolist()
+
+
+class TestBlocks:
+    """Rounds drawn a block at a time, against resample_user on numpy's
+    streams, cell for cell: a block holds whole rounds of at most
+    BLOCK_CELLS cells, ends at the cap and before the iteration's word count
+    changes, and loses the runs dropped while it is held."""
+
+    SEEDS, USER_IDS = [3, 2**64 + 1, 40, 2**130], [4, 6]
+    SPECS = [(Normal(15.0, 2.0), Normal(35.0, 2.0)), (Fixed(5.0), Triangular(3.0, 5.0, 7.0))]
+
+    def draw_rounds(self, sampler, iterations, seeds=SEEDS):
+        for n in iterations:
+            assert_draws_match(sampler, seeds, n, self.USER_IDS, self.SPECS)
+
+    def test_block_boundary_inside_a_run(self, monkeypatch):
+        # two rounds of 4 runs and 2 users per block: blocks 1-2, 3-4, 5
+        monkeypatch.setattr(sampling, "BLOCK_CELLS", 2 * 4 * 2 + 1)
+        sampler = BatchSampler(self.SEEDS, self.USER_IDS, self.SPECS, CAPACITY, 5)
+        self.draw_rounds(sampler, range(1, 6))
+        assert (sampler.blocks, sampler.cells) == (3, 5 * 4 * 2)
+
+    def test_cap_cuts_the_block_short(self):
+        sampler = BatchSampler(self.SEEDS, self.USER_IDS, self.SPECS, CAPACITY, 3)
+        self.draw_rounds(sampler, range(1, 4))
+        assert (sampler.blocks, sampler.cells) == (1, 3 * 4 * 2)
+        with pytest.raises(ValueError, match="outside"):
+            sampler.draw(4)
+
+    def test_runs_dropped_inside_a_block(self):
+        seeds = self.SEEDS
+        sampler = BatchSampler(seeds, self.USER_IDS, self.SPECS, CAPACITY, 6)
+        for n, dropped in ((1, [False, True, False, False]), (2, [True, False, False]), (4, [False, False])):
+            self.draw_rounds(sampler, [n], seeds)
+            sampler.drop(dropped)
+            seeds = [seed for seed, gone in zip(seeds, dropped) if not gone]
+        self.draw_rounds(sampler, [5, 6], seeds)
+        assert sampler.blocks == 1  # round 3 skipped; the block held round 4 on
+
+    def test_block_ends_before_the_iteration_takes_two_words(self):
+        first, cap = 2**32 - 3, 2**32 + 2
+        sampler = BatchSampler(self.SEEDS, self.USER_IDS, self.SPECS, CAPACITY, cap)
+        self.draw_rounds(sampler, range(first, 2**32))
+        assert (sampler.blocks, sampler.first, len(sampler.failed)) == (1, first, 3)
+        self.draw_rounds(sampler, range(2**32, cap + 1))
+        assert (sampler.blocks, sampler.first, len(sampler.failed)) == (2, 2**32, 3)
+
+    def test_iterations_of_two_word_counts_are_refused(self):
+        sampler = BatchSampler(self.SEEDS, self.USER_IDS, self.SPECS, CAPACITY, 2**32)
+        with pytest.raises(ValueError, match="one word count"):
+            sampler._cell_states([2**32 - 1, 2**32])
+
+    def test_a_batch_hashes_no_iteration_past_its_cap(self, monkeypatch):
+        # three rounds per block of 5 runs and 3 drawn users: blocks 1-3,
+        # 4-6 and 7, the last cut short by the cap
+        hashed = []
+
+        def recording(self, iterations, real=BatchSampler._cell_states):
+            hashed.extend(iterations)
+            return real(self, iterations)
+
+        monkeypatch.setattr(BatchSampler, "_cell_states", recording)
+        monkeypatch.setattr(sampling, "BLOCK_CELLS", 3 * 5 * 3)
+        run_replication(replace(preset("normal"), max_iterations=7), range(5))
+        assert hashed == list(range(1, 8))
 
 
 class TestZigguratTables:
