@@ -17,7 +17,9 @@ every run's price, convergence test and allocation.  One
 :class:`~rateauction.sampling.BatchSampler` draws a block of rounds' (a, b)
 for every live run and drawn user at once, as array arithmetic, bit for
 bit the draws of each cell's own generator, and serves each round from
-the block; a cell whose draw fails is drawn again, in its round, by the
+the block; where runs may stop early, the blocks start at one round and
+double, so that the sampler draws at most about twice the rounds the runs
+use.  A cell whose draw fails is drawn again, in its round, by the
 scalar reference, which names the error.  ``run`` is a batch
 of one, ``run_replication`` runs all its seeds together, and a run leaves
 the batch when it converges.  A result holds its rounds as arrays.
@@ -49,7 +51,7 @@ import numpy as np
 # on its stream_rng, looked up here by name
 from .sampling import BatchSampler, Fixed, ParamSpec, format_param_spec, is_stochastic, resample_user, stream_rng
 from .station import BidLedger
-from .ue import DEFAULT_RATE_TOL, LanePaths, solve_lanes, ue_step
+from .ue import DEFAULT_RATE_TOL, BisectionError, LanePaths, solve_lanes, ue_step
 from .utility import LogarithmicUtility, SigmoidalUtility
 
 logger = logging.getLogger(__name__)
@@ -247,7 +249,7 @@ def _raise_first_failure(scenario: Scenario, prices, a: np.ndarray, b: np.ndarra
             utility = next(sigmoid) if isinstance(spec, SigmoidalUserSpec) else spec.initial_utility(capacity)
             try:
                 ue_step(utility, price, capacity, tol)
-            except Exception as exc:
+            except (ValueError, BisectionError) as exc:  # what the solver raises by design
                 raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
 
 
@@ -262,6 +264,19 @@ def _raise_draw_failure(scenarios: list[Scenario], drawn, failed: np.ndarray, n:
     except ValueError as exc:  # a non-finite draw, or a*R
         raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
     raise AssertionError(f"user {uid}'s draw at iteration {n} failed only in the batch sampler")
+
+
+def _lane_layout(runs: int, sigmoid: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lanes of ``runs`` live runs: the sigmoid users' in run and user
+    order, then the logarithmic users'.  Returns each logarithmic lane's k,
+    each lane's run, and each (run, user)'s lane."""
+    n_sig, n_log = np.count_nonzero(sigmoid), len(k)
+    run_ids = np.arange(runs)
+    lane_run = np.concatenate((run_ids.repeat(n_sig), run_ids.repeat(n_log)))
+    lane_of = np.empty((runs, len(sigmoid)), dtype=int)
+    lane_of[:, sigmoid] = np.arange(runs * n_sig).reshape(runs, n_sig)
+    lane_of[:, ~sigmoid] = np.arange(runs * n_sig, len(lane_run)).reshape(runs, n_log)
+    return np.tile(k, runs), lane_run, lane_of
 
 
 def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResult]:
@@ -281,9 +296,11 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     a = np.tile([np.nan if s.is_stochastic else s.a.value for s in specs], (len(scenarios), 1))
     b = np.tile([np.nan if s.is_stochastic else s.b.value for s in specs], (len(scenarios), 1))
     k = np.array([first.users[i].k for i in log], dtype=float)
+    early_stop = first.early_stop_enabled
     if drawn:
         sampler = BatchSampler([s.seed for s in scenarios], [uid for _, uid, _ in drawn],
-                               [(spec.a, spec.b) for _, _, spec in drawn], capacity, first.max_iterations)
+                               [(spec.a, spec.b) for _, _, spec in drawn], capacity, first.max_iterations,
+                               growing=early_stop)
     ledger = BidLedger(capacity, first.delta)
     paths = LanePaths()
     live = np.arange(len(scenarios))
@@ -292,44 +309,40 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
     converged_at = np.zeros(len(scenarios), dtype=int)  # 0: not converged
     final_prices = np.empty(len(scenarios))
     final_rates = np.empty((len(scenarios), len(first.users)))
-    early_stop = first.early_stop_enabled
+    # rebuilt only when runs leave the batch
+    k_lanes, lane_run, lane_of = _lane_layout(len(scenarios), sigmoid, k)
     for n in range(1, first.max_iterations + 1):
         if drawn:
             drawn_a, drawn_b, failed = sampler.draw(n)
-            if failed.any():
+            if np.count_nonzero(failed):
                 _raise_draw_failure([scenarios[i] for i in live.tolist()], drawn, failed, n)
             a, b = a.copy(), b.copy()  # the kept rounds hold the old rows
             a[:, drawn_cols], b[:, drawn_cols] = drawn_a, drawn_b
             paths.clear()  # the recorded slopes belong to the old parameters
         try:
-            lanes = solve_lanes(
-                a.ravel(), b.ravel(), np.tile(k, len(live)),
-                np.concatenate((prices.repeat(len(sig)), prices.repeat(len(log)))),
-                capacity, solver_tol, paths,
-            )
-        except Exception:  # any failure: the scalar re-solve raises the precise error
+            lanes = solve_lanes(a.ravel(), b.ravel(), k_lanes, prices[lane_run], capacity, solver_tol, paths)
+        except (ValueError, BisectionError):  # the scalar re-solve raises the precise error
             _raise_first_failure(first, prices, a, b, n, solver_tol)
             raise
-        rates = np.empty((len(live), len(first.users)))
-        rates[:, sig] = lanes[: a.size].reshape(a.shape)
-        rates[:, log] = lanes[a.size :].reshape(len(live), len(log))
+        rates = lanes[lane_of]
         bids = prices[:, None] * rates
         rounds.append((live, prices, rates, bids, a, b))
         ledger.ingest(bids)
         prices = ledger.compute_price()
         done = ledger.check_convergence() if early_stop else np.zeros(len(live), dtype=bool)
-        converged_at[live[done]] = n
-        done |= n == first.max_iterations
-        if done.any():
+        if n == first.max_iterations or np.count_nonzero(done):
+            converged_at[live[done]] = n
+            done |= n == first.max_iterations
             final_prices[live[done]] = prices[done]
             final_rates[live[done]] = ledger.allocate_rates(prices)[done]
             ledger.drop(done)
-            paths.drop(np.concatenate((done.repeat(len(sig)), done.repeat(len(log)))))
+            paths.drop(done[lane_run])
             if drawn:
                 sampler.drop(done)
             live, prices, a, b = live[~done], prices[~done], a[~done], b[~done]
             if not live.size:
                 break
+            k_lanes, lane_run, lane_of = _lane_layout(len(live), sigmoid, k)
     drew = (sampler.blocks, sampler.cells, sampler.redrawn) if drawn else (0, 0, 0)
     logger.debug("lane solve: %d levels walked, %d compared; sampler: %d blocks, %d cells, %d redrawn",
                  paths.walked, paths.compared, *drew)

@@ -397,7 +397,10 @@ class BatchSampler:
     served from the block held.  A block holds whole rounds, at least one,
     of at most BLOCK_CELLS cells; it ends at the batch's iteration cap, and
     before the iteration's word count changes, since the spawn key's words
-    set the hash constants of the words after them.
+    set the hash constants of the words after them.  A ``growing`` sampler,
+    for a batch whose runs may stop early, starts with a block of one round
+    and doubles the rounds of each block after it, so that it draws at most
+    about twice the rounds its runs use.
 
     Every cell of a block is derived at once.  Each seed's pool is numpy's
     ``SeedSequence(seed).pool``, built once per batch; the rest of the hash
@@ -413,11 +416,12 @@ class BatchSampler:
     cells, and the cells redrawn off the fast path.
     """
 
-    def __init__(self, seeds, user_ids, specs, capacity: float, cap: int) -> None:
+    def __init__(self, seeds, user_ids, specs, capacity: float, cap: int, growing: bool = False) -> None:
         """``specs`` holds each user's (a_spec, b_spec), at least one of
         them drawn; ``cap`` is the last iteration the batch draws."""
         self.capacity = capacity
         self.cap = cap
+        self.growing = growing
         self.specs = specs
         halves = list(zip(*specs))
         self.normal = np.array([[isinstance(s, Normal) for s in h] for h in halves])[:, None]
@@ -489,7 +493,10 @@ class BatchSampler:
         if not 0 <= first <= self.cap:
             raise ValueError(f"iteration {first} is outside the batch's 0..{self.cap}")
         runs, users = self.pool.shape[0], len(self.specs)
-        stop = min(first + max(1, BLOCK_CELLS // (runs * users)), self.cap + 1, 2 ** (32 * _word_count(first)))
+        rounds = max(1, BLOCK_CELLS // (runs * users))
+        if self.growing:
+            rounds = min(rounds, 2**self.blocks)
+        stop = min(first + rounds, self.cap + 1, 2 ** (32 * _word_count(first)))
         # rounds and runs flattened into one axis of rows
         state = self._cell_states(range(first, stop)).reshape(-1, users, PCG64_STATE_WORDS)
         outputs = _pcg64_outputs(state, 2 if self.second.any() else 1)

@@ -33,7 +33,7 @@ class BidLedger:
     def ingest(self, bids) -> None:
         """Replace the current bids with a new round, keeping the old round."""
         bids = np.array(bids, dtype=float)
-        if (bids < 0).any():
+        if np.count_nonzero(bids < 0):
             row, i = np.argwhere(bids < 0)[0].tolist()
             raise ValueError(f"user {i + 1} sent negative bid {bids[row, i]}")
         self.previous, self.current = self.current, bids
@@ -41,12 +41,13 @@ class BidLedger:
     def compute_price(self) -> np.ndarray:
         """Shadow price of every run = sum of its current bids / capacity.
 
-        Each row sums sequentially in user order (``cumsum``, not numpy's
-        pairwise ``sum``), so the price does not depend on how numpy or
-        Python chooses to reduce.
+        Each row sums sequentially in user order (``add.accumulate``, which
+        is ``cumsum`` without its method wrapper, not numpy's pairwise
+        ``sum``), so the price does not depend on how numpy or Python
+        chooses to reduce.
         """
-        totals = self.current.cumsum(axis=1)[:, -1]
-        if not totals.min() > 0:
+        totals = np.add.accumulate(self.current, axis=1)[:, -1]
+        if np.count_nonzero(totals > 0) < len(totals):
             raise DegenerateBidsError("all current bids of a run are zero")
         return totals / self.capacity
 

@@ -3,10 +3,11 @@
 One CSV row per (iteration, user) with nine-significant-digit numbers,
 followed by a commented summary block.  Output is byte-stable: the same
 run always renders the same file.  Rows are rendered from the result's
-arrays in blocks of whole rounds, with one ``%`` operation per block.  What
-a run holds constant is printed once: the user ids, and a sigmoid user's a
-or b that every round shares, into the row template; the price once per
-round.
+arrays in blocks of whole rounds, with one ``%`` operation per block, over
+one float matrix of rates, bids and the a and b that vary.  What a run holds
+constant is printed once: the user ids, and a sigmoid user's a or b that
+every round shares, into the row template; the iteration and the price once
+per round, into that round's copy of the template.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .engine import RunResult
 
 TRACE_HEADER = "iteration,user_id,price,rate,bid,a,b"
 BLOCK_ROWS = 16384  # rows per block, rounded down to whole rounds (at least one)
+ITERATION, PRICE = "\x00", "\x01"  # where a round's rows take its iteration and price
 
 
 def format_number(x: float) -> str:
@@ -37,21 +39,25 @@ def _blocks(result: RunResult):
     fields = [("", "")] * users
     for uid, vary, first in zip(np.flatnonzero(sig).tolist(), varying.tolist(), params[0].tolist()):
         fields[uid] = ["%.9g" if v else format_number(x) for v, x in zip(vary, first)]
-    # one round's rows; the iteration and the price, formatted once per
-    # round, fill its %s fields
-    template = "".join(f"%s,{uid},%s,%.9g,%.9g,{a},{b}\n" for uid, (a, b) in enumerate(fields, start=1))
-    filled = np.ones((users, 6), dtype=bool)  # iteration, price, rate, bid, a, b
-    filled[~sig, 4:] = False
-    filled[sig, 4:] = varying
+    # one round's rows; the iteration and the price go in as text, once per
+    # round, at two marker characters, so the % fills floats only
+    template = "".join(
+        f"{ITERATION},{uid},{PRICE},%.9g,%.9g,{a},{b}\n" for uid, (a, b) in enumerate(fields, start=1)
+    )
+    filled = np.ones((users, 4), dtype=bool)  # rate, bid, a, b
+    filled[~sig, 2:] = False
+    filled[sig, 2:] = varying
     step = max(1, BLOCK_ROWS // users)
     for lo in range(0, rounds, step):
         hi = min(lo + step, rounds)
-        values = np.empty((hi - lo, users, 6), dtype=object)
-        values[..., 0] = np.arange(lo + 1, hi + 1)[:, None]
-        values[..., 1] = np.array(list(map(format_number, result.prices[lo:hi].tolist())), dtype=object)[:, None]
-        values[..., 2], values[..., 3] = result.rates[lo:hi], result.bids[lo:hi]
-        values[:, sig, 4:] = params[lo:hi]
-        yield template * (hi - lo) % tuple(values[:, filled].ravel().tolist())
+        values = np.empty((hi - lo, users, 4))
+        values[..., 0], values[..., 1] = result.rates[lo:hi], result.bids[lo:hi]
+        values[:, sig, 2:] = params[lo:hi]
+        rows = "".join(
+            template.replace(ITERATION, str(n)).replace(PRICE, format_number(price))
+            for n, price in enumerate(result.prices[lo:hi].tolist(), start=lo + 1)
+        )
+        yield rows % tuple(values[:, filled].ravel().tolist())
     lines = [
         f"# stop_reason,{result.stop_reason}",
         f"# converged_at,{result.converged_at if result.converged_at is not None else ''}",

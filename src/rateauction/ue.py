@@ -12,8 +12,14 @@ no matter how high the price.
 
 :func:`solve_rate` solves one UE and :func:`ue_step` adds its bid;
 :func:`solve_lanes` solves many at once with the same float operations,
-one array element (a *lane*) per UE.  Given a :class:`LanePaths`, it
-replays each lane's last bisection path first.  A level's midpoint depends
+one array element (a *lane*) per UE.  The slope formulas live in
+:mod:`rateauction.utility`: :func:`solve_rate` calls the guarded
+``log_slope`` at each step, and :func:`solve_lanes` calls the unguarded
+kernels at each level and then checks the domain guards once, over every
+midpoint it evaluated, so both raise the same ``RateDomainError``.
+
+Given a :class:`LanePaths`, :func:`solve_lanes` replays each lane's last
+bisection path first.  A level's midpoint depends
 only on ``tol``, ``capacity`` and the decisions above it, so levels whose
 decisions still hold at the new price are the levels a fresh walk would
 visit, and the slope recorded at each is what the same float operations
@@ -28,10 +34,25 @@ from typing import Optional
 
 import numpy as np
 
-from .utility import UtilityFunction, logarithmic_log_slope, sigmoid_log_slope
+from .utility import (
+    UtilityFunction,
+    check_logarithmic_rate,
+    check_sigmoid_rate,
+    logarithmic_slope,
+    sigmoid_slope,
+)
 
 DEFAULT_RATE_TOL = 1e-6
 MAX_BISECTION_STEPS = 200
+
+# A 0-d array operand, not a Python float: numpy converts a Python or
+# numpy scalar operand on every ufunc call.
+HALF = np.array(0.5)
+HALF.flags.writeable = False
+# rows of a bracket, lo then hi: a lane's midpoint replaces lo where its
+# slope is at least the price, and hi where it is below
+MOVES_LO = np.array([[True], [False]])
+MOVES_LO.flags.writeable = False
 
 
 class BisectionError(RuntimeError):
@@ -102,56 +123,60 @@ class LanePaths:
         self.walked = 0
         self.compared = 0
         self.bracket: Optional[tuple[float, float]] = None  # (capacity, tol) of the paths
-        self.mids = self.slopes = self.moves = None  # (level, lane): midpoint, slope there, slope >= price
+        # (level, lane): midpoint, slope there, slope >= price, and whether
+        # the level is on the lane's path (the lane was active there)
+        self.mids = self.slopes = self.moves = self.on = None
         self.clear()
 
     def clear(self) -> None:
         """Forget every path, keeping the buffers: the next solve walks each lane from level 0."""
-        self.depth: Optional[np.ndarray] = None  # per lane: levels on its path
+        self.top: Optional[int] = None  # levels recorded, every path within them
         self.at_capacity: Optional[np.ndarray] = None  # per lane: the slope at capacity
 
     def drop(self, lanes) -> None:
         """Remove the lanes marked in the boolean mask ``lanes``."""
-        if self.depth is not None:
+        if self.top is not None:
             keep = ~np.asarray(lanes, dtype=bool)
-            kept = (x[..., keep] for x in (self.mids, self.slopes, self.moves, self.depth, self.at_capacity))
-            self.mids, self.slopes, self.moves, self.depth, self.at_capacity = kept
+            kept = (x[..., keep] for x in (self.mids, self.slopes, self.moves, self.on, self.at_capacity))
+            self.mids, self.slopes, self.moves, self.on, self.at_capacity = kept
 
     def _replay(self, price, clamped, lo, hi) -> int:
         """The level at which the walk resumes: below the first level at which
         any lane's decision flips, or past every path if none flips.  Takes
         the flipped decisions, and narrows ``lo`` and ``hi`` to each lane's
         bracket at that level."""
-        if self.depth is None:
+        top = self.top
+        if top is None:
             if self.mids is None or self.mids.shape[1] != len(price):
                 self.mids, self.slopes = np.empty((2, MAX_BISECTION_STEPS, len(price)))
                 self.moves = np.empty(self.mids.shape, dtype=bool)
-            self.depth = np.zeros(len(price), dtype=int)
+                self.on = np.empty((MAX_BISECTION_STEPS + 1, len(price)), dtype=bool)
+            return 0
+        if not top:
             return 0
         # a clamped lane walks no path: once it leaves the clamp, the walk
         # starts again from level 0
-        self.depth = depth = np.where(clamped, 0, self.depth)
-        if np.count_nonzero(~clamped & (depth == 0)):
+        on_path = np.greater(self.on[:top], clamped, out=self.on[:top])
+        if np.count_nonzero(on_path[0]) + np.count_nonzero(clamped) != len(price):
             return 0
-        on_path = np.arange(depth.max(initial=0))[:, None] < depth
         # a walk writes every lane into each row it reaches, so each slope
         # on a path is the one its midpoint gives with these parameters
-        flips = np.greater_equal(self.slopes[: len(on_path)], price)
-        flips ^= self.moves[: len(on_path)]
+        flips = np.greater_equal(self.slopes[:top], price)
+        flips ^= self.moves[:top]
         flips &= on_path
-        self.compared += len(on_path)
-        flipped = np.flatnonzero(flips)  # row-major: the first is on the first flipped level
-        level = len(on_path)
-        if len(flipped):
-            level = int(flipped[0]) // len(price)
+        self.compared += top
+        first = int(flips.argmax())  # row-major: on the first flipped level
+        level = top
+        if flips.item(first):
+            level = first // len(price)
             self.moves[level] ^= flips[level]
             level += 1
         # lo only rises and hi only falls along a path, so a lane's bracket
         # is the last midpoint each decision moved to
-        if level:
-            mids, moves, before = self.mids[:level], self.moves[:level], on_path[:level]
-            np.maximum(lo, mids.max(axis=0, where=before & moves, initial=-np.inf), out=lo)
-            np.minimum(hi, mids.min(axis=0, where=before & ~moves, initial=np.inf), out=hi)
+        mids, before = self.mids[:level], on_path[:level]
+        ups = before & self.moves[:level]
+        np.maximum.reduce(np.where(ups, mids, lo), axis=0, out=lo)
+        np.minimum.reduce(np.where(before ^ ups, mids, hi), axis=0, out=hi)
         return level
 
 
@@ -166,15 +191,19 @@ def solve_lanes(
     performs the float operations of :func:`solve_rate` -- the clamp at
     ``capacity``, ``mid = 0.5*(lo + hi)``, ``slope >= price`` -- and a lane
     stops moving once its bracket is within ``tol``, so every lane equals
-    its own :func:`solve_rate` bit for bit.  Raises :class:`BisectionError`
-    when any lane needs more than ``MAX_BISECTION_STEPS`` steps.
+    its own :func:`solve_rate` bit for bit.  Raises
+    :class:`~rateauction.utility.RateDomainError` when a lane's slope is
+    undefined at ``capacity`` or at any midpoint the walk evaluated, and
+    otherwise :class:`BisectionError` when any lane needs more than
+    ``MAX_BISECTION_STEPS`` steps; a solve that raises leaves ``paths``
+    empty.
 
     ``paths`` holds each lane's path from a solve with the same ``a``, ``b``
     and ``k``, and takes the new paths; ``clear()`` it when any of them
     changes, or its recorded slopes give wrong rates and raise nothing.
     """
     price = np.asarray(price, dtype=float)
-    if not np.all(price > 0):
+    if np.count_nonzero(price > 0) != price.size:
         raise ValueError(f"every price must be > 0, got {price}")
     if not capacity > 0:
         raise ValueError(f"capacity must be > 0, got {capacity}")
@@ -188,53 +217,65 @@ def solve_lanes(
 
     # Basic slices keep both families' views contiguous and copy-free.
     s = len(a)
+    neg_a = -a
     at_capacity = paths.at_capacity
     if at_capacity is None:
+        check_sigmoid_rate(a, capacity)
+        check_logarithmic_rate(k, capacity)
         at_capacity = np.empty_like(price)
-        sigmoid_log_slope(a, b, capacity, out=at_capacity[:s])
-        logarithmic_log_slope(k, capacity, out=at_capacity[s:])
+        sigmoid_slope(a, neg_a, b, capacity, out=at_capacity[:s])
+        logarithmic_slope(k, capacity, out=at_capacity[s:])
     elif len(at_capacity) != len(price):
         raise ValueError(f"paths hold {len(at_capacity)} lanes, the solve has {len(price)}")
     clamped = at_capacity >= price
-    # A clamped lane starts as the bracket [capacity, capacity]: never
-    # active, and its midpoint is capacity exactly.
-    lo = np.where(clamped, capacity, tol)
-    hi = np.full_like(price, capacity)
+    # Each lane's bracket, rows lo and hi.  A clamped lane starts as
+    # [capacity, capacity]: never active, and its midpoint is capacity exactly.
+    bracket = np.where(clamped, capacity, np.array([[tol], [capacity]]))
+    lo, hi = bracket
     resume = paths._replay(price, clamped, lo, hi)
     # The walk writes each level's midpoints, slopes and decisions into the paths.
-    mids, slopes, moves = paths.mids[resume:], paths.slopes[resume:], paths.moves[resume:]
-    actives = np.empty((len(mids) + 1, len(price)), dtype=bool)
+    mids, slopes, moves, actives = paths.mids[resume:], paths.slopes[resume:], paths.moves[resume:], paths.on[resume:]
     rows = zip(mids, mids[:, :s], mids[:, s:], slopes, slopes[:, :s], slopes[:, s:], moves, actives[1:])
-    move = np.empty(price.shape, dtype=bool)
+    moved_to = np.empty(bracket.shape, dtype=bool)
     width = np.subtract(hi, lo)
-    active = np.greater(width, tol, out=actives[0])
-    depth, paths.depth, paths.at_capacity = paths.depth, None, None  # a walk that raises leaves no paths
+    tol_array = np.array(tol)
+    active = np.greater(width, tol_array, out=actives[0])
+    paths.top = paths.at_capacity = None  # a walk that raises leaves no paths
     level = resume
-    while np.count_nonzero(active):
-        if level >= MAX_BISECTION_STEPS:
-            raise BisectionError(
-                f"no convergence after {MAX_BISECTION_STEPS} bisection steps in "
-                f"{np.count_nonzero(active)} lane(s) (capacity={capacity}, tol={tol})"
-            )
-        mid, mid_sig, mid_log, slope, slope_sig, slope_log, moved, next_active = next(rows)
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        sigmoid_log_slope(a, b, mid_sig, out=slope_sig)
-        logarithmic_log_slope(k, mid_log, out=slope_log)
-        np.greater_equal(slope, price, out=moved)
-        np.logical_and(moved, active, out=move)
-        np.copyto(lo, mid, where=move)
-        np.not_equal(active, move, out=move)  # active lanes whose slope fell below price
-        np.copyto(hi, mid, where=move)
-        np.subtract(hi, lo, out=width)
-        active = np.greater(width, tol, out=next_active)
-        level += 1
-    # a lane's path ends where it stopped: before the walk, or in it
-    paths.depth = np.minimum(depth, resume) + actives[: level - resume].sum(axis=0)
-    paths.at_capacity = at_capacity
+    # The slope kernels are unguarded, and a lane outside their domain
+    # divides by zero or overflows: quietly here, since the guards below
+    # raise for it.
+    with np.errstate(divide="ignore", over="ignore"):
+        while level < MAX_BISECTION_STEPS and np.count_nonzero(active):
+            mid, mid_sig, mid_log, slope, slope_sig, slope_log, moved, next_active = next(rows)
+            np.add(lo, hi, out=mid)
+            mid *= HALF
+            sigmoid_slope(a, neg_a, b, mid_sig, out=slope_sig)
+            logarithmic_slope(k, mid_log, out=slope_log)
+            np.greater_equal(slope, price, out=moved)
+            np.equal(moved, MOVES_LO, out=moved_to)
+            moved_to &= active
+            np.copyto(bracket, mid, where=moved_to)
+            np.subtract(hi, lo, out=width)
+            active = np.greater(width, tol_array, out=next_active)
+            level += 1
+    # The domain guards, once over every midpoint the walk evaluated: the
+    # solve raises where a guarded slope at each level would have, and
+    # before the step cap.
+    walked = paths.mids[resume:level]
+    check_sigmoid_rate(a, walked[:, :s])
+    check_logarithmic_rate(k, walked[:, s:])
+    if level == MAX_BISECTION_STEPS and np.count_nonzero(active):
+        raise BisectionError(
+            f"no convergence after {MAX_BISECTION_STEPS} bisection steps in "
+            f"{np.count_nonzero(active)} lane(s) (capacity={capacity}, tol={tol})"
+        )
+    # every path ends within the levels walked: a lane's path ends where it
+    # stopped, before the walk or in it
+    paths.top, paths.at_capacity = level, at_capacity
     paths.walked += level - resume
     rates = np.add(lo, hi, out=width)
-    rates *= 0.5
+    rates *= HALF
     return rates
 
 

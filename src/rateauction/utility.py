@@ -14,6 +14,15 @@ or numpy arrays and are written so that no large exponential is ever
 formed: the textbook sigmoid normalization needs ``exp(a*b)``, which
 overflows float64 already for ``a*b > ~710`` while realistic parameter
 sets reach ``a*b = 300``.
+
+Each family's marginal log-utility d(log U)/dr has one home, an unguarded
+kernel (:func:`sigmoid_slope`, :func:`logarithmic_slope`), and its domain
+guard, which raises :class:`RateDomainError` where U underflows to zero
+(:func:`check_sigmoid_rate`, :func:`check_logarithmic_rate`).  The guarded
+:func:`sigmoid_log_slope` and :func:`logarithmic_log_slope`, and through
+them the ``log_slope`` methods and the scalar solver, run the guard and
+then the kernel; the lane solver runs the kernels at every bisection level
+and the guards once per solve.
 """
 
 from __future__ import annotations
@@ -25,38 +34,76 @@ import numpy as np
 from scipy.special import expit
 
 SMALLEST_NORMAL = np.finfo(float).tiny
+# A 0-d array operand, not a Python float: numpy converts a Python or numpy
+# scalar operand on every ufunc call, which costs about half the call again.
+ONE = np.array(1.0)
+ONE.flags.writeable = False
 
 
 class RateDomainError(ValueError):
     """log-utility is undefined: U(r) underflows to zero at the given rate."""
 
 
-def sigmoid_log_slope(a, b, r, out=None):
-    """d(log U)/dr of the sigmoidal family, elementwise over a, b and r.
-
-    The single home of the formula and its domain guard: the utility
-    method and the lane solver both call it, so a scalar solve and a lane
-    solve perform the same float operations.  It writes into ``out`` if given."""
-    neg_a = -a
-    x = neg_a * r
-    decay = -np.expm1(x)
-    # count_nonzero, not np.any: the guard runs on every evaluation, and
-    # np.any's reduction costs several times the formula on small inputs;
-    # below the smallest normal float, exp(x) / decay overflows
-    if np.count_nonzero(decay < SMALLEST_NORMAL):
+def check_sigmoid_rate(a, r) -> None:
+    """Raise :class:`RateDomainError` where the sigmoidal log-slope is
+    undefined: ``1 - exp(-a*r)`` below the smallest normal float, where
+    :func:`sigmoid_slope`'s quotient overflows."""
+    # count_nonzero, not np.any: np.any's reduction costs several times the
+    # formula on small inputs; expm1(x) > -tiny is 1 - exp(x) < tiny exactly
+    if np.count_nonzero(np.expm1(-a * r) > -SMALLEST_NORMAL):
         raise RateDomainError(f"log-slope undefined: a*r underflows for a={a}, r={r}")
-    slope = np.exp(x) / decay + expit(neg_a * (r - b))
+
+
+def check_logarithmic_rate(k, r) -> None:
+    """Raise :class:`RateDomainError` where the logarithmic log-slope is
+    undefined: ``log(1 + k*r)`` rounds to zero."""
+    if np.count_nonzero(np.log1p(k * r) <= 0.0):
+        raise RateDomainError(f"log-slope undefined: k*r underflows for k={k}, r={r}")
+
+
+def sigmoid_slope(a, neg_a, b, r, out=None):
+    """d(log U)/dr of the sigmoidal family, unguarded, elementwise over a, b
+    and r, with ``neg_a = -a``; into ``out`` if given.
+
+    The single home of the formula: ``a * (exp(x)/(1 - exp(x)) +
+    expit(-a*(r - b)))`` with ``x = -a*r``, evaluated as
+    ``a * (expit(-a*(r - b)) - exp(x)/expm1(x))``, which is the same value
+    bit for bit (IEEE division and negation commute).  Where
+    :func:`check_sigmoid_rate` would raise, the quotient divides by zero or
+    overflows."""
+    x = neg_a * r
+    quotient = np.exp(x)
+    quotient /= np.expm1(x)
+    slope = r - b
+    slope *= neg_a
+    slope = expit(slope)
+    slope -= quotient
     return np.multiply(a, slope, out=out)
 
 
-def logarithmic_log_slope(k, r, out=None):
-    """d(log U)/dr of the logarithmic family, elementwise over k and r (into ``out``)."""
+def logarithmic_slope(k, r, out=None):
+    """d(log U)/dr = k / ((1 + k*r) * log(1 + k*r)) of the logarithmic
+    family, unguarded, elementwise over k and r; into ``out`` if given.
+    Where :func:`check_logarithmic_rate` would raise, it divides by zero."""
     kr = k * r
-    growth = np.log1p(kr)
-    if np.count_nonzero(growth <= 0.0):
-        raise RateDomainError(f"log-slope undefined: k*r underflows for k={k}, r={r}")
-    scale = (1.0 + kr) * growth
+    scale = np.log1p(kr)
+    kr += ONE
+    scale *= kr
     return np.divide(k, scale, out=out)
+
+
+def sigmoid_log_slope(a, b, r, out=None):
+    """d(log U)/dr of the sigmoidal family, elementwise over a, b and r
+    (into ``out``): :func:`check_sigmoid_rate`, then :func:`sigmoid_slope`."""
+    check_sigmoid_rate(a, r)
+    return sigmoid_slope(a, -a, b, r, out)
+
+
+def logarithmic_log_slope(k, r, out=None):
+    """d(log U)/dr of the logarithmic family, elementwise over k and r (into
+    ``out``): :func:`check_logarithmic_rate`, then :func:`logarithmic_slope`."""
+    check_logarithmic_rate(k, r)
+    return logarithmic_slope(k, r, out)
 
 
 @dataclass(frozen=True)

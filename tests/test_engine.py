@@ -4,6 +4,7 @@ conditions, determinism, and the fixed-point identities."""
 import logging
 import re
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 import rateauction.engine
 import rateauction.sampling
+import rateauction.ue
+import rateauction.utility
 from rateauction import (
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
@@ -347,6 +350,17 @@ class TestSamplerCounts:
     def test_fixed_batches_draw_nothing(self, caplog):
         assert batch_counts(caplog, lambda: run(preset("fixed")))[2:] == (0, 0, 0)
 
+    def test_early_stop_draws_at_most_twice_the_cells_used(self, caplog):
+        # every run stops by round 21 of 200; blocks of 1, 2, 4, 8 and 16
+        # rounds draw 3,378 cells where one block would draw 16,350
+        scenario = replace(preset("normal"), allow_early_stop=True, delta=0.5, max_iterations=200)
+        results = []
+        counts = batch_counts(caplog, lambda: results.extend(run_replication(scenario, range(50))))
+        used = sum(r.iterations for r in results) * 3
+        assert max(r.iterations for r in results) < 200
+        assert counts[2] == 5
+        assert counts[3] <= 2 * used
+
 
 class TestErrorContext:
     def test_solver_failure_names_user_and_iteration(self):
@@ -362,6 +376,42 @@ class TestErrorContext:
             "user 1 failed at iteration 1: no convergence after 200 bisection steps "
             "(price=1.0, capacity=100.0, tol=1e-20)"
         )
+
+    def test_deep_domain_failure_names_user_with_the_scalar_message(self):
+        # users 2 and 3 clamp at R, so the price doubles every round; user 1's
+        # root falls below 0.022, where a*r underflows, in round 7
+        from rateauction import SimulationError
+
+        users = (
+            SigmoidalUserSpec(a=Fixed(1e-306), b=Fixed(50.0)),
+            SigmoidalUserSpec(a=Fixed(1e10), b=Fixed(100.0)),
+            SigmoidalUserSpec(a=Fixed(1e10), b=Fixed(100.0)),
+        )
+        scenario = Scenario(capacity=100.0, delta=1e-6, max_iterations=50, seed=0, users=users)
+        with pytest.raises(SimulationError) as info:
+            run(scenario)
+        assert str(info.value) == (
+            "user 1 failed at iteration 7: log-slope undefined: a*r underflows for a=1e-306, r=0.012208031127929687"
+        )
+
+    def test_a_warning_raised_as_an_error_is_not_a_simulation_error(self, monkeypatch):
+        # only the solver's own errors name a user; a warning turned into an
+        # error propagates as itself, from the lane solve and from the
+        # scalar reference alike
+        from rateauction import SimulationError
+
+        def warning_slope(*args, **kwargs):
+            warnings.warn("overflow in a slope kernel", RuntimeWarning)
+            return slope(*args, **kwargs)
+
+        slope = rateauction.utility.sigmoid_slope
+        monkeypatch.setattr(rateauction.ue, "sigmoid_slope", warning_slope)
+        monkeypatch.setattr(rateauction.utility, "sigmoid_slope", warning_slope)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow in a slope kernel") as info:
+                run(preset("fixed"))
+        assert not isinstance(info.value, SimulationError)
 
     def test_replication_failure_names_user_and_iteration(self):
         from rateauction import SimulationError

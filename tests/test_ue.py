@@ -1,5 +1,6 @@
 """UE subproblem tests: bisection solve, lane solve, and the single-round step."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from rateauction import (
     BidLedger,
     BisectionError,
     LogarithmicUtility,
+    RateDomainError,
     SigmoidalUtility,
     preset,
     run,
@@ -168,6 +170,30 @@ class TestSolveLanes:
         with pytest.raises(BisectionError, match="200 bisection steps"):
             solve_lanes(np.array([15.0]), np.array([20.0]), np.array([1.0]), np.full(2, 1.0), R, 1e-20)
 
+    def test_guard_failing_only_at_deep_midpoints_raises(self):
+        # a*r underflows below r = 0.022 for a = 1e-306: the guard passes at
+        # R and at the walk's first levels, and fails about 13 levels down,
+        # on the way to the root near 1e-5; the walk's divisions by a
+        # subnormal warn nothing, and the solve leaves no paths
+        lanes = np.array([1e-306]), np.array([50.0]), np.empty(0)
+        paths = LanePaths()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_lanes(*lanes, np.array([1.0]), R, TOL, paths)[0] < R
+            with pytest.raises(RateDomainError, match="a\\*r underflows"):
+                solve_lanes(*lanes, np.array([1e5]), R, TOL, paths)
+        assert paths.top is None and paths.at_capacity is None
+        with pytest.raises(RateDomainError):
+            solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1e5, R)
+
+    def test_guard_comes_before_the_step_cap(self):
+        # the sigmoid lane's root lies where the float spacing exceeds tol,
+        # so it would walk into the step cap; the log lane's k*r underflows
+        # about 50 levels down, where a guarded walk stops
+        lanes = np.array([15.0]), np.array([20.0]), np.array([1e-310])
+        with pytest.raises(RateDomainError, match="k\\*r underflows"):
+            solve_lanes(*lanes, np.array([1.0, 1e15]), R, 1e-20)
+
 
 # One round of price moves: every price drifts by a relative 1e-9 to 1 in
 # either direction, a share of the lanes jumps by up to 1e±6 (across the
@@ -270,11 +296,12 @@ class TestLanePaths:
 
 class TestSlopeCalls:
     """A solve with paths takes no slope a path has recorded: replayed
-    levels and the clamp test at capacity reuse the recorded slopes."""
+    levels and the clamp test at capacity reuse the recorded slopes.  The
+    lane solve evaluates slopes through the unguarded kernels only."""
 
     @staticmethod
     def count_calls(monkeypatch) -> dict[str, int]:
-        calls = {"sigmoid_log_slope": 0, "logarithmic_log_slope": 0}
+        calls = {"sigmoid_slope": 0, "logarithmic_slope": 0}
         for name in calls:
             def counted(*args, _name=name, _slope=getattr(rateauction.ue, name), **kwargs):
                 calls[_name] += 1
@@ -290,7 +317,7 @@ class TestSlopeCalls:
         first = solve_lanes(*lanes, price, R, TOL, paths)
         calls = self.count_calls(monkeypatch)
         again = solve_lanes(*lanes, price, R, TOL, paths)
-        assert calls == {"sigmoid_log_slope": 0, "logarithmic_log_slope": 0}
+        assert calls == {"sigmoid_slope": 0, "logarithmic_slope": 0}
         assert again.tobytes() == first.tobytes()
         assert again[3] == R
 
@@ -298,7 +325,7 @@ class TestSlopeCalls:
         calls = self.count_calls(monkeypatch)
         run(replace(preset("fixed"), delta=1e-6, max_iterations=200))
         # 1,165 walked levels and the first round's clamp test
-        assert calls == {"sigmoid_log_slope": 1166, "logarithmic_log_slope": 1166}
+        assert calls == {"sigmoid_slope": 1166, "logarithmic_slope": 1166}
 
 
 class TestComputeBid:
