@@ -26,12 +26,14 @@ the batch when it converges.  A result holds its rounds as arrays.
 
 A batch keeps one :class:`~rateauction.ue.LanePaths`: each lane's last
 bisection path, which the next round's solve replays exactly, walking on
-only below the first flipped decision.  A run that leaves the batch drops
-its lanes' paths and its sampler row with its ledger row.  A batch with a
-drawn user forgets every path each round, since the slopes a path records
-belong to the parameters that walked it.  One DEBUG line per batch reports
-the levels walked, the recorded levels the replays compared, and the
-sampler's blocks, cells and cells redrawn off the ziggurat's fast path.
+only below the first flipped decision.  A batch with a drawn user forgets
+every path each round, since the slopes a path records belong to the
+parameters that walked it.  A run that leaves the batch drops its sampler
+row with its ledger row, and the paths are forgotten: runs with no drawn
+user differ only in their seed, so they are identical and leave together.
+One DEBUG line per batch reports the levels walked, the recorded levels
+the replays compared, and the sampler's blocks, cells and cells redrawn
+off the ziggurat's fast path.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -336,7 +338,7 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
             final_prices[live[done]] = prices[done]
             final_rates[live[done]] = ledger.allocate_rates(prices)[done]
             ledger.drop(done)
-            paths.drop(done[lane_run])
+            paths.clear()
             if drawn:
                 sampler.drop(done)
             live, prices, a, b = live[~done], prices[~done], a[~done], b[~done]

@@ -31,7 +31,7 @@ import math
 import operator
 import re
 from dataclasses import astuple, dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -269,23 +269,9 @@ def stream_rng(seed: int, iteration: int, user_id: int) -> np.random.Generator:
 # PCG64 (O'Neill 2014) on the (high, low) uint64 limbs of its 128-bit
 # state: each output steps the LCG, state * MULT + inc, then applies XSL-RR
 # to the new state.  Seeding with the initial state `init` steps from state
-# 0, adds `init`, and steps again, so the state of output j (from 1) is
-# (inc + init) * MULT**(j+1) + inc * (1 + MULT + ... + MULT**j): two
-# products by constants, for every output at once.
+# 0, which gives inc, adds `init`, and steps again.
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-MAX_OUTPUTS = 2  # a cell's a and b on their fast paths
 _LOW32, _LOW64 = np.uint64(2**32 - 1), 2**64 - 1
-
-
-def _jump_factors(j: int) -> tuple[int, int]:
-    powers = [pow(PCG64_MULT, i, 2**128) for i in range(j + 2)]
-    return powers[j + 1], sum(powers[: j + 1]) % 2**128
-
-
-# (output, factor, limb): output j's factors of (inc + init) and of inc
-_JUMPS = np.array(
-    [[(f >> 64, f & _LOW64) for f in _jump_factors(j)] for j in range(1, MAX_OUTPUTS + 1)], dtype=np.uint64
-)
 
 
 def _mul_high(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -301,6 +287,12 @@ def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     return a_hi + b_hi + (lo < b_lo), lo
 
 
+def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One LCG step, state * PCG64_MULT + inc mod 2**128, on the limbs."""
+    m_hi, m_lo = np.uint64(PCG64_MULT >> 64), np.uint64(PCG64_MULT & _LOW64)
+    return _add128(_mul_high(lo, m_lo) + lo * m_hi + hi * m_lo, lo * m_lo, inc_hi, inc_lo)
+
+
 def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """The high and low halves xored, rotated right by the top 6 bits."""
     x, rot = hi ^ lo, hi >> 58
@@ -312,16 +304,14 @@ def _pcg64_outputs(state: np.ndarray, count: int) -> np.ndarray:
     state words (on the last axis): one leading row per output.  The words
     are ``init`` and then the stream, each high limb first; the increment
     is the stream shifted left by one, with its low bit set."""
-    if count > MAX_OUTPUTS:
-        raise ValueError(f"at most {MAX_OUTPUTS} outputs per cell, not {count}")
     w0, w1, w2, w3 = state.reshape(-1, PCG64_STATE_WORDS).T
-    inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
-    hi, lo = map(np.stack, zip(_add128(inc_hi, inc_lo, w0, w1), (inc_hi, inc_lo)))
-    f_hi, f_lo = _JUMPS[:count, :, :, None].transpose(2, 0, 1, 3)
-    # (hi:lo) * (f_hi:f_lo) mod 2**128, per output and factor
-    terms_hi, terms_lo = _mul_high(lo, f_lo) + lo * f_hi + hi * f_lo, lo * f_lo
-    outputs = _xsl_rr(*_add128(terms_hi[:, 0], terms_lo[:, 0], terms_hi[:, 1], terms_lo[:, 1]))
-    return outputs.reshape(count, *state.shape[:-1])
+    inc = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
+    hi, lo = _pcg64_step(*_add128(*inc, w0, w1), *inc)
+    outputs = []
+    for _ in range(count):
+        hi, lo = _pcg64_step(hi, lo, *inc)
+        outputs.append(_xsl_rr(hi, lo))
+    return np.stack(outputs).reshape(count, *state.shape[:-1])
 
 
 # numpy's uniform double: the top 53 bits of one output
@@ -404,8 +394,8 @@ class BatchSampler:
 
     Every cell of a block is derived at once.  Each seed's pool is numpy's
     ``SeedSequence(seed).pool``, built once per batch; the rest of the hash
-    runs as array arithmetic: the user ids' hashmixes once per iteration
-    word count, and each block the iterations' words and the output words.
+    runs as array arithmetic, each block: the iterations' words, the user
+    ids' words and the output words.
     Then PCG64's first outputs, numpy's uniform and the ziggurat normal's
     fast path, which all but about 1.5% of normal draws take.  A cell in
     which a normal draw leaves that path is redrawn whole from its own
@@ -437,7 +427,6 @@ class BatchSampler:
         _, seed_counts = _int_words(seeds)
         self.start = np.maximum(seed_counts, POOL_SIZE)
         self.pool = np.array([np.random.SeedSequence(seed).pool for seed in seeds])
-        self.users_absorbed: Optional[tuple[int, np.ndarray]] = None  # (iteration word count, hashmixes)
         # the block held: its first iteration, its (half, round, run, user)
         # draws and its (round, run, user) failed cells
         self.first = 0
@@ -450,8 +439,6 @@ class BatchSampler:
         keep = ~np.asarray(rows, dtype=bool)
         self.pool, self.start = self.pool[keep], self.start[keep]
         self.held, self.failed = self.held[:, :, keep], self.failed[:, keep]
-        if self.users_absorbed is not None:
-            self.users_absorbed = (self.users_absorbed[0], self.users_absorbed[1][keep])
 
     def _cell_states(self, iterations) -> np.ndarray:
         """Every cell's PCG64 state words at iterations of one word count:
@@ -461,10 +448,8 @@ class BatchSampler:
             raise ValueError(f"a block's iterations must share one word count, got {sorted(set(counts.tolist()))}")
         count = counts[0]
         pool = _mix_in(self.pool, _absorbed(words[:, None], self.start), count)
-        if self.users_absorbed is None or self.users_absorbed[0] != count:
-            absorbed = _absorbed(self.user_words, (self.start + count)[:, None])
-            self.users_absorbed = (count, absorbed)
-        return _state_words(_mix_in(pool[:, :, None], self.users_absorbed[1], self.user_counts))
+        users = _absorbed(self.user_words, (self.start + count)[:, None])
+        return _state_words(_mix_in(pool[:, :, None], users, self.user_counts))
 
     def _variates(self, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's variates from its outputs, (half, rows, users): a

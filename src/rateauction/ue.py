@@ -114,9 +114,10 @@ class LanePaths:
     one pass, evaluating none, and resumes the lockstep walk below the first
     level at which any lane's decision flips.  The slopes belong to the
     parameters that walked them, so :meth:`clear` the paths when a lane's
-    parameters change; a solve at another ``capacity`` or ``tol`` clears
-    them itself.  ``walked`` and ``compared`` count the lockstep levels
-    walked and the recorded levels compared over all solves.
+    parameters change or the lanes themselves do; a solve at another
+    ``capacity`` or ``tol`` clears them itself.  ``walked`` and
+    ``compared`` count the lockstep levels walked and the recorded levels
+    compared over all solves.
     """
 
     def __init__(self) -> None:
@@ -132,13 +133,6 @@ class LanePaths:
         """Forget every path, keeping the buffers: the next solve walks each lane from level 0."""
         self.top: Optional[int] = None  # levels recorded, every path within them
         self.at_capacity: Optional[np.ndarray] = None  # per lane: the slope at capacity
-
-    def drop(self, lanes) -> None:
-        """Remove the lanes marked in the boolean mask ``lanes``."""
-        if self.top is not None:
-            keep = ~np.asarray(lanes, dtype=bool)
-            kept = (x[..., keep] for x in (self.mids, self.slopes, self.moves, self.on, self.at_capacity))
-            self.mids, self.slopes, self.moves, self.on, self.at_capacity = kept
 
     def _replay(self, price, clamped, lo, hi) -> int:
         """The level at which the walk resumes: below the first level at which

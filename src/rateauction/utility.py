@@ -18,11 +18,10 @@ sets reach ``a*b = 300``.
 Each family's marginal log-utility d(log U)/dr has one home, an unguarded
 kernel (:func:`sigmoid_slope`, :func:`logarithmic_slope`), and its domain
 guard, which raises :class:`RateDomainError` where U underflows to zero
-(:func:`check_sigmoid_rate`, :func:`check_logarithmic_rate`).  The guarded
-:func:`sigmoid_log_slope` and :func:`logarithmic_log_slope`, and through
-them the ``log_slope`` methods and the scalar solver, run the guard and
-then the kernel; the lane solver runs the kernels at every bisection level
-and the guards once per solve.
+(:func:`check_sigmoid_rate`, :func:`check_logarithmic_rate`).  The
+``log_slope`` methods, and through them the scalar solver, run the guard
+and then the kernel; the lane solver runs the kernels at every bisection
+level and the guards once per solve.
 """
 
 from __future__ import annotations
@@ -92,20 +91,6 @@ def logarithmic_slope(k, r, out=None):
     return np.divide(k, scale, out=out)
 
 
-def sigmoid_log_slope(a, b, r, out=None):
-    """d(log U)/dr of the sigmoidal family, elementwise over a, b and r
-    (into ``out``): :func:`check_sigmoid_rate`, then :func:`sigmoid_slope`."""
-    check_sigmoid_rate(a, r)
-    return sigmoid_slope(a, -a, b, r, out)
-
-
-def logarithmic_log_slope(k, r, out=None):
-    """d(log U)/dr of the logarithmic family, elementwise over k and r (into
-    ``out``): :func:`check_logarithmic_rate`, then :func:`logarithmic_slope`."""
-    check_logarithmic_rate(k, r)
-    return logarithmic_slope(k, r, out)
-
-
 @dataclass(frozen=True)
 class SigmoidalUtility:
     """S-shaped utility ``c * (1/(1 + exp(-a*(r - b))) - d)``.
@@ -137,12 +122,6 @@ class SigmoidalUtility:
         """Normalization scale, computed as 1 + exp(-a*b)."""
         return 1.0 + float(np.exp(-self.a * self.b))
 
-    @property
-    def d(self) -> float:
-        """Normalization offset, computed as exp(-a*b) / (1 + exp(-a*b))."""
-        q = float(np.exp(-self.a * self.b))
-        return q / (1.0 + q)
-
     def value(self, r):
         """U(r) for r >= 0; exact 0 at r = 0, bounded by 1."""
         return -np.expm1(-self.a * r) * expit(self.a * (r - self.b))
@@ -167,7 +146,8 @@ class SigmoidalUtility:
         closed form avoids the 0/0 of derivative(r)/value(r) where U
         underflows.
         """
-        return sigmoid_log_slope(self.a, self.b, r)
+        check_sigmoid_rate(self.a, r)
+        return sigmoid_slope(self.a, -self.a, self.b, r)
 
 
 @dataclass(frozen=True)
@@ -202,7 +182,8 @@ class LogarithmicUtility:
 
         The closed form sidesteps the 0/0 of derivative/value near r = 0.
         """
-        return logarithmic_log_slope(self.k, r)
+        check_logarithmic_rate(self.k, r)
+        return logarithmic_slope(self.k, r)
 
 
 UtilityFunction = Union[SigmoidalUtility, LogarithmicUtility]

@@ -326,6 +326,17 @@ class TestLanePaths:
         # solved from level 0, each of the 87 rounds walks 27 levels
         assert counts[0][0] <= 0.55 * 87 * 27
 
+    def test_fixed_runs_leave_a_batch_together(self, caplog):
+        # runs with no drawn user differ only in their seed: a batch of
+        # three walks and compares the levels one run does, and all three
+        # leave it at once
+        scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
+        results = []
+        counts = self.lane_work(caplog, lambda: results.extend(run_replication(scenario, [0, 1, 2])))
+        assert counts == (1165, 86 * 27)
+        assert results == [run(replace(scenario, seed=s)) for s in (0, 1, 2)]
+        assert [r.converged_at for r in results] == [87] * 3
+
     def test_drawn_batches_replay_nothing(self, caplog):
         for name in ("normal", "triangular"):
             walked, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))

@@ -21,7 +21,7 @@ from rateauction import (
     ue_step,
 )
 from rateauction.ue import LanePaths, solve_lanes
-from rateauction.utility import logarithmic_log_slope, sigmoid_log_slope
+from rateauction.utility import check_logarithmic_rate, check_sigmoid_rate, logarithmic_slope, sigmoid_slope
 
 LOG_SLOPE_K1_R10 = 0.0379120355840223937  # 1/(11 ln 11)
 
@@ -231,7 +231,8 @@ class TestLanePaths:
             rng = np.random.default_rng(seed)
             gone = rng.random(len(price)) < drop
             if not gone.all():
-                paths.drop(gone)
+                if np.count_nonzero(gone):
+                    paths.clear()  # as the engine does when runs leave its batch
                 a, b, k, price = a[~gone[: len(a)]], b[~gone[: len(a)]], k[~gone[len(a) :]], price[~gone]
             price = price * np.exp(drift * rng.choice([-1.0, 1.0], len(price)))
             jumps = rng.random(len(price)) < jump
@@ -264,7 +265,9 @@ class TestLanePaths:
 
     @staticmethod
     def capacity_slopes(a, b, k, capacity):
-        return np.concatenate((sigmoid_log_slope(a, b, capacity), logarithmic_log_slope(k, capacity)))
+        check_sigmoid_rate(a, capacity)
+        check_logarithmic_rate(k, capacity)
+        return np.concatenate((sigmoid_slope(a, -a, b, capacity), logarithmic_slope(k, capacity)))
 
     def test_lane_leaving_the_clamp_gets_every_step(self):
         # both roots need 190 of the 200 steps; lane 1, clamped in the first

@@ -34,19 +34,18 @@ class TestConstruction:
             LogarithmicUtility(k=k, r_max=r_max)
 
     def test_normalization_constants_identity(self):
-        # c*d must equal exp(-a*b); testable up to a*b = 30 before exp(-a*b)
-        # loses all relative precision
+        # with the offset d = 1/(1 + exp(a*b)) that pins U(0) = 0, c must
+        # pin U(inf) = c*(1 - d) to 1
         rng = np.random.default_rng(7)
         for _ in range(300):
             a = rng.uniform(0.1, 6.0)
             b = rng.uniform(0.1, 30.0 / a)
-            u = SigmoidalUtility(a=a, b=b)
-            assert u.c * u.d == pytest.approx(math.exp(-a * b), rel=1e-12)
+            d = 1.0 / (1.0 + math.exp(a * b))
+            assert SigmoidalUtility(a=a, b=b).c * (1.0 - d) == pytest.approx(1.0, rel=1e-12)
 
     def test_constants_follow_parameters(self):
         u = SigmoidalUtility(a=1.0, b=2.0)
         assert u.c == pytest.approx(1.0 + math.exp(-2.0), rel=1e-15)
-        assert u.d == pytest.approx(1.0 / (1.0 + math.exp(2.0)), rel=1e-14)
 
 
 class TestValue:
