@@ -31,9 +31,10 @@ every path each round, since the slopes a path records belong to the
 parameters that walked it.  A run that leaves the batch drops its sampler
 row with its ledger row, and the paths are forgotten: runs with no drawn
 user differ only in their seed, so they are identical and leave together.
-One DEBUG line per batch reports the levels walked, the recorded levels
-the replays compared, and the sampler's blocks, cells and cells redrawn
-off the ziggurat's fast path.
+One DEBUG line per batch reports the levels walked by the slopes, the
+levels walked against the estimated roots, the recorded levels the
+replays compared, and the sampler's blocks, cells and cells redrawn off
+the ziggurat's fast path.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -346,8 +347,8 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
                 break
             k_lanes, lane_run, lane_of = _lane_layout(len(live), sigmoid, k)
     drew = (sampler.blocks, sampler.cells, sampler.redrawn) if drawn else (0, 0, 0)
-    logger.debug("lane solve: %d levels walked, %d compared; sampler: %d blocks, %d cells, %d redrawn",
-                 paths.walked, paths.compared, *drew)
+    logger.debug("lane solve: %d levels walked, %d predicted, %d compared; sampler: %d blocks, %d cells, %d redrawn",
+                 paths.walked, paths.predicted, paths.compared, *drew)
     # each run's prices, rates, bids, a and b, in round order
     run_of, *kept = map(np.concatenate, zip(*rounds))
     order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of))[:-1]

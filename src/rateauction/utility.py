@@ -20,8 +20,15 @@ kernel (:func:`sigmoid_slope`, :func:`logarithmic_slope`), and its domain
 guard, which raises :class:`RateDomainError` where U underflows to zero
 (:func:`check_sigmoid_rate`, :func:`check_logarithmic_rate`).  The
 ``log_slope`` methods, and through them the scalar solver, run the guard
-and then the kernel; the lane solver runs the kernels at every bisection
-level and the guards once per solve.
+and then the kernel.
+
+Each family's root of ``log_slope(r) = price`` also has a closed-form
+estimate (:func:`sigmoid_root`, :func:`logarithmic_root`).  The lane
+solver bisects against the estimates, then evaluates the kernels once
+over every midpoint it visited and checks each decision against the
+price; the guards run once per solve, over the midpoints on each lane's
+true path.  An estimate only steers which midpoints get checked, so a poor
+one costs time and never changes a rate.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, lambertw
 
 SMALLEST_NORMAL = np.finfo(float).tiny
 # A 0-d array operand, not a Python float: numpy converts a Python or numpy
@@ -89,6 +96,32 @@ def logarithmic_slope(k, r, out=None):
     kr += ONE
     scale *= kr
     return np.divide(k, scale, out=out)
+
+
+def sigmoid_root(a, b, price):
+    """Estimate of the r at which :func:`sigmoid_slope` equals ``price``:
+    ``b + log(a/price - 1)/a``, where the slope's logistic term alone
+    equals the price.  The other term, ``a/expm1(a*r)``, is about
+    ``a*exp(-a*r)`` there, so the estimate is close where ``a*r`` is large.
+    NaN where ``a/price <= 1``: the logistic term alone stays below the
+    price."""
+    ratio = a / price
+    ratio -= ONE
+    ratio[ratio <= 0.0] = np.nan
+    root = np.log(ratio, out=ratio)
+    root /= a
+    root += b
+    return root
+
+
+def logarithmic_root(k, price):
+    """The r at which :func:`logarithmic_slope` equals ``price``, in closed
+    form: with ``u = 1 + k*r`` the condition is ``u*log(u) = k/price``, so
+    ``log(u) = W(k/price)`` with W the principal branch of Lambert W, and
+    ``r = expm1(W(k/price))/k``."""
+    root = np.expm1(lambertw(k / price).real)
+    root /= k
+    return root
 
 
 @dataclass(frozen=True)

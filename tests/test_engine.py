@@ -299,32 +299,35 @@ class TestTrace:
 
 def batch_counts(caplog, execute) -> tuple[int, ...]:
     """The counts of the one batch ``execute`` runs, from its DEBUG line:
-    levels walked and compared, and the sampler's blocks, cells and cells
-    redrawn."""
+    levels walked, predicted and compared, and the sampler's blocks, cells
+    and cells redrawn."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="rateauction.engine"):
         execute()
     (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lane solve:")]
-    pattern = r"lane solve: (\d+) levels walked, (\d+) compared; sampler: (\d+) blocks, (\d+) cells, (\d+) redrawn"
+    pattern = (r"lane solve: (\d+) levels walked, (\d+) predicted, (\d+) compared; "
+               r"sampler: (\d+) blocks, (\d+) cells, (\d+) redrawn")
     return tuple(map(int, re.fullmatch(pattern, message).groups()))
 
 
 class TestLanePaths:
     """A batch whose parameters stay replays each lane's last bisection
-    path; one DEBUG line per batch reports the levels walked, and the
-    recorded levels compared."""
+    path; one DEBUG line per batch reports the levels walked by the slopes,
+    the levels walked against the estimated roots, and the recorded levels
+    compared."""
 
     @staticmethod
-    def lane_work(caplog, execute) -> tuple[int, int]:
-        return batch_counts(caplog, execute)[:2]
+    def lane_work(caplog, execute) -> tuple[int, int, int]:
+        return batch_counts(caplog, execute)[:3]
 
     def test_fixed_preset_walks_about_half_the_levels(self, caplog):
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
         counts = [self.lane_work(caplog, lambda: run(scenario)) for _ in range(2)]
-        # each of the 86 solves after the first compares 27 recorded levels
-        assert counts[0] == counts[1] == (1165, 86 * 27)
+        # each of the 86 solves after the first compares 27 recorded levels,
+        # and every estimated level below them holds against the slopes
+        assert counts[0] == counts[1] == (0, 1165, 86 * 27)
         # solved from level 0, each of the 87 rounds walks 27 levels
-        assert counts[0][0] <= 0.55 * 87 * 27
+        assert counts[0][1] <= 0.55 * 87 * 27
 
     def test_fixed_runs_leave_a_batch_together(self, caplog):
         # runs with no drawn user differ only in their seed: a batch of
@@ -333,14 +336,14 @@ class TestLanePaths:
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
         results = []
         counts = self.lane_work(caplog, lambda: results.extend(run_replication(scenario, [0, 1, 2])))
-        assert counts == (1165, 86 * 27)
+        assert counts == (0, 1165, 86 * 27)
         assert results == [run(replace(scenario, seed=s)) for s in (0, 1, 2)]
         assert [r.converged_at for r in results] == [87] * 3
 
     def test_drawn_batches_replay_nothing(self, caplog):
         for name in ("normal", "triangular"):
-            walked, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
-            assert walked > 0
+            _, predicted, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
+            assert predicted > 0
             assert compared == 0
 
 
@@ -351,15 +354,15 @@ class TestSamplerCounts:
     def test_normal_replicate_draws_one_block(self, caplog):
         # 20 rounds of 50 runs and 3 drawn users fit one block
         execute = lambda: run_replication(preset("normal"), range(50))
-        assert batch_counts(caplog, execute)[2:] == (1, 3000, 95)
+        assert batch_counts(caplog, execute)[3:] == (1, 3000, 95)
 
     def test_one_round_per_block(self, caplog, monkeypatch):
         monkeypatch.setattr(rateauction.sampling, "BLOCK_CELLS", 50 * 3)
         execute = lambda: run_replication(preset("normal"), range(50))
-        assert batch_counts(caplog, execute)[2:] == (20, 3000, 95)
+        assert batch_counts(caplog, execute)[3:] == (20, 3000, 95)
 
     def test_fixed_batches_draw_nothing(self, caplog):
-        assert batch_counts(caplog, lambda: run(preset("fixed")))[2:] == (0, 0, 0)
+        assert batch_counts(caplog, lambda: run(preset("fixed")))[3:] == (0, 0, 0)
 
     def test_early_stop_draws_at_most_twice_the_cells_used(self, caplog):
         # every run stops by round 21 of 200; blocks of 1, 2, 4, 8 and 16
@@ -369,8 +372,8 @@ class TestSamplerCounts:
         counts = batch_counts(caplog, lambda: results.extend(run_replication(scenario, range(50))))
         used = sum(r.iterations for r in results) * 3
         assert max(r.iterations for r in results) < 200
-        assert counts[2] == 5
-        assert counts[3] <= 2 * used
+        assert counts[3] == 5
+        assert counts[4] <= 2 * used
 
 
 class TestErrorContext:

@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -122,6 +123,10 @@ lane_users = st.one_of(
 )
 
 
+# Root estimates that steer the lane solve's first walk anywhere, or nowhere.
+WRONG_ROOTS = [np.nan, 0.0, 1e-300, 1e300, np.inf, "random"]
+
+
 class TestSolveLanes:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -130,6 +135,10 @@ class TestSolveLanes:
         tol=log_uniform(-13, 0),
     )
     def test_every_lane_equals_solve_rate_bit_for_bit(self, users, capacity, tol):
+        self.assert_lanes_equal_solve_rate(users, capacity, tol)
+
+    @staticmethod
+    def assert_lanes_equal_solve_rate(users, capacity, tol):
         # users arrive with the families in any order; the lanes hold the
         # sigmoid users first, then the logarithmic ones
         sig = [u for u in users if u[0] == "sig"]
@@ -155,6 +164,46 @@ class TestSolveLanes:
             return
         got = solve_lanes(*lanes)
         assert got.tobytes() == np.array(want).tobytes(), (got, want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        users=st.lists(lane_users, min_size=1, max_size=12),
+        capacity=log_uniform(0, 4),
+        tol=log_uniform(-13, 0),
+        estimates=st.lists(st.sampled_from(WRONG_ROOTS), min_size=2, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_root_estimate_gives_the_same_rates(self, users, capacity, tol, estimates, seed):
+        # the estimates only pick which midpoints the solve checks against
+        # the slopes, so even useless ones leave every rate as it was
+        rng = np.random.default_rng(seed)
+
+        def wrong_root(kind):
+            def root(*params_and_price):
+                size = len(params_and_price[-1])
+                if kind == "random":
+                    return 10.0 ** rng.uniform(-15.0, 5.0, size)
+                return np.full(size, kind)
+
+            return root
+
+        with (
+            patch.object(rateauction.ue, "sigmoid_root", wrong_root(estimates[0])),
+            patch.object(rateauction.ue, "logarithmic_root", wrong_root(estimates[1])),
+        ):
+            self.assert_lanes_equal_solve_rate(users, capacity, tol)
+
+    def test_estimated_midpoints_outside_the_domain_are_not_guarded(self):
+        # a*r underflows below r = 0.022 for a = 1e-306; the root lies near
+        # r = 1, but an estimate of 1e-300 walks the bracket down towards
+        # tol first.  Those midpoints are off the lane's path: the solve
+        # neither raises nor warns for them.
+        lanes = np.array([1e-306]), np.array([50.0]), np.empty(0), np.array([1.0]), R
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with patch.object(rateauction.ue, "sigmoid_root", lambda a, b, price: np.full(len(price), 1e-300)):
+                got = solve_lanes(*lanes)
+        assert got[0] == solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1.0, R)
 
     def test_clamped_and_interior_lanes_side_by_side(self):
         u = LogarithmicUtility(k=0.1, r_max=R)
@@ -279,7 +328,7 @@ class TestLanePaths:
         price = np.array([1e40 * (1 + 1e-15), 1e45])
         want = solve_lanes(none, none, k, price, 1e4, 1e-53)
         assert solve_lanes(none, none, k, price, 1e4, 1e-53, paths).tobytes() == want.tobytes()
-        assert paths.walked == 2 * 190
+        assert paths.walked + paths.predicted == 2 * 190
 
     def test_paths_of_another_bracket_are_forgotten(self):
         # the paths walked at tol 1e-3 would end the solve at tol 1e-6 early
@@ -327,8 +376,9 @@ class TestSlopeCalls:
     def test_fixed_preset_takes_each_walked_slope_once(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         run(replace(preset("fixed"), delta=1e-6, max_iterations=200))
-        # 1,165 walked levels and the first round's clamp test
-        assert calls == {"sigmoid_slope": 1166, "logarithmic_slope": 1166}
+        # the first round's clamp test, and one call per round over the
+        # levels each of the 87 rounds walked against the estimated roots
+        assert calls == {"sigmoid_slope": 88, "logarithmic_slope": 88}
 
 
 class TestComputeBid:
