@@ -7,8 +7,8 @@ Subcommands:
   a small scenario (at most three users, every parameter fixed);
 * ``replicate`` -- run a preset under many seeds, one trace file each.
 
-Exit codes: 0 success, 2 usage/scenario errors, 3 solver failures,
-4 reference-grid budget exceeded.
+Exit codes: 0 success, 1 an output path that cannot be written, 2
+usage/scenario errors, 3 solver failures, 4 reference-grid budget exceeded.
 """
 
 from __future__ import annotations

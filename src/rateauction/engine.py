@@ -8,8 +8,9 @@ delta (if early stopping applies) or at the iteration cap; the final
 allocation divides each bid by the closing price, which fills the
 capacity exactly.
 
-Runs are made in lockstep batches, whose parameters are arrays: one row
-per run.  Each round, every UE of every live run is one lane of a single
+Runs are made in lockstep batches: one scenario under its seeds, with the
+user layout built once from the scenario and the parameters as arrays, one
+row per run.  Each round, every UE of every live run is one lane of a single
 vectorised solve (:func:`~rateauction.ue.solve_lanes`), which performs the
 scalar solver's float operations lane for lane, and bids ``price * rate``;
 one :class:`~rateauction.station.BidLedger`, one row per live run, gives
@@ -20,9 +21,9 @@ bit the draws of each cell's own generator, and serves each round from
 the block; where runs may stop early, the blocks start at one round and
 double, so that the sampler draws at most about twice the rounds the runs
 use.  A cell whose draw fails is drawn again, in its round, by the
-scalar reference, which names the error.  ``run`` is a batch
-of one, ``run_replication`` runs all its seeds together, and a run leaves
-the batch when it converges.  A result holds its rounds as arrays.
+scalar reference, which names the error.  ``run`` is a batch of
+one seed, ``run_replication`` runs all its seeds together, and a run
+leaves the batch when it converges.  A result holds its rounds as arrays.
 
 A batch keeps one :class:`~rateauction.ue.LanePaths`: each lane's last
 bisection path, which the next round's solve replays exactly, walking on
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Union
 
@@ -82,6 +83,11 @@ def _require_finite_positive(field: str, value: float) -> None:
         raise SpecError(field, f"{field} must be finite and > 0, got {value!r}")
 
 
+def _require_at_least(field: str, value: int, least: int) -> None:
+    if value < least:
+        raise SpecError(field, f"{field} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class SigmoidalUserSpec:
     """A real-time user; a and b may be distribution-driven."""
@@ -96,10 +102,6 @@ class SigmoidalUserSpec:
                 raise SpecError(
                     field_name, f"a fixed sigmoid {field_name} must be > 0, got {spec.value!r}"
                 )
-
-    @property
-    def is_stochastic(self) -> bool:
-        return is_stochastic(self.a) or is_stochastic(self.b)
 
     def initial_utility(self, capacity: float) -> SigmoidalUtility:
         """The utility of fixed a and b; SpecError names a drawn one."""
@@ -121,10 +123,6 @@ class LogarithmicUserSpec:
         _require_finite_positive("r_max", self.r_max)
         if not math.isfinite(self.k * self.r_max):
             raise SpecError("k", f"k*r_max must be finite, got {self.k!r}*{self.r_max!r}")
-
-    @property
-    def is_stochastic(self) -> bool:
-        return False
 
     def initial_utility(self, capacity: float) -> LogarithmicUtility:
         return LogarithmicUtility(k=self.k, r_max=self.r_max)
@@ -155,12 +153,8 @@ class Scenario:
         if self.capacity < (smallest := float(np.finfo(float).tiny)):
             raise SpecError("R", f"R must be at least the smallest normal float {smallest!r}, got {self.capacity!r}")
         _require_finite_positive("delta", self.delta)
-        if self.max_iterations < 1:
-            raise SpecError(
-                "max_iterations", f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if self.seed < 0:
-            raise SpecError("seed", f"seed must be >= 0, got {self.seed}")
+        _require_at_least("max_iterations", self.max_iterations, 1)
+        _require_at_least("seed", self.seed, 0)
         if not self.users:
             raise SpecError("users", "a scenario needs at least one user")
         object.__setattr__(self, "users", tuple(self.users))
@@ -177,16 +171,6 @@ class Scenario:
                     raise SpecError(
                         f"users[{i}].a", f"a*max(b, R) must be finite, got {user.a.value!r}*{reach!r}"
                     )
-
-    @property
-    def is_stochastic(self) -> bool:
-        return any(u.is_stochastic for u in self.users)
-
-    @property
-    def early_stop_enabled(self) -> bool:
-        if self.allow_early_stop is None:
-            return not self.is_stochastic
-        return self.allow_early_stop
 
 
 @dataclass(frozen=True)
@@ -256,14 +240,14 @@ def _raise_first_failure(scenario: Scenario, prices, a: np.ndarray, b: np.ndarra
                 raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
 
 
-def _raise_draw_failure(scenarios: list[Scenario], drawn, failed: np.ndarray, n: int) -> None:
+def _raise_draw_failure(capacity: float, seeds: list[int], drawn, failed: np.ndarray, n: int) -> None:
     """Draw round n's first failed cell, in run and user order, again with
     the scalar reference, and raise SimulationError naming its user.
-    ``scenarios`` are the live runs, ``failed`` marks cells (run, drawn user)."""
+    ``seeds`` are the live runs', ``failed`` marks cells (run, drawn user)."""
     row, col = np.argwhere(failed)[0].tolist()
-    scenario, (_, uid, spec) = scenarios[row], drawn[col]
+    _, uid, spec = drawn[col]
     try:
-        resample_user(spec.a, spec.b, scenario.capacity, stream_rng(scenario.seed, n, uid))
+        resample_user(spec.a, spec.b, capacity, stream_rng(seeds[row], n, uid))
     except ValueError as exc:  # a non-finite draw, or a*R
         raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
     raise AssertionError(f"user {uid}'s draw at iteration {n} failed only in the batch sampler")
@@ -282,50 +266,52 @@ def _lane_layout(runs: int, sigmoid: np.ndarray, k: np.ndarray) -> tuple[np.ndar
     return np.tile(k, runs), lane_run, lane_of
 
 
-def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResult]:
-    """Runs of scenarios that differ at most in their seed, round by round
+def _run_lockstep(scenario: Scenario, seeds: list[int], solver_tol: float) -> list[RunResult]:
+    """The runs of one scenario under each of ``seeds``, round by round
     together; a run leaves the batch when it converges.  ``live`` indexes
     the runs still in the batch; ``a`` and ``b`` hold the sigmoid users'
     parameters, one row per live run, and ``k`` the logarithmic users'."""
-    first = scenarios[0]
-    capacity = first.capacity
-    sigmoid = np.array([isinstance(spec, SigmoidalUserSpec) for spec in first.users])
-    sig, log = np.flatnonzero(sigmoid).tolist(), np.flatnonzero(~sigmoid).tolist()
-    specs = [first.users[i] for i in sig]
-    # (column, user id, spec) of every sigmoid user that draws its parameters
-    drawn = [(j, sig[j] + 1, spec) for j, spec in enumerate(specs) if spec.is_stochastic]
-    drawn_cols = [j for j, _, _ in drawn]
-    # NaN holds a drawn user's place until each round's draw, before the solve
-    a = np.tile([np.nan if s.is_stochastic else s.a.value for s in specs], (len(scenarios), 1))
-    b = np.tile([np.nan if s.is_stochastic else s.b.value for s in specs], (len(scenarios), 1))
-    k = np.array([first.users[i].k for i in log], dtype=float)
-    early_stop = first.early_stop_enabled
+    capacity, cap, runs = scenario.capacity, scenario.max_iterations, len(seeds)
+    # one pass over the users: the sigmoid mask, the logarithmic users' k, the sigmoid users'
+    # (a, b), NaN until each round's draw for a drawn user, and each drawn user's (column, id, spec)
+    sigmoid, k, ab, drawn = [], [], [], []
+    for uid, spec in enumerate(scenario.users, start=1):
+        sigmoid.append(isinstance(spec, SigmoidalUserSpec))
+        if not sigmoid[-1]:
+            k.append(spec.k)
+        elif isinstance(spec.a, Fixed) and isinstance(spec.b, Fixed):
+            ab.append((spec.a.value, spec.b.value))
+        else:
+            drawn.append((len(ab), uid, spec))
+            ab.append((np.nan, np.nan))
+    a, b = np.tile(np.reshape(ab, (-1, 2)).T[:, None], (runs, 1))
+    sigmoid, k, drawn_cols = np.array(sigmoid), np.array(k, dtype=float), [j for j, _, _ in drawn]
+    early_stop = not drawn if scenario.allow_early_stop is None else scenario.allow_early_stop
     if drawn:
-        sampler = BatchSampler([s.seed for s in scenarios], [uid for _, uid, _ in drawn],
-                               [(spec.a, spec.b) for _, _, spec in drawn], capacity, first.max_iterations,
-                               growing=early_stop)
-    ledger = BidLedger(capacity, first.delta)
+        sampler = BatchSampler(seeds, [uid for _, uid, _ in drawn], [(spec.a, spec.b) for _, _, spec in drawn],
+                               capacity, cap, growing=early_stop)
+    ledger = BidLedger(capacity, scenario.delta)
     paths = LanePaths()
-    live = np.arange(len(scenarios))
-    prices = np.full(len(scenarios), BOOTSTRAP_PRICE)
+    live = np.arange(runs)
+    prices = np.full(runs, BOOTSTRAP_PRICE)
     rounds = []  # per round: live, prices, rates, bids, a, b
-    converged_at = np.zeros(len(scenarios), dtype=int)  # 0: not converged
-    final_prices = np.empty(len(scenarios))
-    final_rates = np.empty((len(scenarios), len(first.users)))
+    converged_at = np.zeros(runs, dtype=int)  # 0: not converged
+    final_prices = np.empty(runs)
+    final_rates = np.empty((runs, len(sigmoid)))
     # rebuilt only when runs leave the batch
-    k_lanes, lane_run, lane_of = _lane_layout(len(scenarios), sigmoid, k)
-    for n in range(1, first.max_iterations + 1):
+    k_lanes, lane_run, lane_of = _lane_layout(runs, sigmoid, k)
+    for n in range(1, cap + 1):
         if drawn:
             drawn_a, drawn_b, failed = sampler.draw(n)
             if np.count_nonzero(failed):
-                _raise_draw_failure([scenarios[i] for i in live.tolist()], drawn, failed, n)
+                _raise_draw_failure(capacity, [seeds[i] for i in live.tolist()], drawn, failed, n)
             a, b = a.copy(), b.copy()  # the kept rounds hold the old rows
             a[:, drawn_cols], b[:, drawn_cols] = drawn_a, drawn_b
             paths.clear()  # the recorded slopes belong to the old parameters
         try:
             lanes = solve_lanes(a.ravel(), b.ravel(), k_lanes, prices[lane_run], capacity, solver_tol, paths)
         except (ValueError, BisectionError):  # the scalar re-solve raises the precise error
-            _raise_first_failure(first, prices, a, b, n, solver_tol)
+            _raise_first_failure(scenario, prices, a, b, n, solver_tol)
             raise
         rates = lanes[lane_of]
         bids = prices[:, None] * rates
@@ -333,9 +319,9 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
         ledger.ingest(bids)
         prices = ledger.compute_price()
         done = ledger.check_convergence() if early_stop else np.zeros(len(live), dtype=bool)
-        if n == first.max_iterations or np.count_nonzero(done):
+        if n == cap or np.count_nonzero(done):
             converged_at[live[done]] = n
-            done |= n == first.max_iterations
+            done |= n == cap
             final_prices[live[done]] = prices[done]
             final_rates[live[done]] = ledger.allocate_rates(prices)[done]
             ledger.drop(done)
@@ -364,7 +350,7 @@ def _run_lockstep(scenarios: list[Scenario], solver_tol: float) -> list[RunResul
 def run(scenario: Scenario, solver_tol: float = DEFAULT_RATE_TOL) -> RunResult:
     """Execute one auction to convergence or the iteration cap: a lockstep
     batch of one run."""
-    return _run_lockstep([scenario], solver_tol)[0]
+    return _run_lockstep(scenario, [scenario.seed], solver_tol)[0]
 
 
 def run_replication(
@@ -374,9 +360,12 @@ def run_replication(
 ) -> list[RunResult]:
     """Independent runs of the same scenario, one per seed, in seed order.
 
-    The seeds run in lockstep, every UE of every run in one lane solve per
-    round; each result equals ``run(replace(scenario, seed=s))`` exactly.
+    The seeds run in lockstep over one user layout, every UE of every run in
+    one lane solve per round; each result equals ``run(replace(scenario,
+    seed=s))`` exactly, and the first negative seed raises its SpecError.
     """
     if not seeds:
         raise ValueError("seed list must not be empty")
-    return _run_lockstep([replace(scenario, seed=s) for s in seeds], solver_tol)
+    for seed in seeds:
+        _require_at_least("seed", seed, 0)
+    return _run_lockstep(scenario, list(seeds), solver_tol)

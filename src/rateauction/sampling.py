@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -95,7 +95,9 @@ class Triangular:
 
 ParamSpec = Union[Fixed, Normal, Triangular]
 
-_SPEC_RE = re.compile(r"^\s*(FIXED|NORM|TRIA)\s*\(\s*([^)]*)\s*\)\s*$")
+# each spec kind by its spelling; its fields are its arguments, in order
+_SPEC_KINDS = {"FIXED": Fixed, "NORM": Normal, "TRIA": Triangular}
+_SPEC_RE = re.compile(rf"^\s*({'|'.join(_SPEC_KINDS)})\s*\(\s*([^)]*)\s*\)\s*$")
 
 
 def parse_param_spec(text) -> ParamSpec:
@@ -115,24 +117,17 @@ def parse_param_spec(text) -> ParamSpec:
         args = [float(part) for part in body.split(",")] if body.strip() else []
     except ValueError:
         raise ValueError(f"non-numeric argument in spec {text!r}") from None
-    arity = {"FIXED": 1, "NORM": 2, "TRIA": 3}[name]
-    if len(args) != arity:
+    kind = _SPEC_KINDS[name]
+    if len(args) != (arity := len(fields(kind))):
         raise ValueError(f"{name} takes {arity} argument(s), got {len(args)} in {text!r}")
-    if name == "FIXED":
-        return Fixed(args[0])
-    if name == "NORM":
-        return Normal(args[0], args[1])
-    return Triangular(args[0], args[1], args[2])
+    return kind(*args)
 
 
 def format_param_spec(spec: ParamSpec) -> str:
     """Canonical spelling; round-trips through :func:`parse_param_spec`."""
-    if isinstance(spec, Fixed):
-        return f"FIXED({spec.value!r})"
-    if isinstance(spec, Normal):
-        return f"NORM({spec.mu!r},{spec.sigma!r})"
-    if isinstance(spec, Triangular):
-        return f"TRIA({spec.lo!r},{spec.mode!r},{spec.hi!r})"
+    for name, kind in _SPEC_KINDS.items():
+        if isinstance(spec, kind):
+            return f"{name}({','.join(map(repr, astuple(spec)))})"
     raise TypeError(f"not a ParamSpec: {spec!r}")
 
 

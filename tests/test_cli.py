@@ -550,6 +550,19 @@ class TestReplicateCommand:
         assert not out_dir.exists()
 
 
+class TestOutputErrors:
+    def test_unwritable_trace_exits_1_naming_path(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.csv"
+        assert main(["run", "--preset", "fixed", "--output", str(out)]) == 1
+        assert f"error: cannot write trace to {out}" in capsys.readouterr().err
+
+    def test_output_dir_that_is_a_file_exits_1_naming_path(self, tmp_path, capsys):
+        out_dir = tmp_path / "reps"
+        out_dir.write_text("")
+        assert main(["replicate", "--preset", "fixed", "--seeds", "2", "--output-dir", str(out_dir)]) == 1
+        assert str(out_dir) in capsys.readouterr().err
+
+
 class TestScenarioEmission:
     def test_cli_round_trip_through_disk(self, tmp_path):
         s = preset("normal")

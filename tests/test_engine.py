@@ -114,6 +114,23 @@ class TestStopConditions:
         assert result.stop_reason == STOP_ITERATION_CAP
         assert result.iterations == 40
 
+    def test_one_drawn_half_makes_a_user_drawn(self):
+        # a fixed a beside a drawn b: the user is drawn, so the run goes to
+        # the cap unless early stopping is allowed; b's spread is too narrow
+        # to keep the bids from settling by round 8
+        scenario = Scenario(
+            capacity=100.0, delta=1e-2, max_iterations=30, seed=3,
+            users=(SigmoidalUserSpec(a=Fixed(15.0), b=Normal(20.0, 1e-9)), LogarithmicUserSpec(k=1.0, r_max=100.0)),
+        )
+        result = run(scenario)
+        assert (result.stop_reason, result.iterations) == (STOP_ITERATION_CAP, 30)
+        assert np.all(result.a == 15.0) and np.all(result.b != 20.0)
+        early = run(replace(scenario, allow_early_stop=True))
+        assert (early.stop_reason, early.converged_at, early.iterations) == (STOP_CONVERGED, 8, 8)
+        assert run_replication(replace(scenario, allow_early_stop=True), [3, 0]) == [
+            early, run(replace(scenario, seed=0, allow_early_stop=True))
+        ]
+
 
 class TestSmallScenarios:
     def test_single_log_user_gets_everything(self):
@@ -170,6 +187,12 @@ class TestDeterminismAndReplication:
     def test_replication_rejects_empty_seed_list(self):
         with pytest.raises(ValueError):
             run_replication(preset("normal"), [])
+
+    @pytest.mark.parametrize("name", ["fixed", "normal"])
+    def test_replication_names_the_first_negative_seed(self, name):
+        with pytest.raises(SpecError, match=r"^seed must be >= 0, got -1$") as info:
+            run_replication(preset(name), [0, -1, -5])
+        assert info.value.field == "seed"
 
     def test_stochastic_rates_fluctuate_across_seeds(self):
         results = run_replication(preset("normal"), list(range(10)))
@@ -540,13 +563,6 @@ class TestScenarioValidation:
             LogarithmicUserSpec(k=1.0, r_max=-1.0)
         with pytest.raises(ValueError, match=r"k\*r_max"):
             LogarithmicUserSpec(k=1e308, r_max=100.0)
-
-    def test_stochastic_flags(self):
-        assert preset("fixed").is_stochastic is False
-        assert preset("normal").is_stochastic is True
-        assert preset("fixed").early_stop_enabled is True
-        assert preset("normal").early_stop_enabled is False
-        assert replace(preset("normal"), allow_early_stop=True).early_stop_enabled is True
 
     def test_initial_utility_refuses_drawn_parameters(self):
         fixed = SigmoidalUserSpec(a=Fixed(5.0), b=Fixed(20.0))
