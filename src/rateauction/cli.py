@@ -126,7 +126,10 @@ def cmd_verify(args) -> int:
 def cmd_replicate(args) -> int:
     scenario = preset(args.preset)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     seeds = list(range(args.seeds))
     results = run_replication(scenario, seeds)
     for seed, result in zip(seeds, results):

@@ -15,8 +15,8 @@ no matter how high the price.
 one array element (a *lane*) per UE.  The slope formulas and the root
 estimates live in :mod:`rateauction.utility`: :func:`solve_rate` calls
 the guarded ``log_slope`` at each step, and :func:`solve_lanes` calls the
-unguarded kernels and then checks the domain guards once, over every
-midpoint on the lanes' paths, so both raise the same ``RateDomainError``.
+unguarded kernels, which flag where the guards would raise, and counts
+the flags on the lanes' paths once: both raise the same ``RateDomainError``.
 
 Both halves of the lane solve rest on one fact: a level's midpoint depends
 only on ``tol``, ``capacity`` and the decisions above it, so a guessed
@@ -27,12 +27,15 @@ the same float operations give again, so comparing the recorded slopes
 with the new price is exact.  Below the first flipped decision it walks
 against each lane's estimated root, evaluates the slopes at every
 midpoint so visited at once, and checks the decisions the same way; only
-below a wrong one does it walk by the slopes, a level at a time.  Only
-lanes whose parameters stay keep a path.
+below a wrong one does it walk by the slopes, a level at a time.  Each
+walk halves every lane's bracket, and a lane that stopped above the last
+level takes its midpoint where it stopped.  Only lanes whose parameters
+stay keep a path.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -108,7 +111,8 @@ class LanePaths:
     A level's midpoint depends only on ``tol``, ``capacity`` and the
     decisions of the levels above it, and the paths keep, at each level,
     the midpoint, the slope there and the ``slope >= price`` decision, and
-    each lane's slope at ``capacity``.  While a lane's decisions at the new
+    each lane's slope at ``capacity``.  A level is on a lane's path where
+    the lane's recorded bracket width there is above ``tol``.  While a lane's decisions at the new
     price match its recorded ones it visits the recorded midpoints, whose
     slopes are what the same float operations would give again:
     :func:`solve_lanes` compares every recorded slope with the new price in
@@ -127,9 +131,9 @@ class LanePaths:
         self.predicted = 0
         self.compared = 0
         self.bracket: Optional[tuple[float, float]] = None  # (capacity, tol) of the paths
-        # (level, lane): midpoint, slope there, slope >= price, and whether
-        # the level is on the lane's path (the lane was active there)
-        self.mids = self.slopes = self.moves = self.on = None
+        # (level, lane): midpoint, slope there, slope >= price, slope undefined,
+        # the bracket's width there, and whether it is on the lane's path
+        self.mids = self.slopes = self.moves = self.undefined = self.widths = self.on = None
         self.clear()
 
     def clear(self) -> None:
@@ -137,24 +141,23 @@ class LanePaths:
         self.top: Optional[int] = None  # levels recorded, every path within them
         self.at_capacity: Optional[np.ndarray] = None  # per lane: the slope at capacity
 
-    def _replay(self, price, clamped, lo, hi) -> int:
+    def _replay(self, price, clamped, n_clamped: int, lo, hi) -> int:
         """The level at which the walk resumes: below the first level at which
         any lane's decision flips, or past every path if none flips.  Takes
         the flipped decisions, and narrows ``lo`` and ``hi`` to each lane's
         bracket at that level."""
         top = self.top
-        if top is None:
+        if not top:  # no paths, or no lane walked a level
             if self.mids is None or self.mids.shape[1] != len(price):
                 self.mids, self.slopes = np.empty((2, MAX_BISECTION_STEPS, len(price)))
-                self.moves = np.empty(self.mids.shape, dtype=bool)
-                self.on = np.empty((MAX_BISECTION_STEPS + 1, len(price)), dtype=bool)
-            return 0
-        if not top:
+                self.moves, self.undefined = np.empty((2, *self.mids.shape), dtype=bool)
+                self.widths = np.empty((MAX_BISECTION_STEPS + 1, len(price)))
+                self.on = np.empty(self.widths.shape, dtype=bool)
             return 0
         # a clamped lane walks no path: once it leaves the clamp, the walk
         # starts again from level 0
         on_path = np.greater(self.on[:top], clamped, out=self.on[:top])
-        if np.count_nonzero(on_path[0]) + np.count_nonzero(clamped) != len(price):
+        if np.count_nonzero(on_path[0]) + n_clamped != len(price):
             return 0
         self.compared += top
         flipped = self._flip_first(0, top, price)
@@ -189,34 +192,43 @@ class LanePaths:
         np.minimum.reduce(np.where(before ^ ups, mids, hi), axis=0, out=hi)
 
 
-def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, decide) -> int:
-    """Bisect every lane wider than ``tol`` in lockstep from ``level`` on,
-    and return the level at which none is left or the step cap is reached.
+def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, decide) -> tuple[int, int]:
+    """Bisect every lane in lockstep from ``level``, whose widths row holds
+    some lane wider than ``tol``.  Return the level at which none is left or
+    the step cap is reached, and the level the bracket was walked to.
 
-    ``decide(level, mid, moved)`` writes each lane's ``slope >= price`` at
-    the level's midpoints into ``moved``.  Each level's midpoints, decisions
-    and active lanes go into the paths' rows.
+    ``decide(level, mid, ups)`` writes each lane's ``slope >= price`` at the
+    level's midpoints into ``ups``.  No lane is masked: one within ``tol``
+    halves on (a clamped ``[capacity, capacity]`` stays put), and its rate is
+    its midpoint at the level where it stopped.  Each level's midpoints and
+    widths go into the paths' rows, and the widths give the ``on`` rows.
     """
-    lo, hi = bracket
-    mids, moves, on = paths.mids, paths.moves, paths.on
+    (lo, hi), mids, widths = bracket, paths.mids, paths.widths
     # rows of the bracket a lane's midpoint replaces: lo where its slope is
-    # at least the price, hi where it is below, neither once it stopped
-    moved_to = np.empty(bracket.shape, dtype=bool)
-    ups, downs = moved_to
-    width = np.subtract(hi, lo)
-    active = np.greater(width, tol, out=on[level])
-    while level < MAX_BISECTION_STEPS and np.count_nonzero(active):
-        mid, moved = mids[level], moves[level]
-        np.add(lo, hi, out=mid)
-        mid *= HALF
-        decide(level, mid, moved)
-        np.logical_and(moved, active, out=ups)
-        np.greater(active, ups, out=downs)
-        np.copyto(bracket, mid, where=moved_to)
-        np.subtract(hi, lo, out=width)
-        level += 1
-        active = np.greater(width, tol, out=on[level])
-    return level
+    # at least the price, hi where it is below
+    ups, downs = moved_to = np.empty(bracket.shape, dtype=bool)
+    start, log2_tol = level, math.log2(tol)
+    while True:
+        # every level halves each bracket, so the widest is within tol
+        # after about this many; a NaN or infinite width walks to the cap
+        steps = min(MAX_BISECTION_STEPS, math.log2(widths[level].max()) - log2_tol)
+        end = min(MAX_BISECTION_STEPS, level + max(1, math.ceil(steps)))
+        for row in range(level, end):
+            mid = mids[row]
+            np.add(lo, hi, out=mid)
+            mid *= HALF
+            decide(row, mid, ups)
+            np.logical_not(ups, out=downs)
+            np.copyto(bracket, mid, where=moved_to)
+            np.subtract(hi, lo, out=widths[row + 1])
+        level = end
+        if level == MAX_BISECTION_STEPS or not np.count_nonzero(np.greater(widths[level], tol, out=paths.on[level])):
+            break
+    on = np.greater(widths[start : level + 1], tol, out=paths.on[start : level + 1])
+    if level > start and not np.count_nonzero(on[-2]):
+        # rounding stopped every lane above the last level: end at the first with none
+        return start + np.count_nonzero(on.any(axis=1)), level
+    return level, level
 
 
 def solve_lanes(
@@ -246,8 +258,8 @@ def solve_lanes(
     midpoint depends only on the decisions above it, so if none flips, the
     estimated path is the path of :func:`solve_rate`; otherwise the levels
     above the first flip are, and the walk goes on below it by the slopes.
-    The domain guards run over the levels on the true path only, so an
-    estimate can cost time but never changes a rate, raises or warns.
+    The guard counts the kernels' undefined flags on the true path only, so
+    an estimate can cost time but never changes a rate, raises or warns.
 
     ``paths`` holds each lane's path from a solve with the same ``a``, ``b``
     and ``k``, and takes the new paths; ``clear()`` it when any of them
@@ -279,34 +291,37 @@ def solve_lanes(
     elif len(at_capacity) != len(price):
         raise ValueError(f"paths hold {len(at_capacity)} lanes, the solve has {len(price)}")
     clamped = at_capacity >= price
+    n_clamped = np.count_nonzero(clamped)
     # Each lane's bracket, rows lo and hi.  A clamped lane starts as
     # [capacity, capacity]: never active, and its midpoint is capacity exactly.
     first_bracket = np.array([[tol], [capacity]])
     bracket = np.where(clamped, capacity, first_bracket)
     lo, hi = bracket
-    resume = paths._replay(price, clamped, lo, hi)
-    mids, slopes = paths.mids, paths.slopes
+    resume = paths._replay(price, clamped, n_clamped, lo, hi)
+    mids, slopes, moves, undefined, on = paths.mids, paths.slopes, paths.moves, paths.undefined, paths.on
     tol_array = np.array(tol)
     paths.top = paths.at_capacity = None  # a walk that raises leaves no paths
 
-    def by_slope(level, mid, moved):
-        slope = slopes[level]
-        sigmoid_slope(a, neg_a, b, mid[:s], out=slope[:s])
-        logarithmic_slope(k, mid[s:], out=slope[s:])
-        np.greater_equal(slope, price, out=moved)
+    def evaluate(rows, mid):  # the slopes at mid, and where they are undefined, into rows
+        sigmoid_slope(a, neg_a, b, mid[..., :s], out=slopes[rows, :s], undefined=undefined[rows, :s])
+        logarithmic_slope(k, mid[..., s:], out=slopes[rows, s:], undefined=undefined[rows, s:])
+
+    def by_slope(level, mid, ups):
+        evaluate(level, mid)
+        np.greater_equal(slopes[level], price, out=ups)
 
     # The slope kernels are unguarded, and a midpoint outside their domain
-    # divides by zero or overflows: quietly here, since the guards below
-    # raise for it where it lies on a lane's path.
+    # divides by zero or overflows: quietly here, since the guard below
+    # raises for it where it lies on a lane's path.
     with np.errstate(divide="ignore", over="ignore"):
-        level = resume
-        if np.count_nonzero(np.greater(np.subtract(hi, lo), tol_array)):
+        level = end = resume
+        if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[resume]), tol_array, out=on[resume])):
             root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
-            level = _walk(paths, bracket, resume, tol_array, lambda _, mid, moved: np.less_equal(mid, root, out=moved))
+            level, end = _walk(paths, bracket, resume, tol_array, lambda _, mid, ups: np.less_equal(mid, root, out=ups))
+            np.less_equal(mids[resume:level], root, out=moves[resume:level])
         predicted, exact = level, level
         if predicted > resume:
-            sigmoid_slope(a, neg_a, b, mids[resume:predicted, :s], out=slopes[resume:predicted, :s])
-            logarithmic_slope(k, mids[resume:predicted, s:], out=slopes[resume:predicted, s:])
+            evaluate(slice(resume, predicted), mids[resume:predicted])
             flipped = paths._flip_first(resume, predicted, price)
             if flipped is not None:
                 # the levels down to the first flip are the true path's:
@@ -314,21 +329,22 @@ def solve_lanes(
                 bracket[...] = np.where(clamped, capacity, first_bracket)
                 exact = flipped + 1
                 paths._narrow(exact, lo, hi)
-                level = _walk(paths, bracket, exact, tol_array, by_slope)
-    # The domain guards, once over every midpoint on the lanes' paths: the
-    # solve raises where a guarded slope at each level would have, and
-    # before the step cap.  Estimated midpoints below a wrong decision are
-    # on no path, and the walk by the slopes overwrote those it reached.
-    on_paths = mids[resume:level]
-    check_sigmoid_rate(a, on_paths[:, :s])
-    check_logarithmic_rate(k, on_paths[:, s:])
-    if level == MAX_BISECTION_STEPS:
-        active = np.count_nonzero(np.greater(np.subtract(hi, lo), tol_array))
-        if active:
-            raise BisectionError(
-                f"no convergence after {MAX_BISECTION_STEPS} bisection steps in "
-                f"{active} lane(s) (capacity={capacity}, tol={tol})"
-            )
+                level = end = exact
+                if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[exact]), tol_array, out=on[exact])):
+                    level, end = _walk(paths, bracket, exact, tol_array, by_slope)
+                    np.greater_equal(slopes[exact:level], price, out=moves[exact:level])
+    # The domain guard, once over the kernels' flags on the lanes' paths,
+    # raises before the step cap where a guarded walk would.  Estimated
+    # midpoints below a wrong decision are on no path, or walked over again.
+    if np.count_nonzero(np.logical_and(undefined[resume:level], on[resume:level])):
+        on_paths = np.where(on[resume:level], mids[resume:level], capacity)
+        check_sigmoid_rate(a, on_paths[:, :s])
+        check_logarithmic_rate(k, on_paths[:, s:])
+    if level == MAX_BISECTION_STEPS and (active := np.count_nonzero(on[level])):
+        raise BisectionError(
+            f"no convergence after {MAX_BISECTION_STEPS} bisection steps in "
+            f"{active} lane(s) (capacity={capacity}, tol={tol})"
+        )
     # every path ends within the levels walked: a lane's path ends where it
     # stopped, before the walk or in it
     paths.top, paths.at_capacity = level, at_capacity
@@ -336,6 +352,10 @@ def solve_lanes(
     paths.walked += level - exact
     rates = np.add(lo, hi)
     rates *= HALF
+    if end > resume and np.count_nonzero(on[end - 1]) + n_clamped != len(price):
+        # lanes the walk halved on past their stop take their midpoint there
+        early = np.flatnonzero(np.less(on[end - 1], ~clamped))
+        rates[early] = mids[np.count_nonzero(on[:end, early], axis=0), early]
     return rates
 
 

@@ -26,9 +26,11 @@ Each family's root of ``log_slope(r) = price`` also has a closed-form
 estimate (:func:`sigmoid_root`, :func:`logarithmic_root`).  The lane
 solver bisects against the estimates, then evaluates the kernels once
 over every midpoint it visited and checks each decision against the
-price; the guards run once per solve, over the midpoints on each lane's
-true path.  An estimate only steers which midpoints get checked, so a poor
-one costs time and never changes a rate.
+price.  An estimate only steers which midpoints get checked, so a poor
+one costs time and never changes a rate.  The kernels can also flag where
+the guards would raise, from their own intermediate values; the lane
+solver counts the flags on each lane's true path, and runs the guards
+only when the count is not zero.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import expit, lambertw
+from scipy.special import expit, wrightomega
 
 SMALLEST_NORMAL = np.finfo(float).tiny
-# A 0-d array operand, not a Python float: numpy converts a Python or numpy
+# 0-d array operands, not Python floats: numpy converts a Python or numpy
 # scalar operand on every ufunc call, which costs about half the call again.
-ONE = np.array(1.0)
-ONE.flags.writeable = False
+ONE, ZERO, NEG_TINY = np.array(1.0), np.array(0.0), np.array(-SMALLEST_NORMAL)
+for _constant in (ONE, ZERO, NEG_TINY):
+    _constant.flags.writeable = False
 
 
 class RateDomainError(ValueError):
@@ -67,9 +70,10 @@ def check_logarithmic_rate(k, r) -> None:
         raise RateDomainError(f"log-slope undefined: k*r underflows for k={k}, r={r}")
 
 
-def sigmoid_slope(a, neg_a, b, r, out=None):
+def sigmoid_slope(a, neg_a, b, r, out=None, undefined=None):
     """d(log U)/dr of the sigmoidal family, unguarded, elementwise over a, b
-    and r, with ``neg_a = -a``; into ``out`` if given.
+    and r, with ``neg_a = -a``; into ``out`` if given, and ``undefined``
+    takes where :func:`check_sigmoid_rate` would raise.
 
     The single home of the formula: ``a * (exp(x)/(1 - exp(x)) +
     expit(-a*(r - b)))`` with ``x = -a*r``, evaluated as
@@ -78,8 +82,11 @@ def sigmoid_slope(a, neg_a, b, r, out=None):
     :func:`check_sigmoid_rate` would raise, the quotient divides by zero or
     overflows."""
     x = neg_a * r
+    denominator = np.expm1(x)
+    if undefined is not None:
+        np.greater(denominator, NEG_TINY, out=undefined)
     quotient = np.exp(x)
-    quotient /= np.expm1(x)
+    quotient /= denominator
     slope = r - b
     slope *= neg_a
     slope = expit(slope)
@@ -87,12 +94,15 @@ def sigmoid_slope(a, neg_a, b, r, out=None):
     return np.multiply(a, slope, out=out)
 
 
-def logarithmic_slope(k, r, out=None):
+def logarithmic_slope(k, r, out=None, undefined=None):
     """d(log U)/dr = k / ((1 + k*r) * log(1 + k*r)) of the logarithmic
     family, unguarded, elementwise over k and r; into ``out`` if given.
-    Where :func:`check_logarithmic_rate` would raise, it divides by zero."""
+    Where :func:`check_logarithmic_rate` would raise, it divides by zero,
+    and ``undefined``, if given, takes those places."""
     kr = k * r
     scale = np.log1p(kr)
+    if undefined is not None:
+        np.less_equal(scale, ZERO, out=undefined)
     kr += ONE
     scale *= kr
     return np.divide(k, scale, out=out)
@@ -118,8 +128,10 @@ def logarithmic_root(k, price):
     """The r at which :func:`logarithmic_slope` equals ``price``, in closed
     form: with ``u = 1 + k*r`` the condition is ``u*log(u) = k/price``, so
     ``log(u) = W(k/price)`` with W the principal branch of Lambert W, and
-    ``r = expm1(W(k/price))/k``."""
-    root = np.expm1(lambertw(k / price).real)
+    ``r = expm1(W(k/price))/k``.  W is taken on the reals, as the Wright
+    omega function: ``W(x) = wrightomega(log(x))`` for x > 0."""
+    root = wrightomega(np.log(k / price))
+    np.expm1(root, out=root)
     root /= k
     return root
 

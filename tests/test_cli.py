@@ -560,7 +560,7 @@ class TestOutputErrors:
         out_dir = tmp_path / "reps"
         out_dir.write_text("")
         assert main(["replicate", "--preset", "fixed", "--seeds", "2", "--output-dir", str(out_dir)]) == 1
-        assert str(out_dir) in capsys.readouterr().err
+        assert f"error: cannot create output directory {out_dir}: " in capsys.readouterr().err
 
 
 class TestScenarioEmission:

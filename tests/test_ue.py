@@ -235,6 +235,17 @@ class TestSolveLanes:
         with pytest.raises(RateDomainError):
             solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1e5, R)
 
+    def test_guard_reads_the_flags_of_the_slope_walk(self):
+        # an estimate of 1e300 sends the first decision up, and the slope at
+        # R/2 sends it down: every level below walks by the slopes, and
+        # reaches r below 0.022, where a*r underflows for a = 1e-306
+        lanes = np.array([1e-306]), np.array([50.0]), np.empty(0), np.array([1e5]), R, TOL
+        paths = LanePaths()
+        with patch.object(rateauction.ue, "sigmoid_root", lambda a, b, price: np.full(len(price), 1e300)):
+            with pytest.raises(RateDomainError, match="a\\*r underflows"):
+                solve_lanes(*lanes, paths)
+        assert paths.top is None and paths.at_capacity is None
+
     def test_guard_comes_before_the_step_cap(self):
         # the sigmoid lane's root lies where the float spacing exceeds tol,
         # so it would walk into the step cap; the log lane's k*r underflows
@@ -344,6 +355,58 @@ class TestLanePaths:
         solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1]), np.full(2, 0.3), R, TOL, paths)
         with pytest.raises(ValueError, match="paths hold 2 lanes, the solve has 3"):
             solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1, 0.1]), np.full(3, 0.3), R, TOL, paths)
+
+
+# Logarithmic lanes (k = 1) whose brackets round to tol one level apart:
+# (capacity, tol, prices), and the stop levels are 3 and 4, 28 and 29, 26
+# and 27.  The walk halves the first lane past its stop.
+UNEVEN_STOPS = [
+    (1.0, 0.1111111111111111, (1.0, 3.0)),
+    (100.0, 3.725290284584126e-07, (0.01, 0.3)),
+    (10.0, 1.4901160971803054e-07, (0.3, 0.05)),
+]
+
+
+class TestUnevenStops:
+    @staticmethod
+    def solve_rates(capacity, tol, prices):
+        return np.array([solve_rate(LogarithmicUtility(k=1.0, r_max=capacity), p, capacity, tol) for p in prices])
+
+    @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
+    def test_each_lane_takes_its_own_stop(self, capacity, tol, prices):
+        none = np.empty(0)
+        lanes = none, none, np.array([1.0, 1.0])
+        want = self.solve_rates(capacity, tol, prices)
+        assert solve_lanes(*lanes, np.array(prices), capacity, tol).tobytes() == want.tobytes()
+        paths = LanePaths()
+        solve_lanes(*lanes, np.array(prices), capacity, tol, paths)
+        stops = np.count_nonzero(paths.on[: paths.top], axis=0)
+        assert abs(int(stops[0]) - int(stops[1])) == 1
+        swapped = solve_lanes(*lanes, np.array(prices[::-1]), capacity, tol, paths)
+        assert swapped.tobytes() == want[::-1].tobytes()
+
+    def test_a_walk_past_every_stop(self):
+        # log2(capacity - tol) - log2(tol) rounds to just above 18, so the
+        # walk takes 19 levels, while the lane stops at level 18
+        capacity, tol, price = 0.9648064809633523, 3.6804306050586654e-06, 0.7699745596976851
+        paths = LanePaths()
+        got = solve_lanes(np.empty(0), np.empty(0), np.ones(1), np.array([price]), capacity, tol, paths)
+        assert got.tobytes() == self.solve_rates(capacity, tol, [price]).tobytes()
+        assert paths.top == paths.predicted == 18
+
+    @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
+    def test_a_clamped_lane_beside_them(self, capacity, tol, prices):
+        # the third lane walked a path in the first solve, and is clamped in
+        # the second, with the other two prices swapped
+        lanes = np.empty(0), np.empty(0), np.ones(3)
+        prices = (*prices, 1e-12)
+        want = self.solve_rates(capacity, tol, prices)
+        assert solve_lanes(*lanes, np.array(prices), capacity, tol).tobytes() == want.tobytes()
+        paths = LanePaths()
+        solve_lanes(*lanes, np.array([*prices[:2], 1.0]), capacity, tol, paths)
+        got = solve_lanes(*lanes, np.array([prices[1], prices[0], prices[2]]), capacity, tol, paths)
+        assert got.tobytes() == want[[1, 0, 2]].tobytes()
+        assert got[2] == capacity
 
 
 class TestSlopeCalls:
