@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except (BisectionError, SimulationError, DegenerateBidsError) as exc:

@@ -272,6 +272,8 @@ def _run_lockstep(scenario: Scenario, seeds: list[int], solver_tol: float) -> li
     the runs still in the batch; ``a`` and ``b`` hold the sigmoid users'
     parameters, one row per live run, and ``k`` the logarithmic users'."""
     capacity, cap, runs = scenario.capacity, scenario.max_iterations, len(seeds)
+    if solver_tol > capacity:  # no bracket [tol, R] to bisect
+        raise SpecError("R", f"R must be at least the solver tolerance {solver_tol!r}, got {capacity!r}")
     # one pass over the users: the sigmoid mask, the logarithmic users' k, the sigmoid users'
     # (a, b), NaN until each round's draw for a drawn user, and each drawn user's (column, id, spec)
     sigmoid, k, ab, drawn = [], [], [], []

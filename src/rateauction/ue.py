@@ -30,12 +30,14 @@ midpoint so visited at once, and checks the decisions the same way; only
 below a wrong one does it walk by the slopes, a level at a time.  Each
 walk halves every lane's bracket, and a lane that stopped above the last
 level takes its midpoint where it stopped.  Only lanes whose parameters
-stay keep a path.
+stay keep a path.  Fewer than ``LANE_BY_LANE_BELOW`` lanes walk against
+their roots one at a time, in Python floats; other walks are numpy lockstep.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -52,6 +54,10 @@ from .utility import (
 
 DEFAULT_RATE_TOL = 1e-6
 MAX_BISECTION_STEPS = 200
+# Below it a numpy call costs more than its arithmetic: a walk against the
+# roots took 0.42-0.49 of the lockstep walk's time at 6 lanes, 0.89-0.92 at
+# 16 and 1.12-1.25 at 20 (2-core x86-64, Python 3.11, numpy 2.4).
+LANE_BY_LANE_BELOW = 18
 
 # A 0-d array operand, not a Python float: numpy converts a Python or
 # numpy scalar operand on every ufunc call.
@@ -76,14 +82,14 @@ def solve_rate(
     marginal log-utility at full capacity still beats the price (return
     capacity, ties included) or ``log_slope(r) = price`` has a unique root,
     bracketed by [tol, capacity] and bisected down to a bracket of width
-    tol.  Returns the final bracket midpoint.
+    tol.  Returns the final bracket midpoint; a tol above capacity raises.
     """
     if not price > 0:
         raise ValueError(f"price must be > 0, got {price}")
     if not capacity > 0:
         raise ValueError(f"capacity must be > 0, got {capacity}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol <= capacity:
+        raise ValueError(f"tol must be > 0 and at most the capacity {capacity}, got {tol}")
 
     if utility.log_slope(capacity) >= price:
         return capacity
@@ -192,35 +198,24 @@ class LanePaths:
         np.minimum.reduce(np.where(before ^ ups, mids, hi), axis=0, out=hi)
 
 
-def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, decide) -> tuple[int, int]:
-    """Bisect every lane in lockstep from ``level``, whose widths row holds
-    some lane wider than ``tol``.  Return the level at which none is left or
-    the step cap is reached, and the level the bracket was walked to.
+def _walk(paths: LanePaths, level: int, tol, bisect) -> tuple[int, int]:
+    """Bisect every lane from ``level``, whose widths row holds some lane
+    wider than ``tol``.  Return the level at which none is left or the step
+    cap is reached, and the level the bracket was walked to.
 
-    ``decide(level, mid, ups)`` writes each lane's ``slope >= price`` at the
-    level's midpoints into ``ups``.  No lane is masked: one within ``tol``
-    halves on (a clamped ``[capacity, capacity]`` stays put), and its rate is
-    its midpoint at the level where it stopped.  Each level's midpoints and
-    widths go into the paths' rows, and the widths give the ``on`` rows.
+    ``bisect(start, end)`` writes the midpoints of levels ``[start, end)``
+    and the widths below them into the paths' rows; the widths give ``on``.
+    No lane is masked: one within ``tol`` halves on (a clamped ``[capacity,
+    capacity]`` stays put), and its rate is its midpoint where it stopped.
     """
-    (lo, hi), mids, widths = bracket, paths.mids, paths.widths
-    # rows of the bracket a lane's midpoint replaces: lo where its slope is
-    # at least the price, hi where it is below
-    ups, downs = moved_to = np.empty(bracket.shape, dtype=bool)
+    widths = paths.widths
     start, log2_tol = level, math.log2(tol)
     while True:
         # every level halves each bracket, so the widest is within tol
         # after about this many; a NaN or infinite width walks to the cap
         steps = min(MAX_BISECTION_STEPS, math.log2(widths[level].max()) - log2_tol)
         end = min(MAX_BISECTION_STEPS, level + max(1, math.ceil(steps)))
-        for row in range(level, end):
-            mid = mids[row]
-            np.add(lo, hi, out=mid)
-            mid *= HALF
-            decide(row, mid, ups)
-            np.logical_not(ups, out=downs)
-            np.copyto(bracket, mid, where=moved_to)
-            np.subtract(hi, lo, out=widths[row + 1])
+        bisect(level, end)
         level = end
         if level == MAX_BISECTION_STEPS or not np.count_nonzero(np.greater(widths[level], tol, out=paths.on[level])):
             break
@@ -229,6 +224,44 @@ def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, decide) -> tup
         # rounding stopped every lane above the last level: end at the first with none
         return start + np.count_nonzero(on.any(axis=1)), level
     return level, level
+
+
+def _bisect_in_lockstep(paths: LanePaths, bracket: np.ndarray, decide, start: int, end: int) -> None:
+    """Walk levels ``[start, end)`` of every lane at once, a few numpy calls
+    a level.  ``decide(level, mid, ups)`` writes each lane's ``slope >=
+    price`` at the level's midpoints into ``ups``."""
+    (lo, hi), mids, widths = bracket, paths.mids, paths.widths
+    # rows of the bracket a lane's midpoint replaces: lo where its slope is
+    # at least the price, hi where it is below
+    ups, downs = moved_to = np.empty(bracket.shape, dtype=bool)
+    for row in range(start, end):
+        mid = mids[row]
+        np.add(lo, hi, out=mid)
+        mid *= HALF
+        decide(row, mid, ups)
+        np.logical_not(ups, out=downs)
+        np.copyto(bracket, mid, where=moved_to)
+        np.subtract(hi, lo, out=widths[row + 1])
+
+
+def _bisect_lane_by_lane(paths: LanePaths, bracket: np.ndarray, roots: list, start: int, end: int) -> None:
+    """Walk levels ``[start, end)`` against the estimated ``roots`` one lane
+    at a time, in Python floats: ``(lo + hi) * 0.5``, ``mid <= root`` (False
+    for a NaN root) and ``hi - lo`` write the lockstep walk's rows bit for bit."""
+    levels, mids, widths, ends = range(start, end), [], [], []
+    for lo, hi, root in zip(*bracket.tolist(), roots):
+        for _ in levels:
+            mid = (lo + hi) * 0.5
+            if mid <= root:
+                lo = mid
+            else:
+                hi = mid
+            mids.append(mid)
+            widths.append(hi - lo)
+        ends.append((lo, hi))
+    paths.mids[start:end] = np.reshape(mids, (-1, len(levels))).T
+    paths.widths[start + 1 : end + 1] = np.reshape(widths, (-1, len(levels))).T
+    bracket.T[...] = ends
 
 
 def solve_lanes(
@@ -247,12 +280,13 @@ def solve_lanes(
     undefined at ``capacity`` or at any midpoint on its bisection path, and
     otherwise :class:`BisectionError` when any lane needs more than
     ``MAX_BISECTION_STEPS`` steps; a solve that raises leaves ``paths``
-    empty.
+    empty.  As in :func:`solve_rate`, ``tol`` is at most ``capacity``.
 
     Below the replayed levels, the lanes are first bisected against each
     lane's estimated root (:func:`~rateauction.utility.sigmoid_root`,
     :func:`~rateauction.utility.logarithmic_root`): ``mid <= root`` stands
-    in for ``slope >= price``.  Then each family's kernel evaluates the
+    in for ``slope >= price``, one lane at a time in Python floats below
+    ``LANE_BY_LANE_BELOW`` lanes.  Then each family's kernel evaluates the
     slopes at every midpoint so visited in one call, and the replay's
     comparison checks every decision against the price.  A level's
     midpoint depends only on the decisions above it, so if none flips, the
@@ -270,8 +304,8 @@ def solve_lanes(
         raise ValueError(f"every price must be > 0, got {price}")
     if not capacity > 0:
         raise ValueError(f"capacity must be > 0, got {capacity}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol <= capacity:
+        raise ValueError(f"tol must be > 0 and at most the capacity {capacity}, got {tol}")
     if paths is None:
         paths = LanePaths()
     elif paths.bracket != (capacity, tol):
@@ -317,7 +351,11 @@ def solve_lanes(
         level = end = resume
         if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[resume]), tol_array, out=on[resume])):
             root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
-            level, end = _walk(paths, bracket, resume, tol_array, lambda _, mid, ups: np.less_equal(mid, root, out=ups))
+            if len(price) < LANE_BY_LANE_BELOW:
+                by_root = partial(_bisect_lane_by_lane, paths, bracket, root.tolist())
+            else:
+                by_root = partial(_bisect_in_lockstep, paths, bracket, lambda _, mid, ups: np.less_equal(mid, root, out=ups))
+            level, end = _walk(paths, resume, tol_array, by_root)
             np.less_equal(mids[resume:level], root, out=moves[resume:level])
         predicted, exact = level, level
         if predicted > resume:
@@ -331,7 +369,7 @@ def solve_lanes(
                 paths._narrow(exact, lo, hi)
                 level = end = exact
                 if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[exact]), tol_array, out=on[exact])):
-                    level, end = _walk(paths, bracket, exact, tol_array, by_slope)
+                    level, end = _walk(paths, exact, tol_array, partial(_bisect_in_lockstep, paths, bracket, by_slope))
                     np.greater_equal(slopes[exact:level], price, out=moves[exact:level])
     # The domain guard, once over the kernels' flags on the lanes' paths,
     # raises before the step cap where a guarded walk would.  Estimated

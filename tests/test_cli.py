@@ -290,6 +290,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert re.search(rf"field '{field}'", err), err
 
+    def test_r_below_the_solver_tolerance_exits_2(self, tmp_path, capsys):
+        path = write_scenario(
+            tmp_path, R=1e-7, delta=0.01, max_iterations=20,
+            users=[
+                {"type": "sigmoidal", "a": "FIXED(15.0)", "b": "FIXED(20.0)"},
+                {"type": "logarithmic", "k": 1.0, "r_max": 100.0},
+            ],
+        )
+        assert main(["run", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: R must be at least the solver tolerance 1e-06, got 1e-07\n"
+        assert captured.out == ""
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["run"])

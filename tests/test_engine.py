@@ -450,6 +450,15 @@ class TestErrorContext:
                 run(preset("fixed"))
         assert not isinstance(info.value, SimulationError)
 
+    def test_r_below_the_solver_tolerance_is_refused_before_any_round(self, monkeypatch):
+        # the bracket [tol, R] is empty: every user would take R/2
+        monkeypatch.setattr(rateauction.engine, "solve_lanes", None)
+        for batch in (lambda tol: run(preset("fixed"), solver_tol=tol),
+                      lambda tol: run_replication(preset("normal"), [0, 1], solver_tol=tol)):
+            with pytest.raises(SpecError, match=r"^R must be at least the solver tolerance 150.0, got 100.0$") as info:
+                batch(150.0)
+            assert info.value.field == "R"
+
     def test_replication_failure_names_user_and_iteration(self):
         from rateauction import SimulationError
 

@@ -1,7 +1,9 @@
 """UE subproblem tests: bisection solve, lane solve, and the single-round step."""
 
+import copy
 import warnings
 from dataclasses import replace
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -21,8 +23,14 @@ from rateauction import (
     solve_rate,
     ue_step,
 )
-from rateauction.ue import LanePaths, solve_lanes
-from rateauction.utility import check_logarithmic_rate, check_sigmoid_rate, logarithmic_slope, sigmoid_slope
+from rateauction.ue import LanePaths, _bisect_in_lockstep, _bisect_lane_by_lane, _walk, solve_lanes
+from rateauction.utility import (
+    check_logarithmic_rate,
+    check_sigmoid_rate,
+    logarithmic_root,
+    logarithmic_slope,
+    sigmoid_slope,
+)
 
 LOG_SLOPE_K1_R10 = 0.0379120355840223937  # 1/(11 ln 11)
 
@@ -110,6 +118,12 @@ class TestSolveRate:
         with pytest.raises(ValueError):
             solve_rate(u, 1.0, R, tol=0.0)
 
+    def test_tol_above_capacity_is_refused(self):
+        # no bracket [tol, capacity]: the midpoint would lie above capacity
+        with pytest.raises(ValueError, match="at most the capacity 100.0, got 300.0"):
+            solve_rate(LogarithmicUtility(k=1.0, r_max=R), 0.5, R, tol=300.0)
+        assert solve_rate(LogarithmicUtility(k=1.0, r_max=R), 0.5, R, tol=R) == R
+
 
 def log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
@@ -123,6 +137,10 @@ lane_users = st.one_of(
 )
 
 
+# How many times the drawn users are tiled: the lane counts land on both
+# sides of LANE_BY_LANE_BELOW, so both walks against the estimated roots run.
+tile_counts = st.integers(1, 6)
+
 # Root estimates that steer the lane solve's first walk anywhere, or nowhere.
 WRONG_ROOTS = [np.nan, 0.0, 1e-300, 1e300, np.inf, "random"]
 
@@ -131,11 +149,12 @@ class TestSolveLanes:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         users=st.lists(lane_users, min_size=1, max_size=12),
+        copies=tile_counts,
         capacity=log_uniform(0, 4),
         tol=log_uniform(-13, 0),
     )
-    def test_every_lane_equals_solve_rate_bit_for_bit(self, users, capacity, tol):
-        self.assert_lanes_equal_solve_rate(users, capacity, tol)
+    def test_every_lane_equals_solve_rate_bit_for_bit(self, users, copies, capacity, tol):
+        self.assert_lanes_equal_solve_rate(users * copies, capacity, tol)
 
     @staticmethod
     def assert_lanes_equal_solve_rate(users, capacity, tol):
@@ -168,12 +187,13 @@ class TestSolveLanes:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         users=st.lists(lane_users, min_size=1, max_size=12),
+        copies=tile_counts,
         capacity=log_uniform(0, 4),
         tol=log_uniform(-13, 0),
         estimates=st.lists(st.sampled_from(WRONG_ROOTS), min_size=2, max_size=2),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_any_root_estimate_gives_the_same_rates(self, users, capacity, tol, estimates, seed):
+    def test_any_root_estimate_gives_the_same_rates(self, users, copies, capacity, tol, estimates, seed):
         # the estimates only pick which midpoints the solve checks against
         # the slopes, so even useless ones leave every rate as it was
         rng = np.random.default_rng(seed)
@@ -191,7 +211,7 @@ class TestSolveLanes:
             patch.object(rateauction.ue, "sigmoid_root", wrong_root(estimates[0])),
             patch.object(rateauction.ue, "logarithmic_root", wrong_root(estimates[1])),
         ):
-            self.assert_lanes_equal_solve_rate(users, capacity, tol)
+            self.assert_lanes_equal_solve_rate(users * copies, capacity, tol)
 
     def test_estimated_midpoints_outside_the_domain_are_not_guarded(self):
         # a*r underflows below r = 0.022 for a = 1e-306; the root lies near
@@ -213,6 +233,10 @@ class TestSolveLanes:
         assert got[1] == R
         assert got[2] < R
         assert got[0] == solve_rate(SigmoidalUtility(a=5.0, b=35.0), 0.3, R)
+
+    def test_tol_above_capacity_is_refused(self):
+        with pytest.raises(ValueError, match="at most the capacity 100.0, got 300.0"):
+            solve_lanes(np.empty(0), np.empty(0), np.ones(1), np.array([0.5]), R, 300.0)
 
     def test_step_cap_raises(self):
         # tol below the float spacing at R: no bracket can get that narrow
@@ -276,11 +300,13 @@ class TestLanePaths:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         users=st.lists(lane_users, min_size=1, max_size=8),
+        copies=tile_counts,
         capacity=log_uniform(0, 4),
         tol=log_uniform(-13, 0),
         rounds=price_rounds,
     )
-    def test_every_round_equals_a_solve_without_paths(self, users, capacity, tol, rounds):
+    def test_every_round_equals_a_solve_without_paths(self, users, copies, capacity, tol, rounds):
+        users = users * copies
         sig = [u for u in users if u[0] == "sig"]
         log = [u for u in users if u[0] == "log"]
         a, b = np.array([u[1] for u in sig]), np.array([u[2] for u in sig])
@@ -407,6 +433,71 @@ class TestUnevenStops:
         got = solve_lanes(*lanes, np.array([prices[1], prices[0], prices[2]]), capacity, tol, paths)
         assert got.tobytes() == want[[1, 0, 2]].tobytes()
         assert got[2] == capacity
+
+
+# Root estimates anywhere around the bracket, the ones no bracket holds, and
+# the first midpoint itself, where mid <= root holds with equality.
+walk_roots = log_uniform(-15, 5) | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, "first midpoint"])
+# (capacity, tol), tol below capacity/2 so that level 0 has a lane to walk:
+# anywhere; the uneven stops'; and tols below the float spacing at the
+# roots, subnormal ones included, which walk to the step cap
+walk_brackets = (
+    st.tuples(log_uniform(0, 4), log_uniform(-13, -0.5))
+    | st.sampled_from([(capacity, tol) for capacity, tol, _ in UNEVEN_STOPS])
+    | st.tuples(log_uniform(0, 4), st.sampled_from([1e-20, 1e-310, 5e-324]))
+)
+
+
+class TestLaneByLaneWalk:
+    """Below ``LANE_BY_LANE_BELOW`` lanes, the solve walks its estimated
+    paths one lane at a time in Python floats.  From the same paths, bracket
+    and level, that walk and the lockstep one write the same midpoints,
+    widths, ``on`` rows and bracket, and end at the same levels."""
+
+    @staticmethod
+    def assert_walks_agree(roots, clamped, capacity, tol, start):
+        roots = np.array([(tol + capacity) * 0.5 if r == "first midpoint" else r for r in roots], dtype=float)
+        first = np.where(clamped, capacity, np.array([[tol], [capacity]]))
+        paths = LanePaths()
+        paths._replay(roots, None, 0, None, None)  # no paths yet: takes the buffers
+
+        def by_root(_, mid, ups):
+            np.less_equal(mid, roots, out=ups)
+
+        # down to level start, or from level 0 if every lane is within tol there
+        bracket = first.copy()
+        _bisect_in_lockstep(paths, bracket, by_root, 0, start)
+        if not np.count_nonzero(bracket[1] - bracket[0] > tol):
+            start, bracket = 0, first
+        assert np.count_nonzero(np.subtract(bracket[1], bracket[0], out=paths.widths[start]) > tol)
+        lane_by_lane, lane_bracket = copy.deepcopy(paths), bracket.copy()
+        tol = np.array(tol)
+        want = _walk(paths, start, tol, partial(_bisect_in_lockstep, paths, bracket, by_root))
+        got = _walk(lane_by_lane, start, tol, partial(_bisect_lane_by_lane, lane_by_lane, lane_bracket, roots.tolist()))
+        assert got == want
+        for name in ("mids", "widths", "on"):
+            assert getattr(lane_by_lane, name).tobytes() == getattr(paths, name).tobytes(), name
+        assert lane_bracket.tobytes() == bracket.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        lanes=st.lists(st.tuples(walk_roots, st.sampled_from([False, False, False, True])), min_size=1, max_size=12),
+        bracket=walk_brackets,
+        start=st.integers(0, 40),
+    )
+    def test_both_walks_write_the_same_rows(self, lanes, bracket, start):
+        roots, clamped = zip(*lanes)
+        # the first lane walks
+        self.assert_walks_agree(roots, np.array([False, *clamped[1:]]), *bracket, start)
+
+    @pytest.mark.parametrize(
+        "capacity, tol, prices", [*UNEVEN_STOPS, (0.9648064809633523, 3.6804306050586654e-06, (0.7699745596976851,))]
+    )
+    def test_stops_one_level_apart(self, capacity, tol, prices):
+        # TestUnevenStops' lanes at their own roots: rounding stops each pair
+        # one level apart, and the lone lane's walk ends one level past its stop
+        roots = logarithmic_root(np.ones(len(prices)), np.array(prices))
+        self.assert_walks_agree(roots, np.zeros(len(prices), dtype=bool), capacity, tol, 0)
 
 
 class TestSlopeCalls:
