@@ -6,7 +6,8 @@ broadcast price and bid, aggregate the bids into the next shadow price,
 and test convergence.  The loop stops when all bid changes fall within
 delta (if early stopping applies) or at the iteration cap; the final
 allocation divides each bid by the closing price, which fills the
-capacity exactly.
+capacity exactly.  Every UE solves to the one solver tolerance
+:data:`~rateauction.ue.DEFAULT_RATE_TOL`, and a scenario's R is at least it.
 
 Runs are made in lockstep batches: one scenario under its seeds, with the
 user layout built once from the scenario and the parameters as arrays, one
@@ -47,7 +48,7 @@ import logging
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -149,9 +150,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _require_finite_positive("R", self.capacity)
-        # the log-slopes grow like 1/r near 0, and 1/R overflows for a subnormal R
-        if self.capacity < (smallest := float(np.finfo(float).tiny)):
-            raise SpecError("R", f"R must be at least the smallest normal float {smallest!r}, got {self.capacity!r}")
+        # every UE bisects [tol, R]; a subnormal R, whose 1/R overflows the log-slopes, lies far below
+        if self.capacity < DEFAULT_RATE_TOL:
+            raise SpecError("R", f"R must be at least the solver tolerance {DEFAULT_RATE_TOL!r}, got {self.capacity!r}")
         _require_finite_positive("delta", self.delta)
         _require_at_least("max_iterations", self.max_iterations, 1)
         _require_at_least("seed", self.seed, 0)
@@ -225,7 +226,7 @@ def _bits(x):
     return (x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
 
 
-def _raise_first_failure(scenario: Scenario, prices, a: np.ndarray, b: np.ndarray, n: int, tol: float) -> None:
+def _raise_first_failure(scenario: Scenario, prices, a: np.ndarray, b: np.ndarray, n: int) -> None:
     """Solve round n again with the scalar reference, one ``ue_step`` per
     user in run and user order, and raise SimulationError naming the first
     user that fails."""
@@ -235,7 +236,7 @@ def _raise_first_failure(scenario: Scenario, prices, a: np.ndarray, b: np.ndarra
         for uid, spec in enumerate(scenario.users, start=1):
             utility = next(sigmoid) if isinstance(spec, SigmoidalUserSpec) else spec.initial_utility(capacity)
             try:
-                ue_step(utility, price, capacity, tol)
+                ue_step(utility, price, capacity)
             except (ValueError, BisectionError) as exc:  # what the solver raises by design
                 raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
 
@@ -266,14 +267,12 @@ def _lane_layout(runs: int, sigmoid: np.ndarray, k: np.ndarray) -> tuple[np.ndar
     return np.tile(k, runs), lane_run, lane_of
 
 
-def _run_lockstep(scenario: Scenario, seeds: list[int], solver_tol: float) -> list[RunResult]:
+def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
     """The runs of one scenario under each of ``seeds``, round by round
     together; a run leaves the batch when it converges.  ``live`` indexes
     the runs still in the batch; ``a`` and ``b`` hold the sigmoid users'
     parameters, one row per live run, and ``k`` the logarithmic users'."""
     capacity, cap, runs = scenario.capacity, scenario.max_iterations, len(seeds)
-    if solver_tol > capacity:  # no bracket [tol, R] to bisect
-        raise SpecError("R", f"R must be at least the solver tolerance {solver_tol!r}, got {capacity!r}")
     # one pass over the users: the sigmoid mask, the logarithmic users' k, the sigmoid users'
     # (a, b), NaN until each round's draw for a drawn user, and each drawn user's (column, id, spec)
     sigmoid, k, ab, drawn = [], [], [], []
@@ -311,9 +310,9 @@ def _run_lockstep(scenario: Scenario, seeds: list[int], solver_tol: float) -> li
             a[:, drawn_cols], b[:, drawn_cols] = drawn_a, drawn_b
             paths.clear()  # the recorded slopes belong to the old parameters
         try:
-            lanes = solve_lanes(a.ravel(), b.ravel(), k_lanes, prices[lane_run], capacity, solver_tol, paths)
+            lanes = solve_lanes(a.ravel(), b.ravel(), k_lanes, prices[lane_run], capacity, paths=paths)
         except (ValueError, BisectionError):  # the scalar re-solve raises the precise error
-            _raise_first_failure(scenario, prices, a, b, n, solver_tol)
+            _raise_first_failure(scenario, prices, a, b, n)
             raise
         rates = lanes[lane_of]
         bids = prices[:, None] * rates
@@ -349,25 +348,22 @@ def _run_lockstep(scenario: Scenario, seeds: list[int], solver_tol: float) -> li
     ]
 
 
-def run(scenario: Scenario, solver_tol: float = DEFAULT_RATE_TOL) -> RunResult:
+def run(scenario: Scenario) -> RunResult:
     """Execute one auction to convergence or the iteration cap: a lockstep
     batch of one run."""
-    return _run_lockstep(scenario, [scenario.seed], solver_tol)[0]
+    return _run_lockstep(scenario, [scenario.seed])[0]
 
 
-def run_replication(
-    scenario: Scenario,
-    seeds: list[int],
-    solver_tol: float = DEFAULT_RATE_TOL,
-) -> list[RunResult]:
+def run_replication(scenario: Scenario, seeds: Iterable[int]) -> list[RunResult]:
     """Independent runs of the same scenario, one per seed, in seed order.
 
     The seeds run in lockstep over one user layout, every UE of every run in
     one lane solve per round; each result equals ``run(replace(scenario,
     seed=s))`` exactly, and the first negative seed raises its SpecError.
     """
+    seeds = list(seeds)
     if not seeds:
         raise ValueError("seed list must not be empty")
     for seed in seeds:
         _require_at_least("seed", seed, 0)
-    return _run_lockstep(scenario, list(seeds), solver_tol)
+    return _run_lockstep(scenario, seeds)

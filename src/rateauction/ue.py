@@ -15,8 +15,8 @@ no matter how high the price.
 one array element (a *lane*) per UE.  The slope formulas and the root
 estimates live in :mod:`rateauction.utility`: :func:`solve_rate` calls
 the guarded ``log_slope`` at each step, and :func:`solve_lanes` calls the
-unguarded kernels, which flag where the guards would raise, and counts
-the flags on the lanes' paths once: both raise the same ``RateDomainError``.
+unguarded kernels and runs the guards at ``tol``, then only where that
+fails on the lanes' paths: both raise the same ``RateDomainError``.
 
 Both halves of the lane solve rest on one fact: a level's midpoint depends
 only on ``tol``, ``capacity`` and the decisions above it, so a guessed
@@ -43,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .utility import (
+    RateDomainError,
     UtilityFunction,
     check_logarithmic_rate,
     check_sigmoid_rate,
@@ -137,9 +138,10 @@ class LanePaths:
         self.predicted = 0
         self.compared = 0
         self.bracket: Optional[tuple[float, float]] = None  # (capacity, tol) of the paths
-        # (level, lane): midpoint, slope there, slope >= price, slope undefined,
-        # the bracket's width there, and whether it is on the lane's path
-        self.mids = self.slopes = self.moves = self.undefined = self.widths = self.on = None
+        self.screened = False  # beside at_capacity: every lane's guards pass at tol
+        # (level, lane): midpoint, slope there, slope >= price, the
+        # bracket's width there, and whether it is on the lane's path
+        self.mids = self.slopes = self.moves = self.widths = self.on = None
         self.clear()
 
     def clear(self) -> None:
@@ -156,7 +158,7 @@ class LanePaths:
         if not top:  # no paths, or no lane walked a level
             if self.mids is None or self.mids.shape[1] != len(price):
                 self.mids, self.slopes = np.empty((2, MAX_BISECTION_STEPS, len(price)))
-                self.moves, self.undefined = np.empty((2, *self.mids.shape), dtype=bool)
+                self.moves = np.empty(self.mids.shape, dtype=bool)
                 self.widths = np.empty((MAX_BISECTION_STEPS + 1, len(price)))
                 self.on = np.empty(self.widths.shape, dtype=bool)
             return 0
@@ -292,7 +294,7 @@ def solve_lanes(
     midpoint depends only on the decisions above it, so if none flips, the
     estimated path is the path of :func:`solve_rate`; otherwise the levels
     above the first flip are, and the walk goes on below it by the slopes.
-    The guard counts the kernels' undefined flags on the true path only, so
+    Guards failing at ``tol`` run over the true paths' midpoints only, so
     an estimate can cost time but never changes a rate, raises or warns.
 
     ``paths`` holds each lane's path from a solve with the same ``a``, ``b``
@@ -317,8 +319,14 @@ def solve_lanes(
     neg_a = -a
     at_capacity = paths.at_capacity
     if at_capacity is None:
-        check_sigmoid_rate(a, capacity)
-        check_logarithmic_rate(k, capacity)
+        try:  # a guard passing at tol passes at every higher rate: capacity and every midpoint
+            check_sigmoid_rate(a, tol)
+            check_logarithmic_rate(k, tol)
+            paths.screened = True
+        except RateDomainError:
+            paths.screened = False
+            check_sigmoid_rate(a, capacity)
+            check_logarithmic_rate(k, capacity)
         at_capacity = np.empty_like(price)
         sigmoid_slope(a, neg_a, b, capacity, out=at_capacity[:s])
         logarithmic_slope(k, capacity, out=at_capacity[s:])
@@ -332,13 +340,13 @@ def solve_lanes(
     bracket = np.where(clamped, capacity, first_bracket)
     lo, hi = bracket
     resume = paths._replay(price, clamped, n_clamped, lo, hi)
-    mids, slopes, moves, undefined, on = paths.mids, paths.slopes, paths.moves, paths.undefined, paths.on
+    mids, slopes, moves, on = paths.mids, paths.slopes, paths.moves, paths.on
     tol_array = np.array(tol)
     paths.top = paths.at_capacity = None  # a walk that raises leaves no paths
 
-    def evaluate(rows, mid):  # the slopes at mid, and where they are undefined, into rows
-        sigmoid_slope(a, neg_a, b, mid[..., :s], out=slopes[rows, :s], undefined=undefined[rows, :s])
-        logarithmic_slope(k, mid[..., s:], out=slopes[rows, s:], undefined=undefined[rows, s:])
+    def evaluate(rows, mid):  # the slopes at mid into rows
+        sigmoid_slope(a, neg_a, b, mid[..., :s], out=slopes[rows, :s])
+        logarithmic_slope(k, mid[..., s:], out=slopes[rows, s:])
 
     def by_slope(level, mid, ups):
         evaluate(level, mid)
@@ -371,10 +379,10 @@ def solve_lanes(
                 if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[exact]), tol_array, out=on[exact])):
                     level, end = _walk(paths, exact, tol_array, partial(_bisect_in_lockstep, paths, bracket, by_slope))
                     np.greater_equal(slopes[exact:level], price, out=moves[exact:level])
-    # The domain guard, once over the kernels' flags on the lanes' paths,
-    # raises before the step cap where a guarded walk would.  Estimated
+    # Where a lane fails its guard at tol, the guards run over every lane's
+    # path, raising before the step cap as a guarded walk would.  Estimated
     # midpoints below a wrong decision are on no path, or walked over again.
-    if np.count_nonzero(np.logical_and(undefined[resume:level], on[resume:level])):
+    if not paths.screened:
         on_paths = np.where(on[resume:level], mids[resume:level], capacity)
         check_sigmoid_rate(a, on_paths[:, :s])
         check_logarithmic_rate(k, on_paths[:, s:])

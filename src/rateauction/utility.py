@@ -27,10 +27,9 @@ estimate (:func:`sigmoid_root`, :func:`logarithmic_root`).  The lane
 solver bisects against the estimates, then evaluates the kernels once
 over every midpoint it visited and checks each decision against the
 price.  An estimate only steers which midpoints get checked, so a poor
-one costs time and never changes a rate.  The kernels can also flag where
-the guards would raise, from their own intermediate values; the lane
-solver counts the flags on each lane's true path, and runs the guards
-only when the count is not zero.
+one costs time and never changes a rate.  A guard that fails at r fails
+at every lower rate, so the lane solver runs the guards at ``tol``, below
+every rate it visits, and on each lane's path only where that fails.
 """
 
 from __future__ import annotations
@@ -44,9 +43,8 @@ from scipy.special import expit, wrightomega
 SMALLEST_NORMAL = np.finfo(float).tiny
 # 0-d array operands, not Python floats: numpy converts a Python or numpy
 # scalar operand on every ufunc call, which costs about half the call again.
-ONE, ZERO, NEG_TINY = np.array(1.0), np.array(0.0), np.array(-SMALLEST_NORMAL)
-for _constant in (ONE, ZERO, NEG_TINY):
-    _constant.flags.writeable = False
+ONE = np.array(1.0)
+ONE.flags.writeable = False
 
 
 class RateDomainError(ValueError):
@@ -70,10 +68,9 @@ def check_logarithmic_rate(k, r) -> None:
         raise RateDomainError(f"log-slope undefined: k*r underflows for k={k}, r={r}")
 
 
-def sigmoid_slope(a, neg_a, b, r, out=None, undefined=None):
+def sigmoid_slope(a, neg_a, b, r, out=None):
     """d(log U)/dr of the sigmoidal family, unguarded, elementwise over a, b
-    and r, with ``neg_a = -a``; into ``out`` if given, and ``undefined``
-    takes where :func:`check_sigmoid_rate` would raise.
+    and r, with ``neg_a = -a``; into ``out`` if given.
 
     The single home of the formula: ``a * (exp(x)/(1 - exp(x)) +
     expit(-a*(r - b)))`` with ``x = -a*r``, evaluated as
@@ -82,11 +79,8 @@ def sigmoid_slope(a, neg_a, b, r, out=None, undefined=None):
     :func:`check_sigmoid_rate` would raise, the quotient divides by zero or
     overflows."""
     x = neg_a * r
-    denominator = np.expm1(x)
-    if undefined is not None:
-        np.greater(denominator, NEG_TINY, out=undefined)
     quotient = np.exp(x)
-    quotient /= denominator
+    quotient /= np.expm1(x)
     slope = r - b
     slope *= neg_a
     slope = expit(slope)
@@ -94,15 +88,12 @@ def sigmoid_slope(a, neg_a, b, r, out=None, undefined=None):
     return np.multiply(a, slope, out=out)
 
 
-def logarithmic_slope(k, r, out=None, undefined=None):
+def logarithmic_slope(k, r, out=None):
     """d(log U)/dr = k / ((1 + k*r) * log(1 + k*r)) of the logarithmic
     family, unguarded, elementwise over k and r; into ``out`` if given.
-    Where :func:`check_logarithmic_rate` would raise, it divides by zero,
-    and ``undefined``, if given, takes those places."""
+    Where :func:`check_logarithmic_rate` would raise, it divides by zero."""
     kr = k * r
     scale = np.log1p(kr)
-    if undefined is not None:
-        np.less_equal(scale, ZERO, out=undefined)
     kr += ONE
     scale *= kr
     return np.divide(k, scale, out=out)

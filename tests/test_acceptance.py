@@ -202,7 +202,7 @@ def test_criterion_2_oracle_equivalence():
     for case in range(20):
         m = case % 3 + 1
         scenario = _random_small_scenario(rng, m)
-        result = run(scenario, solver_tol=1e-9)
+        result = run(scenario)
         _check(
             failures,
             result.stop_reason == STOP_CONVERGED,

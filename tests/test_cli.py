@@ -300,7 +300,7 @@ class TestRunCommand:
         )
         assert main(["run", "--scenario", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: R must be at least the solver tolerance 1e-06, got 1e-07\n"
+        assert captured.err == f"error: {path}: field 'R': R must be at least the solver tolerance 1e-06, got 1e-07\n"
         assert captured.out == ""
 
     def test_usage_error_exits_2(self):

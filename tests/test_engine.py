@@ -148,7 +148,7 @@ class TestSmallScenarios:
                 LogarithmicUserSpec(k=0.1, r_max=50.0),
             ),
         )
-        result = run(scenario, solver_tol=1e-9)
+        result = run(scenario)
         assert result.stop_reason == STOP_CONVERGED
         utilities = [u.initial_utility(50.0) for u in scenario.users]
         reference = centralized_argmax(utilities, 50.0, 1e-3)
@@ -187,6 +187,12 @@ class TestDeterminismAndReplication:
     def test_replication_rejects_empty_seed_list(self):
         with pytest.raises(ValueError):
             run_replication(preset("normal"), [])
+
+    @pytest.mark.parametrize("name", ["fixed", "normal"])
+    def test_replication_takes_any_iterable_of_seeds(self, name):
+        want = run_replication(preset(name), [0, 1, 2])
+        assert run_replication(preset(name), iter([0, 1, 2])) == want
+        assert run_replication(preset(name), np.arange(3)) == want
 
     @pytest.mark.parametrize("name", ["fixed", "normal"])
     def test_replication_names_the_first_negative_seed(self, name):
@@ -401,17 +407,20 @@ class TestSamplerCounts:
 
 class TestErrorContext:
     def test_solver_failure_names_user_and_iteration(self):
-        # tol below the float spacing at R = 100: no bracket ever gets that
-        # narrow, so the bisection cap fires on the first solve
+        # user 1's root lies near b = 1e10, where the float spacing exceeds
+        # the solver tolerance 1e-6: no bracket there ever gets that narrow,
+        # so the bisection cap fires on the first solve
         from rateauction import SimulationError
 
+        users = (SigmoidalUserSpec(a=Fixed(15.0), b=Fixed(1e10)), LogarithmicUserSpec(k=1.0, r_max=100.0))
+        scenario = Scenario(capacity=2e10, delta=1e-2, max_iterations=20, seed=0, users=users)
         start = time.perf_counter()
         with pytest.raises(SimulationError) as info:
-            run(preset("fixed"), solver_tol=1e-20)
+            run(scenario)
         assert time.perf_counter() - start < 1.0
         assert str(info.value) == (
             "user 1 failed at iteration 1: no convergence after 200 bisection steps "
-            "(price=1.0, capacity=100.0, tol=1e-20)"
+            "(price=1.0, capacity=20000000000.0, tol=1e-06)"
         )
 
     def test_deep_domain_failure_names_user_with_the_scalar_message(self):
@@ -450,20 +459,15 @@ class TestErrorContext:
                 run(preset("fixed"))
         assert not isinstance(info.value, SimulationError)
 
-    def test_r_below_the_solver_tolerance_is_refused_before_any_round(self, monkeypatch):
-        # the bracket [tol, R] is empty: every user would take R/2
-        monkeypatch.setattr(rateauction.engine, "solve_lanes", None)
-        for batch in (lambda tol: run(preset("fixed"), solver_tol=tol),
-                      lambda tol: run_replication(preset("normal"), [0, 1], solver_tol=tol)):
-            with pytest.raises(SpecError, match=r"^R must be at least the solver tolerance 150.0, got 100.0$") as info:
-                batch(150.0)
+    def test_r_below_the_solver_tolerance_is_refused_before_any_round(self):
+        # the bracket [tol, R] would be empty: every user would take R/2.
+        # The scenario refuses it, so no batch is ever built
+        for name in ("fixed", "normal"):
+            with pytest.raises(SpecError, match=r"^R must be at least the solver tolerance 1e-06, got 1e-07$") as info:
+                replace(preset(name), capacity=1e-7)
             assert info.value.field == "R"
-
-    def test_replication_failure_names_user_and_iteration(self):
-        from rateauction import SimulationError
-
-        with pytest.raises(SimulationError, match=r"^user 1 failed at iteration 1: tol must be > 0"):
-            run_replication(preset("normal"), [0, 1], solver_tol=0.0)
+        # R at the tolerance runs, and its allocation fills R
+        assert sum(run(replace(preset("fixed"), capacity=1e-6)).final_rates.values()) == pytest.approx(1e-6)
 
     def test_first_failed_draw_in_run_then_user_order(self):
         # at iteration 1, seed 2 draws cleanly, seed 3 fails on user 3's b
@@ -505,16 +509,18 @@ class TestErrorContext:
         # a*R overflows for about half of NORM(1.797e306, 2e305)'s draws;
         # seeds 2, 4 and 16 first fail at iterations 5, 6 and 4.  The batch
         # draws all 8 rounds in one block at round 1, and still fails in
-        # round 4; a solve failure in round 1 comes first, and a cap of 3
-        # rounds meets no failed draw
+        # round 4; a solve failure in round 1 (a*r underflows for user 3's
+        # a = 1e-320 at R) comes first, and a cap of 3 rounds meets no
+        # failed draw
         from rateauction import SimulationError
 
         users = (SigmoidalUserSpec(a=Normal(1.797e306, 2e305), b=Fixed(20.0)), LogarithmicUserSpec(k=1.0, r_max=100.0))
         scenario = Scenario(capacity=100.0, delta=1e-2, max_iterations=8, seed=0, users=users)
         with pytest.raises(SimulationError, match=r"^user 1 failed at iteration 4: a\*R must be finite"):
             run_replication(scenario, [2, 4, 16])
-        with pytest.raises(SimulationError, match=r"^user 1 failed at iteration 1: no convergence"):
-            run_replication(scenario, [2, 4, 16], solver_tol=1e-20)
+        underflowing = replace(scenario, users=users + (SigmoidalUserSpec(a=Fixed(1e-320), b=Fixed(20.0)),))
+        with pytest.raises(SimulationError, match=r"^user 3 failed at iteration 1: log-slope undefined"):
+            run_replication(underflowing, [2, 4, 16])
         assert [r.iterations for r in run_replication(replace(scenario, max_iterations=3), [2, 4, 16])] == [3, 3, 3]
 
     def test_non_finite_a_is_named_before_b(self):

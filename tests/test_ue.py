@@ -130,11 +130,19 @@ def log_uniform(lo_exp, hi_exp):
 
 
 # One UE: a sigmoidal (a, b) or a logarithmic k, and the price it sees.
-# Prices down to 1e-12 leave some lanes clamped at the capacity.
-lane_users = st.one_of(
+# Prices down to 1e-12 leave some lanes clamped at the capacity.  A tenth
+# of the lanes sit near a domain guard's threshold: a*r or k*r underflows
+# at every rate (a = 1e-320), below r = 0.5 (k = 5e-324), below r = 0.022
+# (a = 1e-306) or only below r = 2.5e-14 (k = 1e-310).
+in_domain_users = st.one_of(
     st.tuples(st.just("sig"), log_uniform(-1.5, 1.5), log_uniform(-1, 3.5), log_uniform(-12, 3)),
     st.tuples(st.just("log"), log_uniform(-3, 2), st.none(), log_uniform(-12, 3)),
 )
+near_guard_users = st.one_of(
+    st.tuples(st.just("sig"), st.sampled_from([1e-306, 1e-320]), log_uniform(-1, 3.5), log_uniform(-12, 3)),
+    st.tuples(st.just("log"), st.sampled_from([1e-310, 5e-324]), st.none(), log_uniform(-12, 3)),
+)
+lane_users = st.integers(0, 9).flatmap(lambda i: near_guard_users if i == 0 else in_domain_users)
 
 
 # How many times the drawn users are tiled: the lane counts land on both
@@ -173,12 +181,17 @@ class TestSolveLanes:
         utilities = [SigmoidalUtility(a=u[1], b=u[2]) for u in sig] + [
             LogarithmicUtility(k=u[1], r_max=capacity) for u in log
         ]
-        try:
-            want = [solve_rate(u, p[3], capacity, tol) for u, p in zip(utilities, sig + log)]
-        except BisectionError:
-            # tol below the float spacing near some root: the cap must fire
-            # in the lanes too
-            with pytest.raises(BisectionError):
+        want, failures = [], set()
+        for u, p in zip(utilities, sig + log):
+            try:
+                want.append(solve_rate(u, p[3], capacity, tol))
+            except (RateDomainError, BisectionError) as exc:
+                failures.add(type(exc))
+        if failures:
+            # a slope undefined on some lane's path, else tol below the float
+            # spacing near some root: the lanes raise the same, the domain
+            # error before the step cap
+            with pytest.raises(RateDomainError if RateDomainError in failures else BisectionError):
                 solve_lanes(*lanes)
             return
         got = solve_lanes(*lanes)
@@ -259,7 +272,7 @@ class TestSolveLanes:
         with pytest.raises(RateDomainError):
             solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1e5, R)
 
-    def test_guard_reads_the_flags_of_the_slope_walk(self):
+    def test_guard_covers_the_slope_walk(self):
         # an estimate of 1e300 sends the first decision up, and the slope at
         # R/2 sends it down: every level below walks by the slopes, and
         # reaches r below 0.022, where a*r underflows for a = 1e-306
@@ -277,6 +290,26 @@ class TestSolveLanes:
         lanes = np.array([15.0]), np.array([20.0]), np.array([1e-310])
         with pytest.raises(RateDomainError, match="k\\*r underflows"):
             solve_lanes(*lanes, np.array([1.0, 1e15]), R, 1e-20)
+
+    def test_lanes_passing_their_guards_at_tol_are_guarded_once(self):
+        # every rate a solve visits is at least tol: the fixed preset's 87
+        # rounds at delta 1e-6 run each family's guard once, at tol, and
+        # never over a path
+        rates = []
+
+        def counted(check):
+            def guard(param, r):
+                rates.append(r)
+                check(param, r)
+
+            return guard
+
+        with (
+            patch.object(rateauction.ue, "check_sigmoid_rate", counted(check_sigmoid_rate)),
+            patch.object(rateauction.ue, "check_logarithmic_rate", counted(check_logarithmic_rate)),
+        ):
+            run(replace(preset("fixed"), delta=1e-6, max_iterations=200))
+        assert rates == [TOL, TOL]
 
 
 # One round of price moves: every price drifts by a relative 1e-9 to 1 in
@@ -325,25 +358,26 @@ class TestLanePaths:
             price[jumps] *= 10.0 ** rng.uniform(-6.0, 6.0, np.count_nonzero(jumps))
             fresh = rng.random(len(price)) < redraw
             if np.count_nonzero(fresh):
-                # fresh parameters in lane_users' ranges; half the redrawn
+                # fresh parameters in in_domain_users' ranges; half the redrawn
                 # lanes get a price between their old and new slopes at
-                # capacity (which can underflow to 0), so exactly one of the
-                # two parameter sets clamps them.  The old paths belong to
-                # the old parameters.
+                # capacity (which can underflow to 0, or overflow where a*r
+                # does), so exactly one of the two parameter sets clamps
+                # them.  The old paths belong to the old parameters.
                 old = self.capacity_slopes(a, b, k, capacity)
                 a = np.where(fresh[: len(a)], 10.0 ** rng.uniform(-1.5, 1.5, len(a)), a)
                 b = np.where(fresh[: len(a)], 10.0 ** rng.uniform(-1.0, 3.5, len(a)), b)
                 k = np.where(fresh[len(a) :], 10.0 ** rng.uniform(-3.0, 2.0, len(k)), k)
                 between = 0.5 * (old + self.capacity_slopes(a, b, k, capacity))
-                across = fresh & (rng.random(len(price)) < 0.5) & (between > 0.0)
+                across = fresh & (rng.random(len(price)) < 0.5) & (between > 0.0) & np.isfinite(between)
                 price[across] = between[across]
                 paths.clear()
             try:
                 want = solve_lanes(a, b, k, price, capacity, tol)
-            except BisectionError:
-                # tol below the float spacing near some root: the cap must
-                # fire in the same round with the paths
-                with pytest.raises(BisectionError):
+            except (RateDomainError, BisectionError) as exc:
+                # a slope undefined on some lane's path, or tol below the
+                # float spacing near some root: the same error must come in
+                # the same round with the paths
+                with pytest.raises(type(exc)):
                     solve_lanes(a, b, k, price, capacity, tol, paths)
                 return
             got = solve_lanes(a, b, k, price, capacity, tol, paths)
@@ -351,9 +385,10 @@ class TestLanePaths:
 
     @staticmethod
     def capacity_slopes(a, b, k, capacity):
-        check_sigmoid_rate(a, capacity)
-        check_logarithmic_rate(k, capacity)
-        return np.concatenate((sigmoid_slope(a, -a, b, capacity), logarithmic_slope(k, capacity)))
+        # the first round redraws before any solve has guarded the lanes: a
+        # slope undefined at capacity comes out infinite
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.concatenate((sigmoid_slope(a, -a, b, capacity), logarithmic_slope(k, capacity)))
 
     def test_lane_leaving_the_clamp_gets_every_step(self):
         # both roots need 190 of the 200 steps; lane 1, clamped in the first

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rateauction import LogarithmicUtility, RateDomainError, SigmoidalUtility
+from rateauction.utility import check_logarithmic_rate, check_sigmoid_rate
 
 # high-precision references (30-digit evaluation of the closed forms)
 LOG_VALUE_K1_R10 = 0.519573706482440696691  # ln(11)/ln(101)
@@ -173,6 +176,26 @@ class TestLogSlope:
             SigmoidalUtility(a=1e-200, b=1.0).log_slope(1e-200)
         with pytest.raises(RateDomainError):
             LogarithmicUtility(k=1e-200, r_max=1.0).log_slope(1e-200)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(
+        check=st.sampled_from([check_sigmoid_rate, check_logarithmic_rate]),
+        exponent=st.floats(-323, -280),
+        rate_exponents=st.lists(st.floats(-20, 4), min_size=2, max_size=2).map(sorted),
+    )
+    def test_each_guard_fails_on_a_down_set_of_rates(self, check, exponent, rate_exponents):
+        # the lane solve screens each lane's a or k once at tol, which lies
+        # below every midpoint and the capacity: a guard that fails at a
+        # rate must fail at every lower one
+        def fails(r):
+            try:
+                check(10.0**exponent, r)
+            except RateDomainError:
+                return True
+            return False
+
+        r1, r2 = (10.0**e for e in rate_exponents)
+        assert fails(r1) or not fails(r2)
 
 
 class TestNumericalStability:
