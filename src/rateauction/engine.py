@@ -11,11 +11,14 @@ capacity exactly.  Every UE solves to the one solver tolerance
 
 Runs are made in lockstep batches: one scenario under its seeds, with the
 user layout built once from the scenario and the parameters as arrays, one
-row per run.  Each round, every UE of every live run is one lane of a single
-vectorised solve (:func:`~rateauction.ue.solve_lanes`), which performs the
-scalar solver's float operations lane for lane, and bids ``price * rate``;
-one :class:`~rateauction.station.BidLedger`, one row per live run, gives
-every run's price, convergence test and allocation.  One
+row per run.  Each round, every distinct UE of every live run is one lane of
+a single vectorised solve (:func:`~rateauction.ue.solve_lanes`), which
+performs the scalar solver's float operations lane for lane: within a run,
+the fixed sigmoid users with equal (a, b) share a lane, as do the logarithmic
+users with equal k, and each drawn user has its own.  Every user takes its
+lane's rate and bids ``price * rate``; one
+:class:`~rateauction.station.BidLedger`, one row per live run, gives every
+run's price, convergence test and allocation.  One
 :class:`~rateauction.sampling.BatchSampler` draws a block of rounds' (a, b)
 for every live run and drawn user at once, as array arithmetic, bit for
 bit the draws of each cell's own generator, and serves each round from
@@ -33,10 +36,11 @@ every path each round, since the slopes a path records belong to the
 parameters that walked it.  A run that leaves the batch drops its sampler
 row with its ledger row, and the paths are forgotten: runs with no drawn
 user differ only in their seed, so they are identical and leave together.
-One DEBUG line per batch reports the levels walked by the slopes, the
-levels walked against the estimated roots, the recorded levels the
-replays compared, and the sampler's blocks, cells and cells redrawn off
-the ziggurat's fast path.
+One DEBUG line per batch reports its first round's lanes against its
+(run, user) cells, the levels walked by the slopes, the levels walked
+against the estimated roots, the recorded levels the replays compared,
+and the sampler's blocks, cells and cells redrawn off the ziggurat's fast
+path.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -254,39 +258,40 @@ def _raise_draw_failure(capacity: float, seeds: list[int], drawn, failed: np.nda
     raise AssertionError(f"user {uid}'s draw at iteration {n} failed only in the batch sampler")
 
 
-def _lane_layout(runs: int, sigmoid: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lanes of ``runs`` live runs: the sigmoid users' in run and user
-    order, then the logarithmic users'.  Returns each logarithmic lane's k,
-    each lane's run, and each (run, user)'s lane."""
-    n_sig, n_log = np.count_nonzero(sigmoid), len(k)
-    run_ids = np.arange(runs)
+def _lane_layout(runs: int, sigmoid: np.ndarray, column: np.ndarray, n_sig: int, k: np.ndarray):
+    """The lanes of ``runs`` live runs: the ``n_sig`` sigmoid columns' in run
+    and column order, then the logarithmic columns', one per ``k``.  Returns
+    each logarithmic lane's k, each lane's run, and each (run, user)'s lane."""
+    n_log, run_ids = len(k), np.arange(runs)[:, None]
     lane_run = np.concatenate((run_ids.repeat(n_sig), run_ids.repeat(n_log)))
-    lane_of = np.empty((runs, len(sigmoid)), dtype=int)
-    lane_of[:, sigmoid] = np.arange(runs * n_sig).reshape(runs, n_sig)
-    lane_of[:, ~sigmoid] = np.arange(runs * n_sig, len(lane_run)).reshape(runs, n_log)
+    lane_of = np.where(sigmoid, run_ids * n_sig + column, runs * n_sig + run_ids * n_log + column)
     return np.tile(k, runs), lane_run, lane_of
 
 
 def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
     """The runs of one scenario under each of ``seeds``, round by round
     together; a run leaves the batch when it converges.  ``live`` indexes
-    the runs still in the batch; ``a`` and ``b`` hold the sigmoid users'
-    parameters, one row per live run, and ``k`` the logarithmic users'."""
+    the runs still in the batch; ``a`` and ``b`` hold the sigmoid lane
+    columns' parameters, one row per live run, and ``k`` the logarithmic."""
     capacity, cap, runs = scenario.capacity, scenario.max_iterations, len(seeds)
-    # one pass over the users: the sigmoid mask, the logarithmic users' k, the sigmoid users'
-    # (a, b), NaN until each round's draw for a drawn user, and each drawn user's (column, id, spec)
-    sigmoid, k, ab, drawn = [], [], [], []
+    # one pass over the users: the sigmoid mask, and each user's lane column in its family: one
+    # per fixed (a, b) and per k, shared by the users holding it, and one per drawn user, whose
+    # (column, id, spec) ``drawn`` keeps
+    sigmoid, column, ab, k, drawn = [], [], {}, {}, []
     for uid, spec in enumerate(scenario.users, start=1):
         sigmoid.append(isinstance(spec, SigmoidalUserSpec))
         if not sigmoid[-1]:
-            k.append(spec.k)
+            column.append(k.setdefault(spec.k, len(k)))
         elif isinstance(spec.a, Fixed) and isinstance(spec.b, Fixed):
-            ab.append((spec.a.value, spec.b.value))
+            column.append(ab.setdefault((spec.a.value, spec.b.value), len(ab)))
         else:
             drawn.append((len(ab), uid, spec))
-            ab.append((np.nan, np.nan))
+            column.append(ab.setdefault(uid, len(ab)))
+    # the columns' (a, b), NaN until each round's draw for a drawn user
+    ab = [key if isinstance(key, tuple) else (np.nan, np.nan) for key in ab]
     a, b = np.tile(np.reshape(ab, (-1, 2)).T[:, None], (runs, 1))
-    sigmoid, k, drawn_cols = np.array(sigmoid), np.array(k, dtype=float), [j for j, _, _ in drawn]
+    sigmoid, column, k = np.array(sigmoid), np.array(column, dtype=int), np.array(list(k), dtype=float)
+    user_col, drawn_cols = column[sigmoid], [j for j, _, _ in drawn]  # each sigmoid user's column
     early_stop = not drawn if scenario.allow_early_stop is None else scenario.allow_early_stop
     if drawn:
         sampler = BatchSampler(seeds, [uid for _, uid, _ in drawn], [(spec.a, spec.b) for _, _, spec in drawn],
@@ -300,7 +305,8 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
     final_prices = np.empty(runs)
     final_rates = np.empty((runs, len(sigmoid)))
     # rebuilt only when runs leave the batch
-    k_lanes, lane_run, lane_of = _lane_layout(runs, sigmoid, k)
+    k_lanes, lane_run, lane_of = _lane_layout(runs, sigmoid, column, a.shape[1], k)
+    first_layout = (len(lane_run), lane_of.size)
     for n in range(1, cap + 1):
         if drawn:
             drawn_a, drawn_b, failed = sampler.draw(n)
@@ -312,7 +318,7 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
         try:
             lanes = solve_lanes(a.ravel(), b.ravel(), k_lanes, prices[lane_run], capacity, paths=paths)
         except (ValueError, BisectionError):  # the scalar re-solve raises the precise error
-            _raise_first_failure(scenario, prices, a, b, n)
+            _raise_first_failure(scenario, prices, a[:, user_col], b[:, user_col], n)
             raise
         rates = lanes[lane_of]
         bids = prices[:, None] * rates
@@ -332,12 +338,14 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
             live, prices, a, b = live[~done], prices[~done], a[~done], b[~done]
             if not live.size:
                 break
-            k_lanes, lane_run, lane_of = _lane_layout(len(live), sigmoid, k)
+            k_lanes, lane_run, lane_of = _lane_layout(len(live), sigmoid, column, a.shape[1], k)
     drew = (sampler.blocks, sampler.cells, sampler.redrawn) if drawn else (0, 0, 0)
-    logger.debug("lane solve: %d levels walked, %d predicted, %d compared; sampler: %d blocks, %d cells, %d redrawn",
-                 paths.walked, paths.predicted, paths.compared, *drew)
-    # each run's prices, rates, bids, a and b, in round order
+    logger.debug("lane solve: %d lanes for %d cells; %d levels walked, %d predicted, %d compared; "
+                 "sampler: %d blocks, %d cells, %d redrawn", *first_layout, paths.walked, paths.predicted,
+                 paths.compared, *drew)
+    # each run's prices, rates, bids, a and b, in round order; a and b per sigmoid user
     run_of, *kept = map(np.concatenate, zip(*rounds))
+    kept[3:] = (c[:, user_col] for c in kept[3:])
     order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of))[:-1]
     arrays = zip(*(np.split(c[order], ends) for c in kept))
     finals = zip(converged_at.tolist(), final_prices.tolist(), final_rates.tolist(), arrays)

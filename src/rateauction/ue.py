@@ -405,13 +405,8 @@ def solve_lanes(
     return rates
 
 
-def ue_step(
-    utility: UtilityFunction,
-    price: float,
-    capacity: float,
-    tol: float = DEFAULT_RATE_TOL,
-) -> tuple[float, float]:
+def ue_step(utility: UtilityFunction, price: float, capacity: float) -> tuple[float, float]:
     """One UE round: the best response to the broadcast price, and its bid
     ``price * rate`` -- which the station inverts as bid/price."""
-    rate = solve_rate(utility, price, capacity, tol)
+    rate = solve_rate(utility, price, capacity)
     return rate, price * rate

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rateauction.engine
 import rateauction.sampling
@@ -29,6 +31,7 @@ from rateauction import (
     resample_user,
     run,
     run_replication,
+    solve_rate,
 )
 from rateauction.engine import SpecError
 
@@ -326,17 +329,24 @@ class TestTrace:
             assert all(rec.a == a and rec.b == b for rec in rows)
 
 
-def batch_counts(caplog, execute) -> tuple[int, ...]:
-    """The counts of the one batch ``execute`` runs, from its DEBUG line:
-    levels walked, predicted and compared, and the sampler's blocks, cells
-    and cells redrawn."""
+def batch_line(caplog, execute) -> tuple[int, ...]:
+    """Every count of the one batch ``execute`` runs, from its DEBUG line:
+    the lanes of its first round and its (run, user) cells, then the
+    counts :func:`batch_counts` returns."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="rateauction.engine"):
         execute()
     (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lane solve:")]
-    pattern = (r"lane solve: (\d+) levels walked, (\d+) predicted, (\d+) compared; "
+    pattern = (r"lane solve: (\d+) lanes for (\d+) cells; (\d+) levels walked, (\d+) predicted, (\d+) compared; "
                r"sampler: (\d+) blocks, (\d+) cells, (\d+) redrawn")
     return tuple(map(int, re.fullmatch(pattern, message).groups()))
+
+
+def batch_counts(caplog, execute) -> tuple[int, ...]:
+    """The counts of the one batch ``execute`` runs, from its DEBUG line:
+    levels walked, predicted and compared, and the sampler's blocks, cells
+    and cells redrawn."""
+    return batch_line(caplog, execute)[2:]
 
 
 class TestLanePaths:
@@ -374,6 +384,99 @@ class TestLanePaths:
             _, predicted, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
             assert predicted > 0
             assert compared == 0
+
+
+def assert_cells_solved(scenario, result):
+    """Every round's rate of every user is its own ``solve_rate`` at that
+    round's price, bit for bit, and its bid is ``price * rate``."""
+    capacity = scenario.capacity
+    for n, price in enumerate(result.prices.tolist()):
+        params = zip(result.a[n].tolist(), result.b[n].tolist())
+        utilities = [SigmoidalUtility(*next(params)) if isinstance(spec, SigmoidalUserSpec)
+                     else spec.initial_utility(capacity) for spec in scenario.users]
+        expected = np.array([solve_rate(u, price, capacity) for u in utilities])
+        assert result.rates[n].tobytes() == expected.tobytes()
+        assert result.bids[n].tobytes() == (price * expected).tobytes()
+
+
+def distinct_lanes(users) -> int:
+    """The lanes one run of ``users`` solves: one per fixed (a, b), one per
+    k, and one per drawn user."""
+    sigmoid = [u for u in users if isinstance(u, SigmoidalUserSpec)]
+    fixed = {(u.a.value, u.b.value) for u in sigmoid if isinstance(u.a, Fixed) and isinstance(u.b, Fixed)}
+    drawn = len(sigmoid) - sum(isinstance(u.a, Fixed) and isinstance(u.b, Fixed) for u in sigmoid)
+    return len(fixed) + len({u.k for u in users if isinstance(u, LogarithmicUserSpec)}) + drawn
+
+
+USER_SPECS = st.one_of(
+    st.builds(lambda a, b: SigmoidalUserSpec(a=Fixed(a), b=Fixed(b)),
+              st.sampled_from([0.5, 2.0, 15.0]), st.sampled_from([10.0, 20.0, 35.0])),
+    st.sampled_from([SigmoidalUserSpec(a=Normal(3.0, 1.0), b=Normal(25.0, 5.0)),
+                     SigmoidalUserSpec(a=Triangular(1.0, 4.0, 8.0), b=Fixed(20.0))]),
+    st.builds(LogarithmicUserSpec, k=st.sampled_from([0.5, 1.0, 3.0]), r_max=st.sampled_from([50.0, 100.0])),
+)
+
+
+@st.composite
+def tiled_mixed_scenarios(draw):
+    """Fixed, drawn and half-drawn sigmoid users and logarithmic users,
+    tiled 1-4 times and shuffled, so equal users are not adjacent.  Always
+    held: a logarithmic pair with equal k and different r_max, and a fixed
+    a beside a drawn b next to a fixed user with the same a."""
+    users = draw(st.lists(USER_SPECS, max_size=5)) + [
+        LogarithmicUserSpec(k=1.0, r_max=50.0),
+        LogarithmicUserSpec(k=1.0, r_max=100.0),
+        SigmoidalUserSpec(a=Fixed(15.0), b=Normal(20.0, 2.0)),
+        SigmoidalUserSpec(a=Fixed(15.0), b=Fixed(20.0)),
+    ]
+    users = draw(st.permutations(users * draw(st.integers(1, 4))))
+    return Scenario(capacity=25.0 * len(users), delta=0.5, max_iterations=6, seed=0, users=tuple(users),
+                    allow_early_stop=draw(st.sampled_from([None, True])))
+
+
+class TestSharedLanes:
+    """Within a run, the fixed sigmoid users with equal (a, b) share one
+    lane, as do the logarithmic users with equal k; every drawn user has
+    its own.  Every user still gets its own solve's rate."""
+
+    def test_tiled_fixed_preset_solves_six_lanes(self, caplog):
+        fixed = preset("fixed")
+        scenario = replace(fixed, capacity=10_000.0, users=fixed.users * 100)
+        assert batch_line(caplog, lambda: run(scenario))[:5] == (6, 600, 0, 425, 646)
+
+    def test_drawn_users_keep_their_own_lanes(self, caplog):
+        # 9 drawn users of their own beside 3 logarithmic lanes, for 5 runs
+        normal = preset("normal")
+        scenario = replace(normal, users=normal.users * 3)
+        assert batch_line(caplog, lambda: run_replication(scenario, range(5)))[:2] == (60, 90)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario=tiled_mixed_scenarios())
+    def test_every_cell_is_its_own_solve(self, caplog, scenario):
+        seeds = [0, 1, 2]
+        results = []
+        lanes, cells = batch_line(caplog, lambda: results.extend(run_replication(scenario, seeds)))[:2]
+        assert (lanes, cells) == (3 * distinct_lanes(scenario.users), 3 * len(scenario.users))
+        for result in results:
+            assert_cells_solved(scenario, result)
+        assert results == [run(replace(scenario, seed=s)) for s in seeds]
+
+    def test_distinct_copies_walk_in_lockstep_and_replay(self, caplog):
+        # the fixed preset tiled 6 times with each copy's a made distinct:
+        # 18 sigmoid lanes and the 3 shared logarithmic ones a run
+        fixed = preset("fixed")
+        users = tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
+                      for j in range(6) for u in fixed.users)
+        scenario = replace(fixed, capacity=600.0, delta=1e-6, max_iterations=40, users=users)
+        results = []
+        lanes, cells, _, predicted, compared, *_ = batch_line(
+            caplog, lambda: results.extend(run_replication(scenario, [0, 1])))
+        assert (lanes, cells) == (2 * 21, 2 * 36)
+        assert lanes // 2 >= rateauction.ue.LANE_BY_LANE_BELOW and predicted > 0 and compared > 0
+        for result in results:
+            assert_cells_solved(scenario, result)
+        assert results == [run(replace(scenario, seed=s)) for s in (0, 1)]
 
 
 class TestSamplerCounts:

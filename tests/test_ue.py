@@ -601,7 +601,7 @@ class TestComputeBid:
 class TestUeStep:
     def test_chains_solve_and_bid(self):
         u = LogarithmicUtility(k=1.0, r_max=R)
-        rate, bid = ue_step(u, LOG_SLOPE_K1_R10, R, tol=1e-6)
+        rate, bid = ue_step(u, LOG_SLOPE_K1_R10, R)
         assert rate == solve_rate(u, LOG_SLOPE_K1_R10, R, tol=1e-6)
         assert rate == pytest.approx(10.0, abs=1e-4)
         assert bid == LOG_SLOPE_K1_R10 * rate
