@@ -29,13 +29,13 @@ scalar reference, which names the error.  ``run`` is a batch of
 one seed, ``run_replication`` runs all its seeds together, and a run
 leaves the batch when it converges.  A result holds its rounds as arrays.
 
-A batch keeps one :class:`~rateauction.ue.LanePaths`: each lane's last
-bisection path, which the next round's solve replays exactly, walking on
-only below the first flipped decision.  A batch with a drawn user forgets
-every path each round, since the slopes a path records belong to the
-parameters that walked it.  A run that leaves the batch drops its sampler
-row with its ledger row, and the paths are forgotten: runs with no drawn
-user differ only in their seed, so they are identical and leave together.
+A batch keeps one :class:`~rateauction.ue.LanePaths` for its lanes'
+parameters: each lane's last bisection path, which the next round's solve
+replays exactly, walking on only below the first flipped decision.  A
+batch with a drawn user builds new paths each round, since a path's slopes
+belong to the parameters that walked it, and so does a batch that runs
+leave: runs with no drawn user differ only in their seed, so they are
+identical and leave together, each with its sampler and ledger rows.
 One DEBUG line per batch reports its first round's lanes against its
 (run, user) cells, the levels walked by the slopes, the levels walked
 against the estimated roots, the recorded levels the replays compared,
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -84,11 +85,13 @@ class SpecError(ValueError):
 
 
 def _require_finite_positive(field: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise SpecError(field, f"{field} must be finite and > 0, got {value!r}")
 
 
 def _require_at_least(field: str, value: int, least: int) -> None:
+    if not isinstance(value, numbers.Integral):  # numpy integers included
+        raise SpecError(field, f"{field} must be an integer, got {value!r}")
     if value < least:
         raise SpecError(field, f"{field} must be >= {least}, got {value}")
 
@@ -297,7 +300,8 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
         sampler = BatchSampler(seeds, [uid for _, uid, _ in drawn], [(spec.a, spec.b) for _, _, spec in drawn],
                                capacity, cap, growing=early_stop)
     ledger = BidLedger(capacity, scenario.delta)
-    paths = LanePaths()
+    paths = None  # built for each new set of lane parameters
+    walked = predicted = compared = 0
     live = np.arange(runs)
     prices = np.full(runs, BOOTSTRAP_PRICE)
     rounds = []  # per round: live, prices, rates, bids, a, b
@@ -314,12 +318,14 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
                 _raise_draw_failure(capacity, [seeds[i] for i in live.tolist()], drawn, failed, n)
             a, b = a.copy(), b.copy()  # the kept rounds hold the old rows
             a[:, drawn_cols], b[:, drawn_cols] = drawn_a, drawn_b
-            paths.clear()  # the recorded slopes belong to the old parameters
         try:
-            lanes = solve_lanes(a.ravel(), b.ravel(), k_lanes, prices[lane_run], capacity, paths=paths)
+            if drawn or paths is None:  # the recorded slopes belong to the old parameters
+                paths = LanePaths(a.ravel(), b.ravel(), k_lanes, capacity)
+            lanes = solve_lanes(paths, prices[lane_run])
         except (ValueError, BisectionError):  # the scalar re-solve raises the precise error
             _raise_first_failure(scenario, prices, a[:, user_col], b[:, user_col], n)
             raise
+        walked, predicted, compared = walked + paths.walked, predicted + paths.predicted, compared + paths.compared
         rates = lanes[lane_of]
         bids = prices[:, None] * rates
         rounds.append((live, prices, rates, bids, a, b))
@@ -332,7 +338,7 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
             final_prices[live[done]] = prices[done]
             final_rates[live[done]] = ledger.allocate_rates(prices)[done]
             ledger.drop(done)
-            paths.clear()
+            paths = None
             if drawn:
                 sampler.drop(done)
             live, prices, a, b = live[~done], prices[~done], a[~done], b[~done]
@@ -341,8 +347,7 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
             k_lanes, lane_run, lane_of = _lane_layout(len(live), sigmoid, column, a.shape[1], k)
     drew = (sampler.blocks, sampler.cells, sampler.redrawn) if drawn else (0, 0, 0)
     logger.debug("lane solve: %d lanes for %d cells; %d levels walked, %d predicted, %d compared; "
-                 "sampler: %d blocks, %d cells, %d redrawn", *first_layout, paths.walked, paths.predicted,
-                 paths.compared, *drew)
+                 "sampler: %d blocks, %d cells, %d redrawn", *first_layout, walked, predicted, compared, *drew)
     # each run's prices, rates, bids, a and b, in round order; a and b per sigmoid user
     run_of, *kept = map(np.concatenate, zip(*rounds))
     kept[3:] = (c[:, user_col] for c in kept[3:])

@@ -12,26 +12,28 @@ no matter how high the price.
 
 :func:`solve_rate` solves one UE and :func:`ue_step` adds its bid;
 :func:`solve_lanes` solves many at once with the same float operations,
-one array element (a *lane*) per UE.  The slope formulas and the root
-estimates live in :mod:`rateauction.utility`: :func:`solve_rate` calls
-the guarded ``log_slope`` at each step, and :func:`solve_lanes` calls the
-unguarded kernels and runs the guards at ``tol``, then only where that
-fails on the lanes' paths: both raise the same ``RateDomainError``.
+one array element (a *lane*) per UE, over a :class:`LanePaths` built once
+for the lanes' parameters, ``capacity`` and ``tol``.  The slope formulas
+and the root estimates live in :mod:`rateauction.utility`:
+:func:`solve_rate` calls the guarded ``log_slope`` at each step, and the
+lane solve calls the unguarded kernels and screens the guards at ``tol``
+when its paths are built, then runs them on the lanes' paths only where
+that fails: both raise the same ``RateDomainError``.
 
 Both halves of the lane solve rest on one fact: a level's midpoint depends
 only on ``tol``, ``capacity`` and the decisions above it, so a guessed
 path is exact down to its first wrong decision, and one pass of compares
-finds it.  Given a :class:`LanePaths`, :func:`solve_lanes` first replays
-each lane's last bisection path: the slope recorded at each level is what
-the same float operations give again, so comparing the recorded slopes
-with the new price is exact.  Below the first flipped decision it walks
-against each lane's estimated root, evaluates the slopes at every
+finds it.  :func:`solve_lanes` first replays each lane's last bisection
+path, kept in its :class:`LanePaths`: the slope recorded at each level is
+what the same float operations give again, so comparing the recorded
+slopes with the new price is exact.  Below the first flipped decision it
+walks against each lane's estimated root, evaluates the slopes at every
 midpoint so visited at once, and checks the decisions the same way; only
 below a wrong one does it walk by the slopes, a level at a time.  Each
 walk halves every lane's bracket, and a lane that stopped above the last
-level takes its midpoint where it stopped.  Only lanes whose parameters
-stay keep a path.  Fewer than ``LANE_BY_LANE_BELOW`` lanes walk against
-their roots one at a time, in Python floats; other walks are numpy lockstep.
+level takes its midpoint where it stopped.  New parameters take new
+paths.  Fewer than ``LANE_BY_LANE_BELOW`` lanes walk against their roots
+one at a time, in Python floats; other walks are numpy lockstep.
 """
 
 from __future__ import annotations
@@ -113,61 +115,70 @@ def solve_rate(
 
 
 class LanePaths:
-    """Each lane's last bisection path, for the next solve of the same lanes.
+    """Each lane's last bisection path, for the next solve of the same
+    lanes at new prices.
 
-    A level's midpoint depends only on ``tol``, ``capacity`` and the
-    decisions of the levels above it, and the paths keep, at each level,
-    the midpoint, the slope there and the ``slope >= price`` decision, and
-    each lane's slope at ``capacity``.  A level is on a lane's path where
-    the lane's recorded bracket width there is above ``tol``.  While a lane's decisions at the new
-    price match its recorded ones it visits the recorded midpoints, whose
-    slopes are what the same float operations would give again:
-    :func:`solve_lanes` compares every recorded slope with the new price in
-    one pass, evaluating none, and resumes the lockstep walk below the first
-    level at which any lane's decision flips.  The slopes belong to the
-    parameters that walked them, so :meth:`clear` the paths when a lane's
-    parameters change or the lanes themselves do; a solve at another
-    ``capacity`` or ``tol`` clears them itself.  Over all solves,
-    ``predicted`` counts the levels walked against the estimated roots,
-    ``walked`` the levels walked by the slopes below a wrong estimate, and
-    ``compared`` the recorded levels the replays compared.
+    Lanes ``[0, len(a))`` are sigmoidal users with parameters ``a``, ``b``,
+    and the ``len(k)`` lanes after them logarithmic users with parameter
+    ``k``; as in :func:`solve_rate`, ``tol`` is at most ``capacity``.  Built
+    once for them, the paths screen both domain guards at ``tol`` (checking
+    them at ``capacity`` where that fails) and take each lane's slope at
+    ``capacity``.  A level's midpoint depends only on ``tol``, ``capacity``
+    and the decisions of the levels above it, and the paths keep, at each
+    level, the midpoint, the slope there and the ``slope >= price``
+    decision.  A level is on a lane's path where the lane's recorded bracket
+    width there is above ``tol``.  While a lane's decisions at the new price
+    match its recorded ones it visits the recorded midpoints, whose slopes
+    are what the same float operations would give again: :func:`solve_lanes`
+    compares every recorded slope with the new price in one pass, evaluating
+    none, and resumes the lockstep walk below the first level at which any
+    lane's decision flips.  Of the last solve, ``predicted`` counts the
+    levels walked against the estimated roots, ``walked`` the levels walked
+    by the slopes below a wrong estimate, and ``compared`` the recorded
+    levels the replay compared.
     """
 
-    def __init__(self) -> None:
-        self.walked = 0
-        self.predicted = 0
-        self.compared = 0
-        self.bracket: Optional[tuple[float, float]] = None  # (capacity, tol) of the paths
-        self.screened = False  # beside at_capacity: every lane's guards pass at tol
+    def __init__(self, a, b, k, capacity: float, tol: float = DEFAULT_RATE_TOL) -> None:
+        if not capacity > 0:
+            raise ValueError(f"capacity must be > 0, got {capacity}")
+        if not 0 < tol <= capacity:
+            raise ValueError(f"tol must be > 0 and at most the capacity {capacity}, got {tol}")
+        a, b, k = (np.array(p, dtype=float) for p in (a, b, k))  # the paths' own copies
+        self.a, self.neg_a, self.b, self.k, self.capacity, self.tol = a, -a, b, k, capacity, tol
+        try:  # a guard passing at tol passes at every higher rate: capacity and every midpoint
+            check_sigmoid_rate(a, tol)
+            check_logarithmic_rate(k, tol)
+            self.screened = True
+        except RateDomainError:
+            self.screened = False
+            check_sigmoid_rate(a, capacity)
+            check_logarithmic_rate(k, capacity)
+        self.at_capacity = np.empty(len(a) + len(k))  # per lane: the slope at capacity
+        sigmoid_slope(a, self.neg_a, b, capacity, out=self.at_capacity[: len(a)])
+        logarithmic_slope(k, capacity, out=self.at_capacity[len(a) :])
         # (level, lane): midpoint, slope there, slope >= price, the
         # bracket's width there, and whether it is on the lane's path
-        self.mids = self.slopes = self.moves = self.widths = self.on = None
-        self.clear()
-
-    def clear(self) -> None:
-        """Forget every path, keeping the buffers: the next solve walks each lane from level 0."""
-        self.top: Optional[int] = None  # levels recorded, every path within them
-        self.at_capacity: Optional[np.ndarray] = None  # per lane: the slope at capacity
+        self.mids, self.slopes = np.empty((2, MAX_BISECTION_STEPS, len(self.at_capacity)))
+        self.moves = np.empty(self.mids.shape, dtype=bool)
+        self.widths = np.empty((MAX_BISECTION_STEPS + 1, len(self.at_capacity)))
+        self.on = np.empty(self.widths.shape, dtype=bool)
+        self.top = 0  # levels recorded, every path within them
+        self.walked = self.predicted = self.compared = 0
 
     def _replay(self, price, clamped, n_clamped: int, lo, hi) -> int:
         """The level at which the walk resumes: below the first level at which
         any lane's decision flips, or past every path if none flips.  Takes
         the flipped decisions, and narrows ``lo`` and ``hi`` to each lane's
         bracket at that level."""
-        top = self.top
+        top, self.compared = self.top, 0
         if not top:  # no paths, or no lane walked a level
-            if self.mids is None or self.mids.shape[1] != len(price):
-                self.mids, self.slopes = np.empty((2, MAX_BISECTION_STEPS, len(price)))
-                self.moves = np.empty(self.mids.shape, dtype=bool)
-                self.widths = np.empty((MAX_BISECTION_STEPS + 1, len(price)))
-                self.on = np.empty(self.widths.shape, dtype=bool)
             return 0
         # a clamped lane walks no path: once it leaves the clamp, the walk
         # starts again from level 0
         on_path = np.greater(self.on[:top], clamped, out=self.on[:top])
         if np.count_nonzero(on_path[0]) + n_clamped != len(price):
             return 0
-        self.compared += top
+        self.compared = top
         flipped = self._flip_first(0, top, price)
         level = top if flipped is None else flipped + 1
         self._narrow(level, lo, hi)
@@ -266,23 +277,19 @@ def _bisect_lane_by_lane(paths: LanePaths, bracket: np.ndarray, roots: list, sta
     bracket.T[...] = ends
 
 
-def solve_lanes(
-    a, b, k, price, capacity: float, tol: float = DEFAULT_RATE_TOL, paths: Optional[LanePaths] = None
-) -> np.ndarray:
-    """Best responses of many UEs at once, one lane per UE.
+def solve_lanes(paths: LanePaths, price) -> np.ndarray:
+    """Best responses of the lanes of ``paths`` at once, where ``price``
+    holds each lane's shadow price.
 
-    Lanes ``[0, len(a))`` are sigmoidal users with parameters ``a``, ``b``;
-    the ``len(k)`` lanes after them are logarithmic users with parameter
-    ``k``; ``price`` holds each lane's shadow price.  Lane for lane this
-    performs the float operations of :func:`solve_rate` -- the clamp at
-    ``capacity``, ``mid = 0.5*(lo + hi)``, ``slope >= price`` -- and a lane
-    stops moving once its bracket is within ``tol``, so every lane equals
-    its own :func:`solve_rate` bit for bit.  Raises
+    Lane for lane this performs the float operations of :func:`solve_rate`
+    -- the clamp at ``capacity``, ``mid = 0.5*(lo + hi)``, ``slope >=
+    price`` -- and a lane stops moving once its bracket is within ``tol``,
+    so every lane equals its own :func:`solve_rate` bit for bit.  Raises
     :class:`~rateauction.utility.RateDomainError` when a lane's slope is
-    undefined at ``capacity`` or at any midpoint on its bisection path, and
-    otherwise :class:`BisectionError` when any lane needs more than
-    ``MAX_BISECTION_STEPS`` steps; a solve that raises leaves ``paths``
-    empty.  As in :func:`solve_rate`, ``tol`` is at most ``capacity``.
+    undefined at any midpoint on its bisection path, and otherwise
+    :class:`BisectionError` when any lane needs more than
+    ``MAX_BISECTION_STEPS`` steps; a solve that raises leaves no recorded
+    path, so the next solve walks every lane from level 0.
 
     Below the replayed levels, the lanes are first bisected against each
     lane's estimated root (:func:`~rateauction.utility.sigmoid_root`,
@@ -296,42 +303,16 @@ def solve_lanes(
     above the first flip are, and the walk goes on below it by the slopes.
     Guards failing at ``tol`` run over the true paths' midpoints only, so
     an estimate can cost time but never changes a rate, raises or warns.
-
-    ``paths`` holds each lane's path from a solve with the same ``a``, ``b``
-    and ``k``, and takes the new paths; ``clear()`` it when any of them
-    changes, or its recorded slopes give wrong rates and raise nothing.
     """
     price = np.asarray(price, dtype=float)
     if np.count_nonzero(price > 0) != price.size:
         raise ValueError(f"every price must be > 0, got {price}")
-    if not capacity > 0:
-        raise ValueError(f"capacity must be > 0, got {capacity}")
-    if not 0 < tol <= capacity:
-        raise ValueError(f"tol must be > 0 and at most the capacity {capacity}, got {tol}")
-    if paths is None:
-        paths = LanePaths()
-    elif paths.bracket != (capacity, tol):
-        paths.clear()
-    paths.bracket = (capacity, tol)
-
-    # Basic slices keep both families' views contiguous and copy-free.
-    s = len(a)
-    neg_a = -a
     at_capacity = paths.at_capacity
-    if at_capacity is None:
-        try:  # a guard passing at tol passes at every higher rate: capacity and every midpoint
-            check_sigmoid_rate(a, tol)
-            check_logarithmic_rate(k, tol)
-            paths.screened = True
-        except RateDomainError:
-            paths.screened = False
-            check_sigmoid_rate(a, capacity)
-            check_logarithmic_rate(k, capacity)
-        at_capacity = np.empty_like(price)
-        sigmoid_slope(a, neg_a, b, capacity, out=at_capacity[:s])
-        logarithmic_slope(k, capacity, out=at_capacity[s:])
-    elif len(at_capacity) != len(price):
+    if len(at_capacity) != len(price):
         raise ValueError(f"paths hold {len(at_capacity)} lanes, the solve has {len(price)}")
+    # Basic slices keep both families' views contiguous and copy-free.
+    a, neg_a, b, k, capacity, tol = paths.a, paths.neg_a, paths.b, paths.k, paths.capacity, paths.tol
+    s = len(a)
     clamped = at_capacity >= price
     n_clamped = np.count_nonzero(clamped)
     # Each lane's bracket, rows lo and hi.  A clamped lane starts as
@@ -342,7 +323,7 @@ def solve_lanes(
     resume = paths._replay(price, clamped, n_clamped, lo, hi)
     mids, slopes, moves, on = paths.mids, paths.slopes, paths.moves, paths.on
     tol_array = np.array(tol)
-    paths.top = paths.at_capacity = None  # a walk that raises leaves no paths
+    paths.top = 0  # a walk that raises leaves no paths
 
     def evaluate(rows, mid):  # the slopes at mid into rows
         sigmoid_slope(a, neg_a, b, mid[..., :s], out=slopes[rows, :s])
@@ -393,9 +374,7 @@ def solve_lanes(
         )
     # every path ends within the levels walked: a lane's path ends where it
     # stopped, before the walk or in it
-    paths.top, paths.at_capacity = level, at_capacity
-    paths.predicted += predicted - resume
-    paths.walked += level - exact
+    paths.top, paths.predicted, paths.walked = level, predicted - resume, level - exact
     rates = np.add(lo, hi)
     rates *= HALF
     if end > resume and np.count_nonzero(on[end - 1]) + n_clamped != len(price):

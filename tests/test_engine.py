@@ -203,6 +203,11 @@ class TestDeterminismAndReplication:
             run_replication(preset(name), [0, -1, -5])
         assert info.value.field == "seed"
 
+    def test_replication_names_a_seed_that_is_no_integer(self):
+        with pytest.raises(SpecError, match=r"^seed must be an integer, got 2\.5$") as info:
+            run_replication(preset("normal"), [0, 2.5])
+        assert info.value.field == "seed"
+
     def test_stochastic_rates_fluctuate_across_seeds(self):
         results = run_replication(preset("normal"), list(range(10)))
         for uid in (4, 5, 6):
@@ -668,6 +673,28 @@ class TestScenarioValidation:
             assert info.value.field == "users[1].a"
         Scenario(capacity=1e10, delta=1e-2, max_iterations=20, seed=0,
                  users=(SigmoidalUserSpec(a=Fixed(1e290), b=Fixed(1e10)),))
+
+    @pytest.mark.parametrize(
+        "field, changes, message",
+        [
+            ("seed", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ("seed", {"seed": None}, "seed must be an integer, got None"),
+            ("max_iterations", {"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+            ("max_iterations", {"max_iterations": None}, "max_iterations must be an integer, got None"),
+            ("R", {"capacity": "100"}, "R must be finite and > 0, got '100'"),
+            ("delta", {"delta": None}, "delta must be finite and > 0, got None"),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["fixed", "normal"])
+    def test_wrongly_typed_numbers_name_their_field(self, name, field, changes, message):
+        # before any round: a float seed would reach the sampler, or run
+        with pytest.raises(SpecError, match=rf"^{re.escape(message)}$") as info:
+            replace(preset(name), **changes)
+        assert info.value.field == field
+
+    def test_numpy_integers_pass(self):
+        scenario = replace(preset("fixed"), seed=np.int64(3), max_iterations=np.int32(5))
+        assert run(scenario) == run(replace(preset("fixed"), seed=3, max_iterations=5))
 
     def test_user_specs_reject_values_no_run_can_use(self):
         with pytest.raises(ValueError, match="> 0"):

@@ -170,14 +170,8 @@ class TestSolveLanes:
         # sigmoid users first, then the logarithmic ones
         sig = [u for u in users if u[0] == "sig"]
         log = [u for u in users if u[0] == "log"]
-        lanes = (
-            np.array([u[1] for u in sig]),
-            np.array([u[2] for u in sig]),
-            np.array([u[1] for u in log]),
-            np.array([u[3] for u in sig + log]),
-            capacity,
-            tol,
-        )
+        lanes = np.array([u[1] for u in sig]), np.array([u[2] for u in sig]), np.array([u[1] for u in log])
+        price = np.array([u[3] for u in sig + log])
         utilities = [SigmoidalUtility(a=u[1], b=u[2]) for u in sig] + [
             LogarithmicUtility(k=u[1], r_max=capacity) for u in log
         ]
@@ -192,9 +186,9 @@ class TestSolveLanes:
             # spacing near some root: the lanes raise the same, the domain
             # error before the step cap
             with pytest.raises(RateDomainError if RateDomainError in failures else BisectionError):
-                solve_lanes(*lanes)
+                solve_lanes(LanePaths(*lanes, capacity, tol), price)
             return
-        got = solve_lanes(*lanes)
+        got = solve_lanes(LanePaths(*lanes, capacity, tol), price)
         assert got.tobytes() == np.array(want).tobytes(), (got, want)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -231,30 +225,32 @@ class TestSolveLanes:
         # r = 1, but an estimate of 1e-300 walks the bracket down towards
         # tol first.  Those midpoints are off the lane's path: the solve
         # neither raises nor warns for them.
-        lanes = np.array([1e-306]), np.array([50.0]), np.empty(0), np.array([1.0]), R
+        lanes = np.array([1e-306]), np.array([50.0]), np.empty(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with patch.object(rateauction.ue, "sigmoid_root", lambda a, b, price: np.full(len(price), 1e-300)):
-                got = solve_lanes(*lanes)
+                got = solve_lanes(LanePaths(*lanes, R), np.array([1.0]))
         assert got[0] == solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1.0, R)
 
     def test_clamped_and_interior_lanes_side_by_side(self):
         u = LogarithmicUtility(k=0.1, r_max=R)
         binding = float(u.log_slope(R))
-        got = solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1, 0.1]),
-                          np.array([0.3, binding, 2.0 * binding]), R)
+        paths = LanePaths(np.array([5.0]), np.array([35.0]), np.array([0.1, 0.1]), R)
+        got = solve_lanes(paths, np.array([0.3, binding, 2.0 * binding]))
         assert got[1] == R
         assert got[2] < R
         assert got[0] == solve_rate(SigmoidalUtility(a=5.0, b=35.0), 0.3, R)
 
     def test_tol_above_capacity_is_refused(self):
+        # the paths take capacity and tol once, and refuse them there
         with pytest.raises(ValueError, match="at most the capacity 100.0, got 300.0"):
-            solve_lanes(np.empty(0), np.empty(0), np.ones(1), np.array([0.5]), R, 300.0)
+            LanePaths(np.empty(0), np.empty(0), np.ones(1), R, 300.0)
+        assert solve_lanes(LanePaths(np.empty(0), np.empty(0), np.ones(1), R, R), np.array([0.5]))[0] == R
 
     def test_step_cap_raises(self):
         # tol below the float spacing at R: no bracket can get that narrow
         with pytest.raises(BisectionError, match="200 bisection steps"):
-            solve_lanes(np.array([15.0]), np.array([20.0]), np.array([1.0]), np.full(2, 1.0), R, 1e-20)
+            solve_lanes(LanePaths(np.array([15.0]), np.array([20.0]), np.array([1.0]), R, 1e-20), np.full(2, 1.0))
 
     def test_guard_failing_only_at_deep_midpoints_raises(self):
         # a*r underflows below r = 0.022 for a = 1e-306: the guard passes at
@@ -262,26 +258,33 @@ class TestSolveLanes:
         # on the way to the root near 1e-5; the walk's divisions by a
         # subnormal warn nothing, and the solve leaves no paths
         lanes = np.array([1e-306]), np.array([50.0]), np.empty(0)
-        paths = LanePaths()
+        paths = LanePaths(*lanes, R)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert solve_lanes(*lanes, np.array([1.0]), R, TOL, paths)[0] < R
+            assert solve_lanes(paths, np.array([1.0]))[0] < R
             with pytest.raises(RateDomainError, match="a\\*r underflows"):
-                solve_lanes(*lanes, np.array([1e5]), R, TOL, paths)
-        assert paths.top is None and paths.at_capacity is None
+                solve_lanes(paths, np.array([1e5]))
+            self.assert_solves_as_new(paths, lanes, np.array([1.0]))
         with pytest.raises(RateDomainError):
             solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1e5, R)
+
+    @staticmethod
+    def assert_solves_as_new(paths, lanes, price):
+        # after a solve that raised, the paths solve as new ones, replaying nothing
+        again = solve_lanes(paths, price)
+        assert again.tobytes() == solve_lanes(LanePaths(*lanes, R), price).tobytes()
+        assert paths.compared == 0
 
     def test_guard_covers_the_slope_walk(self):
         # an estimate of 1e300 sends the first decision up, and the slope at
         # R/2 sends it down: every level below walks by the slopes, and
         # reaches r below 0.022, where a*r underflows for a = 1e-306
-        lanes = np.array([1e-306]), np.array([50.0]), np.empty(0), np.array([1e5]), R, TOL
-        paths = LanePaths()
+        lanes = np.array([1e-306]), np.array([50.0]), np.empty(0)
+        paths = LanePaths(*lanes, R)
         with patch.object(rateauction.ue, "sigmoid_root", lambda a, b, price: np.full(len(price), 1e300)):
             with pytest.raises(RateDomainError, match="a\\*r underflows"):
-                solve_lanes(*lanes, paths)
-        assert paths.top is None and paths.at_capacity is None
+                solve_lanes(paths, np.array([1e5]))
+        self.assert_solves_as_new(paths, lanes, np.array([1.0]))
 
     def test_guard_comes_before_the_step_cap(self):
         # the sigmoid lane's root lies where the float spacing exceeds tol,
@@ -289,7 +292,7 @@ class TestSolveLanes:
         # about 50 levels down, where a guarded walk stops
         lanes = np.array([15.0]), np.array([20.0]), np.array([1e-310])
         with pytest.raises(RateDomainError, match="k\\*r underflows"):
-            solve_lanes(*lanes, np.array([1.0, 1e15]), R, 1e-20)
+            solve_lanes(LanePaths(*lanes, R, 1e-20), np.array([1.0, 1e15]))
 
     def test_lanes_passing_their_guards_at_tol_are_guarded_once(self):
         # every rate a solve visits is at least tol: the fixed preset's 87
@@ -345,13 +348,13 @@ class TestLanePaths:
         a, b = np.array([u[1] for u in sig]), np.array([u[2] for u in sig])
         k = np.array([u[1] for u in log])
         price = np.array([u[3] for u in sig + log])
-        paths = LanePaths()
+        paths = None  # built where the lanes' parameters are new
         for drift, jump, drop, redraw, seed in rounds:
             rng = np.random.default_rng(seed)
             gone = rng.random(len(price)) < drop
             if not gone.all():
                 if np.count_nonzero(gone):
-                    paths.clear()  # as the engine does when runs leave its batch
+                    paths = None  # as the engine does when runs leave its batch
                 a, b, k, price = a[~gone[: len(a)]], b[~gone[: len(a)]], k[~gone[len(a) :]], price[~gone]
             price = price * np.exp(drift * rng.choice([-1.0, 1.0], len(price)))
             jumps = rng.random(len(price)) < jump
@@ -370,17 +373,18 @@ class TestLanePaths:
                 between = 0.5 * (old + self.capacity_slopes(a, b, k, capacity))
                 across = fresh & (rng.random(len(price)) < 0.5) & (between > 0.0) & np.isfinite(between)
                 price[across] = between[across]
-                paths.clear()
+                paths = None
             try:
-                want = solve_lanes(a, b, k, price, capacity, tol)
+                want = solve_lanes(LanePaths(a, b, k, capacity, tol), price)
             except (RateDomainError, BisectionError) as exc:
                 # a slope undefined on some lane's path, or tol below the
                 # float spacing near some root: the same error must come in
                 # the same round with the paths
                 with pytest.raises(type(exc)):
-                    solve_lanes(a, b, k, price, capacity, tol, paths)
+                    solve_lanes(paths or LanePaths(a, b, k, capacity, tol), price)
                 return
-            got = solve_lanes(a, b, k, price, capacity, tol, paths)
+            paths = paths or LanePaths(a, b, k, capacity, tol)
+            got = solve_lanes(paths, price)
             assert got.tobytes() == want.tobytes(), (got, want)
 
     @staticmethod
@@ -394,28 +398,19 @@ class TestLanePaths:
         # both roots need 190 of the 200 steps; lane 1, clamped in the first
         # round, has no path, so the walk must start again from level 0
         k, none = np.array([1.0, 1.0]), np.empty(0)
-        paths = LanePaths()
-        first = solve_lanes(none, none, k, np.array([1e40, 1e-12]), 1e4, 1e-53, paths)
+        paths = LanePaths(none, none, k, 1e4, 1e-53)
+        first = solve_lanes(paths, np.array([1e40, 1e-12]))
         assert first[1] == 1e4
         price = np.array([1e40 * (1 + 1e-15), 1e45])
-        want = solve_lanes(none, none, k, price, 1e4, 1e-53)
-        assert solve_lanes(none, none, k, price, 1e4, 1e-53, paths).tobytes() == want.tobytes()
-        assert paths.walked + paths.predicted == 2 * 190
-
-    def test_paths_of_another_bracket_are_forgotten(self):
-        # the paths walked at tol 1e-3 would end the solve at tol 1e-6 early
-        lanes = np.array([5.0]), np.array([35.0]), np.array([0.1])
-        paths = LanePaths()
-        solve_lanes(*lanes, np.full(2, 0.3), R, 1e-3, paths)
-        want = solve_lanes(*lanes, np.full(2, 0.3), R, TOL)
-        assert solve_lanes(*lanes, np.full(2, 0.3), R, TOL, paths).tobytes() == want.tobytes()
-        assert paths.compared == 0
+        want = solve_lanes(LanePaths(none, none, k, 1e4, 1e-53), price)
+        assert solve_lanes(paths, price).tobytes() == want.tobytes()
+        assert paths.walked + paths.predicted == 190
 
     def test_paths_of_other_lanes_are_refused(self):
-        paths = LanePaths()
-        solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1]), np.full(2, 0.3), R, TOL, paths)
+        paths = LanePaths(np.array([5.0]), np.array([35.0]), np.array([0.1]), R)
+        solve_lanes(paths, np.full(2, 0.3))
         with pytest.raises(ValueError, match="paths hold 2 lanes, the solve has 3"):
-            solve_lanes(np.array([5.0]), np.array([35.0]), np.array([0.1, 0.1]), np.full(3, 0.3), R, TOL, paths)
+            solve_lanes(paths, np.full(3, 0.3))
 
 
 # Logarithmic lanes (k = 1) whose brackets round to tol one level apart:
@@ -438,20 +433,19 @@ class TestUnevenStops:
         none = np.empty(0)
         lanes = none, none, np.array([1.0, 1.0])
         want = self.solve_rates(capacity, tol, prices)
-        assert solve_lanes(*lanes, np.array(prices), capacity, tol).tobytes() == want.tobytes()
-        paths = LanePaths()
-        solve_lanes(*lanes, np.array(prices), capacity, tol, paths)
+        paths = LanePaths(*lanes, capacity, tol)
+        assert solve_lanes(paths, np.array(prices)).tobytes() == want.tobytes()
         stops = np.count_nonzero(paths.on[: paths.top], axis=0)
         assert abs(int(stops[0]) - int(stops[1])) == 1
-        swapped = solve_lanes(*lanes, np.array(prices[::-1]), capacity, tol, paths)
+        swapped = solve_lanes(paths, np.array(prices[::-1]))
         assert swapped.tobytes() == want[::-1].tobytes()
 
     def test_a_walk_past_every_stop(self):
         # log2(capacity - tol) - log2(tol) rounds to just above 18, so the
         # walk takes 19 levels, while the lane stops at level 18
         capacity, tol, price = 0.9648064809633523, 3.6804306050586654e-06, 0.7699745596976851
-        paths = LanePaths()
-        got = solve_lanes(np.empty(0), np.empty(0), np.ones(1), np.array([price]), capacity, tol, paths)
+        paths = LanePaths(np.empty(0), np.empty(0), np.ones(1), capacity, tol)
+        got = solve_lanes(paths, np.array([price]))
         assert got.tobytes() == self.solve_rates(capacity, tol, [price]).tobytes()
         assert paths.top == paths.predicted == 18
 
@@ -462,10 +456,10 @@ class TestUnevenStops:
         lanes = np.empty(0), np.empty(0), np.ones(3)
         prices = (*prices, 1e-12)
         want = self.solve_rates(capacity, tol, prices)
-        assert solve_lanes(*lanes, np.array(prices), capacity, tol).tobytes() == want.tobytes()
-        paths = LanePaths()
-        solve_lanes(*lanes, np.array([*prices[:2], 1.0]), capacity, tol, paths)
-        got = solve_lanes(*lanes, np.array([prices[1], prices[0], prices[2]]), capacity, tol, paths)
+        assert solve_lanes(LanePaths(*lanes, capacity, tol), np.array(prices)).tobytes() == want.tobytes()
+        paths = LanePaths(*lanes, capacity, tol)
+        solve_lanes(paths, np.array([*prices[:2], 1.0]))
+        got = solve_lanes(paths, np.array([prices[1], prices[0], prices[2]]))
         assert got.tobytes() == want[[1, 0, 2]].tobytes()
         assert got[2] == capacity
 
@@ -493,8 +487,7 @@ class TestLaneByLaneWalk:
     def assert_walks_agree(roots, clamped, capacity, tol, start):
         roots = np.array([(tol + capacity) * 0.5 if r == "first midpoint" else r for r in roots], dtype=float)
         first = np.where(clamped, capacity, np.array([[tol], [capacity]]))
-        paths = LanePaths()
-        paths._replay(roots, None, 0, None, None)  # no paths yet: takes the buffers
+        paths = LanePaths(np.empty(0), np.empty(0), np.ones(len(roots)), capacity, tol)
 
         def by_root(_, mid, ups):
             np.less_equal(mid, roots, out=ups)
@@ -537,8 +530,9 @@ class TestLaneByLaneWalk:
 
 class TestSlopeCalls:
     """A solve with paths takes no slope a path has recorded: replayed
-    levels and the clamp test at capacity reuse the recorded slopes.  The
-    lane solve evaluates slopes through the unguarded kernels only."""
+    levels reuse the recorded slopes, and the clamp test the slopes at
+    capacity taken when the paths were built.  The lane solve evaluates
+    slopes through the unguarded kernels only."""
 
     @staticmethod
     def count_calls(monkeypatch) -> dict[str, int]:
@@ -554,10 +548,10 @@ class TestSlopeCalls:
     def test_a_repeated_solve_takes_no_slope(self, monkeypatch):
         lanes = np.array([15.0, 5.0]), np.array([20.0, 35.0]), np.array([0.1, 1.0])
         price = np.array([0.3, 0.05, 0.02, 1e-9])  # the last lane is clamped
-        paths = LanePaths()
-        first = solve_lanes(*lanes, price, R, TOL, paths)
+        paths = LanePaths(*lanes, R)
+        first = solve_lanes(paths, price)
         calls = self.count_calls(monkeypatch)
-        again = solve_lanes(*lanes, price, R, TOL, paths)
+        again = solve_lanes(paths, price)
         assert calls == {"sigmoid_slope": 0, "logarithmic_slope": 0}
         assert again.tobytes() == first.tobytes()
         assert again[3] == R
