@@ -59,12 +59,7 @@ def _scenario_from_args(args) -> Scenario:
         overrides["max_iterations"] = args.iterations
     if args.allow_early_stop:
         overrides["allow_early_stop"] = True
-    if overrides:
-        try:
-            scenario = replace(scenario, **overrides)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-    return scenario
+    return replace(scenario, **overrides) if overrides else scenario
 
 
 def _print_summary(result) -> None:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -59,7 +58,8 @@ import numpy as np
 
 # a failed draw is named by the scalar reference, one cell's resample_user
 # on its stream_rng, looked up here by name
-from .sampling import BatchSampler, Fixed, ParamSpec, format_param_spec, is_stochastic, resample_user, stream_rng
+from .sampling import (BatchSampler, Fixed, ParamSpec, SpecError, _require_at_least, _require_finite_positive,
+                       format_param_spec, is_stochastic, resample_user, stream_rng)
 from .station import BidLedger
 from .ue import DEFAULT_RATE_TOL, BisectionError, LanePaths, solve_lanes, ue_step
 from .utility import LogarithmicUtility, SigmoidalUtility
@@ -76,26 +76,6 @@ class SimulationError(RuntimeError):
     """A UE step failed; carries which user and iteration broke."""
 
 
-class SpecError(ValueError):
-    """A value a spec cannot run with; ``field`` names it as a scenario file does."""
-
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(message)
-        self.field = field
-
-
-def _require_finite_positive(field: str, value: float) -> None:
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise SpecError(field, f"{field} must be finite and > 0, got {value!r}")
-
-
-def _require_at_least(field: str, value: int, least: int) -> None:
-    if not isinstance(value, numbers.Integral):  # numpy integers included
-        raise SpecError(field, f"{field} must be an integer, got {value!r}")
-    if value < least:
-        raise SpecError(field, f"{field} must be >= {least}, got {value}")
-
-
 @dataclass(frozen=True)
 class SigmoidalUserSpec:
     """A real-time user; a and b may be distribution-driven."""
@@ -106,10 +86,10 @@ class SigmoidalUserSpec:
     def __post_init__(self) -> None:
         for field_name in ("a", "b"):
             spec = getattr(self, field_name)
+            if not isinstance(spec, ParamSpec):
+                raise SpecError(field_name, f"{field_name} must be a FIXED, NORM or TRIA spec, got {spec!r}")
             if isinstance(spec, Fixed) and not spec.value > 0:
-                raise SpecError(
-                    field_name, f"a fixed sigmoid {field_name} must be > 0, got {spec.value!r}"
-                )
+                raise SpecError(field_name, f"a fixed sigmoid {field_name} must be > 0, got {spec.value!r}")
 
     def initial_utility(self, capacity: float) -> SigmoidalUtility:
         """The utility of fixed a and b; SpecError names a drawn one."""
@@ -127,8 +107,8 @@ class LogarithmicUserSpec:
     r_max: float
 
     def __post_init__(self) -> None:
-        _require_finite_positive("k", self.k)
-        _require_finite_positive("r_max", self.r_max)
+        for name in ("k", "r_max"):
+            object.__setattr__(self, name, _require_finite_positive(name, getattr(self, name)))
         if not math.isfinite(self.k * self.r_max):
             raise SpecError("k", f"k*r_max must be finite, got {self.k!r}*{self.r_max!r}")
 
@@ -156,17 +136,21 @@ class Scenario:
     allow_early_stop: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        _require_finite_positive("R", self.capacity)
+        object.__setattr__(self, "capacity", _require_finite_positive("R", self.capacity))
         # every UE bisects [tol, R]; a subnormal R, whose 1/R overflows the log-slopes, lies far below
         if self.capacity < DEFAULT_RATE_TOL:
             raise SpecError("R", f"R must be at least the solver tolerance {DEFAULT_RATE_TOL!r}, got {self.capacity!r}")
-        _require_finite_positive("delta", self.delta)
-        _require_at_least("max_iterations", self.max_iterations, 1)
-        _require_at_least("seed", self.seed, 0)
+        object.__setattr__(self, "delta", _require_finite_positive("delta", self.delta))
+        object.__setattr__(self, "max_iterations", _require_at_least("max_iterations", self.max_iterations, 1))
+        object.__setattr__(self, "seed", _require_at_least("seed", self.seed, 0))
+        if not (self.allow_early_stop is None or isinstance(self.allow_early_stop, bool)):
+            raise SpecError("allow_early_stop", f"allow_early_stop must be a bool or None, got {self.allow_early_stop!r}")
         if not self.users:
             raise SpecError("users", "a scenario needs at least one user")
         object.__setattr__(self, "users", tuple(self.users))
         for i, user in enumerate(self.users):
+            if not isinstance(user, (SigmoidalUserSpec, LogarithmicUserSpec)):
+                raise SpecError(f"users[{i}]", f"users[{i}] must be a user spec, got {user!r}")
             if isinstance(user, LogarithmicUserSpec) and not math.isfinite(user.k * self.capacity):
                 raise SpecError(
                     f"users[{i}].k", f"k*R must be finite, got {user.k!r}*{self.capacity!r}"
@@ -374,9 +358,7 @@ def run_replication(scenario: Scenario, seeds: Iterable[int]) -> list[RunResult]
     one lane solve per round; each result equals ``run(replace(scenario,
     seed=s))`` exactly, and the first negative seed raises its SpecError.
     """
-    seeds = list(seeds)
+    seeds = [_require_at_least("seed", seed, 0) for seed in seeds]
     if not seeds:
         raise ValueError("seed list must not be empty")
-    for seed in seeds:
-        _require_at_least("seed", seed, 0)
     return _run_lockstep(scenario, seeds)

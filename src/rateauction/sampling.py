@@ -28,6 +28,7 @@ for seeds and keys of every word count.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from dataclasses import astuple, dataclass, fields
@@ -47,15 +48,60 @@ MIN_INFLECTION = 1.0
 BLOCK_CELLS = 2**14
 
 
+class SpecError(ValueError):
+    """A value a spec cannot run with; ``field`` names it as a scenario file does."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+def _as_float(value) -> float:
+    """``value`` as a float; NaN for a bool, a non-real, or an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def _require_finite_positive(field: str, value) -> float:
+    """``value`` as a float; SpecError unless it is a finite real number > 0."""
+    x = _as_float(value)
+    if not (math.isfinite(x) and x > 0):
+        raise SpecError(field, f"{field} must be finite and > 0, got {value!r}")
+    return x
+
+
+def _require_at_least(field: str, value, least: int) -> int:
+    """``value`` as an int; SpecError unless it is an integer (numpy's too,
+    no bool) of at least ``least`` that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(field, f"{field} must be an integer, got {value!r}")
+    if value < least:
+        raise SpecError(field, f"{field} must be >= {least}, got {value}")
+    if math.isnan(_as_float(value)):
+        raise SpecError(field, f"{field} is too large for a float, got {value}")
+    return int(value)
+
+
+def _store_finite(spec) -> None:
+    """Store each of a spec's arguments as a float; SpecError names the first that is no finite number."""
+    for f in fields(spec):
+        x = _as_float(getattr(spec, f.name))
+        if not math.isfinite(x):
+            raise SpecError(f.name, f"{f.name} must be a finite number, got {format_param_spec(spec)}")
+        object.__setattr__(spec, f.name, x)
+
+
 @dataclass(frozen=True)
 class Fixed:
     """Degenerate spec: every draw returns the same value."""
 
     value: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"FIXED value must be finite, got {self.value}")
+    __post_init__ = _store_finite
 
 
 @dataclass(frozen=True)
@@ -66,10 +112,9 @@ class Normal:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ValueError(f"NORM parameters must be finite, got ({self.mu}, {self.sigma})")
+        _store_finite(self)
         if not self.sigma > 0:
-            raise ValueError(f"NORM sigma must be > 0, got {self.sigma}")
+            raise SpecError("sigma", f"NORM sigma must be > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -81,16 +126,11 @@ class Triangular:
     hi: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) for x in (self.lo, self.mode, self.hi)):
-            raise ValueError(
-                f"TRIA parameters must be finite, got ({self.lo}, {self.mode}, {self.hi})"
-            )
+        _store_finite(self)
         if not (self.lo <= self.mode <= self.hi):
-            raise ValueError(
-                f"TRIA requires min <= ml <= max, got ({self.lo}, {self.mode}, {self.hi})"
-            )
+            raise SpecError("mode", f"TRIA requires min <= ml <= max, got ({self.lo}, {self.mode}, {self.hi})")
         if not self.lo < self.hi:
-            raise ValueError(f"TRIA requires min < max, got ({self.lo}, {self.hi})")
+            raise SpecError("hi", f"TRIA requires min < max, got ({self.lo}, {self.hi})")
 
 
 ParamSpec = Union[Fixed, Normal, Triangular]
@@ -106,7 +146,7 @@ def parse_param_spec(text) -> ParamSpec:
     A bare number is accepted as shorthand for FIXED.
     """
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return Fixed(float(text))
+        return Fixed(text)
     if not isinstance(text, str):
         raise ValueError(f"expected a FIXED/NORM/TRIA spec string, got {text!r}")
     m = _SPEC_RE.match(text)

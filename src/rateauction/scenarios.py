@@ -24,7 +24,7 @@ import json
 from typing import Any
 
 from .engine import LogarithmicUserSpec, Scenario, SigmoidalUserSpec, SpecError, UserSpec
-from .sampling import Fixed, Normal, Triangular, format_param_spec, parse_param_spec
+from .sampling import Fixed, Normal, ParamSpec, Triangular, format_param_spec, parse_param_spec
 
 PRESET_CAPACITY = 100.0
 PRESET_DELTA = 1e-2
@@ -39,91 +39,67 @@ def _fail(source: str, field: str, message: str) -> None:
     raise ScenarioError(f"{source}: field '{field}': {message}")
 
 
-def _require_number(source: str, field: str, value: Any, *, integer: bool = False) -> float:
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if integer:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    if not ok:
-        _fail(source, field, f"expected {'an integer' if integer else 'a number'}, got {value!r}")
-    return value
+def _check_fields(source: str, prefix: str, raw: dict, fields: set) -> None:
+    """Refuse a field of ``raw`` not in ``fields``, then one of ``fields``
+    that ``raw`` lacks, naming it after ``prefix``."""
+    unknown = set(raw) - fields
+    if unknown:
+        _fail(source, f"{prefix}{sorted(unknown)[0]}", "unknown field")
+    missing = fields - set(raw)
+    if missing:
+        _fail(source, f"{prefix}{sorted(missing)[0]}", "missing field")
 
 
-def _parse_user(source: str, index: int, raw: Any) -> UserSpec:
-    where = f"users[{index}]"
+def _param_spec(key: str, raw: Any) -> ParamSpec:
+    """A spec field's spec; SpecError names ``key`` for its syntax or its arguments."""
+    try:
+        return parse_param_spec(raw)
+    except ValueError as exc:
+        raise SpecError(key, str(exc)) from exc
+
+
+def _parse_user(source: str, where: str, raw: Any) -> UserSpec:
     if not isinstance(raw, dict):
         _fail(source, where, f"expected an object, got {raw!r}")
     kind = raw.get("type")
-    if kind == "sigmoidal":
-        allowed = {"type", "a", "b"}
-    elif kind == "logarithmic":
-        allowed = {"type", "k", "r_max"}
-    else:
+    if kind not in ("sigmoidal", "logarithmic"):
         _fail(source, f"{where}.type", f"expected 'sigmoidal' or 'logarithmic', got {kind!r}")
-    unknown = set(raw) - allowed
-    if unknown:
-        _fail(source, f"{where}.{sorted(unknown)[0]}", "unknown field")
-    missing = allowed - set(raw)
-    if missing:
-        _fail(source, f"{where}.{sorted(missing)[0]}", "missing field")
-
-    if kind == "sigmoidal":
-        specs = {}
-        for key in ("a", "b"):
-            try:
-                specs[key] = parse_param_spec(raw[key])
-            except ValueError as exc:
-                _fail(source, f"{where}.{key}", str(exc))
-        try:
-            return SigmoidalUserSpec(a=specs["a"], b=specs["b"])
-        except SpecError as exc:
-            _fail(source, f"{where}.{exc.field}", str(exc))
-
-    k = _require_number(source, f"{where}.k", raw["k"])
-    r_max = _require_number(source, f"{where}.r_max", raw["r_max"])
+    _check_fields(source, f"{where}.", raw, {"type", "a", "b"} if kind == "sigmoidal" else {"type", "k", "r_max"})
     try:
-        return LogarithmicUserSpec(k=float(k), r_max=float(r_max))
+        if kind == "logarithmic":
+            return LogarithmicUserSpec(k=raw["k"], r_max=raw["r_max"])
+        return SigmoidalUserSpec(a=_param_spec("a", raw["a"]), b=_param_spec("b", raw["b"]))
     except SpecError as exc:
         _fail(source, f"{where}.{exc.field}", str(exc))
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
-    """Parse and validate scenario JSON from a string."""
+    """Parse scenario JSON from a string.  Only the document's shape is
+    checked here; the spec constructors check every value, and each
+    SpecError's field is named by its path in the document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{source}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ScenarioError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{source}: top level must be an object")
-
-    allowed = {"R", "delta", "max_iterations", "seed", "allow_early_stop", "users"}
-    unknown = set(doc) - allowed
-    if unknown:
-        _fail(source, sorted(unknown)[0], "unknown field")
-    for field in ("R", "delta", "max_iterations", "seed", "users"):
-        if field not in doc:
-            _fail(source, field, "missing field")
-
-    capacity = _require_number(source, "R", doc["R"])
-    delta = _require_number(source, "delta", doc["delta"])
-    max_iterations = _require_number(source, "max_iterations", doc["max_iterations"], integer=True)
-    seed = _require_number(source, "seed", doc["seed"], integer=True)
-    early = doc.get("allow_early_stop")
-    if early is not None and not isinstance(early, bool):
-        _fail(source, "allow_early_stop", f"expected true, false or null, got {early!r}")
+    doc = {"allow_early_stop": None, **doc}  # the one optional field
+    _check_fields(source, "", doc, {"R", "delta", "max_iterations", "seed", "allow_early_stop", "users"})
     if not isinstance(doc["users"], list):
         _fail(source, "users", "expected a list")
-
-    users = tuple(_parse_user(source, i, raw) for i, raw in enumerate(doc["users"]))
+    users = tuple(_parse_user(source, f"users[{i}]", raw) for i, raw in enumerate(doc["users"]))
     try:
         return Scenario(
-            capacity=float(capacity),
-            delta=float(delta),
-            max_iterations=int(max_iterations),
-            seed=int(seed),
+            capacity=doc["R"],
+            delta=doc["delta"],
+            max_iterations=doc["max_iterations"],
+            seed=doc["seed"],
             users=users,
-            allow_early_stop=early,
+            allow_early_stop=doc["allow_early_stop"],
         )
     except SpecError as exc:
         _fail(source, exc.field, str(exc))
@@ -134,7 +110,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario file: {exc}") from exc
     return parse_scenario(text, source=str(path))
 

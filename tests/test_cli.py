@@ -1,5 +1,7 @@
 """CLI and trace-emission tests."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -393,6 +395,52 @@ scenario_docs = st.fixed_dictionaries(
 )
 
 
+# a valid document with one field given a value it cannot hold: a JSON type
+# it cannot take, or an integer past the float range.  Each field by its
+# name in diagnostics: its path in the document, and the kinds it may take
+VALID_DOC = {
+    "R": 50.0, "delta": 0.01, "max_iterations": 5, "seed": 0, "allow_early_stop": None,
+    "users": [
+        {"type": "sigmoidal", "a": "FIXED(5.0)", "b": "FIXED(10.0)"},
+        {"type": "logarithmic", "k": 0.1, "r_max": 50.0},
+    ],
+}
+DOC_FIELDS = {
+    "R": (("R",), "number"),
+    "delta": (("delta",), "number"),
+    "max_iterations": (("max_iterations",), "number"),
+    "seed": (("seed",), "number"),
+    "allow_early_stop": (("allow_early_stop",), "null bool"),
+    "users": (("users",), "list"),
+    "users[0]": (("users", 0), "object"),
+    "users[0].a": (("users", 0, "a"), "number string"),
+    "users[0].b": (("users", 0, "b"), "number string"),
+    "users[1].k": (("users", 1, "k"), "number"),
+    "users[1].r_max": (("users", 1, "r_max"), "number"),
+}
+WRONG_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "string": st.text(max_size=6).filter(lambda t: "(" not in t),  # no spec string
+    "list": st.lists(st.integers(), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "huge": st.sampled_from([10**400, -(10**400)]),  # 401 digits
+}
+
+
+@st.composite
+def wrongly_typed_docs(draw):
+    """A field's name and a document in which it alone holds a wrong value."""
+    field = draw(st.sampled_from(sorted(DOC_FIELDS)))
+    (*parents, key), kinds = DOC_FIELDS[field]
+    doc = json.loads(json.dumps(VALID_DOC))
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    holder[key] = draw(st.one_of(*(v for k, v in WRONG_VALUES.items() if k not in kinds.split())))
+    return field, doc
+
+
 class TestScenarioFuzz:
     """Every scenario document runs or exits with a diagnostic, never a
     traceback or a warning.  Warnings are recorded, not raised as this
@@ -422,6 +470,19 @@ class TestScenarioFuzz:
             assert min(rates) > 0, rates
             # shares of R, so that a sum near the float maximum cannot overflow
             assert math.fsum(r / doc["R"] for r in rates) == pytest.approx(1.0, rel=1e-9, abs=0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=wrongly_typed_docs())
+    def test_a_wrongly_typed_field_exits_2_naming_it(self, tmp_path_factory, case):
+        field, doc = case
+        path = tmp_path_factory.getbasetemp() / "wrong.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            code = main(["run", "--scenario", str(path)])
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith(f"error: {path}: field '{field}': "), err.getvalue()
 
 
 class TestVerifyCommand:

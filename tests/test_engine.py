@@ -683,14 +683,37 @@ class TestScenarioValidation:
             ("max_iterations", {"max_iterations": None}, "max_iterations must be an integer, got None"),
             ("R", {"capacity": "100"}, "R must be finite and > 0, got '100'"),
             ("delta", {"delta": None}, "delta must be finite and > 0, got None"),
+            # a bool is no number, though Python counts it as an int
+            ("seed", {"seed": True}, "seed must be an integer, got True"),
+            ("max_iterations", {"max_iterations": True}, "max_iterations must be an integer, got True"),
+            ("R", {"capacity": True}, "R must be finite and > 0, got True"),
+            ("delta", {"delta": True}, "delta must be finite and > 0, got True"),
+            pytest.param("seed", {"seed": 10**400}, f"seed is too large for a float, got {10**400}", id="seed-401-digits"),
+            ("allow_early_stop", {"allow_early_stop": "no"}, "allow_early_stop must be a bool or None, got 'no'"),
+            ("allow_early_stop", {"allow_early_stop": 1}, "allow_early_stop must be a bool or None, got 1"),
+            ("users[0]", {"users": ("x",)}, "users[0] must be a user spec, got 'x'"),
+            # a spec that refuses its own arguments, built inside the check
+            ("a", lambda: SigmoidalUserSpec(a=15.0, b=Fixed(20.0)), "a must be a FIXED, NORM or TRIA spec, got 15.0"),
+            ("value", lambda: Fixed(None), "value must be a finite number, got FIXED(None)"),
+            ("mu", lambda: Normal("1", 2.0), "mu must be a finite number, got NORM('1',2.0)"),
+            pytest.param("k", lambda: LogarithmicUserSpec(k=10**400, r_max=100.0), f"k must be finite and > 0, got {10**400}",
+                         id="k-401-digits"),
         ],
     )
     @pytest.mark.parametrize("name", ["fixed", "normal"])
     def test_wrongly_typed_numbers_name_their_field(self, name, field, changes, message):
         # before any round: a float seed would reach the sampler, or run
         with pytest.raises(SpecError, match=rf"^{re.escape(message)}$") as info:
-            replace(preset(name), **changes)
+            changes() if callable(changes) else replace(preset(name), **changes)
         assert info.value.field == field
+
+    def test_stored_values_are_floats_and_ints(self):
+        scenario = Scenario(capacity=100, delta=1, max_iterations=np.int32(5), seed=np.int64(3),
+                            users=[LogarithmicUserSpec(k=1, r_max=100), SigmoidalUserSpec(a=Fixed(15), b=Normal(20, 2))])
+        log, sig = scenario.users
+        values = (scenario.capacity, scenario.delta, log.k, log.r_max, sig.a.value, sig.b.mu, sig.b.sigma)
+        assert {type(v) for v in values} == {float}
+        assert type(scenario.max_iterations) is int and type(scenario.seed) is int
 
     def test_numpy_integers_pass(self):
         scenario = replace(preset("fixed"), seed=np.int64(3), max_iterations=np.int32(5))

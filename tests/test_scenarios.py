@@ -51,6 +51,8 @@ class TestParsing:
             ' "users": [{"type": "sigmoidal", "a": 15, "b": 2.5}]}'
         )
         assert s.users[0] == SigmoidalUserSpec(a=Fixed(15.0), b=Fixed(2.5))
+        # stored as the floats the constructors make of them
+        assert type(s.capacity) is float and type(s.users[0].a.value) is float
 
     def test_syntax_error_reports_line(self):
         with pytest.raises(ScenarioError, match=r"<string>:\d+:\d+"):
@@ -100,6 +102,16 @@ class TestParsing:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="nope.json"):
             load_scenario(tmp_path / "nope.json")
+
+    def test_load_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"R": 100\xff}')
+        with pytest.raises(ScenarioError, match=r"latin\.json: cannot read scenario file: 'utf-8' codec"):
+            load_scenario(path)
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self):
+        with pytest.raises(ScenarioError, match=r"^<string>: invalid JSON: Exceeds the limit"):
+            parse_scenario('{"R": %s}' % ("1" * 5000))
 
 
 class TestRoundTrip:
