@@ -147,7 +147,10 @@ class Scenario:
             raise SpecError("allow_early_stop", f"allow_early_stop must be a bool or None, got {self.allow_early_stop!r}")
         if not self.users:
             raise SpecError("users", "a scenario needs at least one user")
-        object.__setattr__(self, "users", tuple(self.users))
+        try:
+            object.__setattr__(self, "users", tuple(self.users))
+        except TypeError:
+            raise SpecError("users", f"users must be a sequence of user specs, got {self.users!r}") from None
         for i, user in enumerate(self.users):
             if not isinstance(user, (SigmoidalUserSpec, LogarithmicUserSpec)):
                 raise SpecError(f"users[{i}]", f"users[{i}] must be a user spec, got {user!r}")

@@ -7,10 +7,15 @@ arrays in blocks of whole rounds, with one ``%`` operation per block, over
 one float matrix of rates, bids and the a and b that vary.  What a run holds
 constant is printed once: the user ids, and a sigmoid user's a or b that
 every round shares, into the row template; the iteration and the price once
-per round, into that round's copy of the template.
+per round, into that round's copy of the template.  Users whose columns are
+bit-equal over the run, such as the copies of a tiled scenario, are formatted
+once: a second ``%`` per block fills each distinct column's row ends, and the
+rows take them through ``%s``.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,38 +31,60 @@ def format_number(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _distinct_columns(values: np.ndarray, sigmoid: np.ndarray):
+    """Group the user columns of ``values`` bit-equal over the run in family
+    and every field: one column of each group, and each user's group.  Every
+    column, and no groups, when the last round's rates tell them apart."""
+    users = values.shape[1]
+    last = values[-1, :, 0]
+    if len(set(last.tolist())) == users:  # equal columns have equal last rates
+        return slice(None), None
+    # equal columns sort next to each other by their last rate; a tie between
+    # unequal columns may split a group, which costs a format, not a byte
+    order = np.argsort(last.view(np.uint64), kind="stable")
+    key, sig = values[:, order].transpose(1, 0, 2).reshape(users, -1).view(np.uint64), sigmoid[order]
+    starts = np.r_[True, (key[1:] != key[:-1]).any(axis=1) | (sig[1:] != sig[:-1])]
+    return order[starts], (np.cumsum(starts) - 1)[np.argsort(order)]
+
+
 def _blocks(result: RunResult):
     """The trace file in pieces: header, blocks of rows, summary."""
     yield TRACE_HEADER + "\n"
     rounds, users = result.rates.shape
     sig = result.sigmoid
+    values = np.zeros((rounds, users, 4))  # rate, bid, a, b
+    values[..., 0], values[..., 1] = result.rates, result.bids
+    values[:, sig, 2], values[:, sig, 3] = result.a, result.b
+    columns, group = _distinct_columns(values, sig)
     # a sigmoid user's a or b with one bit pattern in every round is printed
     # once, into the template, as the user id is; a log user's are empty
-    params = np.stack((result.a, result.b), axis=-1)  # (round, sigmoid user, half)
-    bits = params.view(np.uint64)
-    varying = (bits != bits[:1]).any(axis=0)
+    bits = values.view(np.uint64)
+    filled = (bits != bits[:1]).any(axis=0)  # the fields the % fills:
+    filled[:, :2] = True  # every rate and bid, and the a and b that vary
+    own = sig if group is None else sig & np.isin(np.arange(users), columns)  # the sigmoid users formatted
     fields = [("", "")] * users
-    for uid, vary, first in zip(np.flatnonzero(sig).tolist(), varying.tolist(), params[0].tolist()):
+    for uid, vary, first in zip(np.flatnonzero(own).tolist(), filled[own, 2:].tolist(), values[0, own, 2:].tolist()):
         fields[uid] = ["%.9g" if v else format_number(x) for v, x in zip(vary, first)]
     # one round's rows; the iteration and the price go in as text, once per
-    # round, at two marker characters, so the % fills floats only
-    template = "".join(
-        f"{ITERATION},{uid},{PRICE},%.9g,%.9g,{a},{b}\n" for uid, (a, b) in enumerate(fields, start=1)
-    )
-    filled = np.ones((users, 4), dtype=bool)  # rate, bid, a, b
-    filled[~sig, 2:] = False
-    filled[sig, 2:] = varying
+    # round, at two marker characters, so the % fills floats only.  With
+    # groups, the floats fill one row end per group, and each row takes its
+    # group's end through a %s
+    ends = [f"%.9g,%.9g,{a},{b}\n" for a, b in fields]
+    if group is not None:
+        group_ends, ends = "".join(map(ends.__getitem__, columns.tolist())), ["%s\n"] * users
+    template = "".join(f"{ITERATION},{uid},{PRICE},{end}" for uid, end in enumerate(ends, start=1))
     step = max(1, BLOCK_ROWS // users)
     for lo in range(0, rounds, step):
         hi = min(lo + step, rounds)
-        values = np.empty((hi - lo, users, 4))
-        values[..., 0], values[..., 1] = result.rates[lo:hi], result.bids[lo:hi]
-        values[:, sig, 2:] = params[lo:hi]
+        numbers = tuple(values[lo:hi, columns][:, filled[columns]].ravel().tolist())
         rows = "".join(
             template.replace(ITERATION, str(n)).replace(PRICE, format_number(price))
             for n, price in enumerate(result.prices[lo:hi].tolist(), start=lo + 1)
         )
-        yield rows % tuple(values[:, filled].ravel().tolist())
+        if group is not None:
+            text = (group_ends * (hi - lo) % numbers).split("\n")
+            numbers = itemgetter(*(np.arange(hi - lo)[:, None] * len(columns) + group).ravel().tolist())(text)
+        yield rows % numbers
     lines = [
         f"# stop_reason,{result.stop_reason}",
         f"# converged_at,{result.converged_at if result.converged_at is not None else ''}",

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import rateauction.cli
 import rateauction.engine
+import rateauction.trace
 from rateauction import (
     Fixed,
     LogarithmicUserSpec,
@@ -100,13 +101,18 @@ FAMILIES = {
 @st.composite
 def run_results(draw, family):
     sigmoid = np.array(draw(FAMILIES[family]))
-    users, nsig = len(sigmoid), int(sigmoid.sum())
+    users = len(sigmoid)
     rounds = draw(st.integers(1, 3))
 
     def matrix(*shape):
         size = int(np.prod(shape))
         return np.array(draw(st.lists(NUMBERS, min_size=size, max_size=size)), dtype=float).reshape(shape)
 
+    # each user copies one of the drawn columns, so users often share every
+    # bit of their rate, bid, a and b, across families too
+    drawn = draw(st.integers(1, users))
+    copies = draw(st.lists(st.integers(0, drawn - 1), min_size=users, max_size=users))
+    rates, bids, a, b = matrix(4, rounds, drawn)[:, :, copies]
     converged_at = draw(st.one_of(st.none(), st.just(rounds)))
     return RunResult(
         stop_reason="converged" if converged_at else "iteration_cap",
@@ -115,12 +121,34 @@ def run_results(draw, family):
         final_price=draw(NUMBERS),
         final_rates=dict(enumerate(matrix(users).tolist(), start=1)),
         prices=matrix(rounds),
-        rates=matrix(rounds, users),
-        bids=matrix(rounds, users),
-        a=matrix(rounds, nsig),
-        b=matrix(rounds, nsig),
+        rates=rates,
+        bids=bids,
+        a=a[:, sigmoid],
+        b=b[:, sigmoid],
         sigmoid=sigmoid,
     )
+
+
+def columns_result(rates, sigmoid):
+    """A run whose bids equal its rates, with every sigmoid user's a and b
+    held at 0.0."""
+    rates = np.array(rates, dtype=float)
+    sigmoid = np.array(sigmoid)
+    params = np.zeros((len(rates), int(sigmoid.sum())))
+    return RunResult(
+        stop_reason="iteration_cap", converged_at=None, iterations=len(rates), final_price=1.0,
+        final_rates=dict(enumerate(rates[-1].tolist(), start=1)), prices=np.ones(len(rates)),
+        rates=rates, bids=rates.copy(), a=params, b=params, sigmoid=sigmoid,
+    )
+
+
+def formatted_columns(result):
+    """How many user columns the renderer formats when it renders result."""
+    grouping = rateauction.trace._distinct_columns
+    with mock.patch.object(rateauction.trace, "_distinct_columns", wraps=grouping) as spy:
+        render_trace(result)
+    columns, group = grouping(*spy.call_args.args)
+    return result.rates.shape[1] if group is None else len(columns)
 
 
 class TestRendererMatchesPerFieldFormatting:
@@ -158,6 +186,57 @@ class TestRendererMatchesPerFieldFormatting:
         for result in results:
             assert result.a[:, 0].tolist() == [5.0] * 15
             assert len(set(result.b[:, 0].tolist())) == 15
+            assert render_trace(result) == reference_render(result)
+
+
+class TestGroupedColumns:
+    """Users whose columns are bit-equal over the run are formatted once."""
+
+    NAN = np.array(0x7FF8000000000001, dtype=np.uint64).view(float).item()  # another NaN payload
+
+    @pytest.mark.parametrize(
+        "rates, sigmoid, formatted",
+        [
+            # a log column and a sigmoid one with a = b = 0.0: the same bits
+            # but for the family
+            pytest.param([[1.5, 1.5], [2.5, 2.5]], [True, False], 2, id="families"),
+            # the last round tells them apart: no grouping is tried
+            pytest.param([[1.0, 1.0], [2.0, 3.0]], [False, False], 2, id="last-round-distinct"),
+            pytest.param([[0.0, -0.0, 0.0, -0.0]], [False] * 4, 2, id="signed-zeros"),
+            pytest.param([[math.nan, math.nan, NAN, 2.0, 2.0]], [False] * 5, 3, id="nans"),
+            # all five tie in the last round; columns 0, 1 and 3 are equal,
+            # but column 2 sorts between them
+            pytest.param([[1.0, 1.0, 2.0, 1.0, 2.0], [3.0] * 5], [True, True, True, True, False], 4,
+                         id="last-round-tie"),
+        ],
+    )
+    def test_byte_equal(self, rates, sigmoid, formatted):
+        result = columns_result(rates, sigmoid)
+        assert formatted_columns(result) == formatted
+        assert render_trace(result) == reference_render(result)
+
+    def test_equal_rates_with_other_bids(self):
+        result = replace(columns_result([[1.0, 1.0]], [False, False]), bids=np.array([[1.0, 2.0]]))
+        assert formatted_columns(result) == 2
+        assert render_trace(result) == reference_render(result)
+
+    def test_tiled_preset_across_blocks(self, tmp_path):
+        # 6,000 users, 2 rounds a block: the grouped fill crosses BLOCK_ROWS
+        fixed = preset("fixed")
+        result = run(replace(fixed, capacity=1e5, users=fixed.users * 1000))
+        assert BLOCK_ROWS // result.rates.shape[1] == 2 and result.iterations > 2
+        assert formatted_columns(result) == 6
+        emit_trace(result, tmp_path / "trace.csv")
+        text = render_trace(result)
+        assert (tmp_path / "trace.csv").read_bytes() == text.encode("utf-8")
+        assert text == reference_render(result)
+
+    def test_tiled_stochastic_replication(self):
+        # each sigmoid copy draws its own a and b; only the fixed log users
+        # share their columns
+        normal = preset("normal")
+        for result in run_replication(replace(normal, users=normal.users * 3), [0, 1]):
+            assert formatted_columns(result) == 12
             assert render_trace(result) == reference_render(result)
 
 

@@ -698,6 +698,7 @@ class TestScenarioValidation:
             ("mu", lambda: Normal("1", 2.0), "mu must be a finite number, got NORM('1',2.0)"),
             pytest.param("k", lambda: LogarithmicUserSpec(k=10**400, r_max=100.0), f"k must be finite and > 0, got {10**400}",
                          id="k-401-digits"),
+            ("users", {"users": 5}, "users must be a sequence of user specs, got 5"),
         ],
     )
     @pytest.mark.parametrize("name", ["fixed", "normal"])
