@@ -24,7 +24,7 @@ from .oracle import BudgetExceededError, GridStepError, centralized_argmax, log_
 from .sampling import format_param_spec
 from .scenarios import PRESETS, ScenarioError, load_scenario, preset
 from .station import DegenerateBidsError
-from .trace import emit_trace, format_number
+from .trace import emit_trace, final_rate_texts, format_number
 from .ue import BisectionError
 
 EXIT_OK = 0
@@ -63,13 +63,12 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _print_summary(result) -> None:
-    print(f"stop_reason: {result.stop_reason}")
-    if result.converged_at is not None:
-        print(f"converged_at: {result.converged_at}")
-    print(f"iterations: {result.iterations}")
-    print(f"final_price: {format_number(result.final_price)}")
-    for uid in sorted(result.final_rates):
-        print(f"final_rate[{uid}]: {format_number(result.final_rates[uid])}")
+    converged = f"converged_at: {result.converged_at}\n" if result.converged_at is not None else ""
+    rates = [f"final_rate[{uid}]: {rate}\n" for uid, rate in enumerate(final_rate_texts(result), start=1)]
+    sys.stdout.write(
+        f"stop_reason: {result.stop_reason}\n{converged}iterations: {result.iterations}\n"
+        f"final_price: {format_number(result.final_price)}\n" + "".join(rates)
+    )
 
 
 def cmd_run(args) -> int:

@@ -6,11 +6,13 @@ run always renders the same file.  Rows are rendered from the result's
 arrays in blocks of whole rounds, with one ``%`` operation per block, over
 one float matrix of rates, bids and the a and b that vary.  What a run holds
 constant is printed once: the user ids, and a sigmoid user's a or b that
-every round shares, into the row template; the iteration and the price once
-per round, into that round's copy of the template.  Users whose columns are
-bit-equal over the run, such as the copies of a tiled scenario, are formatted
-once: a second ``%`` per block fills each distinct column's row ends, and the
-rows take them through ``%s``.
+every round shares, into the row ends; the iteration and the price once
+per round.  When every user column differs, the rows are one template, and
+each round's copy takes its iteration and price by ``replace``.  Users whose
+columns are bit-equal over the run, such as the copies of a tiled scenario,
+are formatted once: the ``%`` fills each distinct column's row end, and each
+round's rows are one ``join`` of its iteration, the user ids and the row
+ends.  The summary formats each distinct final rate once.
 """
 
 from __future__ import annotations
@@ -47,6 +49,18 @@ def _distinct_columns(values: np.ndarray, sigmoid: np.ndarray):
     return order[starts], (np.cumsum(starts) - 1)[np.argsort(order)]
 
 
+def final_rate_texts(result: RunResult) -> list[str]:
+    """Each user's final rate through ``format_number``, in user-id order,
+    each distinct value formatted once.  Values are told apart by their
+    float64 bits: ``0.0`` and ``-0.0`` are equal floats that print apart."""
+    rates = list(map(result.final_rates.__getitem__, range(1, len(result.final_rates) + 1)))
+    if len(set(rates)) == len(rates):  # no value repeats
+        return list(map(format_number, rates))
+    keys, inverse = np.unique(np.array(rates).view(np.uint64), return_inverse=True)
+    texts = list(map(format_number, keys.view(float).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
 def _blocks(result: RunResult):
     """The trace file in pieces: header, blocks of rows, summary."""
     yield TRACE_HEADER + "\n"
@@ -56,44 +70,45 @@ def _blocks(result: RunResult):
     values[..., 0], values[..., 1] = result.rates, result.bids
     values[:, sig, 2], values[:, sig, 3] = result.a, result.b
     columns, group = _distinct_columns(values, sig)
+    values, sig = values[:, columns], sig[columns]  # one column of each group
     # a sigmoid user's a or b with one bit pattern in every round is printed
-    # once, into the template, as the user id is; a log user's are empty
+    # once, into its row end; a log user's are empty
     bits = values.view(np.uint64)
     filled = (bits != bits[:1]).any(axis=0)  # the fields the % fills:
     filled[:, :2] = True  # every rate and bid, and the a and b that vary
-    own = sig if group is None else sig & np.isin(np.arange(users), columns)  # the sigmoid users formatted
-    fields = [("", "")] * users
-    for uid, vary, first in zip(np.flatnonzero(own).tolist(), filled[own, 2:].tolist(), values[0, own, 2:].tolist()):
-        fields[uid] = ["%.9g" if v else format_number(x) for v, x in zip(vary, first)]
-    # one round's rows; the iteration and the price go in as text, once per
-    # round, at two marker characters, so the % fills floats only.  With
-    # groups, the floats fill one row end per group, and each row takes its
-    # group's end through a %s
+    fields = [("", "")] * len(sig)
+    for col, vary, first in zip(np.flatnonzero(sig).tolist(), filled[sig, 2:].tolist(), values[0, sig, 2:].tolist()):
+        fields[col] = ["%.9g" if v else format_number(x) for v, x in zip(vary, first)]
     ends = [f"%.9g,%.9g,{a},{b}\n" for a, b in fields]
-    if group is not None:
-        group_ends, ends = "".join(map(ends.__getitem__, columns.tolist())), ["%s\n"] * users
-    template = "".join(f"{ITERATION},{uid},{PRICE},{end}" for uid, end in enumerate(ends, start=1))
+    ids = [f"{uid}," for uid in range(1, users + 1)]
     step = max(1, BLOCK_ROWS // users)
+    if group is None:
+        # one round's rows; the iteration and the price go in as text, once
+        # per round, at two marker characters, so the % fills floats only
+        template = "".join(f"{ITERATION},{uid}{PRICE},{end}" for uid, end in zip(ids, ends))
+    else:
+        # each round's rows are joined from pieces: its iteration, the user
+        # id, and the user's group's row end after the round's price
+        pieces, pick, ends = [None] * (3 * users), itemgetter(*group.tolist()), "".join(ends)
+        pieces[1::3] = ids
     for lo in range(0, rounds, step):
         hi = min(lo + step, rounds)
-        numbers = tuple(values[lo:hi, columns][:, filled[columns]].ravel().tolist())
-        rows = "".join(
-            template.replace(ITERATION, str(n)).replace(PRICE, format_number(price))
-            for n, price in enumerate(result.prices[lo:hi].tolist(), start=lo + 1)
-        )
-        if group is not None:
-            text = (group_ends * (hi - lo) % numbers).split("\n")
-            numbers = itemgetter(*(np.arange(hi - lo)[:, None] * len(columns) + group).ravel().tolist())(text)
-        yield rows % numbers
-    lines = [
-        f"# stop_reason,{result.stop_reason}",
-        f"# converged_at,{result.converged_at if result.converged_at is not None else ''}",
-        f"# iterations,{result.iterations}",
-        f"# final_price,{format_number(result.final_price)}",
-    ]
-    for uid in sorted(result.final_rates):
-        lines.append(f"# final_rate,{uid},{format_number(result.final_rates[uid])}")
-    yield "\n".join(lines) + "\n"
+        numbers = tuple(values[lo:hi][:, filled].ravel().tolist())
+        prices = enumerate(map(format_number, result.prices[lo:hi].tolist()), start=lo + 1)
+        if group is None:
+            yield "".join(template.replace(ITERATION, str(n)).replace(PRICE, price) for n, price in prices) % numbers
+            continue
+        text = (ends * (hi - lo) % numbers).splitlines(keepends=True)
+        for (n, price), at in zip(prices, range(0, len(text), len(sig))):
+            pieces[0::3] = [f"{n},"] * users
+            pieces[2::3] = pick([f"{price},{end}" for end in text[at:at + len(sig)]])
+            yield "".join(pieces)
+    yield (
+        f"# stop_reason,{result.stop_reason}\n"
+        f"# converged_at,{result.converged_at if result.converged_at is not None else ''}\n"
+        f"# iterations,{result.iterations}\n"
+        f"# final_price,{format_number(result.final_price)}\n"
+    ) + "".join([f"# final_rate,{uid}{rate}\n" for uid, rate in zip(ids, final_rate_texts(result))])
 
 
 def render_trace(result: RunResult) -> str:

@@ -83,6 +83,25 @@ def reference_render(result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_summary(result) -> str:
+    """The run command's summary with one format call per line."""
+    lines = [f"stop_reason: {result.stop_reason}"]
+    if result.converged_at is not None:
+        lines.append(f"converged_at: {result.converged_at}")
+    lines.append(f"iterations: {result.iterations}")
+    lines.append(f"final_price: {format_number(result.final_price)}")
+    for uid in sorted(result.final_rates):
+        lines.append(f"final_rate[{uid}]: {format_number(result.final_rates[uid])}")
+    return "\n".join(lines) + "\n"
+
+
+def printed_summary(result) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rateauction.cli._print_summary(result)
+    return out.getvalue()
+
+
 # values at the nine-digit rounding boundary (9.9999999995 prints as 10),
 # scaled across the exponent range, subnormals included
 ROUND_UP = st.builds(
@@ -113,13 +132,16 @@ def run_results(draw, family):
     drawn = draw(st.integers(1, users))
     copies = draw(st.lists(st.integers(0, drawn - 1), min_size=users, max_size=users))
     rates, bids, a, b = matrix(4, rounds, drawn)[:, :, copies]
+    # the final rates are drawn apart from the columns or copied as they are,
+    # so the summary meets equal rates, 0.0 beside -0.0 and NaN payloads too
+    final_rates = matrix(drawn)[copies] if draw(st.booleans()) else matrix(users)
     converged_at = draw(st.one_of(st.none(), st.just(rounds)))
     return RunResult(
         stop_reason="converged" if converged_at else "iteration_cap",
         converged_at=converged_at,
         iterations=rounds,
         final_price=draw(NUMBERS),
-        final_rates=dict(enumerate(matrix(users).tolist(), start=1)),
+        final_rates=dict(enumerate(final_rates.tolist(), start=1)),
         prices=matrix(rounds),
         rates=rates,
         bids=bids,
@@ -158,6 +180,7 @@ class TestRendererMatchesPerFieldFormatting:
     def test_byte_equal(self, family, data):
         result = data.draw(run_results(family))
         assert render_trace(result) == reference_render(result)
+        assert printed_summary(result) == reference_summary(result)
 
     @pytest.mark.parametrize("name", ["fixed", "normal", "triangular"])
     def test_presets(self, name):
@@ -220,16 +243,37 @@ class TestGroupedColumns:
         assert formatted_columns(result) == 2
         assert render_trace(result) == reference_render(result)
 
-    def test_tiled_preset_across_blocks(self, tmp_path):
-        # 6,000 users, 2 rounds a block: the grouped fill crosses BLOCK_ROWS
+    def test_one_group_with_other_final_rates(self):
+        # the final rates are not the columns' last rates, and may differ
+        # within a group; 0.0 and -0.0 are formatted apart
+        result = replace(columns_result([[1.0] * 4], [True] * 4), final_rates={1: 0.5, 2: -0.0, 3: 0.0, 4: 0.5})
+        assert formatted_columns(result) == 1
+        assert render_trace(result) == reference_render(result)
+        assert printed_summary(result) == reference_summary(result)
+
+    @staticmethod
+    def check_tiled_fixed(tmp_path, copies):
+        """The fixed preset tiled ``copies`` times at R = 100 per copy: 6
+        columns formatted, and render, emission and reference equal; the
+        rounds a block and the run's rounds."""
         fixed = preset("fixed")
-        result = run(replace(fixed, capacity=1e5, users=fixed.users * 1000))
-        assert BLOCK_ROWS // result.rates.shape[1] == 2 and result.iterations > 2
+        result = run(replace(fixed, capacity=100.0 * copies, users=fixed.users * copies))
         assert formatted_columns(result) == 6
         emit_trace(result, tmp_path / "trace.csv")
         text = render_trace(result)
         assert (tmp_path / "trace.csv").read_bytes() == text.encode("utf-8")
         assert text == reference_render(result)
+        return BLOCK_ROWS // result.rates.shape[1], result.iterations
+
+    def test_tiled_preset_with_a_short_last_block(self, tmp_path):
+        # 4,200 users, 3 rounds a block over 20 rounds: the last block holds 2
+        step, rounds = self.check_tiled_fixed(tmp_path, 700)
+        assert step == 3 and rounds % step == 2
+
+    def test_tiled_preset_across_blocks(self, tmp_path):
+        # 6,000 users, 2 rounds a block: the grouped fill crosses BLOCK_ROWS
+        step, rounds = self.check_tiled_fixed(tmp_path, 1000)
+        assert step == 2 and rounds > 2
 
     def test_tiled_stochastic_replication(self):
         # each sigmoid copy draws its own a and b; only the fixed log users
@@ -319,6 +363,16 @@ class TestRunCommand:
         captured = capsys.readouterr().out
         assert "stop_reason: iteration_cap" in captured
         assert out.read_text(encoding="utf-8").startswith(TRACE_HEADER)
+
+    def test_tiled_scenario_summary(self, tmp_path, capsys):
+        # 600 users with 6 distinct final rates
+        fixed = preset("fixed")
+        scenario = replace(fixed, capacity=1e4, users=fixed.users * 100)
+        save_scenario(scenario, tmp_path / "scaled.json")
+        assert main(["run", "--scenario", str(tmp_path / "scaled.json")]) == 0
+        result = run(scenario)
+        assert len(set(result.final_rates.values())) == 6
+        assert capsys.readouterr().out == reference_summary(result)
 
     def test_scenario_file_run(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
