@@ -58,8 +58,8 @@ import numpy as np
 
 # a failed draw is named by the scalar reference, one cell's resample_user
 # on its stream_rng, looked up here by name
-from .sampling import (BatchSampler, Fixed, ParamSpec, SpecError, _require_at_least, _require_finite_positive,
-                       format_param_spec, is_stochastic, resample_user, stream_rng)
+from .sampling import (MAX_KEY, BatchSampler, Fixed, ParamSpec, SpecError, _require_at_least,
+                       _require_finite_positive, format_param_spec, is_stochastic, resample_user, stream_rng)
 from .station import BidLedger
 from .ue import DEFAULT_RATE_TOL, BisectionError, LanePaths, solve_lanes, ue_step
 from .utility import LogarithmicUtility, SigmoidalUtility
@@ -91,6 +91,11 @@ class SigmoidalUserSpec:
             if isinstance(spec, Fixed) and not spec.value > 0:
                 raise SpecError(field_name, f"a fixed sigmoid {field_name} must be > 0, got {spec.value!r}")
 
+    @property
+    def drawn(self) -> bool:
+        """Whether a or b is drawn afresh each round."""
+        return is_stochastic(self.a) or is_stochastic(self.b)
+
     def initial_utility(self, capacity: float) -> SigmoidalUtility:
         """The utility of fixed a and b; SpecError names a drawn one."""
         for name, spec in (("a", self.a), ("b", self.b)):
@@ -105,6 +110,8 @@ class LogarithmicUserSpec:
 
     k: float
     r_max: float
+
+    drawn = False  # k and r_max are always fixed
 
     def __post_init__(self) -> None:
         for name in ("k", "r_max"):
@@ -158,6 +165,9 @@ class Scenario:
                 raise SpecError(
                     f"users[{i}].k", f"k*R must be finite, got {user.k!r}*{self.capacity!r}"
                 )
+            if user.drawn and self.max_iterations > MAX_KEY:  # a round's draws are keyed by its iteration
+                raise SpecError("max_iterations", f"max_iterations must be at most {MAX_KEY} when users[{i}] "
+                                                  f"is drawn, got {self.max_iterations}")
             # the slope evaluates a*r and a*(r - b) for r up to R; a drawn b
             # is clamped to R
             if isinstance(user, SigmoidalUserSpec) and isinstance(user.a, Fixed):
@@ -220,32 +230,23 @@ def _bits(x):
     return (x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
 
 
-def _raise_first_failure(scenario: Scenario, prices, a: np.ndarray, b: np.ndarray, n: int) -> None:
-    """Solve round n again with the scalar reference, one ``ue_step`` per
-    user in run and user order, and raise SimulationError naming the first
-    user that fails."""
-    capacity = scenario.capacity
-    for price, a_row, b_row in zip(prices.tolist(), a.tolist(), b.tolist()):
-        sigmoid = map(SigmoidalUtility, a_row, b_row)
-        for uid, spec in enumerate(scenario.users, start=1):
-            utility = next(sigmoid) if isinstance(spec, SigmoidalUserSpec) else spec.initial_utility(capacity)
-            try:
-                ue_step(utility, price, capacity)
-            except (ValueError, BisectionError) as exc:  # what the solver raises by design
-                raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
-
-
-def _raise_draw_failure(capacity: float, seeds: list[int], drawn, failed: np.ndarray, n: int) -> None:
-    """Draw round n's first failed cell, in run and user order, again with
-    the scalar reference, and raise SimulationError naming its user.
-    ``seeds`` are the live runs', ``failed`` marks cells (run, drawn user)."""
-    row, col = np.argwhere(failed)[0].tolist()
-    _, uid, spec = drawn[col]
+def _raise_first_failure(scenario: Scenario, seeds: list[int], prices: np.ndarray, n: int) -> None:
+    """Make round n of the live runs under ``seeds`` again with the scalar
+    reference: each drawn user's ``resample_user`` on its ``stream_rng``,
+    run by run, then every user's ``ue_step`` at its run's price.  Raise
+    SimulationError naming the first user that fails, else AssertionError."""
+    capacity, cells = scenario.capacity, []
     try:
-        resample_user(spec.a, spec.b, capacity, stream_rng(seeds[row], n, uid))
-    except ValueError as exc:  # a non-finite draw, or a*R
+        for seed in seeds:
+            for uid, spec in enumerate(scenario.users, start=1):
+                utility = (SigmoidalUtility(*resample_user(spec.a, spec.b, capacity, stream_rng(seed, n, uid)))
+                           if spec.drawn else spec.initial_utility(capacity))
+                cells.append((uid, utility))
+        for price, (uid, utility) in zip(np.repeat(prices, len(scenario.users)).tolist(), cells):
+            ue_step(utility, price, capacity)
+    except (ValueError, BisectionError) as exc:  # a failed draw, or what the solver raises by design
         raise SimulationError(f"user {uid} failed at iteration {n}: {exc}") from exc
-    raise AssertionError(f"user {uid}'s draw at iteration {n} failed only in the batch sampler")
+    raise AssertionError(f"round {n} failed only in the batch")
 
 
 def _lane_layout(runs: int, sigmoid: np.ndarray, column: np.ndarray, n_sig: int, k: np.ndarray):
@@ -272,7 +273,7 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
         sigmoid.append(isinstance(spec, SigmoidalUserSpec))
         if not sigmoid[-1]:
             column.append(k.setdefault(spec.k, len(k)))
-        elif isinstance(spec.a, Fixed) and isinstance(spec.b, Fixed):
+        elif not spec.drawn:
             column.append(ab.setdefault((spec.a.value, spec.b.value), len(ab)))
         else:
             drawn.append((len(ab), uid, spec))
@@ -302,16 +303,15 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
         if drawn:
             drawn_a, drawn_b, failed = sampler.draw(n)
             if np.count_nonzero(failed):
-                _raise_draw_failure(capacity, [seeds[i] for i in live.tolist()], drawn, failed, n)
+                _raise_first_failure(scenario, [seeds[i] for i in live.tolist()], prices, n)
             a, b = a.copy(), b.copy()  # the kept rounds hold the old rows
             a[:, drawn_cols], b[:, drawn_cols] = drawn_a, drawn_b
         try:
             if drawn or paths is None:  # the recorded slopes belong to the old parameters
                 paths = LanePaths(a.ravel(), b.ravel(), k_lanes, capacity)
             lanes = solve_lanes(paths, prices[lane_run])
-        except (ValueError, BisectionError):  # the scalar re-solve raises the precise error
-            _raise_first_failure(scenario, prices, a[:, user_col], b[:, user_col], n)
-            raise
+        except (ValueError, BisectionError):  # the scalar replay raises the precise error
+            _raise_first_failure(scenario, [seeds[i] for i in live.tolist()], prices, n)
         walked, predicted, compared = walked + paths.walked, predicted + paths.predicted, compared + paths.compared
         rates = lanes[lane_of]
         bids = prices[:, None] * rates

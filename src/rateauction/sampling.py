@@ -16,13 +16,13 @@ the scalar reference.
 A lockstep batch draws a block of rounds at once as arrays
 (:class:`BatchSampler`), with no generator per cell.  Each seed's pool is
 numpy's ``SeedSequence(seed).pool``, built once per batch; the rest of the
-hash, absorbing the spawn key's words and generating the output words, runs
-as uint32 array arithmetic over every round of the block.  PCG64 runs as
-uint64 arithmetic on the resulting state words, and numpy's uniform double
-and the fast path of its ziggurat normal turn the outputs into draws.  The few cells whose normal draw
-leaves that path are drawn from their own generator.  The tests check the
-batch cell by cell against numpy's SeedSequence and ``resample_user``,
-for seeds and keys of every word count.
+hash, absorbing the iteration and the user id as one uint32 word each (up
+to MAX_KEY) and generating the output words, runs as array arithmetic over
+every round of the block.  PCG64 runs as uint64 arithmetic on the state
+words, and numpy's uniform double and the fast path of its ziggurat normal
+turn the outputs into draws.  The few cells whose normal draw leaves that
+path are drawn from their own generator.  The tests check the batch cell
+by cell against numpy's SeedSequence and ``resample_user``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ MIN_INFLECTION = 1.0
 
 # The most cells a BatchSampler draws in one block of rounds.
 BLOCK_CELLS = 2**14
+
+# The largest iteration or user id a BatchSampler hashes, one uint32 word each.
+MAX_KEY = 2**32 - 1
 
 
 class SpecError(ValueError):
@@ -223,41 +226,22 @@ _OUT_SOURCE = np.arange(2 * PCG64_STATE_WORDS) % POOL_SIZE
 
 
 def _word_count(value: int) -> int:
-    """The 32-bit words of a non-negative integer; 0 has one, as in
-    SeedSequence."""
+    """The 32-bit words of a non-negative integer; 0 has one, as in SeedSequence."""
     return max(1, -(-value.bit_length() // 32))
 
 
-def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
-    """The little-endian 32-bit words of non-negative integers, one
-    zero-padded row per value, and each value's word count."""
-    ints = [operator.index(v) for v in values]
-    if min(ints) < 0:
-        raise ValueError(f"seeds and spawn keys must be >= 0, got {min(ints)}")
-    counts = list(map(_word_count, ints))
-    width = max(counts)
-    words = [[(v >> (32 * j)) & 0xFFFFFFFF for j in range(width)] for v in ints]
-    return np.array(words, dtype=np.uint32), np.array(counts)
+def _key_words(values) -> np.ndarray:
+    """One uint32 word per value; numpy raises OverflowError past MAX_KEY."""
+    return np.array([operator.index(v) for v in values], dtype=np.uint32)
 
 
-def _absorbed(words: np.ndarray, start) -> np.ndarray:
+def _absorbed(words: np.ndarray, index) -> np.ndarray:
     """Entropy words past the pool's fill, each hashmixed for its absorption
-    into every pool word in turn: on a trailing axis of POOL_SIZE.  A block
-    of words starts at entropy index ``start``; the word at index e takes A's
-    constants from position POOL_SIZE * e on."""
-    index = np.asarray(start)[..., None] + np.arange(words.shape[-1])
-    positions = POOL_SIZE * index[..., None] + np.arange(POOL_SIZE)
+    into every pool word in turn, on a trailing axis of POOL_SIZE: the word
+    at entropy ``index`` e takes A's constants from position POOL_SIZE * e on."""
+    positions = POOL_SIZE * np.asarray(index)[..., None] + np.arange(POOL_SIZE)
     consts = _hash_consts(INIT_A, MULT_A, positions.max(initial=0) + 2)
     return _hashmix(words[..., None], _pairs(consts, positions))
-
-
-def _mix_in(pool: np.ndarray, absorbed: np.ndarray, counts) -> np.ndarray:
-    """Each pool absorbs the first ``counts`` of its block's words, in order;
-    ``absorbed`` holds their hashmixes (:func:`_absorbed`)."""
-    for col in range(absorbed.shape[-2]):
-        mixed = _mix(pool, absorbed[..., col, :])
-        pool = np.where(np.asarray(col < counts)[..., None], mixed, pool)
-    return pool
 
 
 def _state_words(pool: np.ndarray) -> np.ndarray:
@@ -420,17 +404,15 @@ class BatchSampler:
 
     The draws are made a block of rounds at a time, and each round is
     served from the block held.  A block holds whole rounds, at least one,
-    of at most BLOCK_CELLS cells; it ends at the batch's iteration cap, and
-    before the iteration's word count changes, since the spawn key's words
-    set the hash constants of the words after them.  A ``growing`` sampler,
-    for a batch whose runs may stop early, starts with a block of one round
-    and doubles the rounds of each block after it, so that it draws at most
-    about twice the rounds its runs use.
+    of at most BLOCK_CELLS cells, and ends at the batch's iteration cap.  A
+    ``growing`` sampler, for a batch whose runs may stop early, starts with
+    a block of one round and doubles the rounds of each block after it, so
+    that it draws at most about twice the rounds its runs use.
 
     Every cell of a block is derived at once.  Each seed's pool is numpy's
     ``SeedSequence(seed).pool``, built once per batch; the rest of the hash
-    runs as array arithmetic, each block: the iterations' words, the user
-    ids' words and the output words.
+    runs as array arithmetic, each block: the iterations and the user ids,
+    one word each, and the output words.
     Then PCG64's first outputs, numpy's uniform and the ziggurat normal's
     fast path, which all but about 1.5% of normal draws take.  A cell in
     which a normal draw leaves that path is redrawn whole from its own
@@ -457,11 +439,10 @@ class BatchSampler:
         self.args = np.moveaxis(np.array(args), -1, 0)[:, :, None]
         # b takes the second output where a is drawn, the first where it is fixed
         self.second = np.array([[False] * len(specs), [is_stochastic(a) for a, _ in specs]])[:, None]
-        self.user_words, self.user_counts = _int_words(user_ids)
-        # the spawn key's words start past the seed's, zero-padded to the pool
-        _, seed_counts = _int_words(seeds)
-        self.start = np.maximum(seed_counts, POOL_SIZE)
+        self.user_words = _key_words(user_ids)
         self.pool = np.array([np.random.SeedSequence(seed).pool for seed in seeds])
+        # the spawn key's words start past the seed's, zero-padded to the pool
+        self.start = np.maximum([_word_count(operator.index(seed)) for seed in seeds], POOL_SIZE)
         # the block held: its first iteration, its (half, round, run, user)
         # draws and its (round, run, user) failed cells
         self.first = 0
@@ -476,15 +457,12 @@ class BatchSampler:
         self.held, self.failed = self.held[:, :, keep], self.failed[:, keep]
 
     def _cell_states(self, iterations) -> np.ndarray:
-        """Every cell's PCG64 state words at iterations of one word count:
-        (rounds, runs, users, PCG64_STATE_WORDS)."""
-        words, counts = _int_words(iterations)
-        if counts.min() != counts.max():
-            raise ValueError(f"a block's iterations must share one word count, got {sorted(set(counts.tolist()))}")
-        count = counts[0]
-        pool = _mix_in(self.pool, _absorbed(words[:, None], self.start), count)
-        users = _absorbed(self.user_words, (self.start + count)[:, None])
-        return _state_words(_mix_in(pool[:, :, None], users, self.user_counts))
+        """Every cell's PCG64 state words, (rounds, runs, users,
+        PCG64_STATE_WORDS): each iteration's word at entropy index ``start``, then the user id's."""
+        iterations = _key_words(iterations)[:, None]
+        pool = _mix(self.pool, _absorbed(iterations, self.start))
+        users = _absorbed(self.user_words, (self.start + 1)[:, None])
+        return _state_words(_mix(pool[:, :, None], users))
 
     def _variates(self, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's variates from its outputs, (half, rows, users): a
@@ -516,7 +494,7 @@ class BatchSampler:
         rounds = max(1, BLOCK_CELLS // (runs * users))
         if self.growing:
             rounds = min(rounds, 2**self.blocks)
-        stop = min(first + rounds, self.cap + 1, 2 ** (32 * _word_count(first)))
+        stop = min(first + rounds, self.cap + 1)
         # rounds and runs flattened into one axis of rows
         state = self._cell_states(range(first, stop)).reshape(-1, users, PCG64_STATE_WORDS)
         outputs = _pcg64_outputs(state, 2 if self.second.any() else 1)

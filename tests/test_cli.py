@@ -389,6 +389,35 @@ class TestRunCommand:
         assert "stop_reason: converged" in out
         assert "converged_at: 36" in out
 
+    def test_allow_early_stop_flag(self, capsys):
+        # a drawn scenario runs to its cap unless the flag lets it stop
+        args = ["run", "--preset", "normal", "--delta", "1", "--iterations", "60"]
+        assert main(args + ["--allow-early-stop"]) == 0
+        result = run(replace(preset("normal"), delta=1.0, max_iterations=60, allow_early_stop=True))
+        assert (result.stop_reason, result.converged_at) == ("converged", 10)
+        assert capsys.readouterr().out == reference_summary(result)
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("stop_reason: iteration_cap\niterations: 60\n")
+
+    @pytest.mark.parametrize("text", ["[]", "5"])
+    def test_non_object_scenario_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: top level must be an object\n"
+
+    @pytest.mark.parametrize("users,code", [(["NORM(5,2)", "FIXED(10)"], 2), (["FIXED(5)", "FIXED(10)"], 0)],
+                             ids=["drawn", "fixed"])
+    def test_iteration_cap_past_one_word(self, tmp_path, capsys, users, code):
+        # a drawn user keys each round's draws by the iteration, one 32-bit
+        # word; a fixed scenario draws nothing and keeps the cap
+        path = write_scenario(tmp_path, max_iterations=2**32, delta=0.01,
+                              users=[{"type": "sigmoidal", "a": users[0], "b": users[1]}])
+        assert main(["run", "--scenario", str(path)]) == code
+        if code == 2:
+            assert "field 'max_iterations': max_iterations must be at most 4294967295" in capsys.readouterr().err
+
     def test_seed_override_changes_stochastic_run(self, tmp_path):
         out1, out2, out3 = (tmp_path / f"t{i}.csv" for i in range(3))
         main(["run", "--preset", "triangular", "--seed", "1", "--output", str(out1)])

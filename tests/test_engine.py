@@ -567,6 +567,18 @@ class TestErrorContext:
                 run(preset("fixed"))
         assert not isinstance(info.value, SimulationError)
 
+    @pytest.mark.parametrize("name", ["fixed", "normal"])
+    def test_a_lane_failure_the_scalar_replay_passes_is_an_assertion(self, monkeypatch, name):
+        # the replay redraws the normal preset's users and solves every
+        # user cleanly: a failure only the lane solve meets names no user
+        def failing(*args, **kwargs):
+            raise ValueError("lane failure")
+
+        monkeypatch.setattr(rateauction.engine, "solve_lanes", failing)
+        with pytest.raises(AssertionError, match=r"^round 1 failed only in the batch$") as info:
+            run(preset(name))
+        assert str(info.value.__context__) == "lane failure"
+
     def test_r_below_the_solver_tolerance_is_refused_before_any_round(self):
         # the bracket [tol, R] would be empty: every user would take R/2.
         # The scenario refuses it, so no batch is ever built

@@ -25,16 +25,19 @@ from rateauction import (
 from rateauction import _ziggurat, sampling
 from rateauction.sampling import (
     BatchSampler,
+    MAX_KEY,
     PCG64_MULT,
+    SpecError,
     clamp_sigmoid_params,
     is_stochastic,
     triangular_inverse_cdf,
 )
 
 # Seeds on each side of every word-count boundary of SeedSequence's entropy:
-# one word, two, the full four-word pool, and past it.
+# one word, two, the full four-word pool, and past it.  Spawn keys are one
+# word each, up to MAX_KEY.
 EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128 + 5]
-EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**34 + 1]
+EDGE_KEYS = [0, 1, 2**31, MAX_KEY - 1, MAX_KEY]
 
 
 def numpy_rng(seed, iteration, user_id):
@@ -252,12 +255,12 @@ class TestStreamSeeding:
         cells=st.lists(
             st.tuples(
                 st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**200),
-                st.sampled_from(EDGE_KEYS) | st.integers(0, 2**70),
+                st.sampled_from(EDGE_KEYS) | st.integers(0, MAX_KEY),
             ),
             min_size=1,
             max_size=8,
         ),
-        iteration=st.sampled_from(EDGE_KEYS) | st.integers(0, 2**70),
+        iteration=st.sampled_from(EDGE_KEYS) | st.integers(0, MAX_KEY),
     )
     def test_every_cell_matches_numpy(self, cells, iteration):
         # every seed with every user id: cells of different entropy lengths
@@ -269,8 +272,8 @@ class TestStreamSeeding:
             assert first_draws(stream_rng(seed, iteration, uid)) == first_draws(numpy_rng(seed, iteration, uid))
 
     def test_edge_seeds_and_keys_in_one_batch(self):
-        # every entropy length at once, and iterations of one and two words
-        for iteration in (0, 1, 2**32):
+        # every entropy length at once, and iterations at both ends of a word
+        for iteration in (0, 1, MAX_KEY):
             assert batch_states(EDGE_SEEDS, iteration, EDGE_KEYS) == numpy_states(EDGE_SEEDS, iteration, EDGE_KEYS)
 
     def test_numpy_integers_accepted(self):
@@ -322,13 +325,13 @@ class TestBatchSampler:
     @given(
         specs=st.lists(user_specs, min_size=1, max_size=4),
         seeds=st.lists(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**200), min_size=1, max_size=5),
-        keys=st.lists(st.sampled_from(EDGE_KEYS[1:]) | st.integers(1, 2**70), min_size=4, max_size=4, unique=True),
-        first=st.sampled_from([1, 2**32 - 2, 2**64 - 2]) | st.integers(0, 2**70),
+        keys=st.lists(st.sampled_from(EDGE_KEYS[1:]) | st.integers(1, MAX_KEY), min_size=4, max_size=4, unique=True),
+        first=st.sampled_from([1, MAX_KEY - 2]) | st.integers(0, MAX_KEY - 2),
         data=st.data(),
     )
     def test_every_cell_matches_resample_user(self, specs, seeds, keys, first, data):
-        # three rounds, dropping runs between them; the first iterations
-        # listed cross a word boundary within the three
+        # three rounds, dropping runs between them; the last first iteration
+        # listed ends on MAX_KEY
         user_ids = keys[: len(specs)]
         sampler = BatchSampler(seeds, user_ids, specs, CAPACITY, first + 2)
         for n in range(first, first + 3):
@@ -344,12 +347,12 @@ class TestBatchSampler:
         halves = (Fixed(0.05), Normal(15.0, 2.0), Triangular(3.0, 5.0, 7.0))
         specs = [(a, b) for a in halves for b in halves if is_stochastic(a) or is_stochastic(b)]
         user_ids = list(range(1, len(specs) + 1))
-        sampler = BatchSampler(EDGE_SEEDS, user_ids, specs, CAPACITY, 2**32 + 1)
-        for n in (1, 2**32 - 1, 2**32, 2**32 + 1):
+        sampler = BatchSampler(EDGE_SEEDS, user_ids, specs, CAPACITY, MAX_KEY)
+        for n in (1, 2, MAX_KEY - 1, MAX_KEY):
             assert_draws_match(sampler, EDGE_SEEDS, n, user_ids, specs)
 
     def test_dropped_runs_leave_the_seed_pools(self):
-        seeds, user_ids = [11, 2**130 + 1, 13, 2**40, 15], [4, 2**33]
+        seeds, user_ids = [11, 2**130 + 1, 13, 2**40, 15], [4, MAX_KEY]
         specs = [(Normal(15.0, 2.0), Normal(35.0, 2.0)), (Fixed(5.0), Triangular(3.0, 5.0, 7.0))]
         sampler = BatchSampler(seeds, user_ids, specs, CAPACITY, 4)
         for n, dropped in ((1, [True, False, False, True, False]), (2, [False, True, False]), (3, [False, True])):
@@ -415,8 +418,9 @@ class TestBatchSampler:
 class TestBlocks:
     """Rounds drawn a block at a time, against resample_user on numpy's
     streams, cell for cell: a block holds whole rounds of at most
-    BLOCK_CELLS cells, ends at the cap and before the iteration's word count
-    changes, and loses the runs dropped while it is held."""
+    BLOCK_CELLS cells, ends at the cap, and loses the runs dropped while it
+    is held.  Each iteration is one word of the spawn key, so a scenario
+    with a drawn user caps its iterations at MAX_KEY."""
 
     SEEDS, USER_IDS = [3, 2**64 + 1, 40, 2**130], [4, 6]
     SPECS = [(Normal(15.0, 2.0), Normal(35.0, 2.0)), (Fixed(5.0), Triangular(3.0, 5.0, 7.0))]
@@ -449,18 +453,20 @@ class TestBlocks:
         self.draw_rounds(sampler, [5, 6], seeds)
         assert sampler.blocks == 1  # round 3 skipped; the block held round 4 on
 
-    def test_block_ends_before_the_iteration_takes_two_words(self):
-        first, cap = 2**32 - 3, 2**32 + 2
-        sampler = BatchSampler(self.SEEDS, self.USER_IDS, self.SPECS, CAPACITY, cap)
-        self.draw_rounds(sampler, range(first, 2**32))
-        assert (sampler.blocks, sampler.first, len(sampler.failed)) == (1, first, 3)
-        self.draw_rounds(sampler, range(2**32, cap + 1))
-        assert (sampler.blocks, sampler.first, len(sampler.failed)) == (2, 2**32, 3)
+    def test_an_iteration_past_one_word_overflows(self):
+        # the block from MAX_KEY - 1 would hash MAX_KEY + 1 too
+        sampler = BatchSampler(self.SEEDS, self.USER_IDS, self.SPECS, CAPACITY, MAX_KEY + 1)
+        with pytest.raises(OverflowError):
+            sampler.draw(MAX_KEY - 1)
 
-    def test_iterations_of_two_word_counts_are_refused(self):
-        sampler = BatchSampler(self.SEEDS, self.USER_IDS, self.SPECS, CAPACITY, 2**32)
-        with pytest.raises(ValueError, match="one word count"):
-            sampler._cell_states([2**32 - 1, 2**32])
+    def test_a_drawn_scenario_caps_its_iterations_at_one_word(self):
+        for name in ("normal", "triangular"):
+            assert replace(preset(name), max_iterations=MAX_KEY).max_iterations == MAX_KEY
+            refused = rf"^max_iterations must be at most {MAX_KEY} when users\[3\] is drawn, got {MAX_KEY + 1}$"
+            with pytest.raises(SpecError, match=refused) as info:
+                replace(preset(name), max_iterations=MAX_KEY + 1)
+            assert info.value.field == "max_iterations"
+        assert replace(preset("fixed"), max_iterations=MAX_KEY + 1).max_iterations == MAX_KEY + 1
 
     def test_a_batch_hashes_no_iteration_past_its_cap(self, monkeypatch):
         # three rounds per block of 5 runs and 3 drawn users: blocks 1-3,

@@ -75,6 +75,11 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=field):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("text", ["[]", "5"])
+    def test_non_object_document_refused(self, text):
+        with pytest.raises(ScenarioError, match=r"^<string>: top level must be an object$"):
+            parse_scenario(text)
+
     def test_missing_field_named(self):
         with pytest.raises(ScenarioError, match="max_iterations"):
             parse_scenario('{"R": 100, "delta": 0.01, "seed": 0, "users": []}')
