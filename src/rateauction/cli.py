@@ -62,9 +62,9 @@ def _scenario_from_args(args) -> Scenario:
     return replace(scenario, **overrides) if overrides else scenario
 
 
-def _print_summary(result) -> None:
+def _print_summary(result, rate_texts: list[str]) -> None:
     converged = f"converged_at: {result.converged_at}\n" if result.converged_at is not None else ""
-    rates = [f"final_rate[{uid}]: {rate}\n" for uid, rate in enumerate(final_rate_texts(result), start=1)]
+    rates = [f"final_rate[{uid}]: {rate}\n" for uid, rate in enumerate(rate_texts, start=1)]
     sys.stdout.write(
         f"stop_reason: {result.stop_reason}\n{converged}iterations: {result.iterations}\n"
         f"final_price: {format_number(result.final_price)}\n" + "".join(rates)
@@ -74,10 +74,12 @@ def _print_summary(result) -> None:
 def cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
     result = run(scenario)
-    if args.output is not None:
-        emit_trace(result, args.output)
+    if args.output is None:
+        rate_texts = final_rate_texts(result)
+    else:  # the trace's final rates, formatted once for the file and stdout
+        rate_texts = emit_trace(result, args.output)
         print(f"trace written to {args.output}")
-    _print_summary(result)
+    _print_summary(result, rate_texts)
     return EXIT_OK
 
 

@@ -61,8 +61,9 @@ def final_rate_texts(result: RunResult) -> list[str]:
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
-def _blocks(result: RunResult):
-    """The trace file in pieces: header, blocks of rows, summary."""
+def _blocks(result: RunResult, rate_texts: list[str]):
+    """The trace file in pieces: header, blocks of rows, summary, whose final
+    rates read ``rate_texts``."""
     yield TRACE_HEADER + "\n"
     rounds, users = result.rates.shape
     sig = result.sigmoid
@@ -108,18 +109,21 @@ def _blocks(result: RunResult):
         f"# converged_at,{result.converged_at if result.converged_at is not None else ''}\n"
         f"# iterations,{result.iterations}\n"
         f"# final_price,{format_number(result.final_price)}\n"
-    ) + "".join([f"# final_rate,{uid}{rate}\n" for uid, rate in zip(ids, final_rate_texts(result))])
+    ) + "".join([f"# final_rate,{uid}{rate}\n" for uid, rate in zip(ids, rate_texts)])
 
 
 def render_trace(result: RunResult) -> str:
-    return "".join(_blocks(result))
+    return "".join(_blocks(result, final_rate_texts(result)))
 
 
-def emit_trace(result: RunResult, path) -> None:
-    """Write the trace table block by block; I/O failures carry the
+def emit_trace(result: RunResult, path) -> list[str]:
+    """Write the trace table block by block, and return its final rates'
+    texts, as :func:`final_rate_texts` gives them; I/O failures carry the
     destination path."""
+    rate_texts = final_rate_texts(result)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(_blocks(result))
+            fh.writelines(_blocks(result, rate_texts))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
+    return rate_texts

@@ -32,8 +32,9 @@ midpoint so visited at once, and checks the decisions the same way; only
 below a wrong one does it walk by the slopes, a level at a time.  Each
 walk halves every lane's bracket, and a lane that stopped above the last
 level takes its midpoint where it stopped.  New parameters take new
-paths.  Fewer than ``LANE_BY_LANE_BELOW`` lanes walk against their roots
-one at a time, in Python floats; other walks are numpy lockstep.
+paths.  Fewer than ``LANE_BY_LANE_BELOW`` lanes estimate their roots and
+walk against them one at a time, in Python floats; other walks are numpy
+lockstep.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ from .utility import (
     check_logarithmic_rate,
     check_sigmoid_rate,
     logarithmic_root,
+    logarithmic_root_floats,
     logarithmic_slope,
     sigmoid_root,
+    sigmoid_root_floats,
     sigmoid_slope,
 )
 
@@ -145,6 +148,8 @@ class LanePaths:
             raise ValueError(f"tol must be > 0 and at most the capacity {capacity}, got {tol}")
         a, b, k = (np.array(p, dtype=float) for p in (a, b, k))  # the paths' own copies
         self.a, self.neg_a, self.b, self.k, self.capacity, self.tol = a, -a, b, k, capacity, tol
+        # every solve's first bracket, rows lo and hi, and tol as an operand
+        self.first_bracket, self.tol_array = np.array([[tol], [capacity]]), np.array(tol)
         try:  # a guard passing at tol passes at every higher rate: capacity and every midpoint
             check_sigmoid_rate(a, tol)
             check_logarithmic_rate(k, tol)
@@ -154,7 +159,8 @@ class LanePaths:
             check_sigmoid_rate(a, capacity)
             check_logarithmic_rate(k, capacity)
         self.at_capacity = np.empty(len(a) + len(k))  # per lane: the slope at capacity
-        sigmoid_slope(a, self.neg_a, b, capacity, out=self.at_capacity[: len(a)])
+        with np.errstate(over="ignore"):  # a logistic term that overflows reads 0
+            sigmoid_slope(a, self.neg_a, b, capacity, out=self.at_capacity[: len(a)])
         logarithmic_slope(k, capacity, out=self.at_capacity[len(a) :])
         # (level, lane): midpoint, slope there, slope >= price, the
         # bracket's width there, and whether it is on the lane's path
@@ -272,8 +278,9 @@ def _bisect_lane_by_lane(paths: LanePaths, bracket: np.ndarray, roots: list, sta
             mids.append(mid)
             widths.append(hi - lo)
         ends.append((lo, hi))
-    paths.mids[start:end] = np.reshape(mids, (-1, len(levels))).T
-    paths.widths[start + 1 : end + 1] = np.reshape(widths, (-1, len(levels))).T
+    # fromiter: np.reshape and np.array convert a list of floats more slowly
+    paths.mids[start:end] = np.fromiter(mids, float, len(mids)).reshape(-1, len(levels)).T
+    paths.widths[start + 1 : end + 1] = np.fromiter(widths, float, len(widths)).reshape(-1, len(levels)).T
     bracket.T[...] = ends
 
 
@@ -295,9 +302,12 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     lane's estimated root (:func:`~rateauction.utility.sigmoid_root`,
     :func:`~rateauction.utility.logarithmic_root`): ``mid <= root`` stands
     in for ``slope >= price``, one lane at a time in Python floats below
-    ``LANE_BY_LANE_BELOW`` lanes.  Then each family's kernel evaluates the
-    slopes at every midpoint so visited in one call, and the replay's
-    comparison checks every decision against the price.  A level's
+    ``LANE_BY_LANE_BELOW`` lanes, where the estimates are taken in floats too
+    (:func:`~rateauction.utility.sigmoid_root_floats`,
+    :func:`~rateauction.utility.logarithmic_root_floats`).  Then each
+    family's kernel evaluates the slopes at every midpoint so visited in
+    one call, and the replay's comparison checks every decision against the
+    price.  A level's
     midpoint depends only on the decisions above it, so if none flips, the
     estimated path is the path of :func:`solve_rate`; otherwise the levels
     above the first flip are, and the walk goes on below it by the slopes.
@@ -317,12 +327,11 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     n_clamped = np.count_nonzero(clamped)
     # Each lane's bracket, rows lo and hi.  A clamped lane starts as
     # [capacity, capacity]: never active, and its midpoint is capacity exactly.
-    first_bracket = np.array([[tol], [capacity]])
+    first_bracket, tol_array = paths.first_bracket, paths.tol_array
     bracket = np.where(clamped, capacity, first_bracket)
     lo, hi = bracket
     resume = paths._replay(price, clamped, n_clamped, lo, hi)
     mids, slopes, moves, on = paths.mids, paths.slopes, paths.moves, paths.on
-    tol_array = np.array(tol)
     paths.top = 0  # a walk that raises leaves no paths
 
     def evaluate(rows, mid):  # the slopes at mid into rows
@@ -339,10 +348,13 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         level = end = resume
         if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[resume]), tol_array, out=on[resume])):
-            root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
-            if len(price) < LANE_BY_LANE_BELOW:
-                by_root = partial(_bisect_lane_by_lane, paths, bracket, root.tolist())
+            if len(price) < LANE_BY_LANE_BELOW:  # the estimates take no numpy call
+                prices = price.tolist()
+                root = [*sigmoid_root_floats(a.tolist(), b.tolist(), prices[:s]),
+                        *logarithmic_root_floats(k.tolist(), prices[s:])]
+                by_root = partial(_bisect_lane_by_lane, paths, bracket, root)
             else:
+                root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
                 by_root = partial(_bisect_in_lockstep, paths, bracket, lambda _, mid, ups: np.less_equal(mid, root, out=ups))
             level, end = _walk(paths, resume, tol_array, by_root)
             np.less_equal(mids[resume:level], root, out=moves[resume:level])

@@ -10,10 +10,10 @@ rate ``r``:
 
 Both satisfy ``U(0) = 0`` and reach 1 (at infinity for the sigmoidal
 family, at ``r_max`` for the logarithmic one).  Evaluators accept scalars
-or numpy arrays and are written so that no large exponential is ever
-formed: the textbook sigmoid normalization needs ``exp(a*b)``, which
-overflows float64 already for ``a*b > ~710`` while realistic parameter
-sets reach ``a*b = 300``.
+or numpy arrays and never form the textbook sigmoid normalization's
+``exp(a*b)``, which overflows float64 already for ``a*b > ~710`` while
+realistic parameter sets reach ``a*b = 300``; the one exponential that
+can overflow is the logistic term's, where the term is 0.
 
 Each family's marginal log-utility d(log U)/dr has one home, an unguarded
 kernel (:func:`sigmoid_slope`, :func:`logarithmic_slope`), and its domain
@@ -22,25 +22,37 @@ guard, which raises :class:`RateDomainError` where U underflows to zero
 ``log_slope`` methods, and through them the scalar solver, run the guard
 and then the kernel.
 
-Each family's root of ``log_slope(r) = price`` also has a closed-form
-estimate (:func:`sigmoid_root`, :func:`logarithmic_root`).  The lane
-solver bisects against the estimates, then evaluates the kernels once
-over every midpoint it visited and checks each decision against the
-price.  An estimate only steers which midpoints get checked, so a poor
-one costs time and never changes a rate.  A guard that fails at r fails
-at every lower rate, so the lane solver runs the guards at ``tol``, below
-every rate it visits, and on each lane's path only where that fails.
+Each family's root of ``log_slope(r) = price`` also has an estimate,
+over numpy arrays (:func:`sigmoid_root`, :func:`logarithmic_root`) and
+over lists of Python floats (:func:`sigmoid_root_floats`,
+:func:`logarithmic_root_floats`), which a solve of a few lanes takes
+without a numpy call.  The lane solver bisects against the estimates,
+then evaluates the kernels once over every midpoint it visited and checks
+each decision against the price.  An estimate only steers which midpoints
+get checked, so a poor one costs time and never changes a rate.  A guard
+that fails at r fails at every lower rate, so the lane solver runs the
+guards at ``tol``, below every rate it visits, and on each lane's path
+only where that fails.
+
+The module needs numpy and the standard library only: the logistic term
+is ``1/(1 + exp(x))`` on numpy's ``exp`` (:func:`falling_logistic`), and
+the logarithmic root's Lambert W is four Newton steps (Iacono & Boyd 2017).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from math import expm1, log, log1p
 from typing import Union
 
 import numpy as np
-from scipy.special import expit, wrightomega
 
 SMALLEST_NORMAL = np.finfo(float).tiny
+# Lambert W's argument is clipped to the positive finite floats: at 0 and
+# infinity its iteration would divide 0 by 0 and infinity by infinity.
+W_FLOOR, W_CEIL = math.ulp(0.0), sys.float_info.max
 # 0-d array operands, not Python floats: numpy converts a Python or numpy
 # scalar operand on every ufunc call, which costs about half the call again.
 ONE = np.array(1.0)
@@ -68,22 +80,32 @@ def check_logarithmic_rate(k, r) -> None:
         raise RateDomainError(f"log-slope undefined: k*r underflows for k={k}, r={r}")
 
 
+def falling_logistic(x):
+    """``1/(1 + exp(x))``, elementwise: the logistic function of ``-x``.
+    Where ``x`` passes 709.78, ``exp`` overflows to infinity, and the value
+    is 0; run it under ``np.errstate(over="ignore")`` to keep that quiet."""
+    e = np.exp(x)
+    e += ONE
+    return ONE / e
+
+
 def sigmoid_slope(a, neg_a, b, r, out=None):
     """d(log U)/dr of the sigmoidal family, unguarded, elementwise over a, b
     and r, with ``neg_a = -a``; into ``out`` if given.
 
     The single home of the formula: ``a * (exp(x)/(1 - exp(x)) +
-    expit(-a*(r - b)))`` with ``x = -a*r``, evaluated as
-    ``a * (expit(-a*(r - b)) - exp(x)/expm1(x))``, which is the same value
-    bit for bit (IEEE division and negation commute).  Where
-    :func:`check_sigmoid_rate` would raise, the quotient divides by zero or
-    overflows."""
+    falling_logistic(a*(r - b)))`` with ``x = -a*r``, evaluated as ``a *
+    (falling_logistic(a*(r - b)) - exp(x)/expm1(x))``, the same value bit
+    for bit (IEEE division and negation commute).  The logistic term runs on
+    numpy's ``exp``, within 4 ulps of ``scipy.special.expit(-a*(r - b))``.
+    Where :func:`check_sigmoid_rate` would raise, the quotient divides by
+    zero or overflows."""
     x = neg_a * r
     quotient = np.exp(x)
     quotient /= np.expm1(x)
     slope = r - b
-    slope *= neg_a
-    slope = expit(slope)
+    slope *= a
+    slope = falling_logistic(slope)
     slope -= quotient
     return np.multiply(a, slope, out=out)
 
@@ -119,12 +141,55 @@ def logarithmic_root(k, price):
     """The r at which :func:`logarithmic_slope` equals ``price``, in closed
     form: with ``u = 1 + k*r`` the condition is ``u*log(u) = k/price``, so
     ``log(u) = W(k/price)`` with W the principal branch of Lambert W, and
-    ``r = expm1(W(k/price))/k``.  W is taken on the reals, as the Wright
-    omega function: ``W(x) = wrightomega(log(x))`` for x > 0."""
-    root = wrightomega(np.log(k / price))
-    np.expm1(root, out=root)
-    root /= k
-    return root
+    ``r = expm1(W(k/price))/k``.
+
+    W(c) is four steps of Newton's method on ``w + log(w) = log(c)`` from
+    ``w = log1p(c)``; three leave a gap of 3.5e-9.  The step, ``w/(1 + w) *
+    (1 + log(c/w))`` (Iacono & Boyd 2017), is taken as the correction ``w -
+    w*(w - log(c/w))/(1 + w)``, which rounds less: r is within 7.3e-15
+    relative of scipy's ``expm1(wrightomega(log(c)))/k`` for c in
+    1e-6-1e15, where the first form leaves 1.4e-14.  c is clipped to the positive finite floats first, so that c = 0
+    gives about 5e-324/k and an infinite c about 2.6e305/k."""
+    c = np.clip(k / price, W_FLOOR, W_CEIL)
+    w = np.log1p(c)
+    step, denominator = np.empty((2, *w.shape))
+    for _ in range(4):
+        np.divide(c, w, out=step)
+        np.log(step, out=step)
+        np.subtract(w, step, out=step)
+        step *= w
+        np.add(w, ONE, out=denominator)
+        step /= denominator
+        w -= step
+    np.expm1(w, out=w)
+    w /= k
+    return w
+
+
+def sigmoid_root_floats(a: list, b: list, price: list) -> list:
+    """:func:`sigmoid_root` over lists of Python floats, with :mod:`math`."""
+    return [
+        bj + log(ratio) / aj if (ratio := aj / pj - 1.0) > 0.0 else math.nan
+        for aj, bj, pj in zip(a, b, price)
+    ]
+
+
+def logarithmic_root_floats(k: list, price: list) -> list:
+    """:func:`logarithmic_root` over lists of Python floats, with :mod:`math`;
+    its four Newton steps are unrolled."""
+    roots = []
+    append = roots.append
+    for kj, pj in zip(k, price):
+        c = kj / pj
+        if not W_FLOOR <= c <= W_CEIL:
+            c = W_FLOOR if c < W_FLOOR else W_CEIL
+        w = log1p(c)
+        w -= w * (w - log(c / w)) / (1.0 + w)
+        w -= w * (w - log(c / w)) / (1.0 + w)
+        w -= w * (w - log(c / w)) / (1.0 + w)
+        w -= w * (w - log(c / w)) / (1.0 + w)
+        append(expm1(w) / kj)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -135,10 +200,11 @@ class SigmoidalUtility:
     the curve to U(0) = 0 and U(inf) = 1.  Internally everything is
     evaluated through the algebraically identical form
 
-        U(r) = (1 - exp(-a*r)) * expit(a*(r - b))
+        U(r) = (1 - exp(-a*r)) * falling_logistic(a*(b - r))
 
-    which stays in [0, 1] for any float inputs, is exact at r = 0, and
-    never overflows.
+    which stays in [0, 1] for any float inputs and is exact at r = 0.
+    Where ``a*(b - r)`` passes 709.78 the logistic factor is below 1e-308,
+    and its exponential overflows quietly to infinity: it reads 0.
 
     a: steepness of the transition (per unit rate), > 0
     b: inflection rate, the effective minimum useful rate, > 0
@@ -160,11 +226,13 @@ class SigmoidalUtility:
 
     def value(self, r):
         """U(r) for r >= 0; exact 0 at r = 0, bounded by 1."""
-        return -np.expm1(-self.a * r) * expit(self.a * (r - self.b))
+        with np.errstate(over="ignore"):
+            return -np.expm1(-self.a * r) * falling_logistic(self.a * (self.b - r))
 
     def derivative(self, r):
         """dU/dr = c * a * s * (1 - s) with s the logistic of a*(r - b)."""
-        s = expit(self.a * (r - self.b))
+        with np.errstate(over="ignore"):
+            s = falling_logistic(self.a * (self.b - r))
         return self.c * self.a * s * (1.0 - s)
 
     def log_value(self, r):
@@ -175,7 +243,7 @@ class SigmoidalUtility:
             )
 
     def log_slope(self, r):
-        """d(log U)/dr = a * (exp(-a*r)/(1 - exp(-a*r)) + expit(-a*(r - b))).
+        """d(log U)/dr = a * (exp(-a*r)/(1 - exp(-a*r)) + falling_logistic(a*(r - b))).
 
         Strictly decreasing on (0, inf) and diverging at 0+, which is what
         makes the price-response subproblem solvable by bisection.  The
@@ -183,7 +251,8 @@ class SigmoidalUtility:
         underflows.
         """
         check_sigmoid_rate(self.a, r)
-        return sigmoid_slope(self.a, -self.a, self.b, r)
+        with np.errstate(over="ignore"):  # a logistic term that overflows reads 0
+            return sigmoid_slope(self.a, -self.a, self.b, r)
 
 
 @dataclass(frozen=True)

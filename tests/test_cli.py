@@ -4,9 +4,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rateauction
 import rateauction.cli
 import rateauction.engine
 import rateauction.trace
@@ -98,7 +103,7 @@ def reference_summary(result) -> str:
 def printed_summary(result) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rateauction.cli._print_summary(result)
+        rateauction.cli._print_summary(result, rateauction.trace.final_rate_texts(result))
     return out.getvalue()
 
 
@@ -476,6 +481,56 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--preset", "bogus"])
         assert exc.value.code == 2
+
+
+class TestRunFormatsFinalRatesOnce:
+    """``run`` formats each run's final rates once: with ``--output`` the
+    trace returns the texts it wrote, and stdout prints the same."""
+
+    @staticmethod
+    def run_counting(argv) -> tuple[int, str]:
+        calls = []
+
+        def counted(result, real=rateauction.trace.final_rate_texts):
+            calls.append(result)
+            return real(result)
+
+        out = io.StringIO()
+        with (
+            mock.patch.object(rateauction.trace, "final_rate_texts", counted),
+            mock.patch.object(rateauction.cli, "final_rate_texts", counted),
+            contextlib.redirect_stdout(out),
+        ):
+            assert main(argv) == 0
+        return len(calls), out.getvalue()
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_one_format_per_command(self, tmp_path, output):
+        # the fixed preset tiled to 60 users: its final rates repeat
+        scenario = preset("fixed")
+        path = tmp_path / "scenario.json"
+        save_scenario(replace(scenario, users=scenario.users * 10, capacity=1000.0), path)
+        trace = tmp_path / "trace.csv"
+        calls, out = self.run_counting(["run", "--scenario", str(path)] + (["--output", str(trace)] * output))
+        assert calls == 1
+        printed = [l.removeprefix("final_rate[").replace("]: ", ",") for l in out.splitlines() if l.startswith("final_rate[")]
+        assert len(printed) == 60
+        if output:
+            traced = [l.removeprefix("# final_rate,") for l in trace.read_text(encoding="utf-8").splitlines()
+                      if l.startswith("# final_rate,")]
+            assert printed == traced
+
+
+class TestImport:
+    def test_package_and_cli_load_no_scipy(self):
+        # a fresh interpreter: this session has imported scipy for its references
+        src = Path(rateauction.__file__).resolve().parent.parent
+        code = "import sys, rateauction, rateauction.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 class TestExtremeParameters:

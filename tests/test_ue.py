@@ -2,6 +2,7 @@
 
 import copy
 import warnings
+from contextlib import ExitStack
 from dataclasses import replace
 from functools import partial
 from unittest.mock import patch
@@ -23,7 +24,14 @@ from rateauction import (
     solve_rate,
     ue_step,
 )
-from rateauction.ue import LanePaths, _bisect_in_lockstep, _bisect_lane_by_lane, _walk, solve_lanes
+from rateauction.ue import (
+    LANE_BY_LANE_BELOW,
+    LanePaths,
+    _bisect_in_lockstep,
+    _bisect_lane_by_lane,
+    _walk,
+    solve_lanes,
+)
 from rateauction.utility import (
     check_logarithmic_rate,
     check_sigmoid_rate,
@@ -153,6 +161,23 @@ tile_counts = st.integers(1, 6)
 WRONG_ROOTS = [np.nan, 0.0, 1e-300, 1e300, np.inf, "random"]
 
 
+def patch_roots(sigmoid=None, logarithmic=None) -> ExitStack:
+    """Replace a family's root estimate in the lane solve, over arrays and
+    over the lists of Python floats that solves of a few lanes take alike:
+    ``root(*params, price)`` returns an array of one root per price."""
+    stack = ExitStack()
+    for family, root in (("sigmoid", sigmoid), ("logarithmic", logarithmic)):
+        if root is None:
+            continue
+
+        def floats(*args, root=root):
+            return root(*args).tolist()
+
+        stack.enter_context(patch.object(rateauction.ue, f"{family}_root", root))
+        stack.enter_context(patch.object(rateauction.ue, f"{family}_root_floats", floats))
+    return stack
+
+
 class TestSolveLanes:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -214,10 +239,7 @@ class TestSolveLanes:
 
             return root
 
-        with (
-            patch.object(rateauction.ue, "sigmoid_root", wrong_root(estimates[0])),
-            patch.object(rateauction.ue, "logarithmic_root", wrong_root(estimates[1])),
-        ):
+        with patch_roots(wrong_root(estimates[0]), wrong_root(estimates[1])):
             self.assert_lanes_equal_solve_rate(users * copies, capacity, tol)
 
     def test_estimated_midpoints_outside_the_domain_are_not_guarded(self):
@@ -228,9 +250,30 @@ class TestSolveLanes:
         lanes = np.array([1e-306]), np.array([50.0]), np.empty(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with patch.object(rateauction.ue, "sigmoid_root", lambda a, b, price: np.full(len(price), 1e-300)):
-                got = solve_lanes(LanePaths(*lanes, R), np.array([1.0]))
+            with patch_roots(sigmoid=lambda a, b, price: np.full(len(price), 1e-300)):
+                paths = LanePaths(*lanes, R)
+                got = solve_lanes(paths, np.array([1.0]))
+        assert paths.walked  # the estimate was wrong, and steered the walk
         assert got[0] == solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1.0, R)
+
+    def test_slope_at_capacity_past_the_logistic_overflow_is_quiet(self):
+        # a*(R - b) = 1200: the logistic term's exp overflows, and the term is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = LanePaths(np.array([15.0]), np.array([20.0]), np.empty(0), R)
+        assert paths.at_capacity[0] == SigmoidalUtility(15.0, 20.0).log_slope(R)
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_a_few_lanes_estimate_their_roots_in_floats(self, copies):
+        # the fixed preset's 3 sigmoid and 3 logarithmic users, tiled: below
+        # LANE_BY_LANE_BELOW lanes the estimates take no numpy call
+        floats = 6 * copies < LANE_BY_LANE_BELOW
+        lanes = np.tile([15.0, 10.0, 5.0], copies), np.tile([20.0, 25.0, 35.0], copies), np.tile([1.0, 0.1, 0.02], copies)
+        names = ("sigmoid_root", "logarithmic_root", "sigmoid_root_floats", "logarithmic_root_floats")
+        with ExitStack() as stack:
+            mocks = [stack.enter_context(patch.object(rateauction.ue, n, wraps=getattr(rateauction.ue, n))) for n in names]
+            solve_lanes(LanePaths(*lanes, R), np.full(6 * copies, 0.05))
+        assert [m.call_count for m in mocks] == [0, 0, 1, 1] if floats else [1, 1, 0, 0]
 
     def test_clamped_and_interior_lanes_side_by_side(self):
         u = LogarithmicUtility(k=0.1, r_max=R)
@@ -281,7 +324,7 @@ class TestSolveLanes:
         # reaches r below 0.022, where a*r underflows for a = 1e-306
         lanes = np.array([1e-306]), np.array([50.0]), np.empty(0)
         paths = LanePaths(*lanes, R)
-        with patch.object(rateauction.ue, "sigmoid_root", lambda a, b, price: np.full(len(price), 1e300)):
+        with patch_roots(sigmoid=lambda a, b, price: np.full(len(price), 1e300)):
             with pytest.raises(RateDomainError, match="a\\*r underflows"):
                 solve_lanes(paths, np.array([1e5]))
         self.assert_solves_as_new(paths, lanes, np.array([1.0]))

@@ -1,15 +1,26 @@
 """Utility family tests: frozen values, derivatives vs finite differences,
-shape properties, and numerical stability of the sigmoid evaluation."""
+shape properties, numerical stability of the sigmoid evaluation, and the
+logistic term and root estimates against scipy's."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, wrightomega
 
 from rateauction import LogarithmicUtility, RateDomainError, SigmoidalUtility
-from rateauction.utility import check_logarithmic_rate, check_sigmoid_rate
+from rateauction.utility import (
+    check_logarithmic_rate,
+    check_sigmoid_rate,
+    falling_logistic,
+    logarithmic_root,
+    logarithmic_root_floats,
+    sigmoid_root,
+    sigmoid_root_floats,
+)
 
 # high-precision references (30-digit evaluation of the closed forms)
 LOG_VALUE_K1_R10 = 0.519573706482440696691  # ln(11)/ln(101)
@@ -234,3 +245,100 @@ class TestNumericalStability:
             r = np.linspace(b / 10.0, 3.0 * b, 400)
             second = (u.log_value(r + h) - 2.0 * u.log_value(r) + u.log_value(r - h)) / h**2
             assert np.all(second <= 1e-8)
+
+
+class TestLogisticTerm:
+    """The sigmoid slope's logistic term, ``1/(1 + exp(x))`` on numpy's exp,
+    against scipy's ``expit(-x)``."""
+
+    def test_within_four_ulps_of_expit(self):
+        # numpy's exp and libm's differ in the last bit for about 1.8% of
+        # these x, and 1 + exp(x) can round that bit up to a whole ulp of the
+        # sum: 0.4% differ by 2 ulps, and by 3 or 4 near x = 37, where exp(x)
+        # is about 2**53.  Past x = 709.78 exp overflows, and the term is 0 as
+        # expit's is.
+        rng = np.random.default_rng(5)
+        x = np.concatenate((np.linspace(-750.0, 750.0, 300_001), rng.uniform(-750.0, 750.0, 100_000)))
+        with np.errstate(over="ignore"):
+            got = falling_logistic(x)
+        want = expit(-x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        assert np.count_nonzero(got != want) < 0.03 * len(x)
+
+    def test_a_float_gives_the_array_value(self):
+        x = np.array([-30.0, -0.5, 0.0, 1e-9, 2.0, 700.0])
+        assert [float(falling_logistic(v)) for v in x.tolist()] == falling_logistic(x).tolist()
+
+    def test_overflow_beyond_the_inflection_is_quiet(self):
+        # a*(r - b) = 1200 at R = 100 for the fixed preset's first user: the
+        # logistic term is 0 and the slope is the other term alone
+        u = SigmoidalUtility(15.0, 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope = u.log_slope(100.0)
+            value, derivative = u.value(np.array([0.0, 100.0])), u.derivative(np.array([0.0, 100.0]))
+        assert slope == 15.0 * math.exp(-1500.0) / -math.expm1(-1500.0)
+        assert value.tolist() == [0.0, 1.0]
+        assert derivative[1] == 0.0
+
+
+def wright_omega_root(k, price):
+    """The logarithmic root through scipy's Wright omega: expm1(W(k/price))/k."""
+    return np.expm1(wrightomega(np.log(k / price))) / k
+
+
+# k/price over 1e-6-1e15, each at three k
+ROOT_RATIOS = np.concatenate((np.logspace(-6, 15, 4001), 10.0 ** np.random.default_rng(3).uniform(-6, 15, 4000)))
+ROOT_K = np.repeat([1e-3, 1.0, 37.0], len(ROOT_RATIOS))
+ROOT_PRICES = ROOT_K / np.tile(ROOT_RATIOS, 3)
+
+
+class TestRootEstimates:
+    """The root estimates over numpy arrays, and over lists of Python floats
+    for solves of a few lanes, against scipy."""
+
+    def test_logarithmic_root_matches_wright_omega(self):
+        want = wright_omega_root(ROOT_K, ROOT_PRICES)
+        for got in (
+            logarithmic_root(ROOT_K, ROOT_PRICES),
+            np.array(logarithmic_root_floats(ROOT_K.tolist(), ROOT_PRICES.tolist())),
+        ):
+            assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "k, price",
+        [
+            (1e-300, 1e300),  # k/price underflows to 0
+            (1e-310, 1.0),  # subnormal
+            (1.0, 1e300),
+            (1e-300, 1.0),
+            (1e300, 1.0),
+            (1.0, 1e-300),
+            (1e300, 1e-300),  # k/price overflows to infinity
+        ],
+    )
+    def test_logarithmic_root_at_extreme_ratios(self, k, price):
+        # the lane solve divides under np.errstate(over="ignore"); no other
+        # warning comes, and the W iteration divides neither 0/0 nor inf/inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                array = logarithmic_root(np.array([k]), np.array([price]))[0]
+            (floats,) = logarithmic_root_floats([k], [price])
+        assert array == pytest.approx(floats, rel=1e-14)
+        c = k / price
+        if c == 0.0:
+            assert 0.0 < array * k <= 1e-320  # from the smallest subnormal
+        elif c == math.inf:
+            assert array * k > 1e305  # from the largest float
+        else:
+            assert array == pytest.approx(wright_omega_root(k, price), rel=1e-14)
+
+    def test_sigmoid_root_floats_match_the_array_path(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0.5, 20.0, 2000), rng.uniform(1.0, 60.0, 2000)
+        price = a * 10.0 ** rng.uniform(-12.0, 1.0, 2000)  # a/price <= 1 in about 1 in 13
+        want = sigmoid_root(a, b, price)
+        got = np.array(sigmoid_root_floats(a.tolist(), b.tolist(), price.tolist()))
+        assert np.array_equal(np.isnan(got), np.isnan(want)) and np.count_nonzero(np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-14)
