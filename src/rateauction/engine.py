@@ -337,9 +337,9 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
                  "sampler: %d blocks, %d cells, %d redrawn", *first_layout, walked, predicted, compared, *drew)
     # each run's prices, rates, bids, a and b, in round order; a and b per sigmoid user
     run_of, *kept = map(np.concatenate, zip(*rounds))
-    kept[3:] = (c[:, user_col] for c in kept[3:])
-    order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of))[:-1]
-    arrays = zip(*(np.split(c[order], ends) for c in kept))
+    order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of)).tolist()
+    kept = [c[order] if j < 3 else c[order][:, user_col] for j, c in enumerate(kept)]
+    arrays = ([c[start:end] for c in kept] for start, end in zip([0, *ends], ends))
     finals = zip(converged_at.tolist(), final_prices.tolist(), final_rates.tolist(), arrays)
     return [
         RunResult(STOP_CONVERGED if stop else STOP_ITERATION_CAP, stop or None, len(cols[0]), price,

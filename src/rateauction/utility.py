@@ -26,10 +26,13 @@ Each family's root of ``log_slope(r) = price`` also has an estimate,
 over numpy arrays (:func:`sigmoid_root`, :func:`logarithmic_root`) and
 over lists of Python floats (:func:`sigmoid_root_floats`,
 :func:`logarithmic_root_floats`), which a solve of a few lanes takes
-without a numpy call.  The lane solver bisects against the estimates,
-then evaluates the kernels once over every midpoint it visited and checks
-each decision against the price.  An estimate only steers which midpoints
-get checked, so a poor one costs time and never changes a rate.  A guard
+without a numpy call.  The sigmoidal one is the logistic term's closed-form
+root, and where ``a*r <= 30`` the slope's other term still counts: both paths
+polish those lanes with the same Newton steps (:func:`polished_sigmoid_root`).
+The lane solver bisects against the estimates, then evaluates the kernels
+once over every midpoint it visited and checks each decision against the
+price.  An estimate only steers which midpoints get checked, so a poor one
+costs time and never changes a rate.  A guard
 that fails at r fails at every lower rate, so the lane solver runs the
 guards at ``tol``, below every rate it visits, and on each lane's path
 only where that fails.
@@ -57,6 +60,8 @@ W_FLOOR, W_CEIL = math.ulp(0.0), sys.float_info.max
 # scalar operand on every ufunc call, which costs about half the call again.
 ONE = np.array(1.0)
 ONE.flags.writeable = False
+# Past this a*r, a sigmoid root estimate leaves out less than a*1e-13 of the slope.
+POLISH_ABOVE = 30.0
 
 
 class RateDomainError(ValueError):
@@ -122,19 +127,53 @@ def logarithmic_slope(k, r, out=None):
 
 
 def sigmoid_root(a, b, price):
-    """Estimate of the r at which :func:`sigmoid_slope` equals ``price``:
-    ``b + log(a/price - 1)/a``, where the slope's logistic term alone
-    equals the price.  The other term, ``a/expm1(a*r)``, is about
-    ``a*exp(-a*r)`` there, so the estimate is close where ``a*r`` is large.
-    NaN where ``a/price <= 1``: the logistic term alone stays below the
-    price."""
+    """Estimate of the r at which :func:`sigmoid_slope` equals ``price``, over
+    1-d arrays: ``b + log(a/price - 1)/a``, where the slope's logistic term
+    alone equals the price; the other term, ``a/expm1(a*r)``, is below
+    ``a*1e-13`` there where ``a*r > 30``.  The lanes in doubt, where not or
+    NaN (``a <= price``), take :func:`polished_sigmoid_root`."""
     ratio = a / price
     ratio -= ONE
     ratio[ratio <= 0.0] = np.nan
     root = np.log(ratio, out=ratio)
     root /= a
     root += b
+    doubt = np.flatnonzero(np.logical_not(np.greater(a * root, POLISH_ABOVE)))
+    if doubt.size:
+        root[doubt] = list(map(polished_sigmoid_root, a[doubt].tolist(), b[doubt].tolist(), price[doubt].tolist()))
     return root
+
+
+def polished_sigmoid_root(a: float, b: float, price: float) -> float:
+    """The r at which :func:`sigmoid_slope` equals ``price``, in Python floats:
+    at most eight Newton steps in log r on ``L + Q - price/a``, with ``L =
+    falling_logistic(a*(r - b))`` and ``Q = 1/expm1(a*r)``, to a step below
+    1e-14.  Both terms fall and stay positive, so the roots of each alone and of
+    ``Q = 1 - L`` bound the slope's root, and the nearest bound starts: from
+    below where ``price <= a``, from above where not.  A step that overflows,
+    divides by zero or leaves the positive floats ends the polish."""
+    ratio, ab = a / price, a * b
+    x = ab / 2.0 + log(math.exp(-ab / 2.0) + math.sqrt(math.exp(-ab) + 1.0))  # Q = 1 - L
+    if ratio < 1.0:
+        x = min(x, log1p(ratio / (1.0 - ratio)))  # Q = price/a - 1
+    else:
+        x = max(x, log1p(ratio), ab + log(ratio - 1.0) if ratio > 1.0 else 0.0)  # Q, or L, = price/a
+    r = x / a
+    try:
+        for _ in range(8):
+            x = a * r
+            e = math.exp(a * (r - b))
+            logistic, q = 1.0 / (1.0 + e), 1.0 / expm1(x)
+            step = (logistic + q - price / a) / (x * (e * logistic * logistic + q + q * q))
+            polished = r * math.exp(step)
+            if not 0.0 < polished < math.inf:
+                break
+            r = polished
+            if abs(step) < 1e-14:
+                break
+    except ArithmeticError:  # math raises where numpy would give infinity
+        pass
+    return r if 0.0 < r < math.inf else math.nan
 
 
 def logarithmic_root(k, price):
@@ -167,9 +206,11 @@ def logarithmic_root(k, price):
 
 
 def sigmoid_root_floats(a: list, b: list, price: list) -> list:
-    """:func:`sigmoid_root` over lists of Python floats, with :mod:`math`."""
+    """:func:`sigmoid_root` over lists of Python floats, with :mod:`math`;
+    the lanes in doubt take the same :func:`polished_sigmoid_root`."""
     return [
-        bj + log(ratio) / aj if (ratio := aj / pj - 1.0) > 0.0 else math.nan
+        root if (ratio := aj / pj - 1.0) > 0.0 and aj * (root := bj + log(ratio) / aj) > POLISH_ABOVE
+        else polished_sigmoid_root(aj, bj, pj)
         for aj, bj, pj in zip(a, b, price)
     ]
 
@@ -251,6 +292,9 @@ class SigmoidalUtility:
         underflows.
         """
         check_sigmoid_rate(self.a, r)
+        exponent = self.a * (r - self.b)  # the logistic term's, which overflows past 709.78
+        if isinstance(exponent, float) and exponent < 709.0:
+            return sigmoid_slope(self.a, -self.a, self.b, r)
         with np.errstate(over="ignore"):  # a logistic term that overflows reads 0
             return sigmoid_slope(self.a, -self.a, self.b, r)
 

@@ -384,6 +384,23 @@ class TestLanePaths:
         assert results == [run(replace(scenario, seed=s)) for s in (0, 1, 2)]
         assert [r.converged_at for r in results] == [87] * 3
 
+    @pytest.mark.parametrize("name", ["normal", "triangular"])
+    def test_drawn_batches_walk_no_level_by_the_slopes(self, caplog, name):
+        # every estimated level of the 20 rounds holds against the slopes:
+        # normal's lanes of small a, whose closed-form estimate is poor or
+        # NaN, take a polished one
+        assert self.lane_work(caplog, lambda: run_replication(preset(name), range(50))) == (0, 540, 0)
+
+    @pytest.mark.parametrize("copies", [1, 20])
+    def test_shallow_drawn_lanes_are_their_own_solves(self, copies):
+        # a of NORM(0.5, 0.5), often at the 0.1 clamp: a*r stays below 30
+        # and every round polishes the estimates, lane by lane for one
+        # drawn user and in numpy for 20
+        users = (SigmoidalUserSpec(a=Normal(0.5, 0.5), b=Normal(10.0, 2.0)),) * copies
+        scenario = Scenario(capacity=100.0 * copies, delta=0.01, max_iterations=20, seed=0,
+                            users=users + (LogarithmicUserSpec(k=1.0, r_max=100.0),))
+        assert_cells_solved(scenario, run(scenario))
+
     def test_drawn_batches_replay_nothing(self, caplog):
         for name in ("normal", "triangular"):
             _, predicted, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from scipy.special import expit, wrightomega
 
 from rateauction import LogarithmicUtility, RateDomainError, SigmoidalUtility
+from rateauction.ue import solve_rate
 from rateauction.utility import (
     check_logarithmic_rate,
     check_sigmoid_rate,
     falling_logistic,
     logarithmic_root,
     logarithmic_root_floats,
+    POLISH_ABOVE,
+    polished_sigmoid_root,
     sigmoid_root,
     sigmoid_root_floats,
 )
@@ -293,6 +296,13 @@ ROOT_K = np.repeat([1e-3, 1.0, 37.0], len(ROOT_RATIOS))
 ROOT_PRICES = ROOT_K / np.tile(ROOT_RATIOS, 3)
 
 
+def sigmoid_elasticity(a, b, r):
+    """-dlog(slope)/dlog(r) of the sigmoidal log-slope at r."""
+    x, e = a * r, math.exp(a * (r - b))
+    logistic, q = 1.0 / (1.0 + e), math.exp(-x) / -math.expm1(-x)
+    return x * (e * logistic * logistic + q + q * q) / (logistic + q)
+
+
 class TestRootEstimates:
     """The root estimates over numpy arrays, and over lists of Python floats
     for solves of a few lanes, against scipy."""
@@ -340,5 +350,34 @@ class TestRootEstimates:
         price = a * 10.0 ** rng.uniform(-12.0, 1.0, 2000)  # a/price <= 1 in about 1 in 13
         want = sigmoid_root(a, b, price)
         got = np.array(sigmoid_root_floats(a.tolist(), b.tolist(), price.tolist()))
-        assert np.array_equal(np.isnan(got), np.isnan(want)) and np.count_nonzero(np.isnan(want))
+        # where a <= price the logistic term alone stays below the price, and
+        # the closed form has no root: the polish gives one on both paths
+        above = a <= price
+        assert np.count_nonzero(above)
+        assert np.all(np.isfinite(got[above]) & (got[above] > 0.0)) and np.array_equal(got[above], want[above])
         np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.floats(0.1, 50.0),
+        b=st.floats(1.0, 60.0),
+        ratio=st.floats(1e-3, 1e6),
+    )
+    def test_polished_sigmoid_root_is_the_root(self, a, b, ratio):
+        price = a / ratio
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (array,) = sigmoid_root(np.array([a]), np.array([b]), np.array([price])).tolist()
+            (floats,) = sigmoid_root_floats([a], [b], [price])
+        assert 0.0 < floats < math.inf and array == pytest.approx(floats, rel=1e-14)
+        closed = b + math.log(ratio - 1.0) / a if ratio > 1.0 else math.nan
+        if a * closed > POLISH_ABOVE:  # not in doubt: the closed form stands
+            return
+        assert array == floats == polished_sigmoid_root(a, b, price)
+        want = solve_rate(SigmoidalUtility(a, b), price, 1e3, tol=1e-12)
+        # the slope's rounding moves its root by about 1e-15 over its
+        # elasticity, which is tiny where price is near a and the slope is
+        # flat about the root: there the float slope equals the price
+        # over a wide range of rates
+        flatness = min(sigmoid_elasticity(a, b, floats), sigmoid_elasticity(a, b, want))
+        assert floats == pytest.approx(want, rel=1e-9 + 1e-14 / max(flatness, 1e-290), abs=1e-12)
