@@ -148,17 +148,13 @@ def polished_sigmoid_root(a: float, b: float, price: float) -> float:
     """The r at which :func:`sigmoid_slope` equals ``price``, in Python floats:
     at most eight Newton steps in log r on ``L + Q - price/a``, with ``L =
     falling_logistic(a*(r - b))`` and ``Q = 1/expm1(a*r)``, to a step below
-    1e-14.  Both terms fall and stay positive, so the roots of each alone and of
-    ``Q = 1 - L`` bound the slope's root, and the nearest bound starts: from
-    below where ``price <= a``, from above where not.  A step that overflows,
+    1e-14.  Both terms are positive, so the root of each alone lies below the
+    slope's root, and the greater of them starts.  A step that overflows,
     divides by zero or leaves the positive floats ends the polish."""
-    ratio, ab = a / price, a * b
-    x = ab / 2.0 + log(math.exp(-ab / 2.0) + math.sqrt(math.exp(-ab) + 1.0))  # Q = 1 - L
-    if ratio < 1.0:
-        x = min(x, log1p(ratio / (1.0 - ratio)))  # Q = price/a - 1
-    else:
-        x = max(x, log1p(ratio), ab + log(ratio - 1.0) if ratio > 1.0 else 0.0)  # Q, or L, = price/a
-    r = x / a
+    ratio = a / price
+    r = log1p(ratio) / a  # Q alone equals price/a
+    if ratio > 1.0:
+        r = max(r, b + log(ratio - 1.0) / a)  # L alone does
     try:
         for _ in range(8):
             x = a * r
@@ -292,9 +288,6 @@ class SigmoidalUtility:
         underflows.
         """
         check_sigmoid_rate(self.a, r)
-        exponent = self.a * (r - self.b)  # the logistic term's, which overflows past 709.78
-        if isinstance(exponent, float) and exponent < 709.0:
-            return sigmoid_slope(self.a, -self.a, self.b, r)
         with np.errstate(over="ignore"):  # a logistic term that overflows reads 0
             return sigmoid_slope(self.a, -self.a, self.b, r)
 

@@ -391,16 +391,6 @@ class TestLanePaths:
         # NaN, take a polished one
         assert self.lane_work(caplog, lambda: run_replication(preset(name), range(50))) == (0, 540, 0)
 
-    @pytest.mark.parametrize("copies", [1, 20])
-    def test_shallow_drawn_lanes_are_their_own_solves(self, copies):
-        # a of NORM(0.5, 0.5), often at the 0.1 clamp: a*r stays below 30
-        # and every round polishes the estimates, lane by lane for one
-        # drawn user and in numpy for 20
-        users = (SigmoidalUserSpec(a=Normal(0.5, 0.5), b=Normal(10.0, 2.0)),) * copies
-        scenario = Scenario(capacity=100.0 * copies, delta=0.01, max_iterations=20, seed=0,
-                            users=users + (LogarithmicUserSpec(k=1.0, r_max=100.0),))
-        assert_cells_solved(scenario, run(scenario))
-
     def test_drawn_batches_replay_nothing(self, caplog):
         for name in ("normal", "triangular"):
             _, predicted, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
