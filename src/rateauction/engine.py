@@ -29,16 +29,19 @@ scalar reference, which names the error.  ``run`` is a batch of
 one seed, ``run_replication`` runs all its seeds together, and a run
 leaves the batch when it converges.  A result holds its rounds as arrays.
 
-A batch keeps one :class:`~rateauction.ue.LanePaths` for its lanes'
-parameters: each lane's last bisection path, which the next round's solve
-replays exactly, walking on only below the first flipped decision.  A
-batch with a drawn user builds new paths each round, since a path's slopes
-belong to the parameters that walked it, and so does a batch that runs
-leave: runs with no drawn user differ only in their seed, so they are
-identical and leave together, each with its sampler and ledger rows.
-One DEBUG line per batch reports its first round's lanes against its
-(run, user) cells, the levels walked by the slopes, the levels walked
-against the estimated roots, the recorded levels the replays compared,
+A batch keeps one :class:`~rateauction.ue.LanePaths` for its lane layout:
+each lane's last bisection path, which the next round's solve replays
+exactly, walking on only below the first flipped decision.  A batch with a
+drawn user sets each round's draw into its paths
+(:meth:`~rateauction.ue.LanePaths.set_sigmoid`), which forgets them, since
+a path's slopes belong to the parameters that walked it; the logarithmic
+lanes, their screen and slopes, and the buffers stay.  A batch that runs
+leave builds new paths for the runs left: runs with no drawn user differ
+only in their seed, so they are identical and leave together, each with
+its sampler and ledger rows.  One DEBUG line per batch reports its first
+round's lanes against its (run, user) cells, the levels walked by the
+slopes, the levels walked against the estimated roots and those of them
+looked up in the midpoint table, the recorded levels the replays compared,
 and the sampler's blocks, cells and cells redrawn off the ziggurat's fast
 path.
 
@@ -288,8 +291,8 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
         sampler = BatchSampler(seeds, [uid for _, uid, _ in drawn], [(spec.a, spec.b) for _, _, spec in drawn],
                                capacity, cap, growing=early_stop)
     ledger = BidLedger(capacity, scenario.delta)
-    paths = None  # built for each new set of lane parameters
-    walked = predicted = compared = 0
+    paths = None  # built for each new lane layout
+    walked = predicted = looked_up = compared = 0
     live = np.arange(runs)
     prices = np.full(runs, BOOTSTRAP_PRICE)
     rounds = []  # per round: live, prices, rates, bids, a, b
@@ -307,12 +310,15 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
             a, b = a.copy(), b.copy()  # the kept rounds hold the old rows
             a[:, drawn_cols], b[:, drawn_cols] = drawn_a, drawn_b
         try:
-            if drawn or paths is None:  # the recorded slopes belong to the old parameters
+            if paths is None:
                 paths = LanePaths(a.ravel(), b.ravel(), k_lanes, capacity)
+            elif drawn:  # the recorded slopes belong to the old parameters
+                paths.set_sigmoid(a.ravel(), b.ravel())
             lanes = solve_lanes(paths, prices[lane_run])
         except (ValueError, BisectionError):  # the scalar replay raises the precise error
             _raise_first_failure(scenario, [seeds[i] for i in live.tolist()], prices, n)
         walked, predicted, compared = walked + paths.walked, predicted + paths.predicted, compared + paths.compared
+        looked_up += paths.looked_up
         rates = lanes[lane_of]
         bids = prices[:, None] * rates
         rounds.append((live, prices, rates, bids, a, b))
@@ -333,8 +339,9 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
                 break
             k_lanes, lane_run, lane_of = _lane_layout(len(live), sigmoid, column, a.shape[1], k)
     drew = (sampler.blocks, sampler.cells, sampler.redrawn) if drawn else (0, 0, 0)
-    logger.debug("lane solve: %d lanes for %d cells; %d levels walked, %d predicted, %d compared; "
-                 "sampler: %d blocks, %d cells, %d redrawn", *first_layout, walked, predicted, compared, *drew)
+    logger.debug("lane solve: %d lanes for %d cells; %d levels walked, %d predicted (%d looked up), %d compared; "
+                 "sampler: %d blocks, %d cells, %d redrawn", *first_layout, walked, predicted, looked_up, compared,
+                 *drew)
     # each run's prices, rates, bids, a and b, in round order; a and b per sigmoid user
     run_of, *kept = map(np.concatenate, zip(*rounds))
     order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of)).tolist()

@@ -31,16 +31,22 @@ walks against each lane's estimated root, evaluates the slopes at every
 midpoint so visited at once, and checks the decisions the same way; only
 below a wrong one does it walk by the slopes, a level at a time.  Each
 walk halves every lane's bracket, and a lane that stopped above the last
-level takes its midpoint where it stopped.  New parameters take new
-paths.  Fewer than ``LANE_BY_LANE_BELOW`` lanes estimate their roots and
-walk against them one at a time, in Python floats; other walks are numpy
-lockstep.
+level takes its midpoint where it stopped.  New sigmoid parameters are set
+into the paths (:meth:`LanePaths.set_sigmoid`), which forgets them; the
+logarithmic lanes and the buffers stay.  Fewer than ``LANE_BY_LANE_BELOW``
+lanes estimate their roots and walk against them one at a time, in Python
+floats; other walks are numpy lockstep, and one from level 0 takes its first
+``TABLE_LEVELS`` levels from the bisection tree of ``(tol, capacity)``,
+built once (:func:`midpoint_table`): where ``mid <= root`` decides, a
+lane's leaf is the count of the tree's midpoints at most its root, one
+``searchsorted``, and its midpoint at each level lies half a bracket on
+from that level's bracket start.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -64,6 +70,9 @@ MAX_BISECTION_STEPS = 200
 # roots took 0.42-0.49 of the lockstep walk's time at 6 lanes, 0.89-0.92 at
 # 16 and 1.12-1.25 at 20 (2-core x86-64, Python 3.11, numpy 2.4).
 LANE_BY_LANE_BELOW = 18
+# A lockstep walk from level 0 takes at most this many levels from a
+# midpoint_table, of 2**16 + 1 floats (0.5 MiB).
+TABLE_LEVELS = 16
 
 # A 0-d array operand, not a Python float: numpy converts a Python or
 # numpy scalar operand on every ufunc call.
@@ -123,10 +132,12 @@ class LanePaths:
 
     Lanes ``[0, len(a))`` are sigmoidal users with parameters ``a``, ``b``,
     and the ``len(k)`` lanes after them logarithmic users with parameter
-    ``k``; as in :func:`solve_rate`, ``tol`` is at most ``capacity``.  Built
-    once for them, the paths screen both domain guards at ``tol`` (checking
-    them at ``capacity`` where that fails) and take each lane's slope at
-    ``capacity``.  A level's midpoint depends only on ``tol``, ``capacity``
+    ``k``; as in :func:`solve_rate`, ``tol`` is at most ``capacity``.  The
+    paths screen both domain guards at ``tol`` (checking them at
+    ``capacity`` where that fails) and take each lane's slope at
+    ``capacity``: once for the logarithmic lanes, and for the sigmoid ones
+    each time :meth:`set_sigmoid` takes new ``a`` and ``b``, which also
+    forgets every path.  A level's midpoint depends only on ``tol``, ``capacity``
     and the decisions of the levels above it, and the paths keep, at each
     level, the midpoint, the slope there and the ``slope >= price``
     decision.  A level is on a lane's path where the lane's recorded bracket
@@ -136,9 +147,11 @@ class LanePaths:
     compares every recorded slope with the new price in one pass, evaluating
     none, and resumes the lockstep walk below the first level at which any
     lane's decision flips.  Of the last solve, ``predicted`` counts the
-    levels walked against the estimated roots, ``walked`` the levels walked
-    by the slopes below a wrong estimate, and ``compared`` the recorded
-    levels the replay compared.
+    levels walked against the estimated roots, ``looked_up`` those of them
+    taken from the :func:`midpoint_table` (whose widths rows, above the
+    last, the walk leaves unwritten), ``walked`` the levels walked by the
+    slopes below a wrong estimate, and ``compared`` the recorded levels the
+    replay compared.
     """
 
     def __init__(self, a, b, k, capacity: float, tol: float = DEFAULT_RATE_TOL) -> None:
@@ -151,16 +164,12 @@ class LanePaths:
         # every solve's first bracket, rows lo and hi, and tol as an operand
         self.first_bracket, self.tol_array = np.array([[tol], [capacity]]), np.array(tol)
         try:  # a guard passing at tol passes at every higher rate: capacity and every midpoint
-            check_sigmoid_rate(a, tol)
             check_logarithmic_rate(k, tol)
-            self.screened = True
+            self.log_screened = True
         except RateDomainError:
-            self.screened = False
-            check_sigmoid_rate(a, capacity)
+            self.log_screened = False
             check_logarithmic_rate(k, capacity)
         self.at_capacity = np.empty(len(a) + len(k))  # per lane: the slope at capacity
-        with np.errstate(over="ignore"):  # a logistic term that overflows reads 0
-            sigmoid_slope(a, self.neg_a, b, capacity, out=self.at_capacity[: len(a)])
         logarithmic_slope(k, capacity, out=self.at_capacity[len(a) :])
         # (level, lane): midpoint, slope there, slope >= price, the
         # bracket's width there, and whether it is on the lane's path
@@ -168,8 +177,29 @@ class LanePaths:
         self.moves = np.empty(self.mids.shape, dtype=bool)
         self.widths = np.empty((MAX_BISECTION_STEPS + 1, len(self.at_capacity)))
         self.on = np.empty(self.widths.shape, dtype=bool)
-        self.top = 0  # levels recorded, every path within them
-        self.walked = self.predicted = self.compared = 0
+        self.walked = self.predicted = self.looked_up = self.compared = 0
+        self.set_sigmoid(a, b)
+
+    def set_sigmoid(self, a, b) -> None:
+        """Take new sigmoid parameters ``a`` and ``b``, one per sigmoid lane,
+        into the paths' own arrays: screen their guard at ``tol`` (at
+        ``capacity`` where that fails, raising there, with the paths left as
+        they were), take their slopes at ``capacity``, and forget every
+        recorded path, whose slopes belong to the old parameters.  The
+        logarithmic lanes, their screen and slopes, and the buffers stay."""
+        a = np.asarray(a, dtype=float)
+        try:
+            check_sigmoid_rate(a, self.tol)
+            screened = self.log_screened
+        except RateDomainError:
+            check_sigmoid_rate(a, self.capacity)
+            screened = False
+        np.copyto(self.a, a)
+        np.negative(a, out=self.neg_a)
+        np.copyto(self.b, b)
+        self.screened, self.top = screened, 0  # no recorded path
+        with np.errstate(over="ignore"):  # a logistic term that overflows reads 0
+            sigmoid_slope(self.a, self.neg_a, self.b, self.capacity, out=self.at_capacity[: len(a)])
 
     def _replay(self, price, clamped, n_clamped: int, lo, hi) -> int:
         """The level at which the walk resumes: below the first level at which
@@ -217,7 +247,7 @@ class LanePaths:
         np.minimum.reduce(np.where(before ^ ups, mids, hi), axis=0, out=hi)
 
 
-def _walk(paths: LanePaths, level: int, tol, bisect) -> tuple[int, int]:
+def _walk(paths: LanePaths, level: int, tol, bisect, look_up=None) -> tuple[int, int]:
     """Bisect every lane from ``level``, whose widths row holds some lane
     wider than ``tol``.  Return the level at which none is left or the step
     cap is reached, and the level the bracket was walked to.
@@ -226,23 +256,86 @@ def _walk(paths: LanePaths, level: int, tol, bisect) -> tuple[int, int]:
     and the widths below them into the paths' rows; the widths give ``on``.
     No lane is masked: one within ``tol`` halves on (a clamped ``[capacity,
     capacity]`` stays put), and its rate is its midpoint where it stopped.
+    ``look_up(end)``, given for a walk from level 0, takes the first of
+    levels ``[0, end)`` instead, with their ``on`` rows and the width below
+    them, and returns how many it took.
     """
     widths = paths.widths
-    start, log2_tol = level, math.log2(tol)
+    start = first = level
+    log2_tol = math.log2(tol)
     while True:
         # every level halves each bracket, so the widest is within tol
         # after about this many; a NaN or infinite width walks to the cap
         steps = min(MAX_BISECTION_STEPS, math.log2(widths[level].max()) - log2_tol)
         end = min(MAX_BISECTION_STEPS, level + max(1, math.ceil(steps)))
+        if look_up is not None:
+            level = first = look_up(end)
+            look_up = None
         bisect(level, end)
         level = end
         if level == MAX_BISECTION_STEPS or not np.count_nonzero(np.greater(widths[level], tol, out=paths.on[level])):
             break
-    on = np.greater(widths[start : level + 1], tol, out=paths.on[start : level + 1])
+    np.greater(widths[first : level + 1], tol, out=paths.on[first : level + 1])
+    on = paths.on[start : level + 1]
     if level > start and not np.count_nonzero(on[-2]):
         # rounding stopped every lane above the last level: end at the first with none
         return start + np.count_nonzero(on.any(axis=1)), level
     return level, level
+
+
+@lru_cache(maxsize=8)
+def midpoint_table(tol: float, capacity: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bisection tree of ``[tol, capacity]`` down to ``TABLE_LEVELS``
+    levels, fewer where some bracket of a level is within ``tol``, as the
+    walk computes it: its brackets' ends and midpoints in order, ``tol``
+    first, and one row per level and the one below them of ``2**(levels -
+    level)``, the number of table entries one bracket of the level spans.
+    Both are read-only."""
+    ends = np.empty((1 << TABLE_LEVELS) + 1)
+    ends[0], ends[-1], step, levels = tol, capacity, len(ends) - 1, 0
+    while levels < TABLE_LEVELS:
+        known = ends[::step]  # the level's bracket ends
+        if np.count_nonzero(np.diff(known) <= tol):
+            break  # every unclamped lane is on each looked-up level
+        mids = ends[step // 2 :: step]  # in place, between them
+        np.add(known[:-1], known[1:], out=mids)
+        mids *= 0.5
+        step, levels = step // 2, levels + 1
+    if step > 1:
+        ends = ends[::step].copy()
+    spans = np.left_shift(1, np.arange(levels, -1, -1))[:, None]
+    ends.flags.writeable = spans.flags.writeable = False
+    return ends, spans
+
+
+def _look_up(paths: LanePaths, bracket: np.ndarray, root, clamped, n_clamped: int, end: int) -> int:
+    """Walk levels ``[0, end)`` against ``root``, as far as the paths'
+    :func:`midpoint_table` reaches, from the first bracket: each lane's
+    midpoints, the ``on`` rows below level 0, the bracket and its width
+    where the table ends.  Returns the levels taken."""
+    ends, spans = midpoint_table(paths.tol, paths.capacity)
+    levels = min(end, len(spans) - 1)
+    if not levels:
+        return 0
+    # mid <= root moves a lane right at every midpoint, so the leaf it ends
+    # in is the count of midpoints at most its root; NaN moves it left
+    leaf = np.searchsorted(ends[1:-1], np.fmax(root, -np.inf), side="right")
+    # the first table entry of each level's bracket, and of the one below
+    # the last level, then each level's midpoint half a bracket on
+    index = np.bitwise_and(leaf, -spans[: levels + 1])
+    index[:levels] += spans[1 : levels + 1]
+    mids, (lo, hi) = paths.mids[:levels], bracket
+    np.take(ends, index[:levels], out=mids, mode="clip")
+    np.take(ends, index[levels], out=lo, mode="clip")
+    index[levels] += spans[levels]
+    np.take(ends, index[levels], out=hi, mode="clip")
+    if n_clamped:  # a clamped lane stays at [capacity, capacity]
+        np.copyto(mids, paths.capacity, where=clamped)
+        np.copyto(bracket, paths.capacity, where=clamped)
+    np.logical_not(clamped, out=paths.on[1:levels])
+    np.subtract(hi, lo, out=paths.widths[levels])
+    paths.looked_up = levels
+    return levels
 
 
 def _bisect_in_lockstep(paths: LanePaths, bracket: np.ndarray, decide, start: int, end: int) -> None:
@@ -304,7 +397,8 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     in for ``slope >= price``, one lane at a time in Python floats below
     ``LANE_BY_LANE_BELOW`` lanes, where the estimates are taken in floats too
     (:func:`~rateauction.utility.sigmoid_root_floats`,
-    :func:`~rateauction.utility.logarithmic_root_floats`).  Then each
+    :func:`~rateauction.utility.logarithmic_root_floats`), and from the
+    :func:`midpoint_table` for a lockstep walk's first levels.  Then each
     family's kernel evaluates the slopes at every midpoint so visited in
     one call, and the replay's comparison checks every decision against the
     price.  A level's
@@ -332,7 +426,7 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     lo, hi = bracket
     resume = paths._replay(price, clamped, n_clamped, lo, hi)
     mids, slopes, moves, on = paths.mids, paths.slopes, paths.moves, paths.on
-    paths.top = 0  # a walk that raises leaves no paths
+    paths.top = paths.looked_up = 0  # a walk that raises leaves no paths
 
     def evaluate(rows, mid):  # the slopes at mid into rows
         sigmoid_slope(a, neg_a, b, mid[..., :s], out=slopes[rows, :s])
@@ -352,11 +446,12 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
                 prices = price.tolist()
                 root = [*sigmoid_root_floats(a.tolist(), b.tolist(), prices[:s]),
                         *logarithmic_root_floats(k.tolist(), prices[s:])]
-                by_root = partial(_bisect_lane_by_lane, paths, bracket, root)
+                by_root, look_up = partial(_bisect_lane_by_lane, paths, bracket, root), None
             else:
                 root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
                 by_root = partial(_bisect_in_lockstep, paths, bracket, lambda _, mid, ups: np.less_equal(mid, root, out=ups))
-            level, end = _walk(paths, resume, tol_array, by_root)
+                look_up = None if resume else partial(_look_up, paths, bracket, root, clamped, n_clamped)
+            level, end = _walk(paths, resume, tol_array, by_root, look_up)
             np.less_equal(mids[resume:level], root, out=moves[resume:level])
         predicted, exact = level, level
         if predicted > resume:

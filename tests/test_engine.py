@@ -342,34 +342,36 @@ def batch_line(caplog, execute) -> tuple[int, ...]:
     with caplog.at_level(logging.DEBUG, logger="rateauction.engine"):
         execute()
     (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lane solve:")]
-    pattern = (r"lane solve: (\d+) lanes for (\d+) cells; (\d+) levels walked, (\d+) predicted, (\d+) compared; "
+    pattern = (r"lane solve: (\d+) lanes for (\d+) cells; (\d+) levels walked, (\d+) predicted "
+               r"\((\d+) looked up\), (\d+) compared; "
                r"sampler: (\d+) blocks, (\d+) cells, (\d+) redrawn")
     return tuple(map(int, re.fullmatch(pattern, message).groups()))
 
 
 def batch_counts(caplog, execute) -> tuple[int, ...]:
     """The counts of the one batch ``execute`` runs, from its DEBUG line:
-    levels walked, predicted and compared, and the sampler's blocks, cells
-    and cells redrawn."""
+    levels walked, predicted, looked up (of the predicted) and compared, and
+    the sampler's blocks, cells and cells redrawn."""
     return batch_line(caplog, execute)[2:]
 
 
 class TestLanePaths:
     """A batch whose parameters stay replays each lane's last bisection
     path; one DEBUG line per batch reports the levels walked by the slopes,
-    the levels walked against the estimated roots, and the recorded levels
-    compared."""
+    the levels walked against the estimated roots, those of them looked up
+    in the midpoint table, and the recorded levels compared."""
 
     @staticmethod
-    def lane_work(caplog, execute) -> tuple[int, int, int]:
-        return batch_counts(caplog, execute)[:3]
+    def lane_work(caplog, execute) -> tuple[int, int, int, int]:
+        return batch_counts(caplog, execute)[:4]
 
     def test_fixed_preset_walks_about_half_the_levels(self, caplog):
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
         counts = [self.lane_work(caplog, lambda: run(scenario)) for _ in range(2)]
         # each of the 86 solves after the first compares 27 recorded levels,
-        # and every estimated level below them holds against the slopes
-        assert counts[0] == counts[1] == (0, 1165, 86 * 27)
+        # and every estimated level below them holds against the slopes; 6
+        # lanes walk one at a time, and look nothing up
+        assert counts[0] == counts[1] == (0, 1165, 0, 86 * 27)
         # solved from level 0, each of the 87 rounds walks 27 levels
         assert counts[0][1] <= 0.55 * 87 * 27
 
@@ -380,7 +382,9 @@ class TestLanePaths:
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
         results = []
         counts = self.lane_work(caplog, lambda: results.extend(run_replication(scenario, [0, 1, 2])))
-        assert counts == (0, 1165, 86 * 27)
+        # (their 18 lanes walk in lockstep: the first round, from level 0,
+        # looks its first 16 levels up)
+        assert counts == (0, 1165, 16, 86 * 27)
         assert results == [run(replace(scenario, seed=s)) for s in (0, 1, 2)]
         assert [r.converged_at for r in results] == [87] * 3
 
@@ -388,14 +392,87 @@ class TestLanePaths:
     def test_drawn_batches_walk_no_level_by_the_slopes(self, caplog, name):
         # every estimated level of the 20 rounds holds against the slopes:
         # normal's lanes of small a, whose closed-form estimate is poor or
-        # NaN, take a polished one
-        assert self.lane_work(caplog, lambda: run_replication(preset(name), range(50))) == (0, 540, 0)
+        # NaN, take a polished one.  Each round's 300 lanes walk from level
+        # 0, and take its first 16 levels from the table
+        assert self.lane_work(caplog, lambda: run_replication(preset(name), range(50))) == (0, 540, 20 * 16, 0)
 
     def test_drawn_batches_replay_nothing(self, caplog):
         for name in ("normal", "triangular"):
-            _, predicted, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
+            _, predicted, _, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
             assert predicted > 0
             assert compared == 0
+
+    def test_a_drawn_batch_builds_one_lane_paths(self, monkeypatch):
+        # each round's draw is set into the paths of the batch's one layout
+        built, set_rounds = [], []
+
+        class Counted(rateauction.engine.LanePaths):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+            def set_sigmoid(self, a, b):
+                set_rounds.append(a)
+                super().set_sigmoid(a, b)
+
+        monkeypatch.setattr(rateauction.engine, "LanePaths", Counted)
+        results = run_replication(preset("normal"), range(50))
+        # the constructor sets round 1's, and each later round sets its own
+        assert (len(built), len(set_rounds)) == (1, 20)
+        monkeypatch.undo()
+        assert results == run_replication(preset("normal"), range(50))
+
+    @pytest.mark.parametrize("capacity, levels, walks", [(1e-4, 7, 14), (0.03, 15, 18)])
+    def test_table_levels_stop_above_tol_in_a_drawn_batch(self, caplog, capacity, levels, walks):
+        # 3 runs of 6 lanes walk in lockstep, and every round in which some
+        # lane is not clamped at R looks up the levels of the table whose
+        # brackets are all wider than tol
+        scenario = replace(preset("normal"), capacity=capacity)
+        results = []
+        counts = batch_counts(caplog, lambda: results.extend(run_replication(scenario, range(3))))
+        rounds = np.zeros(20, dtype=bool)
+        for result in results:
+            assert_cells_solved(scenario, result)
+            rounds |= (result.rates < capacity).any(axis=1)
+        assert counts[2] == levels * walks == levels * np.count_nonzero(rounds)
+
+
+class TestGuardFailingDraws:
+    """A drawn a whose guard fails at tol is screened when it is set into the
+    paths, and its lanes are guarded on their paths; one that fails at R
+    fails its round, and the scalar replay names it."""
+
+    USERS = (SigmoidalUserSpec(a=Normal(0.5, 0.5), b=Normal(10.0, 2.0)), LogarithmicUserSpec(k=1.0, r_max=100.0))
+
+    def scenario(self, monkeypatch, floor):
+        # the draws' clamp of a lowered to floor: a*tol underflows for 1e-305,
+        # and a*R too for 1e-320
+        monkeypatch.setattr(rateauction.sampling, "MIN_STEEPNESS", floor)
+        return Scenario(capacity=100.0, delta=0.01, max_iterations=40, seed=0, users=self.USERS)
+
+    def test_failing_at_tol(self, monkeypatch):
+        scenario = self.scenario(monkeypatch, 1e-305)
+        results = run_replication(scenario, range(10))  # 20 lanes
+        assert sum(np.count_nonzero(r.a == 1e-305) for r in results) > 10
+        for result in results:
+            assert_cells_solved(scenario, result)
+
+    def test_failing_at_r(self, monkeypatch):
+        # seed 2 is the first whose a is clamped, in round 2: set into the
+        # paths built in round 1, it fails there
+        from rateauction import SimulationError
+
+        scenario = self.scenario(monkeypatch, 1e-320)
+        sets = []
+        set_sigmoid = rateauction.engine.LanePaths.set_sigmoid
+        monkeypatch.setattr(rateauction.engine.LanePaths, "set_sigmoid",
+                            lambda paths, a, b: sets.append(len(sets)) or set_sigmoid(paths, a, b))
+        with pytest.raises(SimulationError) as info:
+            run_replication(scenario, [0, 2, 5, 6, 8, 9, 10, 11])
+        assert str(info.value) == (
+            "user 1 failed at iteration 2: log-slope undefined: a*r underflows for a=1e-320, r=100.0"
+        )
+        assert sets == [0, 1]  # the constructor's, and round 2's
 
 
 def assert_cells_solved(scenario, result):
@@ -454,7 +531,7 @@ class TestSharedLanes:
     def test_tiled_fixed_preset_solves_six_lanes(self, caplog):
         fixed = preset("fixed")
         scenario = replace(fixed, capacity=10_000.0, users=fixed.users * 100)
-        assert batch_line(caplog, lambda: run(scenario))[:5] == (6, 600, 0, 425, 646)
+        assert batch_line(caplog, lambda: run(scenario))[:6] == (6, 600, 0, 425, 0, 646)
 
     def test_drawn_users_keep_their_own_lanes(self, caplog):
         # 9 drawn users of their own beside 3 logarithmic lanes, for 5 runs
@@ -482,7 +559,7 @@ class TestSharedLanes:
                       for j in range(6) for u in fixed.users)
         scenario = replace(fixed, capacity=600.0, delta=1e-6, max_iterations=40, users=users)
         results = []
-        lanes, cells, _, predicted, compared, *_ = batch_line(
+        lanes, cells, _, predicted, _, compared, *_ = batch_line(
             caplog, lambda: results.extend(run_replication(scenario, [0, 1])))
         assert (lanes, cells) == (2 * 21, 2 * 36)
         assert lanes // 2 >= rateauction.ue.LANE_BY_LANE_BELOW and predicted > 0 and compared > 0
@@ -498,15 +575,15 @@ class TestSamplerCounts:
     def test_normal_replicate_draws_one_block(self, caplog):
         # 20 rounds of 50 runs and 3 drawn users fit one block
         execute = lambda: run_replication(preset("normal"), range(50))
-        assert batch_counts(caplog, execute)[3:] == (1, 3000, 95)
+        assert batch_counts(caplog, execute)[4:] == (1, 3000, 95)
 
     def test_one_round_per_block(self, caplog, monkeypatch):
         monkeypatch.setattr(rateauction.sampling, "BLOCK_CELLS", 50 * 3)
         execute = lambda: run_replication(preset("normal"), range(50))
-        assert batch_counts(caplog, execute)[3:] == (20, 3000, 95)
+        assert batch_counts(caplog, execute)[4:] == (20, 3000, 95)
 
     def test_fixed_batches_draw_nothing(self, caplog):
-        assert batch_counts(caplog, lambda: run(preset("fixed")))[3:] == (0, 0, 0)
+        assert batch_counts(caplog, lambda: run(preset("fixed")))[4:] == (0, 0, 0)
 
     def test_early_stop_draws_at_most_twice_the_cells_used(self, caplog):
         # every run stops by round 21 of 200; blocks of 1, 2, 4, 8 and 16
@@ -516,8 +593,8 @@ class TestSamplerCounts:
         counts = batch_counts(caplog, lambda: results.extend(run_replication(scenario, range(50))))
         used = sum(r.iterations for r in results) * 3
         assert max(r.iterations for r in results) < 200
-        assert counts[3] == 5
-        assert counts[4] <= 2 * used
+        assert counts[4] == 5
+        assert counts[5] <= 2 * used
 
 
 class TestErrorContext:

@@ -26,10 +26,13 @@ from rateauction import (
 )
 from rateauction.ue import (
     LANE_BY_LANE_BELOW,
+    TABLE_LEVELS,
     LanePaths,
     _bisect_in_lockstep,
     _bisect_lane_by_lane,
+    _look_up,
     _walk,
+    midpoint_table,
     solve_lanes,
 )
 from rateauction.utility import (
@@ -430,6 +433,65 @@ class TestLanePaths:
             got = solve_lanes(paths, price)
             assert got.tobytes() == want.tobytes(), (got, want)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.data(),
+        users=st.lists(lane_users, min_size=1, max_size=8),
+        copies=tile_counts,
+        capacity=log_uniform(0, 4),
+        tol=log_uniform(-13, 0),
+    )
+    def test_setting_the_sigmoid_half_equals_a_new_build(self, data, users, copies, capacity, tol):
+        # a tenth of the new a fail their guard at tol (1e-306) or at every
+        # rate (1e-320), as lane_users' do
+        users = users * copies
+        sig = [u for u in users if u[0] == "sig"]
+        log = [u for u in users if u[0] == "log"]
+        k, price = np.array([u[1] for u in log]), np.array([u[3] for u in sig + log])
+        fresh = data.draw(st.lists(st.tuples(st.sampled_from([1e-306, 1e-320]) | log_uniform(-1.5, 1.5),
+                                             log_uniform(-1, 3.5)), min_size=len(sig), max_size=len(sig)))
+        a, b = np.array(fresh).reshape(-1, 2).T
+        try:
+            paths = LanePaths(np.array([u[1] for u in sig]), np.array([u[2] for u in sig]), k, capacity, tol)
+            solve_lanes(paths, price)
+        except (RateDomainError, BisectionError):
+            return  # the old parameters' own failure
+        try:
+            want = LanePaths(a, b, k, capacity, tol)
+        except RateDomainError:
+            # a guard failing at capacity: the same error, and the paths as they were
+            before = paths.at_capacity.copy(), paths.screened, paths.top
+            with pytest.raises(RateDomainError):
+                paths.set_sigmoid(a, b)
+            assert (paths.at_capacity.tobytes(), paths.screened, paths.top) == (before[0].tobytes(), *before[1:])
+            return
+        paths.set_sigmoid(a, b)
+        assert paths.top == 0
+        assert paths.at_capacity.tobytes() == want.at_capacity.tobytes()
+        assert paths.screened == want.screened
+        for got_paths in (paths, want):
+            assert got_paths.a.tobytes() == a.tobytes() and got_paths.neg_a.tobytes() == (-a).tobytes()
+        try:
+            rates = solve_lanes(want, price)
+        except (RateDomainError, BisectionError) as exc:
+            with pytest.raises(type(exc)):
+                solve_lanes(paths, price)
+            return
+        assert solve_lanes(paths, price).tobytes() == rates.tobytes()
+
+    def test_a_set_failing_at_tol_screens_the_paths(self):
+        # a = 1e-306 fails the guard at tol only: the next solve guards the paths
+        paths = LanePaths(np.array([15.0]), np.array([20.0]), np.array([1.0]), R)
+        assert paths.screened
+        paths.set_sigmoid(np.array([1e-306]), np.array([50.0]))
+        assert not paths.screened
+        with pytest.raises(RateDomainError, match="a\\*r underflows"):
+            solve_lanes(paths, np.array([1e5, 1.0]))
+        paths.set_sigmoid(np.array([15.0]), np.array([20.0]))
+        assert paths.screened
+        assert solve_lanes(paths, np.array([0.3, 0.02])).tobytes() == solve_lanes(
+            LanePaths(np.array([15.0]), np.array([20.0]), np.array([1.0]), R), np.array([0.3, 0.02])).tobytes()
+
     @staticmethod
     def capacity_slopes(a, b, k, capacity):
         # the first round redraws before any solve has guarded the lanes: a
@@ -569,6 +631,114 @@ class TestLaneByLaneWalk:
         # one level apart, and the lone lane's walk ends one level past its stop
         roots = logarithmic_root(np.ones(len(prices)), np.array(prices))
         self.assert_walks_agree(roots, np.zeros(len(prices), dtype=bool), capacity, tol, 0)
+
+
+# The capacities whose trees the table covers to 7 and 15 levels above tol
+# 1e-6 (where a bracket of the next level is within tol), and to all 16.
+TABLE_CAPACITIES = [1e-4, 0.03, 100.0, 1e6]
+
+
+@st.composite
+def table_estimates(draw, capacity):
+    """A root estimate for a walk of ``[TOL, capacity]``: anywhere, none,
+    below the bracket, a midpoint of the table or a float next to one."""
+    kind = draw(st.sampled_from(["anywhere", "none", "node", "below node", "above node"]))
+    if kind == "anywhere":
+        return draw(log_uniform(-15, 7))
+    if kind == "none":
+        return draw(st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0]))
+    ends, _ = midpoint_table(TOL, capacity)
+    node = float(ends[draw(st.integers(1, len(ends) - 2))])
+    return {"node": node, "below node": np.nextafter(node, -np.inf), "above node": np.nextafter(node, np.inf)}[kind]
+
+
+@st.composite
+def table_walks(draw):
+    """At least LANE_BY_LANE_BELOW lanes' estimates, a share of the lanes
+    clamped (never the first), and the capacity."""
+    capacity = draw(st.sampled_from(TABLE_CAPACITIES))
+    lanes = draw(st.lists(st.tuples(table_estimates(capacity), st.sampled_from([False, False, False, True])),
+                          min_size=LANE_BY_LANE_BELOW, max_size=40))
+    roots, clamped = zip(*lanes)
+    return np.array(roots), np.array([False, *clamped[1:]]), capacity
+
+
+class TestLookedUpWalk:
+    """A lockstep walk from level 0 takes its first levels from the
+    ``midpoint_table`` of its ``(tol, capacity)``: the midpoints, ``on``
+    rows, bracket and stop levels of the walk that bisects every level."""
+
+    @staticmethod
+    def walk(roots, clamped, capacity, looked_up):
+        paths = LanePaths(np.empty(0), np.empty(0), np.ones(len(roots)), capacity)
+        bracket = np.where(clamped, capacity, paths.first_bracket)
+        np.greater(np.subtract(bracket[1], bracket[0], out=paths.widths[0]), paths.tol_array, out=paths.on[0])
+        by_root = partial(_bisect_in_lockstep, paths, bracket, lambda _, mid, ups: np.less_equal(mid, roots, out=ups))
+        look_up = partial(_look_up, paths, bracket, roots, clamped, np.count_nonzero(clamped)) if looked_up else None
+        return paths, bracket, _walk(paths, 0, paths.tol_array, by_root, look_up)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(walk=table_walks())
+    def test_looked_up_levels_equal_the_walk_by_every_level(self, walk):
+        roots, clamped, capacity = walk
+        want_paths, want_bracket, (level, end) = self.walk(roots, clamped, capacity, False)
+        paths, bracket, stops = self.walk(roots, clamped, capacity, True)
+        assert stops == (level, end)
+        assert paths.looked_up == min(end, len(midpoint_table(TOL, capacity)[1]) - 1) > 0
+        assert paths.mids[:end].tobytes() == want_paths.mids[:end].tobytes()
+        assert (paths.mids[:level] <= roots).tobytes() == (want_paths.mids[:level] <= roots).tobytes()
+        assert paths.on[: end + 1].tobytes() == want_paths.on[: end + 1].tobytes()
+        assert bracket.tobytes() == want_bracket.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), capacity=st.sampled_from(TABLE_CAPACITIES),
+           users=st.lists(in_domain_users, min_size=LANE_BY_LANE_BELOW, max_size=30))
+    def test_rates_under_any_estimate_equal_solve_rate(self, data, capacity, users):
+        # about a fifth of the lanes clamped at capacity (where the slope
+        # there is above 0), and every estimate one of table_estimates'
+        sig = [u for u in users if u[0] == "sig"]
+        log = [u for u in users if u[0] == "log"]
+        a, b, k = np.array([u[1] for u in sig]), np.array([u[2] for u in sig]), np.array([u[1] for u in log])
+        price = np.array([u[3] for u in sig + log])
+        clamp = data.draw(st.lists(st.sampled_from([False, False, False, False, True]),
+                                   min_size=len(price), max_size=len(price)))
+        half = 0.5 * TestLanePaths.capacity_slopes(a, b, k, capacity)
+        clamp = np.array(clamp) & (half > 0.0)
+        price[clamp] = half[clamp]
+        estimates = np.array(data.draw(st.lists(table_estimates(capacity), min_size=len(price), max_size=len(price))))
+        utilities = [SigmoidalUtility(a=aj, b=bj) for aj, bj in zip(a, b)] + [
+            LogarithmicUtility(k=kj, r_max=capacity) for kj in k]
+        want = np.array([solve_rate(u, p, capacity) for u, p in zip(utilities, price.tolist())])
+        paths = LanePaths(a, b, k, capacity)
+        with patch_roots(lambda *_: estimates[: len(a)], lambda *_: estimates[len(a) :]):
+            got = solve_lanes(paths, price)
+        assert got.tobytes() == want.tobytes()
+        walked = np.count_nonzero(got < capacity)  # some lane is not clamped
+        assert paths.looked_up == (len(midpoint_table(TOL, capacity)[1]) - 1 if walked else 0)
+
+    def test_table_levels_stop_above_tol(self):
+        # every bracket of a looked-up level is wider than tol, and some
+        # bracket one level below is not, unless the table is full
+        for capacity, levels in zip(TABLE_CAPACITIES, [7, 15, TABLE_LEVELS, TABLE_LEVELS]):
+            ends, spans = midpoint_table(TOL, capacity)
+            assert len(ends) == 2**levels + 1 and len(spans) == levels + 1
+            assert not ends.flags.writeable and not spans.flags.writeable
+            assert np.diff(ends[:: 2]).min() > TOL
+            if levels < TABLE_LEVELS:
+                assert np.diff(ends).min() <= TOL
+        assert midpoint_table(TOL, 100.0)[0].nbytes <= 2**19 + 8
+
+    def test_a_few_lanes_and_a_resumed_walk_look_nothing_up(self):
+        lanes = np.tile([15.0, 10.0, 5.0], 3), np.tile([20.0, 25.0, 35.0], 3), np.tile([1.0, 0.1, 0.02], 3)
+        price = np.full(18, 0.05)
+        paths = LanePaths(*lanes, R)
+        solve_lanes(paths, price)
+        assert paths.looked_up == TABLE_LEVELS
+        solve_lanes(paths, price * (1 + 1e-9))  # replays its paths, and walks on below them
+        assert paths.compared and not paths.looked_up
+        few = LanePaths(lanes[0][:3], lanes[1][:3], lanes[2][:3], R)
+        solve_lanes(few, price[:6])
+        assert few.predicted and not few.looked_up
 
 
 class TestSlopeCalls:
