@@ -321,7 +321,9 @@ def _look_up(paths: LanePaths, bracket: np.ndarray, root, clamped, n_clamped: in
     # in is the count of midpoints at most its root; NaN moves it left
     leaf = np.searchsorted(ends[1:-1], np.fmax(root, -np.inf), side="right")
     # the first table entry of each level's bracket, and of the one below
-    # the last level, then each level's midpoint half a bracket on
+    # the last level, then each level's midpoint half a bracket on; every
+    # index is in range, and a take into out= with the default mode
+    # copies through a buffer
     index = np.bitwise_and(leaf, -spans[: levels + 1])
     index[:levels] += spans[1 : levels + 1]
     mids, (lo, hi) = paths.mids[:levels], bracket
