@@ -20,27 +20,23 @@ lane solve calls the unguarded kernels and screens the guards at ``tol``
 when its paths are built, then runs them on the lanes' paths only where
 that fails: both raise the same ``RateDomainError``.
 
-Both halves of the lane solve rest on one fact: a level's midpoint depends
-only on ``tol``, ``capacity`` and the decisions above it, so a guessed
-path is exact down to its first wrong decision, and one pass of compares
-finds it.  :func:`solve_lanes` first replays each lane's last bisection
-path, kept in its :class:`LanePaths`: the slope recorded at each level is
-what the same float operations give again, so comparing the recorded
-slopes with the new price is exact.  Below the first flipped decision it
-walks against each lane's estimated root, evaluates the slopes at every
-midpoint so visited at once, and checks the decisions the same way; only
-below a wrong one does it walk by the slopes, a level at a time.  Each
-walk halves every lane's bracket, and a lane that stopped above the last
-level takes its midpoint where it stopped.  New sigmoid parameters are set
-into the paths (:meth:`LanePaths.set_sigmoid`), which forgets them; the
-logarithmic lanes and the buffers stay.  Fewer than ``LANE_BY_LANE_BELOW``
-lanes estimate their roots and walk against them one at a time, in Python
-floats; other walks are numpy lockstep, and one from level 0 takes its first
+The lane solve rests on one fact: a level's midpoint depends only on
+``tol``, ``capacity`` and the decisions above it, so a guessed path is
+exact down to its first wrong decision, and one pass of compares finds it.
+Fewer than ``LANE_BY_LANE_BELOW`` lanes walk from level 0 against their
+estimated roots, each in Python floats, and one kernel call per family
+checks every decision.  More lanes first replay each lane's last bisection
+path, kept in its :class:`LanePaths`, whose recorded slopes the same float
+operations give again; below the first flipped decision they walk against
+the estimated roots in numpy lockstep, check those decisions the same way,
+and walk by the slopes only below a wrong one.  A lockstep walk halves
+every lane's bracket, and a lane that stopped above the last level takes
+its midpoint where it stopped.  One from level 0 takes its first
 ``TABLE_LEVELS`` levels from the bisection tree of ``(tol, capacity)``,
-built once (:func:`midpoint_table`): where ``mid <= root`` decides, a
-lane's leaf is the count of the tree's midpoints at most its root, one
-``searchsorted``, and its midpoint at each level lies half a bracket on
-from that level's bracket start.
+built once (:func:`midpoint_table`): a lane's leaf is the count of the
+tree's midpoints at most its root, one ``searchsorted``.  New sigmoid
+parameters are set into the paths (:meth:`LanePaths.set_sigmoid`), which
+forgets them.
 """
 
 from __future__ import annotations
@@ -66,10 +62,11 @@ from .utility import (
 
 DEFAULT_RATE_TOL = 1e-6
 MAX_BISECTION_STEPS = 200
-# Below it a numpy call costs more than its arithmetic: a walk against the
-# roots took 0.42-0.49 of the lockstep walk's time at 6 lanes, 0.89-0.92 at
-# 16 and 1.12-1.25 at 20 (2-core x86-64, Python 3.11, numpy 2.4).
-LANE_BY_LANE_BELOW = 18
+# Below it a numpy call costs more than its arithmetic: on the fixed preset
+# tiled with distinct a, to convergence, a solve in floats from level 0 took
+# 56, 85, 114 and 139 us at 6, 12, 18 and 21 lanes, and in lockstep with
+# replay 124, 124, 130 and 134 us (2-core x86-64, Python 3.11, numpy 2.4).
+LANE_BY_LANE_BELOW = 20
 # A lockstep walk from level 0 takes at most this many levels from a
 # midpoint_table, of 2**16 + 1 floats (0.5 MiB).
 TABLE_LEVELS = 16
@@ -151,7 +148,8 @@ class LanePaths:
     taken from the :func:`midpoint_table` (whose widths rows, above the
     last, the walk leaves unwritten), ``walked`` the levels walked by the
     slopes below a wrong estimate, and ``compared`` the recorded levels the
-    replay compared.
+    replay compared.  A few-lane solve (:func:`_solve_each`) records no
+    path, and its ``predicted`` is its deepest lane's levels.
     """
 
     def __init__(self, a, b, k, capacity: float, tol: float = DEFAULT_RATE_TOL) -> None:
@@ -247,13 +245,12 @@ class LanePaths:
         np.minimum.reduce(np.where(before ^ ups, mids, hi), axis=0, out=hi)
 
 
-def _walk(paths: LanePaths, level: int, tol, bisect, look_up=None) -> tuple[int, int]:
-    """Bisect every lane from ``level``, whose widths row holds some lane
-    wider than ``tol``.  Return the level at which none is left or the step
-    cap is reached, and the level the bracket was walked to.
+def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, decide, look_up=None) -> tuple[int, int]:
+    """Bisect every lane of ``bracket`` in lockstep from ``level``, whose
+    widths row holds some lane wider than ``tol``, deciding by ``decide``
+    (see :func:`_bisect_in_lockstep`).  Return the level at which none is
+    left or the step cap is reached, and the level the bracket was walked to.
 
-    ``bisect(start, end)`` writes the midpoints of levels ``[start, end)``
-    and the widths below them into the paths' rows; the widths give ``on``.
     No lane is masked: one within ``tol`` halves on (a clamped ``[capacity,
     capacity]`` stays put), and its rate is its midpoint where it stopped.
     ``look_up(end)``, given for a walk from level 0, takes the first of
@@ -271,7 +268,7 @@ def _walk(paths: LanePaths, level: int, tol, bisect, look_up=None) -> tuple[int,
         if look_up is not None:
             level = first = look_up(end)
             look_up = None
-        bisect(level, end)
+        _bisect_in_lockstep(paths, bracket, decide, level, end)
         level = end
         if level == MAX_BISECTION_STEPS or not np.count_nonzero(np.greater(widths[level], tol, out=paths.on[level])):
             break
@@ -358,25 +355,44 @@ def _bisect_in_lockstep(paths: LanePaths, bracket: np.ndarray, decide, start: in
         np.subtract(hi, lo, out=widths[row + 1])
 
 
-def _bisect_lane_by_lane(paths: LanePaths, bracket: np.ndarray, roots: list, start: int, end: int) -> None:
-    """Walk levels ``[start, end)`` against the estimated ``roots`` one lane
-    at a time, in Python floats: ``(lo + hi) * 0.5``, ``mid <= root`` (False
-    for a NaN root) and ``hi - lo`` write the lockstep walk's rows bit for bit."""
-    levels, mids, widths, ends = range(start, end), [], [], []
-    for lo, hi, root in zip(*bracket.tolist(), roots):
-        for _ in levels:
+def _solve_each(paths: LanePaths, price, clamped) -> Optional[np.ndarray]:
+    """The rates of fewer than ``LANE_BY_LANE_BELOW`` lanes, each walked from
+    level 0 to its own stop against its estimated root in Python floats (a
+    NaN root moves ``hi``), then checked at every midpoint so visited, one
+    slope-kernel call per family.  None where the guards are not screened,
+    a walk reaches the step cap, or a ``mid <= root`` is not ``slope >= price``.
+    Records no path."""
+    paths.top = paths.walked = paths.looked_up = paths.compared = 0
+    if not paths.screened:
+        return None
+    a, s, tol, capacity, prices = paths.a, len(paths.a), paths.tol, paths.capacity, price.tolist()
+    roots = [*sigmoid_root_floats(a.tolist(), paths.b.tolist(), prices[:s]),
+             *logarithmic_root_floats(paths.k.tolist(), prices[s:])]
+    rates, mids, moves, levels = [], [], [], []
+    for root, held in zip(roots, clamped.tolist()):
+        lo, hi, level = (capacity if held else tol), capacity, 0
+        while hi - lo > tol:
+            if level == MAX_BISECTION_STEPS:
+                return None
             mid = (lo + hi) * 0.5
+            mids.append(mid)
+            moves.append(mid <= root)
             if mid <= root:
                 lo = mid
             else:
                 hi = mid
-            mids.append(mid)
-            widths.append(hi - lo)
-        ends.append((lo, hi))
-    # fromiter: np.reshape and np.array convert a list of floats more slowly
-    paths.mids[start:end] = np.fromiter(mids, float, len(mids)).reshape(-1, len(levels)).T
-    paths.widths[start + 1 : end + 1] = np.fromiter(widths, float, len(widths)).reshape(-1, len(levels)).T
-    bracket.T[...] = ends
+            level += 1
+        levels.append(level)
+        rates.append(capacity if held else (lo + hi) * 0.5)
+    # each midpoint beside its lane's parameters and price, sigmoid lanes first
+    mid, slopes, n = np.array(mids), np.empty(len(mids)), sum(levels[:s])
+    with np.errstate(over="ignore"):  # a logistic term that overflows reads 0
+        sigmoid_slope(*(np.repeat(p, levels[:s]) for p in (a, paths.neg_a, paths.b)), mid[:n], out=slopes[:n])
+    logarithmic_slope(np.repeat(paths.k, levels[s:]), mid[n:], out=slopes[n:])
+    if (slopes >= np.repeat(price, levels)).tolist() != moves:
+        return None
+    paths.predicted = max(levels, default=0)
+    return np.array(rates)
 
 
 def solve_lanes(paths: LanePaths, price) -> np.ndarray:
@@ -393,22 +409,19 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     ``MAX_BISECTION_STEPS`` steps; a solve that raises leaves no recorded
     path, so the next solve walks every lane from level 0.
 
-    Below the replayed levels, the lanes are first bisected against each
-    lane's estimated root (:func:`~rateauction.utility.sigmoid_root`,
-    :func:`~rateauction.utility.logarithmic_root`): ``mid <= root`` stands
-    in for ``slope >= price``, one lane at a time in Python floats below
-    ``LANE_BY_LANE_BELOW`` lanes, where the estimates are taken in floats too
-    (:func:`~rateauction.utility.sigmoid_root_floats`,
-    :func:`~rateauction.utility.logarithmic_root_floats`), and from the
-    :func:`midpoint_table` for a lockstep walk's first levels.  Then each
-    family's kernel evaluates the slopes at every midpoint so visited in
-    one call, and the replay's comparison checks every decision against the
-    price.  A level's
-    midpoint depends only on the decisions above it, so if none flips, the
-    estimated path is the path of :func:`solve_rate`; otherwise the levels
-    above the first flip are, and the walk goes on below it by the slopes.
-    Guards failing at ``tol`` run over the true paths' midpoints only, so
-    an estimate can cost time but never changes a rate, raises or warns.
+    Fewer than ``LANE_BY_LANE_BELOW`` lanes walk from level 0 against
+    their estimated roots in Python floats (:func:`_solve_each`); a wrong
+    decision, guards failing at ``tol`` or the step cap hand the round to
+    the lockstep walk from level 0, which raises where a lane does.  A
+    lockstep solve replays the recorded paths, then bisects below them
+    against the estimated roots (:func:`~rateauction.utility.sigmoid_root`,
+    :func:`~rateauction.utility.logarithmic_root`; from level 0, the first
+    levels from the :func:`midpoint_table`), and checks every decision so
+    made in one pass as the replay does.  A level's midpoint depends only
+    on the decisions above it, so the levels above the first flip are the
+    true path's, and the walk goes on below it by the slopes.  Guards
+    failing at ``tol`` run over the true paths' midpoints only, so an
+    estimate can cost time but never changes a rate, raises or warns.
     """
     price = np.asarray(price, dtype=float)
     if np.count_nonzero(price > 0) != price.size:
@@ -420,6 +433,8 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     a, neg_a, b, k, capacity, tol = paths.a, paths.neg_a, paths.b, paths.k, paths.capacity, paths.tol
     s = len(a)
     clamped = at_capacity >= price
+    if len(price) < LANE_BY_LANE_BELOW and (rates := _solve_each(paths, price, clamped)) is not None:
+        return rates
     n_clamped = np.count_nonzero(clamped)
     # Each lane's bracket, rows lo and hi.  A clamped lane starts as
     # [capacity, capacity]: never active, and its midpoint is capacity exactly.
@@ -444,16 +459,10 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         level = end = resume
         if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[resume]), tol_array, out=on[resume])):
-            if len(price) < LANE_BY_LANE_BELOW:  # the estimates take no numpy call
-                prices = price.tolist()
-                root = [*sigmoid_root_floats(a.tolist(), b.tolist(), prices[:s]),
-                        *logarithmic_root_floats(k.tolist(), prices[s:])]
-                by_root, look_up = partial(_bisect_lane_by_lane, paths, bracket, root), None
-            else:
-                root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
-                by_root = partial(_bisect_in_lockstep, paths, bracket, lambda _, mid, ups: np.less_equal(mid, root, out=ups))
-                look_up = None if resume else partial(_look_up, paths, bracket, root, clamped, n_clamped)
-            level, end = _walk(paths, resume, tol_array, by_root, look_up)
+            root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
+            look_up = None if resume else partial(_look_up, paths, bracket, root, clamped, n_clamped)
+            level, end = _walk(paths, bracket, resume, tol_array, lambda _, mid, ups: np.less_equal(mid, root, out=ups),
+                               look_up)
             np.less_equal(mids[resume:level], root, out=moves[resume:level])
         predicted, exact = level, level
         if predicted > resume:
@@ -467,7 +476,7 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
                 paths._narrow(exact, lo, hi)
                 level = end = exact
                 if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[exact]), tol_array, out=on[exact])):
-                    level, end = _walk(paths, exact, tol_array, partial(_bisect_in_lockstep, paths, bracket, by_slope))
+                    level, end = _walk(paths, bracket, exact, tol_array, by_slope)
                     np.greater_equal(slopes[exact:level], price, out=moves[exact:level])
     # Where a lane fails its guard at tol, the guards run over every lane's
     # path, raising before the step cap as a guarded walk would.  Estimated

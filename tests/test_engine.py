@@ -365,28 +365,41 @@ class TestLanePaths:
     def lane_work(caplog, execute) -> tuple[int, int, int, int]:
         return batch_counts(caplog, execute)[:4]
 
-    def test_fixed_preset_walks_about_half_the_levels(self, caplog):
+    def test_fixed_preset_walks_each_round_from_level_0(self, caplog):
+        # its 6 lanes walk one at a time in floats and record no paths: each
+        # of the 87 rounds walks 27 levels, every one of which holds against
+        # the slopes, and replays and looks up nothing
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
         counts = [self.lane_work(caplog, lambda: run(scenario)) for _ in range(2)]
-        # each of the 86 solves after the first compares 27 recorded levels,
-        # and every estimated level below them holds against the slopes; 6
-        # lanes walk one at a time, and look nothing up
-        assert counts[0] == counts[1] == (0, 1165, 0, 86 * 27)
-        # solved from level 0, each of the 87 rounds walks 27 levels
-        assert counts[0][1] <= 0.55 * 87 * 27
+        assert counts[0] == counts[1] == (0, 87 * 27, 0, 0)
+
+    def test_distinct_copies_walk_about_half_the_levels(self, caplog):
+        # the fixed preset tiled 100 times with each copy's a made distinct,
+        # at R = 1e4: 303 lanes in lockstep, whose 86 solves after the first
+        # replay their recorded levels, and every estimated level below them
+        # holds against the slopes; the first looks its first 16 levels up
+        fixed = preset("fixed")
+        users = tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
+                      for j in range(100) for u in fixed.users)
+        scenario = replace(fixed, capacity=1e4, delta=1e-6, max_iterations=200, users=users)
+        counts = [self.lane_work(caplog, lambda: run(scenario)) for _ in range(2)]
+        assert counts[0] == counts[1] == (0, 1298, 16, 2924)
+        # solved from level 0, each of the 87 rounds walks 34 levels
+        assert counts[0][1] <= 0.55 * 87 * 34
 
     def test_fixed_runs_leave_a_batch_together(self, caplog):
         # runs with no drawn user differ only in their seed: a batch of
-        # three walks and compares the levels one run does, and all three
-        # leave it at once
+        # four walks and compares the levels one run of them in lockstep
+        # would, and all four leave it at once
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
+        seeds = [0, 1, 2, 3]
         results = []
-        counts = self.lane_work(caplog, lambda: results.extend(run_replication(scenario, [0, 1, 2])))
-        # (their 18 lanes walk in lockstep: the first round, from level 0,
-        # looks its first 16 levels up)
+        counts = self.lane_work(caplog, lambda: results.extend(run_replication(scenario, seeds)))
+        # (their 24 lanes walk in lockstep and replay: the first round, from
+        # level 0, looks its first 16 levels up)
         assert counts == (0, 1165, 16, 86 * 27)
-        assert results == [run(replace(scenario, seed=s)) for s in (0, 1, 2)]
-        assert [r.converged_at for r in results] == [87] * 3
+        assert results == [run(replace(scenario, seed=s)) for s in seeds]
+        assert [r.converged_at for r in results] == [87] * 4
 
     @pytest.mark.parametrize("name", ["normal", "triangular"])
     def test_drawn_batches_walk_no_level_by_the_slopes(self, caplog, name):
@@ -424,12 +437,12 @@ class TestLanePaths:
 
     @pytest.mark.parametrize("capacity, levels, walks", [(1e-4, 7, 14), (0.03, 15, 18)])
     def test_table_levels_stop_above_tol_in_a_drawn_batch(self, caplog, capacity, levels, walks):
-        # 3 runs of 6 lanes walk in lockstep, and every round in which some
+        # 4 runs of 6 lanes walk in lockstep, and every round in which some
         # lane is not clamped at R looks up the levels of the table whose
         # brackets are all wider than tol
         scenario = replace(preset("normal"), capacity=capacity)
         results = []
-        counts = batch_counts(caplog, lambda: results.extend(run_replication(scenario, range(3))))
+        counts = batch_counts(caplog, lambda: results.extend(run_replication(scenario, range(4))))
         rounds = np.zeros(20, dtype=bool)
         for result in results:
             assert_cells_solved(scenario, result)
@@ -531,7 +544,8 @@ class TestSharedLanes:
     def test_tiled_fixed_preset_solves_six_lanes(self, caplog):
         fixed = preset("fixed")
         scenario = replace(fixed, capacity=10_000.0, users=fixed.users * 100)
-        assert batch_line(caplog, lambda: run(scenario))[:6] == (6, 600, 0, 425, 0, 646)
+        # each of the 20 rounds walks its 6 lanes' 34 levels from level 0
+        assert batch_line(caplog, lambda: run(scenario))[:6] == (6, 600, 0, 20 * 34, 0, 0)
 
     def test_drawn_users_keep_their_own_lanes(self, caplog):
         # 9 drawn users of their own beside 3 logarithmic lanes, for 5 runs

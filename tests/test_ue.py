@@ -1,6 +1,5 @@
 """UE subproblem tests: bisection solve, lane solve, and the single-round step."""
 
-import copy
 import warnings
 from contextlib import ExitStack
 from dataclasses import replace
@@ -28,8 +27,6 @@ from rateauction.ue import (
     LANE_BY_LANE_BELOW,
     TABLE_LEVELS,
     LanePaths,
-    _bisect_in_lockstep,
-    _bisect_lane_by_lane,
     _look_up,
     _walk,
     midpoint_table,
@@ -38,7 +35,6 @@ from rateauction.ue import (
 from rateauction.utility import (
     check_logarithmic_rate,
     check_sigmoid_rate,
-    logarithmic_root,
     logarithmic_slope,
     sigmoid_slope,
 )
@@ -157,7 +153,8 @@ lane_users = st.integers(0, 9).flatmap(lambda i: near_guard_users if i == 0 else
 
 
 # How many times the drawn users are tiled: the lane counts land on both
-# sides of LANE_BY_LANE_BELOW, so both walks against the estimated roots run.
+# sides of LANE_BY_LANE_BELOW, so both the few-lane solve and the lockstep
+# one run.
 tile_counts = st.integers(1, 6)
 
 # Root estimates that steer the lane solve's first walk anywhere, or nowhere.
@@ -266,7 +263,7 @@ class TestSolveLanes:
             paths = LanePaths(np.array([15.0]), np.array([20.0]), np.empty(0), R)
         assert paths.at_capacity[0] == SigmoidalUtility(15.0, 20.0).log_slope(R)
 
-    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4])
     def test_a_few_lanes_estimate_their_roots_in_floats(self, copies):
         # the fixed preset's 3 sigmoid and 3 logarithmic users, tiled: below
         # LANE_BY_LANE_BELOW lanes the estimates take no numpy call
@@ -500,16 +497,18 @@ class TestLanePaths:
             return np.concatenate((sigmoid_slope(a, -a, b, capacity), logarithmic_slope(k, capacity)))
 
     def test_lane_leaving_the_clamp_gets_every_step(self):
-        # both roots need 190 of the 200 steps; lane 1, clamped in the first
-        # round, has no path, so the walk must start again from level 0
-        k, none = np.array([1.0, 1.0]), np.empty(0)
+        # both roots need 190 of the 200 steps; the odd lanes, clamped in the
+        # first round, have no path, so the lockstep walk of LANE_BY_LANE_BELOW
+        # lanes must start again from level 0
+        copies = LANE_BY_LANE_BELOW // 2 + 1
+        k, none = np.ones(2 * copies), np.empty(0)
         paths = LanePaths(none, none, k, 1e4, 1e-53)
-        first = solve_lanes(paths, np.array([1e40, 1e-12]))
+        first = solve_lanes(paths, np.tile([1e40, 1e-12], copies))
         assert first[1] == 1e4
-        price = np.array([1e40 * (1 + 1e-15), 1e45])
+        price = np.tile([1e40 * (1 + 1e-15), 1e45], copies)
         want = solve_lanes(LanePaths(none, none, k, 1e4, 1e-53), price)
         assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert paths.walked + paths.predicted == 190
+        assert paths.walked + paths.predicted == 190 and not paths.compared
 
     def test_paths_of_other_lanes_are_refused(self):
         paths = LanePaths(np.array([5.0]), np.array([35.0]), np.array([0.1]), R)
@@ -528,31 +527,66 @@ UNEVEN_STOPS = [
 ]
 
 
+def solve_rate_midpoints(utility, price, capacity, tol) -> list:
+    """The midpoints :func:`solve_rate` visits, in order."""
+    seen, log_slope = [], type(utility).log_slope
+    with patch.object(type(utility), "log_slope", lambda u, r: seen.append(r) or log_slope(u, r)):
+        solve_rate(utility, price, capacity, tol)
+    return seen[1:]  # after the clamp test at capacity
+
+
 class TestUnevenStops:
     @staticmethod
     def solve_rates(capacity, tol, prices):
         return np.array([solve_rate(LogarithmicUtility(k=1.0, r_max=capacity), p, capacity, tol) for p in prices])
 
     @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
-    def test_each_lane_takes_its_own_stop(self, capacity, tol, prices):
+    def test_each_lane_takes_its_own_stop(self, capacity, tol, prices, monkeypatch):
+        # a few lanes: each walks solve_rate's midpoints to its own stop, and
+        # the kernel checks them lane after lane
         none = np.empty(0)
-        lanes = none, none, np.array([1.0, 1.0])
         want = self.solve_rates(capacity, tol, prices)
-        paths = LanePaths(*lanes, capacity, tol)
+        checked = []
+
+        def logarithmic_slope_seen(k, r, out=None):
+            checked.extend(r.tolist())
+            return logarithmic_slope(k, r, out=out)
+
+        paths = LanePaths(none, none, np.array([1.0, 1.0]), capacity, tol)
+        monkeypatch.setattr(rateauction.ue, "logarithmic_slope", logarithmic_slope_seen)
         assert solve_lanes(paths, np.array(prices)).tobytes() == want.tobytes()
+        walks = [solve_rate_midpoints(LogarithmicUtility(k=1.0, r_max=capacity), p, capacity, tol) for p in prices]
+        assert abs(len(walks[0]) - len(walks[1])) == 1
+        assert np.array(checked).tobytes() == np.array(walks[0] + walks[1]).tobytes()
+        assert (paths.predicted, paths.top) == (max(map(len, walks)), 0)
+        assert solve_lanes(paths, np.array(prices[::-1])).tobytes() == want[::-1].tobytes()
+
+    @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
+    def test_lockstep_lanes_take_their_own_stops(self, capacity, tol, prices):
+        # LANE_BY_LANE_BELOW lanes or more walk in lockstep: the recorded
+        # paths stop one level apart, and the swapped prices replay them
+        copies = LANE_BY_LANE_BELOW // 2 + 1
+        none = np.empty(0)
+        want = np.tile(self.solve_rates(capacity, tol, prices), copies)
+        paths = LanePaths(none, none, np.ones(2 * copies), capacity, tol)
+        assert solve_lanes(paths, np.tile(prices, copies)).tobytes() == want.tobytes()
         stops = np.count_nonzero(paths.on[: paths.top], axis=0)
         assert abs(int(stops[0]) - int(stops[1])) == 1
-        swapped = solve_lanes(paths, np.array(prices[::-1]))
-        assert swapped.tobytes() == want[::-1].tobytes()
+        swapped = solve_lanes(paths, np.tile(prices[::-1], copies))
+        assert swapped.tobytes() == np.tile(want[1::-1], copies).tobytes()
+        assert paths.compared
 
     def test_a_walk_past_every_stop(self):
         # log2(capacity - tol) - log2(tol) rounds to just above 18, so the
-        # walk takes 19 levels, while the lane stops at level 18
+        # lockstep walk takes 19 levels, while the lanes stop at level 18;
+        # a lone lane walks to its own stop
         capacity, tol, price = 0.9648064809633523, 3.6804306050586654e-06, 0.7699745596976851
-        paths = LanePaths(np.empty(0), np.empty(0), np.ones(1), capacity, tol)
-        got = solve_lanes(paths, np.array([price]))
-        assert got.tobytes() == self.solve_rates(capacity, tol, [price]).tobytes()
-        assert paths.top == paths.predicted == 18
+        want = self.solve_rates(capacity, tol, [price])
+        for lanes in (LANE_BY_LANE_BELOW, 1):
+            paths = LanePaths(np.empty(0), np.empty(0), np.ones(lanes), capacity, tol)
+            got = solve_lanes(paths, np.full(lanes, price))
+            assert got.tobytes() == np.repeat(want, lanes).tobytes()
+            assert (paths.top, paths.predicted) == ((18, 18) if lanes > 1 else (0, 18))
 
     @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
     def test_a_clamped_lane_beside_them(self, capacity, tol, prices):
@@ -569,9 +603,6 @@ class TestUnevenStops:
         assert got[2] == capacity
 
 
-# Root estimates anywhere around the bracket, the ones no bracket holds, and
-# the first midpoint itself, where mid <= root holds with equality.
-walk_roots = log_uniform(-15, 5) | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, "first midpoint"])
 # (capacity, tol), tol below capacity/2 so that level 0 has a lane to walk:
 # anywhere; the uneven stops'; and tols below the float spacing at the
 # roots, subnormal ones included, which walk to the step cap
@@ -582,55 +613,84 @@ walk_brackets = (
 )
 
 
-class TestLaneByLaneWalk:
-    """Below ``LANE_BY_LANE_BELOW`` lanes, the solve walks its estimated
-    paths one lane at a time in Python floats.  From the same paths, bracket
-    and level, that walk and the lockstep one write the same midpoints,
-    widths, ``on`` rows and bracket, and end at the same levels."""
+# Root estimates that send every few-lane walk off its path, or nowhere.
+FAR_ROOTS = [np.nan, np.inf, -np.inf, 0.0, 1e-300, 1e300]
 
-    @staticmethod
-    def assert_walks_agree(roots, clamped, capacity, tol, start):
-        roots = np.array([(tol + capacity) * 0.5 if r == "first midpoint" else r for r in roots], dtype=float)
-        first = np.where(clamped, capacity, np.array([[tol], [capacity]]))
-        paths = LanePaths(np.empty(0), np.empty(0), np.ones(len(roots)), capacity, tol)
 
-        def by_root(_, mid, ups):
-            np.less_equal(mid, roots, out=ups)
-
-        # down to level start, or from level 0 if every lane is within tol there
-        bracket = first.copy()
-        _bisect_in_lockstep(paths, bracket, by_root, 0, start)
-        if not np.count_nonzero(bracket[1] - bracket[0] > tol):
-            start, bracket = 0, first
-        assert np.count_nonzero(np.subtract(bracket[1], bracket[0], out=paths.widths[start]) > tol)
-        lane_by_lane, lane_bracket = copy.deepcopy(paths), bracket.copy()
-        tol = np.array(tol)
-        want = _walk(paths, start, tol, partial(_bisect_in_lockstep, paths, bracket, by_root))
-        got = _walk(lane_by_lane, start, tol, partial(_bisect_lane_by_lane, lane_by_lane, lane_bracket, roots.tolist()))
-        assert got == want
-        for name in ("mids", "widths", "on"):
-            assert getattr(lane_by_lane, name).tobytes() == getattr(paths, name).tobytes(), name
-        assert lane_bracket.tobytes() == bracket.tobytes()
+class TestFewLanes:
+    """Below ``LANE_BY_LANE_BELOW`` lanes, each lane walks from level 0 to
+    its own stop against its estimated root in Python floats, and one call
+    per slope kernel checks every midpoint so visited; a wrong decision, an
+    unscreened guard or the step cap hands the round to the lockstep walk.
+    Either way every lane equals its own ``solve_rate``, errors included."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
-        lanes=st.lists(st.tuples(walk_roots, st.sampled_from([False, False, False, True])), min_size=1, max_size=12),
+        data=st.data(),
+        users=st.lists(lane_users, min_size=1, max_size=LANE_BY_LANE_BELOW - 1),
         bracket=walk_brackets,
-        start=st.integers(0, 40),
+        estimate=st.sampled_from(["real", "real", *FAR_ROOTS]),
     )
-    def test_both_walks_write_the_same_rows(self, lanes, bracket, start):
-        roots, clamped = zip(*lanes)
-        # the first lane walks
-        self.assert_walks_agree(roots, np.array([False, *clamped[1:]]), *bracket, start)
+    def test_every_lane_equals_solve_rate(self, data, users, bracket, estimate):
+        # about a quarter of the lanes priced at half their slope at
+        # capacity, where it is positive and finite, which clamps them
+        capacity, tol = bracket
+        clamp = data.draw(st.lists(st.sampled_from([False, False, False, True]),
+                                   min_size=len(users), max_size=len(users)))
+        users = [(*u[:3], self.half_slope_at(u, capacity) or u[3]) if c else u for u, c in zip(users, clamp)]
+        with ExitStack() if estimate == "real" else patch_roots(*[lambda *args: np.full(len(args[-1]), estimate)] * 2):
+            TestSolveLanes.assert_lanes_equal_solve_rate(users, capacity, tol)
 
-    @pytest.mark.parametrize(
-        "capacity, tol, prices", [*UNEVEN_STOPS, (0.9648064809633523, 3.6804306050586654e-06, (0.7699745596976851,))]
-    )
-    def test_stops_one_level_apart(self, capacity, tol, prices):
-        # TestUnevenStops' lanes at their own roots: rounding stops each pair
-        # one level apart, and the lone lane's walk ends one level past its stop
-        roots = logarithmic_root(np.ones(len(prices)), np.array(prices))
-        self.assert_walks_agree(roots, np.zeros(len(prices), dtype=bool), capacity, tol, 0)
+    @staticmethod
+    def half_slope_at(user, capacity):
+        with np.errstate(divide="ignore", over="ignore"):
+            if user[0] == "sig":
+                half = 0.5 * float(sigmoid_slope(user[1], -user[1], user[2], capacity))
+            else:
+                half = 0.5 * float(logarithmic_slope(user[1], capacity))
+        return half if 0.0 < half < np.inf else None
+
+    @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
+    def test_uneven_stops(self, capacity, tol, prices):
+        # TestUnevenStops' lanes, beside a clamped one, under the real
+        # estimates and under ones that send the round to the lockstep walk
+        prices = (*prices, 1e-12)
+        want = TestUnevenStops.solve_rates(capacity, tol, prices)
+        for estimate in ("real", *FAR_ROOTS):
+            with ExitStack() if estimate == "real" else patch_roots(
+                    logarithmic=lambda k, price: np.full(len(price), estimate)):
+                got = solve_lanes(LanePaths(np.empty(0), np.empty(0), np.ones(3), capacity, tol), np.array(prices))
+            assert got.tobytes() == want.tobytes(), estimate
+
+    def test_a_wrong_estimate_hands_the_round_to_the_lockstep_walk(self):
+        # the fixed preset's 6 lanes with NaN sigmoid estimates: the float
+        # walks go down at every level, the check finds some of them wrong,
+        # and the lockstep walk from level 0 takes the round: it looks its
+        # first levels up, walks by the slopes below the first wrong one,
+        # and records the round's paths; the next round, with the real
+        # estimates, walks in floats and records none
+        lanes = np.array([15.0, 10.0, 5.0]), np.array([20.0, 25.0, 35.0]), np.array([1.0, 0.1, 0.02])
+        price = np.full(6, 0.05)
+        utilities = [SigmoidalUtility(a=a, b=b) for a, b in zip(*lanes[:2])] + [
+            LogarithmicUtility(k=k, r_max=R) for k in lanes[2]]
+        want = np.array([solve_rate(u, 0.05, R) for u in utilities])
+        paths = LanePaths(*lanes, R)
+        with patch_roots(sigmoid=lambda a, b, price: np.full(len(price), np.nan)):
+            assert solve_lanes(paths, price).tobytes() == want.tobytes()
+        assert (paths.top, paths.walked, paths.looked_up) == (27, 25, TABLE_LEVELS)
+        assert solve_lanes(paths, price).tobytes() == want.tobytes()
+        assert (paths.top, paths.walked, paths.predicted, paths.looked_up, paths.compared) == (0, 0, 27, 0, 0)
+
+    def test_step_cap_and_unscreened_guard_raise_as_solve_rate(self):
+        # tol below the float spacing at R: every walk reaches the step cap;
+        # a = 1e-306 fails its guard at tol, and its slope is undefined on
+        # its path at the price 1e5
+        with pytest.raises(BisectionError, match="200 bisection steps"):
+            solve_lanes(LanePaths(np.array([15.0]), np.array([20.0]), np.empty(0), R, 1e-20), np.ones(1))
+        paths = LanePaths(np.array([1e-306, 15.0]), np.array([50.0, 20.0]), np.empty(0), R)
+        with pytest.raises(RateDomainError, match="a\\*r underflows"):
+            solve_lanes(paths, np.array([1e5, 0.3]))
+        assert paths.top == 0
 
 
 # The capacities whose trees the table covers to 7 and 15 levels above tol
@@ -673,9 +733,9 @@ class TestLookedUpWalk:
         paths = LanePaths(np.empty(0), np.empty(0), np.ones(len(roots)), capacity)
         bracket = np.where(clamped, capacity, paths.first_bracket)
         np.greater(np.subtract(bracket[1], bracket[0], out=paths.widths[0]), paths.tol_array, out=paths.on[0])
-        by_root = partial(_bisect_in_lockstep, paths, bracket, lambda _, mid, ups: np.less_equal(mid, roots, out=ups))
         look_up = partial(_look_up, paths, bracket, roots, clamped, np.count_nonzero(clamped)) if looked_up else None
-        return paths, bracket, _walk(paths, 0, paths.tol_array, by_root, look_up)
+        return paths, bracket, _walk(paths, bracket, 0, paths.tol_array,
+                                     lambda _, mid, ups: np.less_equal(mid, roots, out=ups), look_up)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(walk=table_walks())
@@ -729,8 +789,8 @@ class TestLookedUpWalk:
         assert midpoint_table(TOL, 100.0)[0].nbytes <= 2**19 + 8
 
     def test_a_few_lanes_and_a_resumed_walk_look_nothing_up(self):
-        lanes = np.tile([15.0, 10.0, 5.0], 3), np.tile([20.0, 25.0, 35.0], 3), np.tile([1.0, 0.1, 0.02], 3)
-        price = np.full(18, 0.05)
+        lanes = np.tile([15.0, 10.0, 5.0], 4), np.tile([20.0, 25.0, 35.0], 4), np.tile([1.0, 0.1, 0.02], 4)
+        price = np.full(24, 0.05)
         paths = LanePaths(*lanes, R)
         solve_lanes(paths, price)
         assert paths.looked_up == TABLE_LEVELS
@@ -759,13 +819,27 @@ class TestSlopeCalls:
         return calls
 
     def test_a_repeated_solve_takes_no_slope(self, monkeypatch):
+        # LANE_BY_LANE_BELOW lanes or more, in lockstep; the last lane is clamped
+        copies = LANE_BY_LANE_BELOW // 4 + 1
+        sigmoid = np.array([15.0, 5.0] * copies), np.array([20.0, 35.0] * copies)
+        lanes = *sigmoid, np.array([0.1, 1.0] * copies)
+        price = np.array([0.3, 0.05] * copies + [0.02, 1e-9] * copies)
+        paths = LanePaths(*lanes, R)
+        first = solve_lanes(paths, price)
+        calls = self.count_calls(monkeypatch)
+        again = solve_lanes(paths, price)
+        assert calls == {"sigmoid_slope": 0, "logarithmic_slope": 0}
+        assert again.tobytes() == first.tobytes()
+        assert again[-1] == R
+
+    def test_a_few_lanes_take_one_call_per_kernel(self, monkeypatch):
         lanes = np.array([15.0, 5.0]), np.array([20.0, 35.0]), np.array([0.1, 1.0])
         price = np.array([0.3, 0.05, 0.02, 1e-9])  # the last lane is clamped
         paths = LanePaths(*lanes, R)
         first = solve_lanes(paths, price)
         calls = self.count_calls(monkeypatch)
         again = solve_lanes(paths, price)
-        assert calls == {"sigmoid_slope": 0, "logarithmic_slope": 0}
+        assert calls == {"sigmoid_slope": 1, "logarithmic_slope": 1}
         assert again.tobytes() == first.tobytes()
         assert again[3] == R
 
