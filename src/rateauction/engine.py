@@ -39,11 +39,11 @@ lanes, their screen and slopes, and the buffers stay.  A batch that runs
 leave builds new paths for the runs left: runs with no drawn user differ
 only in their seed, so they are identical and leave together, each with
 its sampler and ledger rows.  One DEBUG line per batch reports its first
-round's lanes against its (run, user) cells, the levels walked by the
-slopes, the levels walked against the estimated roots and those of them
-looked up in the midpoint table, the recorded levels the replays compared,
-and the sampler's blocks, cells and cells redrawn off the ziggurat's fast
-path.
+round's lanes against its (run, user) cells, the lanes re-solved by the
+scalar solver after a failed check, the levels walked against the
+estimated roots and those of them looked up in the midpoint table, the
+recorded levels the replays compared, and the sampler's blocks, cells and
+cells redrawn off the ziggurat's fast path.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -292,7 +292,7 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
                                capacity, cap, growing=early_stop)
     ledger = BidLedger(capacity, scenario.delta)
     paths = None  # built for each new lane layout
-    walked = predicted = looked_up = compared = 0
+    resolved = predicted = looked_up = compared = 0
     live = np.arange(runs)
     prices = np.full(runs, BOOTSTRAP_PRICE)
     rounds = []  # per round: live, prices, rates, bids, a, b
@@ -317,7 +317,7 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
             lanes = solve_lanes(paths, prices[lane_run])
         except (ValueError, BisectionError):  # the scalar replay raises the precise error
             _raise_first_failure(scenario, [seeds[i] for i in live.tolist()], prices, n)
-        walked, predicted, compared = walked + paths.walked, predicted + paths.predicted, compared + paths.compared
+        resolved, predicted, compared = resolved + paths.walked, predicted + paths.predicted, compared + paths.compared
         looked_up += paths.looked_up
         rates = lanes[lane_of]
         bids = prices[:, None] * rates
@@ -339,8 +339,8 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
                 break
             k_lanes, lane_run, lane_of = _lane_layout(len(live), sigmoid, column, a.shape[1], k)
     drew = (sampler.blocks, sampler.cells, sampler.redrawn) if drawn else (0, 0, 0)
-    logger.debug("lane solve: %d lanes for %d cells; %d levels walked, %d predicted (%d looked up), %d compared; "
-                 "sampler: %d blocks, %d cells, %d redrawn", *first_layout, walked, predicted, looked_up, compared,
+    logger.debug("lane solve: %d lanes for %d cells; %d lanes re-solved, %d predicted (%d looked up), %d compared; "
+                 "sampler: %d blocks, %d cells, %d redrawn", *first_layout, resolved, predicted, looked_up, compared,
                  *drew)
     # each run's prices, rates, bids, a and b, in round order; a and b per sigmoid user
     run_of, *kept = map(np.concatenate, zip(*rounds))

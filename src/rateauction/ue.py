@@ -28,27 +28,29 @@ estimated roots, each in Python floats, and one kernel call per family
 checks every decision.  More lanes first replay each lane's last bisection
 path, kept in its :class:`LanePaths`, whose recorded slopes the same float
 operations give again; below the first flipped decision they walk against
-the estimated roots in numpy lockstep, check those decisions the same way,
-and walk by the slopes only below a wrong one.  A lockstep walk halves
-every lane's bracket, and a lane that stopped above the last level takes
-its midpoint where it stopped.  One from level 0 takes its first
-``TABLE_LEVELS`` levels from the bisection tree of ``(tol, capacity)``,
-built once (:func:`midpoint_table`): a lane's leaf is the count of the
-tree's midpoints at most its root, one ``searchsorted``.  New sigmoid
-parameters are set into the paths (:meth:`LanePaths.set_sigmoid`), which
-forgets them.
+the estimated roots in numpy lockstep and check those decisions the same
+way.  Either walk's lanes whose check fails are solved again by
+:func:`solve_rate`.  A lockstep walk halves every lane's bracket, and a
+lane that stopped above the last level takes its midpoint where it
+stopped.  One from level 0 takes its first ``TABLE_LEVELS`` levels from
+the bisection tree of ``(tol, capacity)``, built once
+(:func:`midpoint_table`): a lane's leaf is the count of the tree's
+midpoints at most its root, one ``searchsorted``.  New sigmoid parameters
+are set into the paths (:meth:`LanePaths.set_sigmoid`), which forgets them.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .utility import (
+    LogarithmicUtility,
     RateDomainError,
+    SigmoidalUtility,
     UtilityFunction,
     check_logarithmic_rate,
     check_sigmoid_rate,
@@ -146,10 +148,11 @@ class LanePaths:
     lane's decision flips.  Of the last solve, ``predicted`` counts the
     levels walked against the estimated roots, ``looked_up`` those of them
     taken from the :func:`midpoint_table` (whose widths rows, above the
-    last, the walk leaves unwritten), ``walked`` the levels walked by the
-    slopes below a wrong estimate, and ``compared`` the recorded levels the
-    replay compared.  A few-lane solve (:func:`_solve_each`) records no
-    path, and its ``predicted`` is its deepest lane's levels.
+    last, the walk leaves unwritten), ``walked`` the lanes whose check
+    failed, solved again by :func:`solve_rate`, and ``compared`` the
+    recorded levels the replay compared.  A few-lane solve
+    (:func:`_solve_each`), or one that solved a lane again, records no
+    path; a few-lane ``predicted`` is its deepest lane's levels.
     """
 
     def __init__(self, a, b, k, capacity: float, tol: float = DEFAULT_RATE_TOL) -> None:
@@ -213,26 +216,26 @@ class LanePaths:
         if np.count_nonzero(on_path[0]) + n_clamped != len(price):
             return 0
         self.compared = top
-        flipped = self._flip_first(0, top, price)
+        flipped = self._flip_first(top, price)
         level = top if flipped is None else flipped + 1
         self._narrow(level, lo, hi)
         return level
 
-    def _flip_first(self, start: int, top: int, price) -> Optional[int]:
-        """The first of levels ``[start, top)`` at which a lane's recorded
+    def _flip_first(self, top: int, price) -> Optional[int]:
+        """The first of levels ``[0, top)`` at which a lane's recorded
         decision differs from ``slope >= price`` on its path, with that level's
         flipped decisions taken; None if no decision flips."""
         # a walk writes every lane into each row it reaches, so each slope
         # on a path is the one its midpoint gives with these parameters
-        flips = np.greater_equal(self.slopes[start:top], price)
-        flips ^= self.moves[start:top]
-        flips &= self.on[start:top]
+        flips = np.greater_equal(self.slopes[:top], price)
+        flips ^= self.moves[:top]
+        flips &= self.on[:top]
         first = int(flips.argmax())  # row-major: on the first flipped level
         if not flips.item(first):
             return None
         level = first // len(price)
-        self.moves[start + level] ^= flips[level]
-        return start + level
+        self.moves[level] ^= flips[level]
+        return level
 
     def _narrow(self, level: int, lo, hi) -> None:
         """Narrow ``lo`` and ``hi`` from each lane's first bracket to its
@@ -245,34 +248,39 @@ class LanePaths:
         np.minimum.reduce(np.where(before ^ ups, mids, hi), axis=0, out=hi)
 
 
-def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, decide, look_up=None) -> tuple[int, int]:
+def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, root) -> tuple[int, int]:
     """Bisect every lane of ``bracket`` in lockstep from ``level``, whose
-    widths row holds some lane wider than ``tol``, deciding by ``decide``
-    (see :func:`_bisect_in_lockstep`).  Return the level at which none is
-    left or the step cap is reached, and the level the bracket was walked to.
+    widths row holds some lane wider than ``tol``, against ``root``, a few
+    numpy calls a level: ``mid <= root`` stands in for ``slope >= price``.
+    Return the level at which none is left or the step cap is reached, and
+    the level the bracket was walked to.
 
     No lane is masked: one within ``tol`` halves on (a clamped ``[capacity,
     capacity]`` stays put), and its rate is its midpoint where it stopped.
-    ``look_up(end)``, given for a walk from level 0, takes the first of
-    levels ``[0, end)`` instead, with their ``on`` rows and the width below
-    them, and returns how many it took.
     """
-    widths = paths.widths
-    start = first = level
+    (lo, hi), mids, widths = bracket, paths.mids, paths.widths
+    # rows of the bracket a lane's midpoint replaces: lo where it is at
+    # most the root, hi where it is above
+    ups, downs = moved_to = np.empty(bracket.shape, dtype=bool)
+    start = level
     log2_tol = math.log2(tol)
     while True:
         # every level halves each bracket, so the widest is within tol
         # after about this many; a NaN or infinite width walks to the cap
         steps = min(MAX_BISECTION_STEPS, math.log2(widths[level].max()) - log2_tol)
         end = min(MAX_BISECTION_STEPS, level + max(1, math.ceil(steps)))
-        if look_up is not None:
-            level = first = look_up(end)
-            look_up = None
-        _bisect_in_lockstep(paths, bracket, decide, level, end)
+        for row in range(level, end):
+            mid = mids[row]
+            np.add(lo, hi, out=mid)
+            mid *= HALF
+            np.less_equal(mid, root, out=ups)
+            np.logical_not(ups, out=downs)
+            np.copyto(bracket, mid, where=moved_to)
+            np.subtract(hi, lo, out=widths[row + 1])
         level = end
         if level == MAX_BISECTION_STEPS or not np.count_nonzero(np.greater(widths[level], tol, out=paths.on[level])):
             break
-    np.greater(widths[first : level + 1], tol, out=paths.on[first : level + 1])
+    np.greater(widths[start : level + 1], tol, out=paths.on[start : level + 1])
     on = paths.on[start : level + 1]
     if level > start and not np.count_nonzero(on[-2]):
         # rounding stopped every lane above the last level: end at the first with none
@@ -305,15 +313,13 @@ def midpoint_table(tol: float, capacity: float) -> tuple[np.ndarray, np.ndarray]
     return ends, spans
 
 
-def _look_up(paths: LanePaths, bracket: np.ndarray, root, clamped, n_clamped: int, end: int) -> int:
-    """Walk levels ``[0, end)`` against ``root``, as far as the paths'
-    :func:`midpoint_table` reaches, from the first bracket: each lane's
-    midpoints, the ``on`` rows below level 0, the bracket and its width
-    where the table ends.  Returns the levels taken."""
+def _look_up(paths: LanePaths, bracket: np.ndarray, root, clamped, n_clamped: int) -> int:
+    """Walk against ``root`` from the first bracket as far as the paths'
+    :func:`midpoint_table` reaches: each lane's midpoints, the ``on`` rows
+    below level 0, the bracket and its width where the table ends.  Returns
+    the levels taken, at least 1 where level 0 has a lane wider than tol."""
     ends, spans = midpoint_table(paths.tol, paths.capacity)
-    levels = min(end, len(spans) - 1)
-    if not levels:
-        return 0
+    levels = len(spans) - 1
     # mid <= root moves a lane right at every midpoint, so the leaf it ends
     # in is the count of midpoints at most its root; NaN moves it left
     leaf = np.searchsorted(ends[1:-1], np.fmax(root, -np.inf), side="right")
@@ -337,43 +343,42 @@ def _look_up(paths: LanePaths, bracket: np.ndarray, root, clamped, n_clamped: in
     return levels
 
 
-def _bisect_in_lockstep(paths: LanePaths, bracket: np.ndarray, decide, start: int, end: int) -> None:
-    """Walk levels ``[start, end)`` of every lane at once, a few numpy calls
-    a level.  ``decide(level, mid, ups)`` writes each lane's ``slope >=
-    price`` at the level's midpoints into ``ups``."""
-    (lo, hi), mids, widths = bracket, paths.mids, paths.widths
-    # rows of the bracket a lane's midpoint replaces: lo where its slope is
-    # at least the price, hi where it is below
-    ups, downs = moved_to = np.empty(bracket.shape, dtype=bool)
-    for row in range(start, end):
-        mid = mids[row]
-        np.add(lo, hi, out=mid)
-        mid *= HALF
-        decide(row, mid, ups)
-        np.logical_not(ups, out=downs)
-        np.copyto(bracket, mid, where=moved_to)
-        np.subtract(hi, lo, out=widths[row + 1])
+def _solve_again(paths: LanePaths, price, lanes, rates):
+    """Solve each of ``lanes`` again with :func:`solve_rate` into ``rates``,
+    and return them.  A lane's ``BisectionError`` is held until every lane
+    is solved, so that another's ``RateDomainError`` comes first."""
+    s, capacity, held = len(paths.a), paths.capacity, None
+    for j in lanes:
+        utility = (SigmoidalUtility(float(paths.a[j]), float(paths.b[j])) if j < s
+                   else LogarithmicUtility(float(paths.k[j - s]), capacity))
+        try:
+            rates[j] = solve_rate(utility, float(price[j]), capacity, paths.tol)
+        except BisectionError as exc:
+            held = held or exc
+    paths.walked = len(lanes)
+    if held:
+        raise held
+    return rates
 
 
-def _solve_each(paths: LanePaths, price, clamped) -> Optional[np.ndarray]:
+def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
     """The rates of fewer than ``LANE_BY_LANE_BELOW`` lanes, each walked from
     level 0 to its own stop against its estimated root in Python floats (a
     NaN root moves ``hi``), then checked at every midpoint so visited, one
-    slope-kernel call per family.  None where the guards are not screened,
-    a walk reaches the step cap, or a ``mid <= root`` is not ``slope >= price``.
+    slope-kernel call per family.  A lane whose walk reaches the step cap,
+    or whose ``mid <= root`` is not ``slope >= price``, is solved again.
     Records no path."""
-    paths.top = paths.walked = paths.looked_up = paths.compared = 0
-    if not paths.screened:
-        return None
+    paths.top = paths.looked_up = paths.compared = 0
     a, s, tol, capacity, prices = paths.a, len(paths.a), paths.tol, paths.capacity, price.tolist()
     roots = [*sigmoid_root_floats(a.tolist(), paths.b.tolist(), prices[:s]),
              *logarithmic_root_floats(paths.k.tolist(), prices[s:])]
-    rates, mids, moves, levels = [], [], [], []
-    for root, held in zip(roots, clamped.tolist()):
+    rates, mids, moves, levels, again = [], [], [], [], set()
+    for lane, (root, held) in enumerate(zip(roots, clamped.tolist())):
         lo, hi, level = (capacity if held else tol), capacity, 0
         while hi - lo > tol:
             if level == MAX_BISECTION_STEPS:
-                return None
+                again.add(lane)
+                break
             mid = (lo + hi) * 0.5
             mids.append(mid)
             moves.append(mid <= root)
@@ -384,15 +389,21 @@ def _solve_each(paths: LanePaths, price, clamped) -> Optional[np.ndarray]:
             level += 1
         levels.append(level)
         rates.append(capacity if held else (lo + hi) * 0.5)
-    # each midpoint beside its lane's parameters and price, sigmoid lanes first
+    # each midpoint beside its lane's parameters and price, sigmoid lanes
+    # first; one outside the domain is guarded below if on a lane's path
     mid, slopes, n = np.array(mids), np.empty(len(mids)), sum(levels[:s])
-    with np.errstate(over="ignore"):  # a logistic term that overflows reads 0
+    with np.errstate(divide="ignore", over="ignore"):
         sigmoid_slope(*(np.repeat(p, levels[:s]) for p in (a, paths.neg_a, paths.b)), mid[:n], out=slopes[:n])
-    logarithmic_slope(np.repeat(paths.k, levels[s:]), mid[n:], out=slopes[n:])
-    if (slopes >= np.repeat(price, levels)).tolist() != moves:
-        return None
+        logarithmic_slope(np.repeat(paths.k, levels[s:]), mid[n:], out=slopes[n:])
+    ups = slopes >= np.repeat(price, levels)
+    if ups.tolist() != moves:  # the lanes of the wrong decisions
+        again.update(np.searchsorted(np.cumsum(levels), np.flatnonzero(ups != moves), side="right").tolist())
+    if not paths.screened:  # the checked walks are the lanes' paths
+        on_paths = np.where(np.repeat([j in again for j in range(len(levels))], levels), capacity, mid)
+        check_sigmoid_rate(np.repeat(a, levels[:s]), on_paths[:n])
+        check_logarithmic_rate(np.repeat(paths.k, levels[s:]), on_paths[n:])
     paths.predicted = max(levels, default=0)
-    return np.array(rates)
+    return _solve_again(paths, price, sorted(again), np.array(rates))
 
 
 def solve_lanes(paths: LanePaths, price) -> np.ndarray:
@@ -410,18 +421,17 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     path, so the next solve walks every lane from level 0.
 
     Fewer than ``LANE_BY_LANE_BELOW`` lanes walk from level 0 against
-    their estimated roots in Python floats (:func:`_solve_each`); a wrong
-    decision, guards failing at ``tol`` or the step cap hand the round to
-    the lockstep walk from level 0, which raises where a lane does.  A
-    lockstep solve replays the recorded paths, then bisects below them
-    against the estimated roots (:func:`~rateauction.utility.sigmoid_root`,
+    their estimated roots in Python floats (:func:`_solve_each`).  More
+    replay the recorded paths, then bisect below them in lockstep against
+    the estimated roots (:func:`~rateauction.utility.sigmoid_root`,
     :func:`~rateauction.utility.logarithmic_root`; from level 0, the first
-    levels from the :func:`midpoint_table`), and checks every decision so
+    levels from the :func:`midpoint_table`), and check every decision so
     made in one pass as the replay does.  A level's midpoint depends only
-    on the decisions above it, so the levels above the first flip are the
-    true path's, and the walk goes on below it by the slopes.  Guards
-    failing at ``tol`` run over the true paths' midpoints only, so an
-    estimate can cost time but never changes a rate, raises or warns.
+    on the decisions above it, so a lane whose decisions all hold walked
+    its true path; :func:`solve_rate` solves every other lane again, and
+    the round records no path.  Guards failing at ``tol`` run over the
+    checked paths' midpoints only, so an estimate can cost time but never
+    changes a rate, raises or warns.
     """
     price = np.asarray(price, dtype=float)
     if np.count_nonzero(price > 0) != price.size:
@@ -429,62 +439,54 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     at_capacity = paths.at_capacity
     if len(at_capacity) != len(price):
         raise ValueError(f"paths hold {len(at_capacity)} lanes, the solve has {len(price)}")
+    clamped = at_capacity >= price
+    if len(price) < LANE_BY_LANE_BELOW:
+        return _solve_each(paths, price, clamped)
     # Basic slices keep both families' views contiguous and copy-free.
     a, neg_a, b, k, capacity, tol = paths.a, paths.neg_a, paths.b, paths.k, paths.capacity, paths.tol
-    s = len(a)
-    clamped = at_capacity >= price
-    if len(price) < LANE_BY_LANE_BELOW and (rates := _solve_each(paths, price, clamped)) is not None:
-        return rates
+    s, tol_array = len(a), paths.tol_array
     n_clamped = np.count_nonzero(clamped)
     # Each lane's bracket, rows lo and hi.  A clamped lane starts as
     # [capacity, capacity]: never active, and its midpoint is capacity exactly.
-    first_bracket, tol_array = paths.first_bracket, paths.tol_array
-    bracket = np.where(clamped, capacity, first_bracket)
+    bracket = np.where(clamped, capacity, paths.first_bracket)
     lo, hi = bracket
     resume = paths._replay(price, clamped, n_clamped, lo, hi)
-    mids, slopes, moves, on = paths.mids, paths.slopes, paths.moves, paths.on
+    mids, slopes, moves, on, widths = paths.mids, paths.slopes, paths.moves, paths.on, paths.widths
     paths.top = paths.looked_up = 0  # a walk that raises leaves no paths
-
-    def evaluate(rows, mid):  # the slopes at mid into rows
-        sigmoid_slope(a, neg_a, b, mid[..., :s], out=slopes[rows, :s])
-        logarithmic_slope(k, mid[..., s:], out=slopes[rows, s:])
-
-    def by_slope(level, mid, ups):
-        evaluate(level, mid)
-        np.greater_equal(slopes[level], price, out=ups)
-
+    again = ()
     # The slope kernels are unguarded, and a midpoint outside their domain
     # divides by zero or overflows: quietly here, since the guard below
     # raises for it where it lies on a lane's path.
     with np.errstate(divide="ignore", over="ignore"):
         level = end = resume
-        if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[resume]), tol_array, out=on[resume])):
+        if np.count_nonzero(np.greater(np.subtract(hi, lo, out=widths[resume]), tol_array, out=on[resume])):
             root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
-            look_up = None if resume else partial(_look_up, paths, bracket, root, clamped, n_clamped)
-            level, end = _walk(paths, bracket, resume, tol_array, lambda _, mid, ups: np.less_equal(mid, root, out=ups),
-                               look_up)
+            if not resume:
+                level = end = _look_up(paths, bracket, root, clamped, n_clamped)
+            if level == resume or np.count_nonzero(np.greater(widths[level], tol_array, out=on[level])):
+                level, end = _walk(paths, bracket, level, tol_array, root)
             np.less_equal(mids[resume:level], root, out=moves[resume:level])
-        predicted, exact = level, level
-        if predicted > resume:
-            evaluate(slice(resume, predicted), mids[resume:predicted])
-            flipped = paths._flip_first(resume, predicted, price)
-            if flipped is not None:
-                # the levels down to the first flip are the true path's:
-                # narrow the first bracket through them
-                bracket[...] = np.where(clamped, capacity, first_bracket)
-                exact = flipped + 1
-                paths._narrow(exact, lo, hi)
-                level = end = exact
-                if np.count_nonzero(np.greater(np.subtract(hi, lo, out=paths.widths[exact]), tol_array, out=on[exact])):
-                    level, end = _walk(paths, bracket, exact, tol_array, by_slope)
-                    np.greater_equal(slopes[exact:level], price, out=moves[exact:level])
-    # Where a lane fails its guard at tol, the guards run over every lane's
-    # path, raising before the step cap as a guarded walk would.  Estimated
-    # midpoints below a wrong decision are on no path, or walked over again.
+            sigmoid_slope(a, neg_a, b, mids[resume:level, :s], out=slopes[resume:level, :s])
+            logarithmic_slope(k, mids[resume:level, s:], out=slopes[resume:level, s:])
+            wrong = np.greater_equal(slopes[resume:level], price)
+            wrong ^= moves[resume:level]
+            wrong &= on[resume:level]
+            if np.count_nonzero(wrong):  # those lanes' walks leave their paths
+                again = np.flatnonzero(wrong.any(axis=0)).tolist()
+                on[resume : level + 1, again] = False
+    rates = np.add(lo, hi)
+    rates *= HALF
+    if end > resume and np.count_nonzero(on[end - 1]) + n_clamped != len(price):
+        # lanes the walk halved on past their stop take their midpoint there
+        early = np.flatnonzero(np.less(on[end - 1], ~clamped))
+        rates[early] = mids[np.count_nonzero(on[:end, early], axis=0), early]
+    # Where a lane fails its guard at tol, the guards run over every checked
+    # lane's path, raising before the step cap as a guarded walk would.
     if not paths.screened:
         on_paths = np.where(on[resume:level], mids[resume:level], capacity)
         check_sigmoid_rate(a, on_paths[:, :s])
         check_logarithmic_rate(k, on_paths[:, s:])
+    rates = _solve_again(paths, price, again, rates)
     if level == MAX_BISECTION_STEPS and (active := np.count_nonzero(on[level])):
         raise BisectionError(
             f"no convergence after {MAX_BISECTION_STEPS} bisection steps in "
@@ -492,13 +494,7 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
         )
     # every path ends within the levels walked: a lane's path ends where it
     # stopped, before the walk or in it
-    paths.top, paths.predicted, paths.walked = level, predicted - resume, level - exact
-    rates = np.add(lo, hi)
-    rates *= HALF
-    if end > resume and np.count_nonzero(on[end - 1]) + n_clamped != len(price):
-        # lanes the walk halved on past their stop take their midpoint there
-        early = np.flatnonzero(np.less(on[end - 1], ~clamped))
-        rates[early] = mids[np.count_nonzero(on[:end, early], axis=0), early]
+    paths.top, paths.predicted = (0 if again else level), level - resume
     return rates
 
 

@@ -342,7 +342,7 @@ def batch_line(caplog, execute) -> tuple[int, ...]:
     with caplog.at_level(logging.DEBUG, logger="rateauction.engine"):
         execute()
     (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lane solve:")]
-    pattern = (r"lane solve: (\d+) lanes for (\d+) cells; (\d+) levels walked, (\d+) predicted "
+    pattern = (r"lane solve: (\d+) lanes for (\d+) cells; (\d+) lanes re-solved, (\d+) predicted "
                r"\((\d+) looked up\), (\d+) compared; "
                r"sampler: (\d+) blocks, (\d+) cells, (\d+) redrawn")
     return tuple(map(int, re.fullmatch(pattern, message).groups()))
@@ -350,16 +350,17 @@ def batch_line(caplog, execute) -> tuple[int, ...]:
 
 def batch_counts(caplog, execute) -> tuple[int, ...]:
     """The counts of the one batch ``execute`` runs, from its DEBUG line:
-    levels walked, predicted, looked up (of the predicted) and compared, and
-    the sampler's blocks, cells and cells redrawn."""
+    lanes re-solved, levels predicted, looked up (of the predicted) and
+    compared, and the sampler's blocks, cells and cells redrawn."""
     return batch_line(caplog, execute)[2:]
 
 
 class TestLanePaths:
     """A batch whose parameters stay replays each lane's last bisection
-    path; one DEBUG line per batch reports the levels walked by the slopes,
-    the levels walked against the estimated roots, those of them looked up
-    in the midpoint table, and the recorded levels compared."""
+    path; one DEBUG line per batch reports the lanes re-solved by
+    ``solve_rate`` after a failed check, the levels walked against the
+    estimated roots, those of them looked up in the midpoint table, and the
+    recorded levels compared."""
 
     @staticmethod
     def lane_work(caplog, execute) -> tuple[int, int, int, int]:
@@ -402,12 +403,25 @@ class TestLanePaths:
         assert [r.converged_at for r in results] == [87] * 4
 
     @pytest.mark.parametrize("name", ["normal", "triangular"])
-    def test_drawn_batches_walk_no_level_by_the_slopes(self, caplog, name):
+    def test_drawn_batches_solve_no_lane_again(self, caplog, name):
         # every estimated level of the 20 rounds holds against the slopes:
         # normal's lanes of small a, whose closed-form estimate is poor or
         # NaN, take a polished one.  Each round's 300 lanes walk from level
         # 0, and take its first 16 levels from the table
         assert self.lane_work(caplog, lambda: run_replication(preset(name), range(50))) == (0, 540, 20 * 16, 0)
+
+    def test_a_lane_failing_its_guard_at_tol_walks_in_floats(self, caplog):
+        # the fixed preset beside a = 1e-303, whose guard fails at tol but at
+        # no midpoint on its path: each of the 82 rounds' 7 lanes walks in
+        # floats, guarded on its checked path, and takes no lockstep walk
+        fixed = preset("fixed")
+        users = (*fixed.users, SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0)))
+        scenario = replace(fixed, delta=1e-6, max_iterations=200, users=users)
+        results = []
+        assert self.lane_work(caplog, lambda: results.append(run(scenario))) == (0, 2214, 0, 0)
+        (result,) = results
+        assert (result.stop_reason, result.converged_at) == ("converged", 82)
+        assert_cells_solved(scenario, result)
 
     def test_drawn_batches_replay_nothing(self, caplog):
         for name in ("normal", "triangular"):

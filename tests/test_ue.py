@@ -3,7 +3,6 @@
 import warnings
 from contextlib import ExitStack
 from dataclasses import replace
-from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -36,6 +35,7 @@ from rateauction.utility import (
     check_logarithmic_rate,
     check_sigmoid_rate,
     logarithmic_slope,
+    sigmoid_root,
     sigmoid_slope,
 )
 
@@ -242,19 +242,20 @@ class TestSolveLanes:
         with patch_roots(wrong_root(estimates[0]), wrong_root(estimates[1])):
             self.assert_lanes_equal_solve_rate(users * copies, capacity, tol)
 
-    def test_estimated_midpoints_outside_the_domain_are_not_guarded(self):
+    @pytest.mark.parametrize("copies", [1, LANE_BY_LANE_BELOW])
+    def test_estimated_midpoints_outside_the_domain_are_not_guarded(self, copies):
         # a*r underflows below r = 0.022 for a = 1e-306; the root lies near
         # r = 1, but an estimate of 1e-300 walks the bracket down towards
-        # tol first.  Those midpoints are off the lane's path: the solve
-        # neither raises nor warns for them.
-        lanes = np.array([1e-306]), np.array([50.0]), np.empty(0)
+        # tol first.  Those midpoints are off the lane's path: the solve,
+        # in floats or in lockstep, neither raises nor warns for them.
+        lanes = np.full(copies, 1e-306), np.full(copies, 50.0), np.empty(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with patch_roots(sigmoid=lambda a, b, price: np.full(len(price), 1e-300)):
                 paths = LanePaths(*lanes, R)
-                got = solve_lanes(paths, np.array([1.0]))
-        assert paths.walked  # the estimate was wrong, and steered the walk
-        assert got[0] == solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1.0, R)
+                got = solve_lanes(paths, np.ones(copies))
+        assert paths.walked == copies  # the estimates were wrong: solve_rate solved the lanes
+        assert (got == solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1.0, R)).all()
 
     def test_slope_at_capacity_past_the_logistic_overflow_is_quiet(self):
         # a*(R - b) = 1200: the logistic term's exp overflows, and the term is 0
@@ -318,16 +319,18 @@ class TestSolveLanes:
         assert again.tobytes() == solve_lanes(LanePaths(*lanes, R), price).tobytes()
         assert paths.compared == 0
 
-    def test_guard_covers_the_slope_walk(self):
+    @pytest.mark.parametrize("copies", [1, LANE_BY_LANE_BELOW])
+    def test_guard_covers_a_lane_solved_again(self, copies):
         # an estimate of 1e300 sends the first decision up, and the slope at
-        # R/2 sends it down: every level below walks by the slopes, and
-        # reaches r below 0.022, where a*r underflows for a = 1e-306
-        lanes = np.array([1e-306]), np.array([50.0]), np.empty(0)
+        # R/2 sends it down: solve_rate solves the lane again, and reaches r
+        # below 0.022, where a*r underflows for a = 1e-306; in floats and in
+        # lockstep alike
+        lanes = np.full(copies, 1e-306), np.full(copies, 50.0), np.empty(0)
         paths = LanePaths(*lanes, R)
         with patch_roots(sigmoid=lambda a, b, price: np.full(len(price), 1e300)):
             with pytest.raises(RateDomainError, match="a\\*r underflows"):
-                solve_lanes(paths, np.array([1e5]))
-        self.assert_solves_as_new(paths, lanes, np.array([1.0]))
+                solve_lanes(paths, np.full(copies, 1e5))
+        self.assert_solves_as_new(paths, lanes, np.full(copies, 1.0))
 
     def test_guard_comes_before_the_step_cap(self):
         # the sigmoid lane's root lies where the float spacing exceeds tol,
@@ -508,7 +511,31 @@ class TestLanePaths:
         price = np.tile([1e40 * (1 + 1e-15), 1e45], copies)
         want = solve_lanes(LanePaths(none, none, k, 1e4, 1e-53), price)
         assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert paths.walked + paths.predicted == 190 and not paths.compared
+        assert (paths.walked, paths.predicted, paths.compared) == (0, 190, 0)
+
+    def test_a_wrong_estimate_in_lockstep_is_solved_again(self):
+        # the fixed preset tiled to LANE_BY_LANE_BELOW lanes or more, with
+        # one sigmoid lane's estimate 1e300: the check finds that lane's
+        # first decision wrong, solve_rate solves exactly it again, and the
+        # round records no path, so the next solve compares nothing
+        copies = LANE_BY_LANE_BELOW // 6 + 1
+        lanes = np.tile([15.0, 10.0, 5.0], copies), np.tile([20.0, 25.0, 35.0], copies), np.tile([1.0, 0.1, 0.02], copies)
+        price = np.full(6 * copies, 0.05)
+        utilities = [SigmoidalUtility(a=a, b=b) for a, b in zip(*lanes[:2])] + [
+            LogarithmicUtility(k=k, r_max=R) for k in lanes[2]]
+        want = np.array([solve_rate(u, 0.05, R) for u in utilities])
+
+        def one_wrong(a, b, price):
+            root = sigmoid_root(a, b, price)
+            root[1] = 1e300
+            return root
+
+        paths = LanePaths(*lanes, R)
+        with patch_roots(sigmoid=one_wrong):
+            assert solve_lanes(paths, price).tobytes() == want.tobytes()
+        assert (paths.walked, paths.top, paths.looked_up) == (1, 0, TABLE_LEVELS)
+        assert solve_lanes(paths, price).tobytes() == want.tobytes()
+        assert (paths.walked, paths.compared) == (0, 0) and paths.top
 
     def test_paths_of_other_lanes_are_refused(self):
         paths = LanePaths(np.array([5.0]), np.array([35.0]), np.array([0.1]), R)
@@ -620,9 +647,9 @@ FAR_ROOTS = [np.nan, np.inf, -np.inf, 0.0, 1e-300, 1e300]
 class TestFewLanes:
     """Below ``LANE_BY_LANE_BELOW`` lanes, each lane walks from level 0 to
     its own stop against its estimated root in Python floats, and one call
-    per slope kernel checks every midpoint so visited; a wrong decision, an
-    unscreened guard or the step cap hands the round to the lockstep walk.
-    Either way every lane equals its own ``solve_rate``, errors included."""
+    per slope kernel checks every midpoint so visited; a lane with a wrong
+    decision or at the step cap is solved again by ``solve_rate``.  Every
+    lane equals its own ``solve_rate``, errors included."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -653,7 +680,7 @@ class TestFewLanes:
     @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
     def test_uneven_stops(self, capacity, tol, prices):
         # TestUnevenStops' lanes, beside a clamped one, under the real
-        # estimates and under ones that send the round to the lockstep walk
+        # estimates and under ones that send the lanes to solve_rate
         prices = (*prices, 1e-12)
         want = TestUnevenStops.solve_rates(capacity, tol, prices)
         for estimate in ("real", *FAR_ROOTS):
@@ -662,13 +689,11 @@ class TestFewLanes:
                 got = solve_lanes(LanePaths(np.empty(0), np.empty(0), np.ones(3), capacity, tol), np.array(prices))
             assert got.tobytes() == want.tobytes(), estimate
 
-    def test_a_wrong_estimate_hands_the_round_to_the_lockstep_walk(self):
+    def test_a_wrong_estimate_is_solved_again(self):
         # the fixed preset's 6 lanes with NaN sigmoid estimates: the float
-        # walks go down at every level, the check finds some of them wrong,
-        # and the lockstep walk from level 0 takes the round: it looks its
-        # first levels up, walks by the slopes below the first wrong one,
-        # and records the round's paths; the next round, with the real
-        # estimates, walks in floats and records none
+        # walks go down at every level, the check finds the 3 sigmoid ones
+        # wrong, and solve_rate solves those lanes again; the next round,
+        # with the real estimates, solves none again and replays nothing
         lanes = np.array([15.0, 10.0, 5.0]), np.array([20.0, 25.0, 35.0]), np.array([1.0, 0.1, 0.02])
         price = np.full(6, 0.05)
         utilities = [SigmoidalUtility(a=a, b=b) for a, b in zip(*lanes[:2])] + [
@@ -677,7 +702,7 @@ class TestFewLanes:
         paths = LanePaths(*lanes, R)
         with patch_roots(sigmoid=lambda a, b, price: np.full(len(price), np.nan)):
             assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.top, paths.walked, paths.looked_up) == (27, 25, TABLE_LEVELS)
+        assert (paths.top, paths.walked, paths.looked_up) == (0, 3, 0)
         assert solve_lanes(paths, price).tobytes() == want.tobytes()
         assert (paths.top, paths.walked, paths.predicted, paths.looked_up, paths.compared) == (0, 0, 27, 0, 0)
 
@@ -733,9 +758,11 @@ class TestLookedUpWalk:
         paths = LanePaths(np.empty(0), np.empty(0), np.ones(len(roots)), capacity)
         bracket = np.where(clamped, capacity, paths.first_bracket)
         np.greater(np.subtract(bracket[1], bracket[0], out=paths.widths[0]), paths.tol_array, out=paths.on[0])
-        look_up = partial(_look_up, paths, bracket, roots, clamped, np.count_nonzero(clamped)) if looked_up else None
-        return paths, bracket, _walk(paths, bracket, 0, paths.tol_array,
-                                     lambda _, mid, ups: np.less_equal(mid, roots, out=ups), look_up)
+        # the table's levels first, then the walk below them if a lane is left
+        level = _look_up(paths, bracket, roots, clamped, np.count_nonzero(clamped)) if looked_up else 0
+        if level and not np.count_nonzero(np.greater(paths.widths[level], paths.tol_array, out=paths.on[level])):
+            return paths, bracket, (level, level)
+        return paths, bracket, _walk(paths, bracket, level, paths.tol_array, roots)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(walk=table_walks())
