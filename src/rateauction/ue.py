@@ -392,16 +392,18 @@ def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
     # each midpoint beside its lane's parameters and price, sigmoid lanes
     # first; one outside the domain is guarded below if on a lane's path
     mid, slopes, n = np.array(mids), np.empty(len(mids)), sum(levels[:s])
+    sigmoid = [np.repeat(p, levels[:s]) for p in (a, paths.neg_a, paths.b)]
+    k = np.repeat(paths.k, levels[s:])
     with np.errstate(divide="ignore", over="ignore"):
-        sigmoid_slope(*(np.repeat(p, levels[:s]) for p in (a, paths.neg_a, paths.b)), mid[:n], out=slopes[:n])
-        logarithmic_slope(np.repeat(paths.k, levels[s:]), mid[n:], out=slopes[n:])
+        sigmoid_slope(*sigmoid, mid[:n], out=slopes[:n])
+        logarithmic_slope(k, mid[n:], out=slopes[n:])
     ups = slopes >= np.repeat(price, levels)
     if ups.tolist() != moves:  # the lanes of the wrong decisions
         again.update(np.searchsorted(np.cumsum(levels), np.flatnonzero(ups != moves), side="right").tolist())
     if not paths.screened:  # the checked walks are the lanes' paths
         on_paths = np.where(np.repeat([j in again for j in range(len(levels))], levels), capacity, mid)
-        check_sigmoid_rate(np.repeat(a, levels[:s]), on_paths[:n])
-        check_logarithmic_rate(np.repeat(paths.k, levels[s:]), on_paths[n:])
+        check_sigmoid_rate(sigmoid[0], on_paths[:n])
+        check_logarithmic_rate(k, on_paths[n:])
     paths.predicted = max(levels, default=0)
     return _solve_again(paths, price, sorted(again), np.array(rates))
 
@@ -461,7 +463,7 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
         level = end = resume
         if np.count_nonzero(np.greater(np.subtract(hi, lo, out=widths[resume]), tol_array, out=on[resume])):
             root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
-            if not resume:
+            if not resume:  # the table's levels first
                 level = end = _look_up(paths, bracket, root, clamped, n_clamped)
             if level == resume or np.count_nonzero(np.greater(widths[level], tol_array, out=on[level])):
                 level, end = _walk(paths, bracket, level, tol_array, root)
