@@ -368,16 +368,16 @@ def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
     slope-kernel call per family.  A lane whose walk reaches the step cap,
     or whose ``mid <= root`` is not ``slope >= price``, is solved again.
     Records no path."""
-    paths.top = paths.looked_up = paths.compared = 0
+    paths.top = paths.walked = paths.looked_up = paths.compared = 0
     a, s, tol, capacity, prices = paths.a, len(paths.a), paths.tol, paths.capacity, price.tolist()
     roots = [*sigmoid_root_floats(a.tolist(), paths.b.tolist(), prices[:s]),
              *logarithmic_root_floats(paths.k.tolist(), prices[s:])]
     rates, mids, moves, levels, again = [], [], [], [], set()
-    for lane, (root, held) in enumerate(zip(roots, clamped.tolist())):
+    for root, held in zip(roots, clamped.tolist()):
         lo, hi, level = (capacity if held else tol), capacity, 0
         while hi - lo > tol:
             if level == MAX_BISECTION_STEPS:
-                again.add(lane)
+                again.add(len(levels))  # this lane's
                 break
             mid = (lo + hi) * 0.5
             mids.append(mid)
@@ -400,12 +400,12 @@ def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
     ups = slopes >= np.repeat(price, levels)
     if ups.tolist() != moves:  # the lanes of the wrong decisions
         again.update(np.searchsorted(np.cumsum(levels), np.flatnonzero(ups != moves), side="right").tolist())
-    if not paths.screened:  # the checked walks are the lanes' paths
+    if not paths.screened:  # guard the walks whose check held: their lanes' paths
         on_paths = np.where(np.repeat([j in again for j in range(len(levels))], levels), capacity, mid)
         check_sigmoid_rate(sigmoid[0], on_paths[:n])
         check_logarithmic_rate(k, on_paths[n:])
     paths.predicted = max(levels, default=0)
-    return _solve_again(paths, price, sorted(again), np.array(rates))
+    return _solve_again(paths, price, sorted(again), np.array(rates)) if again else np.array(rates)
 
 
 def solve_lanes(paths: LanePaths, price) -> np.ndarray:
