@@ -29,21 +29,21 @@ scalar reference, which names the error.  ``run`` is a batch of
 one seed, ``run_replication`` runs all its seeds together, and a run
 leaves the batch when it converges.  A result holds its rounds as arrays.
 
-A batch keeps one :class:`~rateauction.ue.LanePaths` for its lane layout:
-each lane's last bisection path, which the next round's solve replays
-exactly, walking on only below the first flipped decision.  A batch with a
-drawn user sets each round's draw into its paths
-(:meth:`~rateauction.ue.LanePaths.set_sigmoid`), which forgets them, since
-a path's slopes belong to the parameters that walked it; the logarithmic
-lanes, their screen and slopes, and the buffers stay.  A batch that runs
-leave builds new paths for the runs left: runs with no drawn user differ
-only in their seed, so they are identical and leave together, each with
-its sampler and ledger rows.  One DEBUG line per batch reports its first
-round's lanes against its (run, user) cells, the lanes re-solved by the
-scalar solver after a failed check, the levels walked against the
-estimated roots and those of them looked up in the midpoint table, the
-recorded levels the replays compared, and the sampler's blocks, cells and
-cells redrawn off the ziggurat's fast path.
+A batch keeps one :class:`~rateauction.ue.LanePaths` for its lane layout.
+A solve of a few lanes walks each in floats and certifies it by its two
+final bracket ends, keeping no path; one of more lanes replays each
+lane's last path exactly and walks on only below the first flipped
+decision.  A batch with a drawn user sets each round's draw into its
+paths (:meth:`~rateauction.ue.LanePaths.set_sigmoid`), which forgets
+them; the logarithmic lanes, their screen and slopes, and the buffers
+stay.  A batch that runs leave builds new paths for the runs left: runs
+with no drawn user differ only in their seed, so they leave together,
+each with its sampler and ledger rows.  One DEBUG line per batch reports
+its first round's lanes against its (run, user) cells, the lanes
+re-solved by the scalar solver after a failed check, the levels walked
+against the estimated roots and those looked up in the midpoint table,
+the recorded levels replayed, and the sampler's blocks, cells and cells
+redrawn off the ziggurat's fast path.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -317,7 +317,7 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
             lanes = solve_lanes(paths, prices[lane_run])
         except (ValueError, BisectionError):  # the scalar replay raises the precise error
             _raise_first_failure(scenario, [seeds[i] for i in live.tolist()], prices, n)
-        resolved, predicted, compared = resolved + paths.walked, predicted + paths.predicted, compared + paths.compared
+        resolved, predicted, compared = resolved + paths.resolved, predicted + paths.predicted, compared + paths.compared
         looked_up += paths.looked_up
         rates = lanes[lane_of]
         bids = prices[:, None] * rates

@@ -21,29 +21,24 @@ when its paths are built, then runs them on the lanes' paths only where
 that fails: both raise the same ``RateDomainError``.
 
 The lane solve rests on one fact: a level's midpoint depends only on
-``tol``, ``capacity`` and the decisions above it, so a guessed path is
-exact down to its first wrong decision, and one pass of compares finds it.
-Fewer than ``LANE_BY_LANE_BELOW`` lanes walk from level 0 against their
-estimated roots, each in Python floats, and one kernel call per family
-checks every decision.  More lanes first replay each lane's last bisection
-path, kept in its :class:`LanePaths`, whose recorded slopes the same float
-operations give again; below the first flipped decision they walk against
-the estimated roots in numpy lockstep and check those decisions the same
-way.  Either walk's lanes whose check fails are solved again by
-:func:`solve_rate`.  A lockstep walk halves every lane's bracket, and a
-lane that stopped above the last level takes its midpoint where it
-stopped.  One from level 0 takes its first ``TABLE_LEVELS`` levels from
+``tol``, ``capacity`` and the decisions above it, so a walk against
+estimated roots that makes every ``slope >= price`` decision right is
+the lane's exact path.  A walk from level 0 takes its first levels from
 the bisection tree of ``(tol, capacity)``, built once
-(:func:`midpoint_table`): a lane's leaf is the count of the tree's
-midpoints at most its root, one ``searchsorted``.  New sigmoid parameters
-are set into the paths (:meth:`LanePaths.set_sigmoid`), which forgets them.
+(:func:`midpoint_table`): one ``searchsorted`` of the roots.  Fewer than
+``LANE_BY_LANE_BELOW`` lanes walk on in Python floats, each certified by
+its two final bracket ends (``MARGIN``).  More replay each lane's last
+path, kept with its slopes in its :class:`LanePaths`, walk on below the
+first flipped decision in numpy lockstep, and check every new decision.
+Either walk's lanes whose check fails are solved again by
+:func:`solve_rate`.  New sigmoid parameters are set into the paths
+(:meth:`LanePaths.set_sigmoid`), which forgets them.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -65,13 +60,24 @@ from .utility import (
 DEFAULT_RATE_TOL = 1e-6
 MAX_BISECTION_STEPS = 200
 # Below it a numpy call costs more than its arithmetic: on the fixed preset
-# tiled with distinct a, to convergence, a solve in floats from level 0 took
-# 56, 85, 114 and 139 us at 6, 12, 18 and 21 lanes, and in lockstep with
-# replay 124, 124, 130 and 134 us (2-core x86-64, Python 3.11, numpy 2.4).
-LANE_BY_LANE_BELOW = 20
-# A lockstep walk from level 0 takes at most this many levels from a
-# midpoint_table, of 2**16 + 1 floats (0.5 MiB).
+# tiled with distinct a, to convergence, a solve in floats took 38, 47, 64,
+# 93, 103 and 143 us at 6, 12, 21, 36, 42 and 60 lanes, and in lockstep with
+# replay 120, 116, 120, 133, 132 and 142 us (2-core x86-64, Python 3.11).
+LANE_BY_LANE_BELOW = 40
+# A walk from level 0 takes at most this many levels from a midpoint_table,
+# of 2**16 + 1 floats (0.5 MiB).
 TABLE_LEVELS = 16
+# A few-lane walk holds where its final lo and hi, each where it is a
+# visited midpoint, have slope >= price*ABOVE and < price*BELOW: every lo it
+# moved to lies at or below the final one, every hi at or above.  The
+# kernels err from the exact slope, which falls in r, by up to 745 ulps (of
+# 2**-52), mostly from rounding a*(r - b) and a*r ahead of exp, so the
+# margin must exceed twice that.  Built of correctly rounded (so monotone)
+# sums, products and quotients of positive terms around exp, expm1 and
+# log1p (4 ulps each), a kernel is also within 17 ulps, or a*2**-1070 where
+# a term is subnormal, of a function falling in r.
+MARGIN = 2.0**-40  # 4096 ulps
+ABOVE, BELOW = 1.0 + MARGIN, 1.0 - MARGIN
 
 # A 0-d array operand, not a Python float: numpy converts a Python or
 # numpy scalar operand on every ufunc call.
@@ -136,23 +142,18 @@ class LanePaths:
     ``capacity`` where that fails) and take each lane's slope at
     ``capacity``: once for the logarithmic lanes, and for the sigmoid ones
     each time :meth:`set_sigmoid` takes new ``a`` and ``b``, which also
-    forgets every path.  A level's midpoint depends only on ``tol``, ``capacity``
-    and the decisions of the levels above it, and the paths keep, at each
-    level, the midpoint, the slope there and the ``slope >= price``
-    decision.  A level is on a lane's path where the lane's recorded bracket
-    width there is above ``tol``.  While a lane's decisions at the new price
-    match its recorded ones it visits the recorded midpoints, whose slopes
-    are what the same float operations would give again: :func:`solve_lanes`
-    compares every recorded slope with the new price in one pass, evaluating
-    none, and resumes the lockstep walk below the first level at which any
-    lane's decision flips.  Of the last solve, ``predicted`` counts the
-    levels walked against the estimated roots, ``looked_up`` those of them
-    taken from the :func:`midpoint_table` (whose widths rows, above the
-    last, the walk leaves unwritten), ``walked`` the lanes whose check
-    failed, solved again by :func:`solve_rate`, and ``compared`` the
-    recorded levels the replay compared.  A few-lane solve
-    (:func:`_solve_each`), or one that solved a lane again, records no
-    path; a few-lane ``predicted`` is its deepest lane's levels.
+    forgets every path.  The paths keep, at each level of a lockstep walk,
+    the midpoint, the slope there and the ``slope >= price`` decision, on a
+    lane's path where its bracket there is wider than ``tol``.  While a
+    lane's decisions at a new price match its recorded ones it visits the
+    recorded midpoints, so :func:`solve_lanes` compares every recorded slope
+    with the new price in one pass and walks on below the first flip.  Of
+    the last solve, ``predicted`` counts the levels walked against the
+    estimated roots (a few-lane solve's deepest lane's), ``looked_up`` those
+    taken from the :func:`midpoint_table`, ``resolved`` the lanes solved
+    again by :func:`solve_rate` after a failed check, and ``compared`` the
+    recorded levels replayed.  A few-lane solve, or one that solved a lane
+    again, records no path.
     """
 
     def __init__(self, a, b, k, capacity: float, tol: float = DEFAULT_RATE_TOL) -> None:
@@ -178,15 +179,14 @@ class LanePaths:
         self.moves = np.empty(self.mids.shape, dtype=bool)
         self.widths = np.empty((MAX_BISECTION_STEPS + 1, len(self.at_capacity)))
         self.on = np.empty(self.widths.shape, dtype=bool)
-        self.walked = self.predicted = self.looked_up = self.compared = 0
+        self.resolved = self.predicted = self.looked_up = self.compared = 0
         self.set_sigmoid(a, b)
 
     def set_sigmoid(self, a, b) -> None:
-        """Take new sigmoid parameters ``a`` and ``b``, one per sigmoid lane,
-        into the paths' own arrays: screen their guard at ``tol`` (at
-        ``capacity`` where that fails, raising there, with the paths left as
-        they were), take their slopes at ``capacity``, and forget every
-        recorded path, whose slopes belong to the old parameters.  The
+        """Take new sigmoid ``a`` and ``b``, one per sigmoid lane, into the
+        paths' own arrays: screen their guard at ``tol`` (at ``capacity``
+        where that fails, raising there, the paths left as they were), take
+        their slopes at ``capacity``, and forget every recorded path.  The
         logarithmic lanes, their screen and slopes, and the buffers stay."""
         a = np.asarray(a, dtype=float)
         try:
@@ -221,7 +221,7 @@ class LanePaths:
         self._narrow(level, lo, hi)
         return level
 
-    def _flip_first(self, top: int, price) -> Optional[int]:
+    def _flip_first(self, top: int, price) -> int | None:
         """The first of levels ``[0, top)`` at which a lane's recorded
         decision differs from ``slope >= price`` on its path, with that level's
         flipped decisions taken; None if no decision flips."""
@@ -303,7 +303,8 @@ def midpoint_table(tol: float, capacity: float) -> tuple[np.ndarray, np.ndarray]
         if np.count_nonzero(np.diff(known) <= tol):
             break  # every unclamped lane is on each looked-up level
         mids = ends[step // 2 :: step]  # in place, between them
-        np.add(known[:-1], known[1:], out=mids)
+        with np.errstate(over="ignore"):  # inf, as (lo + hi) * 0.5 gives near the float max
+            np.add(known[:-1], known[1:], out=mids)
         mids *= 0.5
         step, levels = step // 2, levels + 1
     if step > 1:
@@ -355,84 +356,86 @@ def _solve_again(paths: LanePaths, price, lanes, rates):
             rates[j] = solve_rate(utility, float(price[j]), capacity, paths.tol)
         except BisectionError as exc:
             held = held or exc
-    paths.walked = len(lanes)
+    paths.resolved = len(lanes)
     if held:
         raise held
     return rates
 
 
+def _first_up(tol: float, capacity: float, root: float) -> float:
+    """The first midpoint a walk of ``[tol, capacity]`` against ``root`` moves ``lo`` to, else ``capacity``."""
+    hi = capacity
+    while hi - tol > tol:
+        if (mid := (tol + hi) * 0.5) <= root:
+            return mid
+        hi = mid
+    return capacity
+
+
 def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
-    """The rates of fewer than ``LANE_BY_LANE_BELOW`` lanes, each walked from
-    level 0 to its own stop against its estimated root in Python floats (a
-    NaN root moves ``hi``), then checked at every midpoint so visited, one
-    slope-kernel call per family.  A lane whose walk reaches the step cap,
-    or whose ``mid <= root`` is not ``slope >= price``, is solved again.
-    Records no path."""
-    paths.top = paths.walked = paths.looked_up = paths.compared = 0
+    """The rates of fewer than ``LANE_BY_LANE_BELOW`` lanes: each takes its
+    leaf of the :func:`midpoint_table` (a NaN root goes left), walks on
+    against its estimated root in Python floats, and holds where its final
+    ends pass the ``MARGIN`` check, one kernel call per family; any other
+    lane is solved again.  Where a guard fails at ``tol`` it runs at each
+    held lane's lowest visited midpoint, its first ``lo`` or final ``hi``."""
+    paths.top = paths.resolved = paths.compared = 0
     a, s, tol, capacity, prices = paths.a, len(paths.a), paths.tol, paths.capacity, price.tolist()
     roots = [*sigmoid_root_floats(a.tolist(), paths.b.tolist(), prices[:s]),
              *logarithmic_root_floats(paths.k.tolist(), prices[s:])]
-    rates, mids, moves, levels, again = [], [], [], [], set()
-    for root, held in zip(roots, clamped.tolist()):
-        lo, hi, level = (capacity if held else tol), capacity, 0
+    ends, spans = midpoint_table(tol, capacity)
+    top, leaf = len(spans) - 1, np.searchsorted(ends[1:-1], np.fmax(roots, -np.inf), side="right")
+    walks = []  # per lane: rate, final ends (tol, capacity where it moved no lo, hi), levels
+    for root, held, lo, hi in zip(roots, clamped.tolist(), ends[leaf].tolist(), ends[leaf + 1].tolist()):
+        level, lo = top, (hi if held else lo)  # a clamped lane walks nothing
         while hi - lo > tol:
-            if level == MAX_BISECTION_STEPS:
-                again.add(len(levels))  # this lane's
+            if level == MAX_BISECTION_STEPS:  # NaN ends: no check passes
+                lo = hi = math.nan
                 break
             mid = (lo + hi) * 0.5
-            mids.append(mid)
-            moves.append(mid <= root)
             if mid <= root:
                 lo = mid
             else:
                 hi = mid
             level += 1
-        levels.append(level)
-        rates.append(capacity if held else (lo + hi) * 0.5)
-    # each midpoint beside its lane's parameters and price, sigmoid lanes
-    # first; one outside the domain is guarded below if on a lane's path
-    mid, slopes, n = np.array(mids), np.empty(len(mids)), sum(levels[:s])
-    sigmoid = [np.repeat(p, levels[:s]) for p in (a, paths.neg_a, paths.b)]
-    k = np.repeat(paths.k, levels[s:])
+        walks.append((capacity, tol, capacity, 0) if held else ((lo + hi) * 0.5, lo, hi, level))
+    rates, lows, highs, levels = zip(*walks) if walks else ((),) * 4
+    r, slopes = np.array((lows, highs)), np.empty((2, len(rates)))
+    # an end outside the domain is guarded below if it is on a lane's path
     with np.errstate(divide="ignore", over="ignore"):
-        sigmoid_slope(*sigmoid, mid[:n], out=slopes[:n])
-        logarithmic_slope(k, mid[n:], out=slopes[n:])
-    ups = slopes >= np.repeat(price, levels)
-    if ups.tolist() != moves:  # the lanes of the wrong decisions
-        again.update(np.searchsorted(np.cumsum(levels), np.flatnonzero(ups != moves), side="right").tolist())
-    if not paths.screened:  # guard the walks whose check held: their lanes' paths
-        on_paths = np.where(np.repeat([j in again for j in range(len(levels))], levels), capacity, mid)
-        check_sigmoid_rate(sigmoid[0], on_paths[:n])
-        check_logarithmic_rate(k, on_paths[n:])
-    paths.predicted = max(levels, default=0)
-    return _solve_again(paths, price, sorted(again), np.array(rates)) if again else np.array(rates)
+        sigmoid_slope(a, paths.neg_a, paths.b, r[:, :s], out=slopes[:, :s])
+        logarithmic_slope(paths.k, r[:, s:], out=slopes[:, s:])
+    again = [j for j, (lo, hi, at_lo, at_hi, p) in enumerate(zip(lows, highs, *slopes.tolist(), prices))
+             if not ((lo == tol or at_lo >= p * ABOVE) and (hi == capacity or at_hi < p * BELOW))]
+    if not paths.screened:  # a guard passing at a rate passes at every higher one
+        lowest = np.array([min(_first_up(tol, capacity, root), hi) if level and j not in again else capacity
+                           for j, (root, hi, level) in enumerate(zip(roots, highs, levels))])
+        check_sigmoid_rate(a, lowest[:s])
+        check_logarithmic_rate(paths.k, lowest[s:])
+    paths.predicted, paths.looked_up = max(levels, default=0), (top if any(levels) else 0)
+    return _solve_again(paths, price, again, np.array(rates)) if again else np.array(rates)
 
 
 def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     """Best responses of the lanes of ``paths`` at once, where ``price``
     holds each lane's shadow price.
 
-    Lane for lane this performs the float operations of :func:`solve_rate`
-    -- the clamp at ``capacity``, ``mid = 0.5*(lo + hi)``, ``slope >=
-    price`` -- and a lane stops moving once its bracket is within ``tol``,
-    so every lane equals its own :func:`solve_rate` bit for bit.  Raises
+    Every lane equals its own :func:`solve_rate` bit for bit: the clamp at
+    ``capacity``, ``mid = 0.5*(lo + hi)`` and ``slope >= price`` until the
+    bracket is within ``tol``.  Raises
     :class:`~rateauction.utility.RateDomainError` when a lane's slope is
-    undefined at any midpoint on its bisection path, and otherwise
-    :class:`BisectionError` when any lane needs more than
-    ``MAX_BISECTION_STEPS`` steps; a solve that raises leaves no recorded
-    path, so the next solve walks every lane from level 0.
+    undefined at a midpoint on its bisection path, and otherwise
+    :class:`BisectionError` when a lane needs more than
+    ``MAX_BISECTION_STEPS`` steps; a solve that raises records no path.
 
-    Fewer than ``LANE_BY_LANE_BELOW`` lanes walk from level 0 against
-    their estimated roots in Python floats (:func:`_solve_each`).  More
-    replay the recorded paths, then bisect below them in lockstep against
-    the estimated roots (:func:`~rateauction.utility.sigmoid_root`,
-    :func:`~rateauction.utility.logarithmic_root`; from level 0, the first
-    levels from the :func:`midpoint_table`), and check every decision so
-    made in one pass as the replay does.  A level's midpoint depends only
-    on the decisions above it, so a lane whose decisions all hold walked
-    its true path; :func:`solve_rate` solves every other lane again, and
-    the round records no path.  Guards failing at ``tol`` run over the
-    checked paths' midpoints only, so an estimate can cost time but never
+    Fewer than ``LANE_BY_LANE_BELOW`` lanes walk in Python floats, each
+    certified by its two final ends (:func:`_solve_each`).  More replay the
+    recorded paths, then bisect below them in lockstep against the
+    estimated roots (from level 0, the first levels from the
+    :func:`midpoint_table`), and check every decision so made in one pass
+    as the replay does.  :func:`solve_rate` solves every lane whose check
+    fails again, and the round records no path.  Guards failing at ``tol``
+    run on the checked paths only, so an estimate can cost time but never
     changes a rate, raises or warns.
     """
     price = np.asarray(price, dtype=float)

@@ -29,13 +29,10 @@ over lists of Python floats (:func:`sigmoid_root_floats`,
 without a numpy call.  The sigmoidal one is the logistic term's closed-form
 root, and where ``a*r <= 30`` the slope's other term still counts: both paths
 polish those lanes with the same Newton steps (:func:`polished_sigmoid_root`).
-The lane solver bisects against the estimates, then evaluates the kernels
-once over every midpoint it visited and checks each decision against the
-price.  An estimate only steers which midpoints get checked, so a poor one
-costs time and never changes a rate.  A guard
-that fails at r fails at every lower rate, so the lane solver runs the
-guards at ``tol``, below every rate it visits, and on each lane's path
-only where that fails.
+The lane solver bisects against the estimates and checks its decisions with
+the kernels, so a poor estimate costs time, never a rate.  A guard that fails
+at r fails at every lower rate, so the lane solver runs the guards at
+``tol``, below every rate it visits, and on the lanes' paths where that fails.
 
 The module needs numpy and the standard library only: the logistic term
 is ``1/(1 + exp(x))`` on numpy's ``exp`` (:func:`falling_logistic`), and

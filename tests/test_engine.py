@@ -368,11 +368,11 @@ class TestLanePaths:
 
     def test_fixed_preset_walks_each_round_from_level_0(self, caplog):
         # its 6 lanes walk one at a time in floats and record no paths: each
-        # of the 87 rounds walks 27 levels, every one of which holds against
-        # the slopes, and replays and looks up nothing
+        # of the 87 rounds takes 27 levels, the first 16 from the table, and
+        # every lane's two final ends hold; it replays nothing
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
         counts = [self.lane_work(caplog, lambda: run(scenario)) for _ in range(2)]
-        assert counts[0] == counts[1] == (0, 87 * 27, 0, 0)
+        assert counts[0] == counts[1] == (0, 87 * 27, 87 * 16, 0)
 
     def test_distinct_copies_walk_about_half_the_levels(self, caplog):
         # the fixed preset tiled 100 times with each copy's a made distinct,
@@ -390,17 +390,17 @@ class TestLanePaths:
 
     def test_fixed_runs_leave_a_batch_together(self, caplog):
         # runs with no drawn user differ only in their seed: a batch of
-        # four walks and compares the levels one run of them in lockstep
-        # would, and all four leave it at once
+        # seven walks and compares the levels one run of them in lockstep
+        # would, and all seven leave it at once
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
-        seeds = [0, 1, 2, 3]
+        seeds = range(rateauction.ue.LANE_BY_LANE_BELOW // 6 + 1)
         results = []
         counts = self.lane_work(caplog, lambda: results.extend(run_replication(scenario, seeds)))
-        # (their 24 lanes walk in lockstep and replay: the first round, from
+        # (their 42 lanes walk in lockstep and replay: the first round, from
         # level 0, looks its first 16 levels up)
         assert counts == (0, 1165, 16, 86 * 27)
         assert results == [run(replace(scenario, seed=s)) for s in seeds]
-        assert [r.converged_at for r in results] == [87] * 4
+        assert [r.converged_at for r in results] == [87] * len(seeds)
 
     @pytest.mark.parametrize("name", ["normal", "triangular"])
     def test_drawn_batches_solve_no_lane_again(self, caplog, name):
@@ -413,12 +413,13 @@ class TestLanePaths:
     def test_a_lane_failing_its_guard_at_tol_walks_in_floats(self, caplog):
         # the fixed preset beside a = 1e-303, whose guard fails at tol but at
         # no midpoint on its path: each of the 82 rounds' 7 lanes walks in
-        # floats, guarded on its checked path, and takes no lockstep walk
+        # floats below the table's 16 levels, guarded at its lowest visited
+        # midpoint, and takes no lockstep walk
         fixed = preset("fixed")
         users = (*fixed.users, SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0)))
         scenario = replace(fixed, delta=1e-6, max_iterations=200, users=users)
         results = []
-        assert self.lane_work(caplog, lambda: results.append(run(scenario))) == (0, 2214, 0, 0)
+        assert self.lane_work(caplog, lambda: results.append(run(scenario))) == (0, 2214, 82 * 16, 0)
         (result,) = results
         assert (result.stop_reason, result.converged_at) == ("converged", 82)
         assert_cells_solved(scenario, result)
@@ -451,7 +452,7 @@ class TestLanePaths:
 
     @pytest.mark.parametrize("capacity, levels, walks", [(1e-4, 7, 14), (0.03, 15, 18)])
     def test_table_levels_stop_above_tol_in_a_drawn_batch(self, caplog, capacity, levels, walks):
-        # 4 runs of 6 lanes walk in lockstep, and every round in which some
+        # 4 runs of 6 lanes walk in floats, and every round in which some
         # lane is not clamped at R looks up the levels of the table whose
         # brackets are all wider than tol
         scenario = replace(preset("normal"), capacity=capacity)
@@ -558,8 +559,9 @@ class TestSharedLanes:
     def test_tiled_fixed_preset_solves_six_lanes(self, caplog):
         fixed = preset("fixed")
         scenario = replace(fixed, capacity=10_000.0, users=fixed.users * 100)
-        # each of the 20 rounds walks its 6 lanes' 34 levels from level 0
-        assert batch_line(caplog, lambda: run(scenario))[:6] == (6, 600, 0, 20 * 34, 0, 0)
+        # each of the 20 rounds takes its 6 lanes' 34 levels from level 0,
+        # the first 16 from the table
+        assert batch_line(caplog, lambda: run(scenario))[:6] == (6, 600, 0, 20 * 34, 20 * 16, 0)
 
     def test_drawn_users_keep_their_own_lanes(self, caplog):
         # 9 drawn users of their own beside 3 logarithmic lanes, for 5 runs
@@ -581,7 +583,8 @@ class TestSharedLanes:
 
     def test_distinct_copies_walk_in_lockstep_and_replay(self, caplog):
         # the fixed preset tiled 6 times with each copy's a made distinct:
-        # 18 sigmoid lanes and the 3 shared logarithmic ones a run
+        # 18 sigmoid lanes and the 3 shared logarithmic ones a run, so that
+        # two runs' solve walks in lockstep
         fixed = preset("fixed")
         users = tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
                       for j in range(6) for u in fixed.users)
@@ -590,7 +593,7 @@ class TestSharedLanes:
         lanes, cells, _, predicted, _, compared, *_ = batch_line(
             caplog, lambda: results.extend(run_replication(scenario, [0, 1])))
         assert (lanes, cells) == (2 * 21, 2 * 36)
-        assert lanes // 2 >= rateauction.ue.LANE_BY_LANE_BELOW and predicted > 0 and compared > 0
+        assert lanes >= rateauction.ue.LANE_BY_LANE_BELOW and predicted > 0 and compared > 0
         for result in results:
             assert_cells_solved(scenario, result)
         assert results == [run(replace(scenario, seed=s)) for s in (0, 1)]

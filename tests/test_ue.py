@@ -1,5 +1,7 @@
 """UE subproblem tests: bisection solve, lane solve, and the single-round step."""
 
+import math
+import sys
 import warnings
 from contextlib import ExitStack
 from dataclasses import replace
@@ -155,7 +157,7 @@ lane_users = st.integers(0, 9).flatmap(lambda i: near_guard_users if i == 0 else
 # How many times the drawn users are tiled: the lane counts land on both
 # sides of LANE_BY_LANE_BELOW, so both the few-lane solve and the lockstep
 # one run.
-tile_counts = st.integers(1, 6)
+tile_counts = st.integers(1, 12)
 
 # Root estimates that steer the lane solve's first walk anywhere, or nowhere.
 WRONG_ROOTS = [np.nan, 0.0, 1e-300, 1e300, np.inf, "random"]
@@ -254,7 +256,7 @@ class TestSolveLanes:
             with patch_roots(sigmoid=lambda a, b, price: np.full(len(price), 1e-300)):
                 paths = LanePaths(*lanes, R)
                 got = solve_lanes(paths, np.ones(copies))
-        assert paths.walked == copies  # the estimates were wrong: solve_rate solved the lanes
+        assert paths.resolved == copies  # the estimates were wrong: solve_rate solved the lanes
         assert (got == solve_rate(SigmoidalUtility(a=1e-306, b=50.0), 1.0, R)).all()
 
     def test_slope_at_capacity_past_the_logistic_overflow_is_quiet(self):
@@ -264,7 +266,7 @@ class TestSolveLanes:
             paths = LanePaths(np.array([15.0]), np.array([20.0]), np.empty(0), R)
         assert paths.at_capacity[0] == SigmoidalUtility(15.0, 20.0).log_slope(R)
 
-    @pytest.mark.parametrize("copies", [1, 2, 3, 4])
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4, LANE_BY_LANE_BELOW // 6 + 1])
     def test_a_few_lanes_estimate_their_roots_in_floats(self, copies):
         # the fixed preset's 3 sigmoid and 3 logarithmic users, tiled: below
         # LANE_BY_LANE_BELOW lanes the estimates take no numpy call
@@ -511,7 +513,7 @@ class TestLanePaths:
         price = np.tile([1e40 * (1 + 1e-15), 1e45], copies)
         want = solve_lanes(LanePaths(none, none, k, 1e4, 1e-53), price)
         assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.walked, paths.predicted, paths.compared) == (0, 190, 0)
+        assert (paths.resolved, paths.predicted, paths.compared) == (0, 190, 0)
 
     def test_a_wrong_estimate_in_lockstep_is_solved_again(self):
         # the fixed preset tiled to LANE_BY_LANE_BELOW lanes or more, with
@@ -533,9 +535,9 @@ class TestLanePaths:
         paths = LanePaths(*lanes, R)
         with patch_roots(sigmoid=one_wrong):
             assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.walked, paths.top, paths.looked_up) == (1, 0, TABLE_LEVELS)
+        assert (paths.resolved, paths.top, paths.looked_up) == (1, 0, TABLE_LEVELS)
         assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.walked, paths.compared) == (0, 0) and paths.top
+        assert (paths.resolved, paths.compared) == (0, 0) and paths.top
 
     def test_paths_of_other_lanes_are_refused(self):
         paths = LanePaths(np.array([5.0]), np.array([35.0]), np.array([0.1]), R)
@@ -562,6 +564,14 @@ def solve_rate_midpoints(utility, price, capacity, tol) -> list:
     return seen[1:]  # after the clamp test at capacity
 
 
+def final_ends(utility, price, midpoints, capacity, tol) -> tuple[float, float]:
+    """The final bracket of the walk :func:`solve_rate` takes over
+    ``midpoints``: the greatest it moved ``lo`` to, else ``tol``, and the
+    least it moved ``hi`` to, else ``capacity``."""
+    ups = [m for m in midpoints if utility.log_slope(m) >= price]
+    return max(ups, default=tol), min(set(midpoints).difference(ups), default=capacity)
+
+
 class TestUnevenStops:
     @staticmethod
     def solve_rates(capacity, tol, prices):
@@ -570,21 +580,25 @@ class TestUnevenStops:
     @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
     def test_each_lane_takes_its_own_stop(self, capacity, tol, prices, monkeypatch):
         # a few lanes: each walks solve_rate's midpoints to its own stop, and
-        # the kernel checks them lane after lane
+        # one kernel call sees each lane's two final bracket ends, a row of
+        # lo ends above a row of hi ends
         none = np.empty(0)
         want = self.solve_rates(capacity, tol, prices)
         checked = []
 
         def logarithmic_slope_seen(k, r, out=None):
-            checked.extend(r.tolist())
+            checked.append(r.copy())
             return logarithmic_slope(k, r, out=out)
 
         paths = LanePaths(none, none, np.array([1.0, 1.0]), capacity, tol)
         monkeypatch.setattr(rateauction.ue, "logarithmic_slope", logarithmic_slope_seen)
         assert solve_lanes(paths, np.array(prices)).tobytes() == want.tobytes()
-        walks = [solve_rate_midpoints(LogarithmicUtility(k=1.0, r_max=capacity), p, capacity, tol) for p in prices]
+        utility = LogarithmicUtility(k=1.0, r_max=capacity)
+        walks = [solve_rate_midpoints(utility, p, capacity, tol) for p in prices]
         assert abs(len(walks[0]) - len(walks[1])) == 1
-        assert np.array(checked).tobytes() == np.array(walks[0] + walks[1]).tobytes()
+        ends = [final_ends(utility, p, walk, capacity, tol) for p, walk in zip(prices, walks)]
+        (seen,) = checked
+        assert seen.tobytes() == np.array(ends).T.tobytes()
         assert (paths.predicted, paths.top) == (max(map(len, walks)), 0)
         assert solve_lanes(paths, np.array(prices[::-1])).tobytes() == want[::-1].tobytes()
 
@@ -645,11 +659,12 @@ FAR_ROOTS = [np.nan, np.inf, -np.inf, 0.0, 1e-300, 1e300]
 
 
 class TestFewLanes:
-    """Below ``LANE_BY_LANE_BELOW`` lanes, each lane walks from level 0 to
-    its own stop against its estimated root in Python floats, and one call
-    per slope kernel checks every midpoint so visited; a lane with a wrong
-    decision or at the step cap is solved again by ``solve_rate``.  Every
-    lane equals its own ``solve_rate``, errors included."""
+    """Below ``LANE_BY_LANE_BELOW`` lanes, each lane takes its leaf of the
+    midpoint table and walks on to its own stop against its estimated root
+    in Python floats, and one call per slope kernel checks its two final
+    bracket ends; a lane whose check fails or at the step cap is solved
+    again by ``solve_rate``.  Every lane equals its own ``solve_rate``,
+    errors included."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -702,9 +717,9 @@ class TestFewLanes:
         paths = LanePaths(*lanes, R)
         with patch_roots(sigmoid=lambda a, b, price: np.full(len(price), np.nan)):
             assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.top, paths.walked, paths.looked_up) == (0, 3, 0)
+        assert (paths.top, paths.resolved, paths.looked_up) == (0, 3, TABLE_LEVELS)
         assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.top, paths.walked, paths.predicted, paths.looked_up, paths.compared) == (0, 0, 27, 0, 0)
+        assert (paths.top, paths.resolved, paths.predicted, paths.looked_up, paths.compared) == (0, 0, 27, TABLE_LEVELS, 0)
 
     def test_step_cap_and_unscreened_guard_raise_as_solve_rate(self):
         # tol below the float spacing at R: every walk reaches the step cap;
@@ -716,6 +731,104 @@ class TestFewLanes:
         with pytest.raises(RateDomainError, match="a\\*r underflows"):
             solve_lanes(paths, np.array([1e5, 0.3]))
         assert paths.top == 0
+
+
+# Flat lanes, whose slopes change least across a final bracket: sigmoid
+# users priced within 10% of their a, so that a*r stays below 30 near the
+# root, and logarithmic users of k near their guard, where k*r is subnormal
+# or underflows at tol.
+flat_users = st.one_of(
+    st.builds(lambda a, b, ratio: ("sig", a, b, a / ratio), log_uniform(-1.5, 1.5), log_uniform(-1, 2), st.floats(0.9, 1.1)),
+    st.tuples(st.just("log"), log_uniform(-323.3, -300), st.none(), log_uniform(-3, 3)),
+)
+# Relative errors put into the estimated roots
+PERTURBATIONS = [0.0, 1e-9, 1e-7, 1e-5, 1e-3]
+
+
+def perturbed_roots(error: float) -> ExitStack:
+    """Both families' float estimates, each lane's moved by ``error``
+    relative, up and down by turns."""
+    stack = ExitStack()
+    for name in ("sigmoid_root_floats", "logarithmic_root_floats"):
+        def floats(*args, _estimate=getattr(rateauction.ue, name)):
+            return [root * (1.0 + (-1) ** j * error) for j, root in enumerate(_estimate(*args))]
+
+        stack.enter_context(patch.object(rateauction.ue, name, floats))
+    return stack
+
+
+class TestTwoEndCheck:
+    """A few-lane walk is certified by its two final bracket ends: where each
+    lies beyond ``MARGIN`` of the price on its side, every decision on the
+    path is ``slope >= price``; a lane with an end within it is solved again
+    by ``solve_rate``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        users=st.lists(flat_users | lane_users, min_size=1, max_size=LANE_BY_LANE_BELOW - 1),
+        capacity=log_uniform(0, 4),
+        tol=log_uniform(-13, -1),
+        error=st.sampled_from(PERTURBATIONS),
+    )
+    def test_flat_lanes_under_perturbed_estimates_equal_solve_rate(self, users, capacity, tol, error):
+        with perturbed_roots(error):
+            TestSolveLanes.assert_lanes_equal_solve_rate(users, capacity, tol)
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("utility", [SigmoidalUtility(a=10.0, b=25.0), LogarithmicUtility(k=0.1, r_max=R)])
+    def test_an_end_within_the_margin_is_solved_again(self, utility, end):
+        # the price moved to within MARGIN/2 of the slope at the lane's final
+        # lo (above it) or hi (below it), the walk's path unchanged
+        lo, hi = final_ends(utility, 0.05, solve_rate_midpoints(utility, 0.05, R, TOL), R, TOL)
+        nudge = 1.0 + rateauction.ue.MARGIN / 2
+        price = float(utility.log_slope(lo)) / nudge if end == "lo" else float(utility.log_slope(hi)) * nudge
+        assert final_ends(utility, price, solve_rate_midpoints(utility, price, R, TOL), R, TOL) == (lo, hi)
+        sigmoid = isinstance(utility, SigmoidalUtility)
+        lanes = (np.array([utility.a]), np.array([utility.b]), np.empty(0)) if sigmoid else (
+            np.empty(0), np.empty(0), np.array([utility.k]))
+        paths = LanePaths(*lanes, R)
+        assert solve_lanes(paths, np.array([price]))[0] == solve_rate(utility, price, R)
+        assert paths.resolved == 1
+
+    def test_an_unscreened_lane_is_guarded_at_its_first_up_move(self):
+        # a*r underflows below r = 0.0223 for a = 1e-306, where the slope is
+        # about 1/r: at the price 1/0.023 the walk moves lo first to R/2**13
+        # = 0.0122, which is outside the domain, and ends at [0.023, 0.023 +
+        # tol], inside it
+        utility, price = SigmoidalUtility(a=1e-306, b=50.0), 1 / 0.023
+        with pytest.raises(RateDomainError):
+            utility.log_slope(R / 2**13)
+        utility.log_slope(0.023)
+        with pytest.raises(RateDomainError, match="a\\*r underflows"):
+            solve_rate(utility, price, R)
+        paths = LanePaths(np.array([1e-306]), np.array([50.0]), np.empty(0), R)
+        assert not paths.screened
+        with pytest.raises(RateDomainError, match="a\\*r underflows"):
+            solve_lanes(paths, np.array([price]))
+
+    def test_a_capacity_near_the_float_max_is_quiet(self):
+        # the table's midpoints past the float max are inf, as the float walk's
+        # (lo + hi) * 0.5 are; every lane walks into the step cap, as solve_rate does
+        capacity = sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends, spans = midpoint_table(TOL, capacity)
+            assert ends.tolist() == float_tree(TOL, capacity, len(spans) - 1)
+            assert math.inf in ends.tolist()
+            lanes = np.array([0.5, 1.0]), np.array([20.0, 10.0]), np.empty(0)
+            with pytest.raises(BisectionError, match="200 bisection steps"):
+                solve_lanes(LanePaths(*lanes, capacity), np.ones(2))
+            with pytest.raises(BisectionError, match="200 bisection steps"):
+                solve_rate(SigmoidalUtility(a=0.5, b=20.0), 1.0, capacity)
+
+
+def float_tree(tol: float, capacity: float, levels: int) -> list:
+    """The bisection tree of ``[tol, capacity]`` to ``levels`` levels in
+    Python floats, its ends and midpoints in order."""
+    ends = [tol, capacity]
+    for _ in range(levels):
+        ends = [x for lo, hi in zip(ends, ends[1:]) for x in (lo, (lo + hi) * 0.5)] + [capacity]
+    return ends
 
 
 # The capacities whose trees the table covers to 7 and 15 levels above tol
@@ -743,7 +856,7 @@ def table_walks(draw):
     clamped (never the first), and the capacity."""
     capacity = draw(st.sampled_from(TABLE_CAPACITIES))
     lanes = draw(st.lists(st.tuples(table_estimates(capacity), st.sampled_from([False, False, False, True])),
-                          min_size=LANE_BY_LANE_BELOW, max_size=40))
+                          min_size=LANE_BY_LANE_BELOW, max_size=LANE_BY_LANE_BELOW + 20))
     roots, clamped = zip(*lanes)
     return np.array(roots), np.array([False, *clamped[1:]]), capacity
 
@@ -779,7 +892,7 @@ class TestLookedUpWalk:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), capacity=st.sampled_from(TABLE_CAPACITIES),
-           users=st.lists(in_domain_users, min_size=LANE_BY_LANE_BELOW, max_size=30))
+           users=st.lists(in_domain_users, min_size=LANE_BY_LANE_BELOW, max_size=LANE_BY_LANE_BELOW + 10))
     def test_rates_under_any_estimate_equal_solve_rate(self, data, capacity, users):
         # about a fifth of the lanes clamped at capacity (where the slope
         # there is above 0), and every estimate one of table_estimates'
@@ -815,9 +928,11 @@ class TestLookedUpWalk:
                 assert np.diff(ends).min() <= TOL
         assert midpoint_table(TOL, 100.0)[0].nbytes <= 2**19 + 8
 
-    def test_a_few_lanes_and_a_resumed_walk_look_nothing_up(self):
-        lanes = np.tile([15.0, 10.0, 5.0], 4), np.tile([20.0, 25.0, 35.0], 4), np.tile([1.0, 0.1, 0.02], 4)
-        price = np.full(24, 0.05)
+    def test_only_walks_from_level_0_look_up(self):
+        copies = LANE_BY_LANE_BELOW // 6 + 1
+        lanes = (np.tile([15.0, 10.0, 5.0], copies), np.tile([20.0, 25.0, 35.0], copies),
+                 np.tile([1.0, 0.1, 0.02], copies))
+        price = np.full(6 * copies, 0.05)
         paths = LanePaths(*lanes, R)
         solve_lanes(paths, price)
         assert paths.looked_up == TABLE_LEVELS
@@ -825,7 +940,7 @@ class TestLookedUpWalk:
         assert paths.compared and not paths.looked_up
         few = LanePaths(lanes[0][:3], lanes[1][:3], lanes[2][:3], R)
         solve_lanes(few, price[:6])
-        assert few.predicted and not few.looked_up
+        assert (few.predicted, few.looked_up) == (27, TABLE_LEVELS)
 
 
 class TestSlopeCalls:
@@ -874,7 +989,7 @@ class TestSlopeCalls:
         calls = self.count_calls(monkeypatch)
         run(replace(preset("fixed"), delta=1e-6, max_iterations=200))
         # the first round's clamp test, and one call per round over the
-        # levels each of the 87 rounds walked against the estimated roots
+        # final bracket ends of the lanes each of the 87 rounds walked
         assert calls == {"sigmoid_slope": 88, "logarithmic_slope": 88}
 
 
