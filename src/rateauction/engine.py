@@ -30,20 +30,18 @@ one seed, ``run_replication`` runs all its seeds together, and a run
 leaves the batch when it converges.  A result holds its rounds as arrays.
 
 A batch keeps one :class:`~rateauction.ue.LanePaths` for its lane layout.
-A solve of a few lanes walks each in floats and certifies it by its two
-final bracket ends, keeping no path; one of more lanes replays each
-lane's last path exactly and walks on only below the first flipped
-decision.  A batch with a drawn user sets each round's draw into its
-paths (:meth:`~rateauction.ue.LanePaths.set_sigmoid`), which forgets
-them; the logarithmic lanes, their screen and slopes, and the buffers
-stay.  A batch that runs leave builds new paths for the runs left: runs
-with no drawn user differ only in their seed, so they leave together,
-each with its sampler and ledger rows.  One DEBUG line per batch reports
-its first round's lanes against its (run, user) cells, the lanes
-re-solved by the scalar solver after a failed check, the levels walked
-against the estimated roots and those looked up in the midpoint table,
-the recorded levels replayed, and the sampler's blocks, cells and cells
-redrawn off the ziggurat's fast path.
+Each solve walks every lane from the top of the bisection tree, a few
+lanes one at a time in floats and more in lockstep, and certifies each by
+its two final bracket ends.  A batch with a drawn user sets each round's
+draw into its paths (:meth:`~rateauction.ue.LanePaths.set_sigmoid`); the
+logarithmic lanes, their screen and slopes, and the buffers stay.  A
+batch that runs leave builds new paths for the runs left: runs with no
+drawn user differ only in their seed, so they leave together, each with
+its sampler and ledger rows.  One DEBUG line per batch reports its first
+round's lanes against its (run, user) cells, the lanes re-solved by the
+scalar solver after a failed check, the levels walked against the
+estimated roots and those looked up in the midpoint table, and the
+sampler's blocks, cells and cells redrawn off the ziggurat's fast path.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -292,7 +290,7 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
                                capacity, cap, growing=early_stop)
     ledger = BidLedger(capacity, scenario.delta)
     paths = None  # built for each new lane layout
-    resolved = predicted = looked_up = compared = 0
+    resolved = predicted = looked_up = 0
     live = np.arange(runs)
     prices = np.full(runs, BOOTSTRAP_PRICE)
     rounds = []  # per round: live, prices, rates, bids, a, b
@@ -312,13 +310,13 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
         try:
             if paths is None:
                 paths = LanePaths(a.ravel(), b.ravel(), k_lanes, capacity)
-            elif drawn:  # the recorded slopes belong to the old parameters
+            elif drawn:  # the slopes at capacity belong to the old parameters
                 paths.set_sigmoid(a.ravel(), b.ravel())
             lanes = solve_lanes(paths, prices[lane_run])
         except (ValueError, BisectionError):  # the scalar replay raises the precise error
             _raise_first_failure(scenario, [seeds[i] for i in live.tolist()], prices, n)
-        resolved, predicted, compared = resolved + paths.resolved, predicted + paths.predicted, compared + paths.compared
-        looked_up += paths.looked_up
+        resolved, predicted, looked_up = (resolved + paths.resolved, predicted + paths.predicted,
+                                          looked_up + paths.looked_up)
         rates = lanes[lane_of]
         bids = prices[:, None] * rates
         rounds.append((live, prices, rates, bids, a, b))
@@ -339,9 +337,8 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
                 break
             k_lanes, lane_run, lane_of = _lane_layout(len(live), sigmoid, column, a.shape[1], k)
     drew = (sampler.blocks, sampler.cells, sampler.redrawn) if drawn else (0, 0, 0)
-    logger.debug("lane solve: %d lanes for %d cells; %d lanes re-solved, %d predicted (%d looked up), %d compared; "
-                 "sampler: %d blocks, %d cells, %d redrawn", *first_layout, resolved, predicted, looked_up, compared,
-                 *drew)
+    logger.debug("lane solve: %d lanes for %d cells; %d lanes re-solved, %d predicted (%d looked up); "
+                 "sampler: %d blocks, %d cells, %d redrawn", *first_layout, resolved, predicted, looked_up, *drew)
     # each run's prices, rates, bids, a and b, in round order; a and b per sigmoid user
     run_of, *kept = map(np.concatenate, zip(*rounds))
     order, ends = np.argsort(run_of, kind="stable"), np.cumsum(np.bincount(run_of)).tolist()

@@ -26,13 +26,12 @@ estimated roots that makes every ``slope >= price`` decision right is
 the lane's exact path.  A walk from level 0 takes its first levels from
 the bisection tree of ``(tol, capacity)``, built once
 (:func:`midpoint_table`): one ``searchsorted`` of the roots.  Fewer than
-``LANE_BY_LANE_BELOW`` lanes walk on in Python floats, each certified by
-its two final bracket ends (``MARGIN``).  More replay each lane's last
-path, kept with its slopes in its :class:`LanePaths`, walk on below the
-first flipped decision in numpy lockstep, and check every new decision.
-Either walk's lanes whose check fails are solved again by
-:func:`solve_rate`.  New sigmoid parameters are set into the paths
-(:meth:`LanePaths.set_sigmoid`), which forgets them.
+``LANE_BY_LANE_BELOW`` lanes walk on in Python floats, more in numpy
+lockstep.  Either walk certifies each lane by its two final bracket ends
+(``MARGIN``), one call per slope kernel, and its lanes whose check fails
+are solved again by :func:`solve_rate`.  Every solve walks from level 0:
+a :class:`LanePaths` keeps a layout's parameters, screens and buffers,
+and new sigmoid parameters are set into it (:meth:`LanePaths.set_sigmoid`).
 """
 
 from __future__ import annotations
@@ -60,16 +59,16 @@ from .utility import (
 DEFAULT_RATE_TOL = 1e-6
 MAX_BISECTION_STEPS = 200
 # Below it a numpy call costs more than its arithmetic: on the fixed preset
-# tiled with distinct a, to convergence, a solve in floats took 38, 47, 64,
-# 93, 103 and 143 us at 6, 12, 21, 36, 42 and 60 lanes, and in lockstep with
-# replay 120, 116, 120, 133, 132 and 142 us (2-core x86-64, Python 3.11).
+# tiled with distinct a, to convergence, a solve in floats took 39, 51, 69,
+# 100, 111 and 145 us at 6, 12, 21, 36, 42 and 60 lanes, and in lockstep 113,
+# 118, 125, 131, 126 and 134 us (2-core x86-64, Python 3.11).
 LANE_BY_LANE_BELOW = 40
 # A walk from level 0 takes at most this many levels from a midpoint_table,
 # of 2**16 + 1 floats (0.5 MiB).
 TABLE_LEVELS = 16
-# A few-lane walk holds where its final lo and hi, each where it is a
-# visited midpoint, have slope >= price*ABOVE and < price*BELOW: every lo it
-# moved to lies at or below the final one, every hi at or above.  The
+# A walk holds where its final lo and hi, each where it is a visited
+# midpoint, have slope >= price*ABOVE and < price*BELOW: every lo it moved
+# to lies at or below the final one, every hi at or above.  The
 # kernels err from the exact slope, which falls in r, by up to 745 ulps (of
 # 2**-52), mostly from rounding a*(r - b) and a*r ahead of exp, so the
 # margin must exceed twice that.  Built of correctly rounded (so monotone)
@@ -132,8 +131,8 @@ def solve_rate(
 
 
 class LanePaths:
-    """Each lane's last bisection path, for the next solve of the same
-    lanes at new prices.
+    """The parameters, screens and buffers of a set of lanes, for solving
+    them again and again at new prices.
 
     Lanes ``[0, len(a))`` are sigmoidal users with parameters ``a``, ``b``,
     and the ``len(k)`` lanes after them logarithmic users with parameter
@@ -141,19 +140,14 @@ class LanePaths:
     paths screen both domain guards at ``tol`` (checking them at
     ``capacity`` where that fails) and take each lane's slope at
     ``capacity``: once for the logarithmic lanes, and for the sigmoid ones
-    each time :meth:`set_sigmoid` takes new ``a`` and ``b``, which also
-    forgets every path.  The paths keep, at each level of a lockstep walk,
-    the midpoint, the slope there and the ``slope >= price`` decision, on a
-    lane's path where its bracket there is wider than ``tol``.  While a
-    lane's decisions at a new price match its recorded ones it visits the
-    recorded midpoints, so :func:`solve_lanes` compares every recorded slope
-    with the new price in one pass and walks on below the first flip.  Of
-    the last solve, ``predicted`` counts the levels walked against the
-    estimated roots (a few-lane solve's deepest lane's), ``looked_up`` those
-    taken from the :func:`midpoint_table`, ``resolved`` the lanes solved
-    again by :func:`solve_rate` after a failed check, and ``compared`` the
-    recorded levels replayed.  A few-lane solve, or one that solved a lane
-    again, records no path.
+    each time :meth:`set_sigmoid` takes new ``a`` and ``b``.  A lockstep
+    walk writes, at each level, every lane's midpoint, its bracket's width
+    there and whether that is on the lane's path, where its bracket is wider
+    than ``tol``.  Of the last solve, ``predicted`` counts the levels walked
+    against the estimated roots (a few-lane solve's deepest lane's),
+    ``looked_up`` those taken from the :func:`midpoint_table`, and
+    ``resolved`` the lanes solved again by :func:`solve_rate` after a
+    failed check.
     """
 
     def __init__(self, a, b, k, capacity: float, tol: float = DEFAULT_RATE_TOL) -> None:
@@ -172,22 +166,22 @@ class LanePaths:
             self.log_screened = False
             check_logarithmic_rate(k, capacity)
         self.at_capacity = np.empty(len(a) + len(k))  # per lane: the slope at capacity
-        logarithmic_slope(k, capacity, out=self.at_capacity[len(a) :])
-        # (level, lane): midpoint, slope there, slope >= price, the
-        # bracket's width there, and whether it is on the lane's path
-        self.mids, self.slopes = np.empty((2, MAX_BISECTION_STEPS, len(self.at_capacity)))
-        self.moves = np.empty(self.mids.shape, dtype=bool)
+        with np.errstate(over="ignore"):  # (1 + k*r) * log1p(k*r) past the float max: the slope is 0
+            logarithmic_slope(k, capacity, out=self.at_capacity[len(a) :])
+        # (level, lane): midpoint, the bracket's width there, and whether it
+        # is on the lane's path
+        self.mids = np.empty((MAX_BISECTION_STEPS, len(self.at_capacity)))
         self.widths = np.empty((MAX_BISECTION_STEPS + 1, len(self.at_capacity)))
         self.on = np.empty(self.widths.shape, dtype=bool)
-        self.resolved = self.predicted = self.looked_up = self.compared = 0
+        self.resolved = self.predicted = self.looked_up = 0
         self.set_sigmoid(a, b)
 
     def set_sigmoid(self, a, b) -> None:
         """Take new sigmoid ``a`` and ``b``, one per sigmoid lane, into the
         paths' own arrays: screen their guard at ``tol`` (at ``capacity``
-        where that fails, raising there, the paths left as they were), take
-        their slopes at ``capacity``, and forget every recorded path.  The
-        logarithmic lanes, their screen and slopes, and the buffers stay."""
+        where that fails, raising there, the paths left as they were) and
+        take their slopes at ``capacity``.  The logarithmic lanes, their
+        screen and slopes, and the buffers stay."""
         a = np.asarray(a, dtype=float)
         try:
             check_sigmoid_rate(a, self.tol)
@@ -198,54 +192,9 @@ class LanePaths:
         np.copyto(self.a, a)
         np.negative(a, out=self.neg_a)
         np.copyto(self.b, b)
-        self.screened, self.top = screened, 0  # no recorded path
+        self.screened = screened
         with np.errstate(over="ignore"):  # a logistic term that overflows reads 0
             sigmoid_slope(self.a, self.neg_a, self.b, self.capacity, out=self.at_capacity[: len(a)])
-
-    def _replay(self, price, clamped, n_clamped: int, lo, hi) -> int:
-        """The level at which the walk resumes: below the first level at which
-        any lane's decision flips, or past every path if none flips.  Takes
-        the flipped decisions, and narrows ``lo`` and ``hi`` to each lane's
-        bracket at that level."""
-        top, self.compared = self.top, 0
-        if not top:  # no paths, or no lane walked a level
-            return 0
-        # a clamped lane walks no path: once it leaves the clamp, the walk
-        # starts again from level 0
-        on_path = np.greater(self.on[:top], clamped, out=self.on[:top])
-        if np.count_nonzero(on_path[0]) + n_clamped != len(price):
-            return 0
-        self.compared = top
-        flipped = self._flip_first(top, price)
-        level = top if flipped is None else flipped + 1
-        self._narrow(level, lo, hi)
-        return level
-
-    def _flip_first(self, top: int, price) -> int | None:
-        """The first of levels ``[0, top)`` at which a lane's recorded
-        decision differs from ``slope >= price`` on its path, with that level's
-        flipped decisions taken; None if no decision flips."""
-        # a walk writes every lane into each row it reaches, so each slope
-        # on a path is the one its midpoint gives with these parameters
-        flips = np.greater_equal(self.slopes[:top], price)
-        flips ^= self.moves[:top]
-        flips &= self.on[:top]
-        first = int(flips.argmax())  # row-major: on the first flipped level
-        if not flips.item(first):
-            return None
-        level = first // len(price)
-        self.moves[level] ^= flips[level]
-        return level
-
-    def _narrow(self, level: int, lo, hi) -> None:
-        """Narrow ``lo`` and ``hi`` from each lane's first bracket to its
-        bracket at ``level`` (at least 1)."""
-        # lo only rises and hi only falls along a path, so a lane's bracket
-        # is the last midpoint each decision moved to
-        mids, before = self.mids[:level], self.on[:level]
-        ups = before & self.moves[:level]
-        np.maximum.reduce(np.where(ups, mids, lo), axis=0, out=lo)
-        np.minimum.reduce(np.where(before ^ ups, mids, hi), axis=0, out=hi)
 
 
 def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, root) -> tuple[int, int]:
@@ -316,27 +265,31 @@ def midpoint_table(tol: float, capacity: float) -> tuple[np.ndarray, np.ndarray]
 
 def _look_up(paths: LanePaths, bracket: np.ndarray, root, clamped, n_clamped: int) -> int:
     """Walk against ``root`` from the first bracket as far as the paths'
-    :func:`midpoint_table` reaches: each lane's midpoints, the ``on`` rows
-    below level 0, the bracket and its width where the table ends.  Returns
-    the levels taken, at least 1 where level 0 has a lane wider than tol."""
+    :func:`midpoint_table` reaches: the bracket and its width where the
+    table ends, the ``on`` rows below level 0, and each lane's midpoints
+    where the paths are unscreened, since only the guards read them.
+    Returns the levels taken, at least 1 where level 0 has a lane wider
+    than tol."""
     ends, spans = midpoint_table(paths.tol, paths.capacity)
     levels = len(spans) - 1
     # mid <= root moves a lane right at every midpoint, so the leaf it ends
-    # in is the count of midpoints at most its root; NaN moves it left
+    # in is the count of midpoints at most its root, and its bracket the
+    # leaf's two table entries; NaN moves it left.  Every index is in
+    # range, and a take into out= with the default mode copies through a
+    # buffer
     leaf = np.searchsorted(ends[1:-1], np.fmax(root, -np.inf), side="right")
-    # the first table entry of each level's bracket, and of the one below
-    # the last level, then each level's midpoint half a bracket on; every
-    # index is in range, and a take into out= with the default mode
-    # copies through a buffer
-    index = np.bitwise_and(leaf, -spans[: levels + 1])
-    index[:levels] += spans[1 : levels + 1]
-    mids, (lo, hi) = paths.mids[:levels], bracket
-    np.take(ends, index[:levels], out=mids, mode="clip")
-    np.take(ends, index[levels], out=lo, mode="clip")
-    index[levels] += spans[levels]
-    np.take(ends, index[levels], out=hi, mode="clip")
+    if not paths.screened:
+        # each level's midpoint lies half a bracket on from the first table
+        # entry of the level's bracket, the leaf with its low bits cleared
+        index = np.bitwise_and(leaf, -spans[:levels])
+        index += spans[1:]
+        np.take(ends, index, out=paths.mids[:levels], mode="clip")
+        np.copyto(paths.mids[:levels], paths.capacity, where=clamped)
+    lo, hi = bracket
+    np.take(ends, leaf, out=lo, mode="clip")
+    leaf += 1
+    np.take(ends, leaf, out=hi, mode="clip")
     if n_clamped:  # a clamped lane stays at [capacity, capacity]
-        np.copyto(mids, paths.capacity, where=clamped)
         np.copyto(bracket, paths.capacity, where=clamped)
     np.logical_not(clamped, out=paths.on[1:levels])
     np.subtract(hi, lo, out=paths.widths[levels])
@@ -372,6 +325,17 @@ def _first_up(tol: float, capacity: float, root: float) -> float:
     return capacity
 
 
+def _end_slopes(paths: LanePaths, ends: np.ndarray) -> np.ndarray:
+    """The slopes at each lane's two final bracket ends, ``ends``' rows lo
+    and hi, one call per kernel.  An end outside the domain divides by zero
+    or overflows quietly: it is guarded where it lies on a lane's path."""
+    s, slopes = len(paths.a), np.empty(ends.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        sigmoid_slope(paths.a, paths.neg_a, paths.b, ends[:, :s], out=slopes[:, :s])
+        logarithmic_slope(paths.k, ends[:, s:], out=slopes[:, s:])
+    return slopes
+
+
 def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
     """The rates of fewer than ``LANE_BY_LANE_BELOW`` lanes: each takes its
     leaf of the :func:`midpoint_table` (a NaN root goes left), walks on
@@ -379,7 +343,7 @@ def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
     ends pass the ``MARGIN`` check, one kernel call per family; any other
     lane is solved again.  Where a guard fails at ``tol`` it runs at each
     held lane's lowest visited midpoint, its first ``lo`` or final ``hi``."""
-    paths.top = paths.resolved = paths.compared = 0
+    paths.resolved = 0
     a, s, tol, capacity, prices = paths.a, len(paths.a), paths.tol, paths.capacity, price.tolist()
     roots = [*sigmoid_root_floats(a.tolist(), paths.b.tolist(), prices[:s]),
              *logarithmic_root_floats(paths.k.tolist(), prices[s:])]
@@ -400,11 +364,7 @@ def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
             level += 1
         walks.append((capacity, tol, capacity, 0) if held else ((lo + hi) * 0.5, lo, hi, level))
     rates, lows, highs, levels = zip(*walks) if walks else ((),) * 4
-    r, slopes = np.array((lows, highs)), np.empty((2, len(rates)))
-    # an end outside the domain is guarded below if it is on a lane's path
-    with np.errstate(divide="ignore", over="ignore"):
-        sigmoid_slope(a, paths.neg_a, paths.b, r[:, :s], out=slopes[:, :s])
-        logarithmic_slope(paths.k, r[:, s:], out=slopes[:, s:])
+    slopes = _end_slopes(paths, np.array((lows, highs)))
     again = [j for j, (lo, hi, at_lo, at_hi, p) in enumerate(zip(lows, highs, *slopes.tolist(), prices))
              if not ((lo == tol or at_lo >= p * ABOVE) and (hi == capacity or at_hi < p * BELOW))]
     if not paths.screened:  # a guard passing at a rate passes at every higher one
@@ -426,17 +386,16 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     :class:`~rateauction.utility.RateDomainError` when a lane's slope is
     undefined at a midpoint on its bisection path, and otherwise
     :class:`BisectionError` when a lane needs more than
-    ``MAX_BISECTION_STEPS`` steps; a solve that raises records no path.
+    ``MAX_BISECTION_STEPS`` steps.
 
-    Fewer than ``LANE_BY_LANE_BELOW`` lanes walk in Python floats, each
-    certified by its two final ends (:func:`_solve_each`).  More replay the
-    recorded paths, then bisect below them in lockstep against the
-    estimated roots (from level 0, the first levels from the
-    :func:`midpoint_table`), and check every decision so made in one pass
-    as the replay does.  :func:`solve_rate` solves every lane whose check
-    fails again, and the round records no path.  Guards failing at ``tol``
-    run on the checked paths only, so an estimate can cost time but never
-    changes a rate, raises or warns.
+    Fewer than ``LANE_BY_LANE_BELOW`` lanes walk in Python floats
+    (:func:`_solve_each`); more bisect in lockstep against the estimated
+    roots, the first levels from the :func:`midpoint_table`.  Either way
+    each lane is certified by its two final bracket ends (``MARGIN``), one
+    call per slope kernel, and :func:`solve_rate` solves every lane whose
+    check fails again.  Guards failing at ``tol`` run on the checked paths
+    only, so an estimate can cost time but never changes a rate, raises or
+    warns.
     """
     price = np.asarray(price, dtype=float)
     if np.count_nonzero(price > 0) != price.size:
@@ -448,58 +407,59 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     if len(price) < LANE_BY_LANE_BELOW:
         return _solve_each(paths, price, clamped)
     # Basic slices keep both families' views contiguous and copy-free.
-    a, neg_a, b, k, capacity, tol = paths.a, paths.neg_a, paths.b, paths.k, paths.capacity, paths.tol
-    s, tol_array = len(a), paths.tol_array
+    a, b, k, capacity, tol, s = paths.a, paths.b, paths.k, paths.capacity, paths.tol, len(paths.a)
+    mids, on, widths, tol_array = paths.mids, paths.on, paths.widths, paths.tol_array
     n_clamped = np.count_nonzero(clamped)
     # Each lane's bracket, rows lo and hi.  A clamped lane starts as
     # [capacity, capacity]: never active, and its midpoint is capacity exactly.
     bracket = np.where(clamped, capacity, paths.first_bracket)
     lo, hi = bracket
-    resume = paths._replay(price, clamped, n_clamped, lo, hi)
-    mids, slopes, moves, on, widths = paths.mids, paths.slopes, paths.moves, paths.on, paths.widths
-    paths.top = paths.looked_up = 0  # a walk that raises leaves no paths
+    paths.looked_up = paths.resolved = level = end = 0
     again = ()
-    # The slope kernels are unguarded, and a midpoint outside their domain
-    # divides by zero or overflows: quietly here, since the guard below
-    # raises for it where it lies on a lane's path.
+    # The estimates, the walk and the kernels may overflow or divide by
+    # zero, quietly: a midpoint past the float max is inf, as (lo + hi) *
+    # 0.5 gives in floats, and an end outside the domain is guarded below
+    # where it lies on a lane's path.
     with np.errstate(divide="ignore", over="ignore"):
-        level = end = resume
-        if np.count_nonzero(np.greater(np.subtract(hi, lo, out=widths[resume]), tol_array, out=on[resume])):
+        if np.count_nonzero(np.greater(np.subtract(hi, lo, out=widths[0]), tol_array, out=on[0])):
             root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
-            if not resume:  # the table's levels first
-                level = end = _look_up(paths, bracket, root, clamped, n_clamped)
-            if level == resume or np.count_nonzero(np.greater(widths[level], tol_array, out=on[level])):
+            level = end = _look_up(paths, bracket, root, clamped, n_clamped)
+            if np.count_nonzero(np.greater(widths[level], tol_array, out=on[level])):
                 level, end = _walk(paths, bracket, level, tol_array, root)
-            np.less_equal(mids[resume:level], root, out=moves[resume:level])
-            sigmoid_slope(a, neg_a, b, mids[resume:level, :s], out=slopes[resume:level, :s])
-            logarithmic_slope(k, mids[resume:level, s:], out=slopes[resume:level, s:])
-            wrong = np.greater_equal(slopes[resume:level], price)
-            wrong ^= moves[resume:level]
-            wrong &= on[resume:level]
-            if np.count_nonzero(wrong):  # those lanes' walks leave their paths
-                again = np.flatnonzero(wrong.any(axis=0)).tolist()
-                on[resume : level + 1, again] = False
+            # A lane holds where each final end is one the walk never moved,
+            # or has its slope beyond MARGIN of the price on its side.  lo
+            # only rises and hi only falls, so every up-move lies at or below
+            # the final lo and every down-move at or above the final hi:
+            # lanes the walk halved on past their stop are checked at those
+            # over-walked ends, which covers their paths too.
+            at_lo, at_hi = _end_slopes(paths, bracket)
+            holds = np.greater_equal(at_lo, price * ABOVE)
+            holds |= lo == tol
+            holds &= (at_hi < price * BELOW) | (hi == capacity)
+            holds |= clamped
+            if np.count_nonzero(holds) != len(price):  # those lanes' walks may leave their paths
+                again = np.flatnonzero(~holds).tolist()
+                on[: level + 1, again] = False
     rates = np.add(lo, hi)
     rates *= HALF
-    if end > resume and np.count_nonzero(on[end - 1]) + n_clamped != len(price):
+    if end and np.count_nonzero(on[end - 1]) + n_clamped != len(price):
         # lanes the walk halved on past their stop take their midpoint there
         early = np.flatnonzero(np.less(on[end - 1], ~clamped))
         rates[early] = mids[np.count_nonzero(on[:end, early], axis=0), early]
-    # Where a lane fails its guard at tol, the guards run over every checked
+    # Where a lane fails its guard at tol, the guards run over every held
     # lane's path, raising before the step cap as a guarded walk would.
     if not paths.screened:
-        on_paths = np.where(on[resume:level], mids[resume:level], capacity)
+        on_paths = np.where(on[:level], mids[:level], capacity)
         check_sigmoid_rate(a, on_paths[:, :s])
         check_logarithmic_rate(k, on_paths[:, s:])
-    rates = _solve_again(paths, price, again, rates)
+    if again:
+        _solve_again(paths, price, again, rates)
     if level == MAX_BISECTION_STEPS and (active := np.count_nonzero(on[level])):
         raise BisectionError(
             f"no convergence after {MAX_BISECTION_STEPS} bisection steps in "
             f"{active} lane(s) (capacity={capacity}, tol={tol})"
         )
-    # every path ends within the levels walked: a lane's path ends where it
-    # stopped, before the walk or in it
-    paths.top, paths.predicted = (0 if again else level), level - resume
+    paths.predicted = level
     return rates
 
 

@@ -322,7 +322,8 @@ class LogarithmicUtility:
         The closed form sidesteps the 0/0 of derivative/value near r = 0.
         """
         check_logarithmic_rate(self.k, r)
-        return logarithmic_slope(self.k, r)
+        with np.errstate(over="ignore"):  # (1 + k*r) * log1p(k*r) past the float max: the slope is 0
+            return logarithmic_slope(self.k, r)
 
 
 UtilityFunction = Union[SigmoidalUtility, LogarithmicUtility]

@@ -1,6 +1,7 @@
 """CLI and trace-emission tests."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -580,6 +581,49 @@ class TestExtremeParameters:
     def test_fixed_steepness_whose_a_times_r_overflows_is_refused(self, tmp_path, capsys):
         assert self.run_with_steepness(tmp_path, "FIXED(1e307)") == 2
         assert "field 'users[0].a': a*max(b, R) must be finite, got 1e+307*100.0\n" in capsys.readouterr().err
+
+
+class TestWarningsAsErrors:
+    """Runs of the CLI in a fresh interpreter under ``python -W error``: the
+    lane solve's floating-point errors are silenced only where the result
+    is defined, so any other warning fails the run."""
+
+    @staticmethod
+    def run_cli(*args):
+        src = Path(rateauction.__file__).resolve().parent.parent
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "rateauction.cli", *map(str, args)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300,
+        )
+
+    def test_a_logarithmic_user_at_the_float_max_fails_to_converge(self, tmp_path):
+        # R at the float max: the logarithmic user's (1 + k*R) * log1p(k*R)
+        # overflows, quietly, and its slope at R is 0; the sigmoid user walks
+        # into the step cap, a solver failure: exit 3 exactly
+        capacity = sys.float_info.max
+        path = write_scenario(tmp_path, R=capacity, delta=0.01, max_iterations=20, users=[
+            {"type": "sigmoidal", "a": "FIXED(0.5)", "b": "FIXED(20.0)"},
+            {"type": "logarithmic", "k": 1.0, "r_max": capacity},
+        ])
+        done = self.run_cli("run", "--scenario", path)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("error: user 1 failed at iteration 1: no convergence after 200 bisection steps")
+
+    def test_an_unscreened_lane_in_lockstep_converges(self, tmp_path):
+        # the fixed preset tiled 14 times with each copy's a scaled by
+        # 1 + j/1000, at R = 1400, beside a = 1e-303, whose guard fails at tol:
+        # 46 lanes walk in lockstep, guarded on their paths, to convergence
+        fixed = preset("fixed")
+        users = tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
+                      for j in range(14) for u in fixed.users)
+        scenario = replace(fixed, capacity=1400.0, users=(*users, SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0))))
+        path, trace = tmp_path / "scenario.json", tmp_path / "trace.csv"
+        save_scenario(scenario, path)
+        done = self.run_cli("run", "--scenario", path, "--delta", "1e-6", "--iterations", "200", "--output", trace)
+        assert done.returncode == 0, done.stderr
+        assert "stop_reason: converged\n" in done.stdout and "converged_at: 86\n" in done.stdout
+        digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+        assert digest == "64539f0a7667f0a33d5b18922809155412b434c48fa71f755eb9b88f1119e614"
 
 
 # floats at the edges of the range: subnormal, the smallest normal, and

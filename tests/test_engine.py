@@ -343,62 +343,59 @@ def batch_line(caplog, execute) -> tuple[int, ...]:
         execute()
     (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lane solve:")]
     pattern = (r"lane solve: (\d+) lanes for (\d+) cells; (\d+) lanes re-solved, (\d+) predicted "
-               r"\((\d+) looked up\), (\d+) compared; "
-               r"sampler: (\d+) blocks, (\d+) cells, (\d+) redrawn")
+               r"\((\d+) looked up\); sampler: (\d+) blocks, (\d+) cells, (\d+) redrawn")
     return tuple(map(int, re.fullmatch(pattern, message).groups()))
 
 
 def batch_counts(caplog, execute) -> tuple[int, ...]:
     """The counts of the one batch ``execute`` runs, from its DEBUG line:
-    lanes re-solved, levels predicted, looked up (of the predicted) and
-    compared, and the sampler's blocks, cells and cells redrawn."""
+    lanes re-solved, levels predicted and looked up (of the predicted),
+    and the sampler's blocks, cells and cells redrawn."""
     return batch_line(caplog, execute)[2:]
 
 
 class TestLanePaths:
-    """A batch whose parameters stay replays each lane's last bisection
-    path; one DEBUG line per batch reports the lanes re-solved by
-    ``solve_rate`` after a failed check, the levels walked against the
-    estimated roots, those of them looked up in the midpoint table, and the
-    recorded levels compared."""
+    """Every solve walks each lane from the top of the bisection tree and
+    certifies it by its two final bracket ends; one DEBUG line per batch
+    reports the lanes re-solved by ``solve_rate`` after a failed check, the
+    levels walked against the estimated roots, and those of them looked up
+    in the midpoint table."""
 
     @staticmethod
-    def lane_work(caplog, execute) -> tuple[int, int, int, int]:
-        return batch_counts(caplog, execute)[:4]
+    def lane_work(caplog, execute) -> tuple[int, int, int]:
+        return batch_counts(caplog, execute)[:3]
 
     def test_fixed_preset_walks_each_round_from_level_0(self, caplog):
-        # its 6 lanes walk one at a time in floats and record no paths: each
-        # of the 87 rounds takes 27 levels, the first 16 from the table, and
-        # every lane's two final ends hold; it replays nothing
+        # its 6 lanes walk one at a time in floats: each of the 87 rounds
+        # takes 27 levels, the first 16 from the table, and every lane's two
+        # final ends hold
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
         counts = [self.lane_work(caplog, lambda: run(scenario)) for _ in range(2)]
-        assert counts[0] == counts[1] == (0, 87 * 27, 87 * 16, 0)
+        assert counts[0] == counts[1] == (0, 87 * 27, 87 * 16)
 
-    def test_distinct_copies_walk_about_half_the_levels(self, caplog):
+    def test_distinct_copies_walk_each_round_from_level_0(self, caplog):
         # the fixed preset tiled 100 times with each copy's a made distinct,
-        # at R = 1e4: 303 lanes in lockstep, whose 86 solves after the first
-        # replay their recorded levels, and every estimated level below them
-        # holds against the slopes; the first looks its first 16 levels up
+        # at R = 1e4: 303 lanes in lockstep, each of whose 87 rounds walks
+        # 34 levels, the first 16 from the table, and every lane's two final
+        # ends hold
         fixed = preset("fixed")
         users = tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
                       for j in range(100) for u in fixed.users)
         scenario = replace(fixed, capacity=1e4, delta=1e-6, max_iterations=200, users=users)
         counts = [self.lane_work(caplog, lambda: run(scenario)) for _ in range(2)]
-        assert counts[0] == counts[1] == (0, 1298, 16, 2924)
-        # solved from level 0, each of the 87 rounds walks 34 levels
-        assert counts[0][1] <= 0.55 * 87 * 34
+        assert counts[0] == counts[1] == (0, 87 * 34, 87 * 16)
 
     def test_fixed_runs_leave_a_batch_together(self, caplog):
         # runs with no drawn user differ only in their seed: a batch of
-        # seven walks and compares the levels one run of them in lockstep
-        # would, and all seven leave it at once
+        # seven walks the levels one run of them would, and all seven leave
+        # it at once
         scenario = replace(preset("fixed"), delta=1e-6, max_iterations=200)
         seeds = range(rateauction.ue.LANE_BY_LANE_BELOW // 6 + 1)
         results = []
         counts = self.lane_work(caplog, lambda: results.extend(run_replication(scenario, seeds)))
-        # (their 42 lanes walk in lockstep and replay: the first round, from
-        # level 0, looks its first 16 levels up)
-        assert counts == (0, 1165, 16, 86 * 27)
+        # (their 42 lanes walk in lockstep, 27 levels a round, the first 16
+        # looked up)
+        assert counts == (0, 87 * 27, 87 * 16)
         assert results == [run(replace(scenario, seed=s)) for s in seeds]
         assert [r.converged_at for r in results] == [87] * len(seeds)
 
@@ -408,7 +405,7 @@ class TestLanePaths:
         # normal's lanes of small a, whose closed-form estimate is poor or
         # NaN, take a polished one.  Each round's 300 lanes walk from level
         # 0, and take its first 16 levels from the table
-        assert self.lane_work(caplog, lambda: run_replication(preset(name), range(50))) == (0, 540, 20 * 16, 0)
+        assert self.lane_work(caplog, lambda: run_replication(preset(name), range(50))) == (0, 540, 20 * 16)
 
     def test_a_lane_failing_its_guard_at_tol_walks_in_floats(self, caplog):
         # the fixed preset beside a = 1e-303, whose guard fails at tol but at
@@ -419,16 +416,32 @@ class TestLanePaths:
         users = (*fixed.users, SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0)))
         scenario = replace(fixed, delta=1e-6, max_iterations=200, users=users)
         results = []
-        assert self.lane_work(caplog, lambda: results.append(run(scenario))) == (0, 2214, 82 * 16, 0)
+        assert self.lane_work(caplog, lambda: results.append(run(scenario))) == (0, 2214, 82 * 16)
         (result,) = results
         assert (result.stop_reason, result.converged_at) == ("converged", 82)
         assert_cells_solved(scenario, result)
 
-    def test_drawn_batches_replay_nothing(self, caplog):
-        for name in ("normal", "triangular"):
-            _, predicted, _, compared = self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2]))
-            assert predicted > 0
-            assert compared == 0
+    def test_a_lane_failing_its_guard_at_tol_walks_in_lockstep(self, caplog):
+        # the fixed preset tiled 14 times with each copy's a made distinct,
+        # at R = 1400, beside a = 1e-303: each of the 86 rounds' 46 lanes
+        # walks 31 levels in lockstep, 16 of them looked up, and is guarded
+        # on its path
+        fixed = preset("fixed")
+        users = tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
+                      for j in range(14) for u in fixed.users)
+        users = (*users, SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0)))
+        scenario = replace(fixed, capacity=1400.0, delta=1e-6, max_iterations=200, users=users)
+        results = []
+        lanes, _, *work = batch_line(caplog, lambda: results.append(run(scenario)))[:5]
+        assert (lanes, work) == (46, [0, 86 * 31, 86 * 16])
+        (result,) = results
+        assert (result.stop_reason, result.converged_at) == ("converged", 86)
+        assert_cells_solved(scenario, result)
+
+    @pytest.mark.parametrize("name", ["normal", "triangular"])
+    def test_drawn_few_lane_batches_solve_no_lane_again(self, caplog, name):
+        # 3 runs' 18 lanes walk in floats: 27 levels a round, 16 looked up
+        assert self.lane_work(caplog, lambda: run_replication(preset(name), [0, 1, 2])) == (0, 540, 20 * 16)
 
     def test_a_drawn_batch_builds_one_lane_paths(self, monkeypatch):
         # each round's draw is set into the paths of the batch's one layout
@@ -561,7 +574,7 @@ class TestSharedLanes:
         scenario = replace(fixed, capacity=10_000.0, users=fixed.users * 100)
         # each of the 20 rounds takes its 6 lanes' 34 levels from level 0,
         # the first 16 from the table
-        assert batch_line(caplog, lambda: run(scenario))[:6] == (6, 600, 0, 20 * 34, 20 * 16, 0)
+        assert batch_line(caplog, lambda: run(scenario))[:5] == (6, 600, 0, 20 * 34, 20 * 16)
 
     def test_drawn_users_keep_their_own_lanes(self, caplog):
         # 9 drawn users of their own beside 3 logarithmic lanes, for 5 runs
@@ -581,19 +594,19 @@ class TestSharedLanes:
             assert_cells_solved(scenario, result)
         assert results == [run(replace(scenario, seed=s)) for s in seeds]
 
-    def test_distinct_copies_walk_in_lockstep_and_replay(self, caplog):
+    def test_distinct_copies_walk_in_lockstep(self, caplog):
         # the fixed preset tiled 6 times with each copy's a made distinct:
         # 18 sigmoid lanes and the 3 shared logarithmic ones a run, so that
-        # two runs' solve walks in lockstep
+        # two runs' solve walks in lockstep, 30 levels in each of the 40
+        # rounds, 16 of them looked up, and every lane's two final ends hold
         fixed = preset("fixed")
         users = tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
                       for j in range(6) for u in fixed.users)
         scenario = replace(fixed, capacity=600.0, delta=1e-6, max_iterations=40, users=users)
         results = []
-        lanes, cells, _, predicted, _, compared, *_ = batch_line(
-            caplog, lambda: results.extend(run_replication(scenario, [0, 1])))
+        lanes, cells, *work = batch_line(caplog, lambda: results.extend(run_replication(scenario, [0, 1])))[:5]
         assert (lanes, cells) == (2 * 21, 2 * 36)
-        assert lanes >= rateauction.ue.LANE_BY_LANE_BELOW and predicted > 0 and compared > 0
+        assert lanes >= rateauction.ue.LANE_BY_LANE_BELOW and work == [0, 40 * 30, 40 * 16]
         for result in results:
             assert_cells_solved(scenario, result)
         assert results == [run(replace(scenario, seed=s)) for s in (0, 1)]
@@ -606,15 +619,15 @@ class TestSamplerCounts:
     def test_normal_replicate_draws_one_block(self, caplog):
         # 20 rounds of 50 runs and 3 drawn users fit one block
         execute = lambda: run_replication(preset("normal"), range(50))
-        assert batch_counts(caplog, execute)[4:] == (1, 3000, 95)
+        assert batch_counts(caplog, execute)[3:] == (1, 3000, 95)
 
     def test_one_round_per_block(self, caplog, monkeypatch):
         monkeypatch.setattr(rateauction.sampling, "BLOCK_CELLS", 50 * 3)
         execute = lambda: run_replication(preset("normal"), range(50))
-        assert batch_counts(caplog, execute)[4:] == (20, 3000, 95)
+        assert batch_counts(caplog, execute)[3:] == (20, 3000, 95)
 
     def test_fixed_batches_draw_nothing(self, caplog):
-        assert batch_counts(caplog, lambda: run(preset("fixed")))[4:] == (0, 0, 0)
+        assert batch_counts(caplog, lambda: run(preset("fixed")))[3:] == (0, 0, 0)
 
     def test_early_stop_draws_at_most_twice_the_cells_used(self, caplog):
         # every run stops by round 21 of 200; blocks of 1, 2, 4, 8 and 16
@@ -624,8 +637,8 @@ class TestSamplerCounts:
         counts = batch_counts(caplog, lambda: results.extend(run_replication(scenario, range(50))))
         used = sum(r.iterations for r in results) * 3
         assert max(r.iterations for r in results) < 200
-        assert counts[4] == 5
-        assert counts[5] <= 2 * used
+        assert counts[3] == 5
+        assert counts[4] <= 2 * used
 
 
 class TestErrorContext:

@@ -316,10 +316,9 @@ class TestSolveLanes:
 
     @staticmethod
     def assert_solves_as_new(paths, lanes, price):
-        # after a solve that raised, the paths solve as new ones, replaying nothing
+        # after a solve that raised, the paths solve as new ones
         again = solve_lanes(paths, price)
         assert again.tobytes() == solve_lanes(LanePaths(*lanes, R), price).tobytes()
-        assert paths.compared == 0
 
     @pytest.mark.parametrize("copies", [1, LANE_BY_LANE_BELOW])
     def test_guard_covers_a_lane_solved_again(self, copies):
@@ -462,13 +461,12 @@ class TestLanePaths:
             want = LanePaths(a, b, k, capacity, tol)
         except RateDomainError:
             # a guard failing at capacity: the same error, and the paths as they were
-            before = paths.at_capacity.copy(), paths.screened, paths.top
+            before = [x.tobytes() for x in (paths.a, paths.neg_a, paths.b, paths.at_capacity)], paths.screened
             with pytest.raises(RateDomainError):
                 paths.set_sigmoid(a, b)
-            assert (paths.at_capacity.tobytes(), paths.screened, paths.top) == (before[0].tobytes(), *before[1:])
+            assert ([x.tobytes() for x in (paths.a, paths.neg_a, paths.b, paths.at_capacity)], paths.screened) == before
             return
         paths.set_sigmoid(a, b)
-        assert paths.top == 0
         assert paths.at_capacity.tobytes() == want.at_capacity.tobytes()
         assert paths.screened == want.screened
         for got_paths in (paths, want):
@@ -503,8 +501,10 @@ class TestLanePaths:
 
     def test_lane_leaving_the_clamp_gets_every_step(self):
         # both roots need 190 of the 200 steps; the odd lanes, clamped in the
-        # first round, have no path, so the lockstep walk of LANE_BY_LANE_BELOW
-        # lanes must start again from level 0
+        # first round, walk every one of them in the second, in a lockstep
+        # walk of LANE_BY_LANE_BELOW lanes or more.  The even lanes' final
+        # brackets, 1e-53 wide at r = 1e-40, lie within MARGIN of their
+        # price: solve_rate solves them again
         copies = LANE_BY_LANE_BELOW // 2 + 1
         k, none = np.ones(2 * copies), np.empty(0)
         paths = LanePaths(none, none, k, 1e4, 1e-53)
@@ -513,13 +513,14 @@ class TestLanePaths:
         price = np.tile([1e40 * (1 + 1e-15), 1e45], copies)
         want = solve_lanes(LanePaths(none, none, k, 1e4, 1e-53), price)
         assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.resolved, paths.predicted, paths.compared) == (0, 190, 0)
+        assert (paths.resolved, paths.predicted) == (copies, 190)
 
     def test_a_wrong_estimate_in_lockstep_is_solved_again(self):
         # the fixed preset tiled to LANE_BY_LANE_BELOW lanes or more, with
-        # one sigmoid lane's estimate 1e300: the check finds that lane's
-        # first decision wrong, solve_rate solves exactly it again, and the
-        # round records no path, so the next solve compares nothing
+        # one sigmoid lane's estimate 1e300: the walk moves that lane's lo up
+        # at every level, the check finds the slope at its final lo below
+        # the price, and solve_rate solves exactly it again; the next solve,
+        # with the real estimates, solves none again
         copies = LANE_BY_LANE_BELOW // 6 + 1
         lanes = np.tile([15.0, 10.0, 5.0], copies), np.tile([20.0, 25.0, 35.0], copies), np.tile([1.0, 0.1, 0.02], copies)
         price = np.full(6 * copies, 0.05)
@@ -535,9 +536,9 @@ class TestLanePaths:
         paths = LanePaths(*lanes, R)
         with patch_roots(sigmoid=one_wrong):
             assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.resolved, paths.top, paths.looked_up) == (1, 0, TABLE_LEVELS)
+        assert (paths.resolved, paths.looked_up) == (1, TABLE_LEVELS)
         assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.resolved, paths.compared) == (0, 0) and paths.top
+        assert (paths.resolved, paths.predicted, paths.looked_up) == (0, 27, TABLE_LEVELS)
 
     def test_paths_of_other_lanes_are_refused(self):
         paths = LanePaths(np.array([5.0]), np.array([35.0]), np.array([0.1]), R)
@@ -599,23 +600,44 @@ class TestUnevenStops:
         ends = [final_ends(utility, p, walk, capacity, tol) for p, walk in zip(prices, walks)]
         (seen,) = checked
         assert seen.tobytes() == np.array(ends).T.tobytes()
-        assert (paths.predicted, paths.top) == (max(map(len, walks)), 0)
+        assert paths.predicted == max(map(len, walks))
         assert solve_lanes(paths, np.array(prices[::-1])).tobytes() == want[::-1].tobytes()
 
     @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
-    def test_lockstep_lanes_take_their_own_stops(self, capacity, tol, prices):
-        # LANE_BY_LANE_BELOW lanes or more walk in lockstep: the recorded
-        # paths stop one level apart, and the swapped prices replay them
+    def test_lockstep_lanes_are_checked_at_their_over_walked_ends(self, capacity, tol, prices, monkeypatch):
+        # LANE_BY_LANE_BELOW lanes or more walk in lockstep to the later of
+        # two stops one level apart: each lane takes its own stop, and the
+        # one kernel call sees the later lane's final ends as solve_rate's
+        # walk leaves them, and the earlier lane's, halved on past its stop,
+        # within them; in either order of the prices
         copies = LANE_BY_LANE_BELOW // 2 + 1
         none = np.empty(0)
-        want = np.tile(self.solve_rates(capacity, tol, prices), copies)
+        want = self.solve_rates(capacity, tol, prices)
+        utility = LogarithmicUtility(k=1.0, r_max=capacity)
+        ends = [final_ends(utility, p, solve_rate_midpoints(utility, p, capacity, tol), capacity, tol) for p in prices]
+        checked = []
+
+        def logarithmic_slope_seen(k, r, out=None):
+            checked.append(r.copy())
+            return logarithmic_slope(k, r, out=out)
+
         paths = LanePaths(none, none, np.ones(2 * copies), capacity, tol)
-        assert solve_lanes(paths, np.tile(prices, copies)).tobytes() == want.tobytes()
-        stops = np.count_nonzero(paths.on[: paths.top], axis=0)
-        assert abs(int(stops[0]) - int(stops[1])) == 1
-        swapped = solve_lanes(paths, np.tile(prices[::-1], copies))
-        assert swapped.tobytes() == np.tile(want[1::-1], copies).tobytes()
-        assert paths.compared
+        monkeypatch.setattr(rateauction.ue, "logarithmic_slope", logarithmic_slope_seen)
+        for order in ([0, 1], [1, 0]):
+            checked.clear()
+            got = solve_lanes(paths, np.tile(np.array(prices)[order], copies))
+            assert got.tobytes() == np.tile(want[order], copies).tobytes()
+            stops = np.count_nonzero(paths.on[: paths.predicted + 1, :2], axis=0)
+            assert sorted(stops) == [paths.predicted - 1, paths.predicted]
+            (seen,) = checked
+            for lane, j in enumerate(order):
+                (lo, hi), seen_lo, seen_hi = ends[j], *seen[:, lane]
+                if stops[lane] == paths.predicted:
+                    assert (seen_lo, seen_hi) == (lo, hi)
+                else:
+                    assert lo <= seen_lo < seen_hi <= hi and (seen_lo, seen_hi) != (lo, hi)
+            assert seen.tobytes() == np.tile(seen[:, :2], copies).tobytes()
+            assert paths.resolved == 0
 
     def test_a_walk_past_every_stop(self):
         # log2(capacity - tol) - log2(tol) rounds to just above 18, so the
@@ -627,7 +649,7 @@ class TestUnevenStops:
             paths = LanePaths(np.empty(0), np.empty(0), np.ones(lanes), capacity, tol)
             got = solve_lanes(paths, np.full(lanes, price))
             assert got.tobytes() == np.repeat(want, lanes).tobytes()
-            assert (paths.top, paths.predicted) == ((18, 18) if lanes > 1 else (0, 18))
+            assert paths.predicted == 18
 
     @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
     def test_a_clamped_lane_beside_them(self, capacity, tol, prices):
@@ -708,7 +730,7 @@ class TestFewLanes:
         # the fixed preset's 6 lanes with NaN sigmoid estimates: the float
         # walks go down at every level, the check finds the 3 sigmoid ones
         # wrong, and solve_rate solves those lanes again; the next round,
-        # with the real estimates, solves none again and replays nothing
+        # with the real estimates, solves none again
         lanes = np.array([15.0, 10.0, 5.0]), np.array([20.0, 25.0, 35.0]), np.array([1.0, 0.1, 0.02])
         price = np.full(6, 0.05)
         utilities = [SigmoidalUtility(a=a, b=b) for a, b in zip(*lanes[:2])] + [
@@ -717,9 +739,9 @@ class TestFewLanes:
         paths = LanePaths(*lanes, R)
         with patch_roots(sigmoid=lambda a, b, price: np.full(len(price), np.nan)):
             assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.top, paths.resolved, paths.looked_up) == (0, 3, TABLE_LEVELS)
+        assert (paths.resolved, paths.looked_up) == (3, TABLE_LEVELS)
         assert solve_lanes(paths, price).tobytes() == want.tobytes()
-        assert (paths.top, paths.resolved, paths.predicted, paths.looked_up, paths.compared) == (0, 0, 27, TABLE_LEVELS, 0)
+        assert (paths.resolved, paths.predicted, paths.looked_up) == (0, 27, TABLE_LEVELS)
 
     def test_step_cap_and_unscreened_guard_raise_as_solve_rate(self):
         # tol below the float spacing at R: every walk reaches the step cap;
@@ -730,7 +752,6 @@ class TestFewLanes:
         paths = LanePaths(np.array([1e-306, 15.0]), np.array([50.0, 20.0]), np.empty(0), R)
         with pytest.raises(RateDomainError, match="a\\*r underflows"):
             solve_lanes(paths, np.array([1e5, 0.3]))
-        assert paths.top == 0
 
 
 # Flat lanes, whose slopes change least across a final bracket: sigmoid
@@ -746,22 +767,27 @@ PERTURBATIONS = [0.0, 1e-9, 1e-7, 1e-5, 1e-3]
 
 
 def perturbed_roots(error: float) -> ExitStack:
-    """Both families' float estimates, each lane's moved by ``error``
-    relative, up and down by turns."""
+    """Both families' estimates, in floats and in arrays, each lane's moved
+    by ``error`` relative, up and down by turns."""
     stack = ExitStack()
-    for name in ("sigmoid_root_floats", "logarithmic_root_floats"):
-        def floats(*args, _estimate=getattr(rateauction.ue, name)):
+    for name in ("sigmoid_root", "logarithmic_root"):
+        def floats(*args, _estimate=getattr(rateauction.ue, f"{name}_floats")):
             return [root * (1.0 + (-1) ** j * error) for j, root in enumerate(_estimate(*args))]
 
-        stack.enter_context(patch.object(rateauction.ue, name, floats))
+        def array(*args, _estimate=getattr(rateauction.ue, name)):
+            roots = _estimate(*args)
+            return roots * (1.0 + error * (-1.0) ** np.arange(len(roots)))
+
+        stack.enter_context(patch.object(rateauction.ue, f"{name}_floats", floats))
+        stack.enter_context(patch.object(rateauction.ue, name, array))
     return stack
 
 
 class TestTwoEndCheck:
-    """A few-lane walk is certified by its two final bracket ends: where each
-    lies beyond ``MARGIN`` of the price on its side, every decision on the
-    path is ``slope >= price``; a lane with an end within it is solved again
-    by ``solve_rate``."""
+    """A walk, in floats or in lockstep, is certified by its two final
+    bracket ends: where each lies beyond ``MARGIN`` of the price on its
+    side, every decision on the path is ``slope >= price``; a lane with an
+    end within it is solved again by ``solve_rate``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -774,20 +800,45 @@ class TestTwoEndCheck:
         with perturbed_roots(error):
             TestSolveLanes.assert_lanes_equal_solve_rate(users, capacity, tol)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        users=st.lists(flat_users | lane_users, min_size=LANE_BY_LANE_BELOW, max_size=LANE_BY_LANE_BELOW + 12),
+        capacity=log_uniform(0, 4),
+        tol=log_uniform(-13, -1),
+        error=st.sampled_from(PERTURBATIONS),
+    )
+    def test_flat_lockstep_lanes_under_perturbed_estimates_equal_solve_rate(self, users, capacity, tol, error):
+        with perturbed_roots(error):
+            TestSolveLanes.assert_lanes_equal_solve_rate(users, capacity, tol)
+
+    MARGIN_UTILITIES = [SigmoidalUtility(a=10.0, b=25.0), LogarithmicUtility(k=0.1, r_max=R)]
+
     @pytest.mark.parametrize("end", ["lo", "hi"])
-    @pytest.mark.parametrize("utility", [SigmoidalUtility(a=10.0, b=25.0), LogarithmicUtility(k=0.1, r_max=R)])
+    @pytest.mark.parametrize("utility", MARGIN_UTILITIES)
     def test_an_end_within_the_margin_is_solved_again(self, utility, end):
-        # the price moved to within MARGIN/2 of the slope at the lane's final
-        # lo (above it) or hi (below it), the walk's path unchanged
+        self.assert_one_lane_within_the_margin(utility, end, 1)
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("utility", MARGIN_UTILITIES)
+    def test_an_end_within_the_margin_is_solved_again_in_lockstep(self, utility, end):
+        self.assert_one_lane_within_the_margin(utility, end, LANE_BY_LANE_BELOW)
+
+    @staticmethod
+    def assert_one_lane_within_the_margin(utility, end, lanes):
+        # the first lane's price moved to within MARGIN/2 of the slope at its
+        # final lo (above it) or hi (below it), the walk's path unchanged;
+        # the other lanes, of the same utility at the price 0.05, hold
         lo, hi = final_ends(utility, 0.05, solve_rate_midpoints(utility, 0.05, R, TOL), R, TOL)
         nudge = 1.0 + rateauction.ue.MARGIN / 2
         price = float(utility.log_slope(lo)) / nudge if end == "lo" else float(utility.log_slope(hi)) * nudge
         assert final_ends(utility, price, solve_rate_midpoints(utility, price, R, TOL), R, TOL) == (lo, hi)
         sigmoid = isinstance(utility, SigmoidalUtility)
-        lanes = (np.array([utility.a]), np.array([utility.b]), np.empty(0)) if sigmoid else (
-            np.empty(0), np.empty(0), np.array([utility.k]))
-        paths = LanePaths(*lanes, R)
-        assert solve_lanes(paths, np.array([price]))[0] == solve_rate(utility, price, R)
+        params = (np.full(lanes, utility.a), np.full(lanes, utility.b), np.empty(0)) if sigmoid else (
+            np.empty(0), np.empty(0), np.full(lanes, utility.k))
+        paths = LanePaths(*params, R)
+        got = solve_lanes(paths, np.array([price] + [0.05] * (lanes - 1)))
+        assert got[0] == solve_rate(utility, price, R)
+        assert (got[1:] == solve_rate(utility, 0.05, R)).all()
         assert paths.resolved == 1
 
     def test_an_unscreened_lane_is_guarded_at_its_first_up_move(self):
@@ -801,25 +852,33 @@ class TestTwoEndCheck:
         utility.log_slope(0.023)
         with pytest.raises(RateDomainError, match="a\\*r underflows"):
             solve_rate(utility, price, R)
-        paths = LanePaths(np.array([1e-306]), np.array([50.0]), np.empty(0), R)
-        assert not paths.screened
-        with pytest.raises(RateDomainError, match="a\\*r underflows"):
-            solve_lanes(paths, np.array([price]))
+        for lanes in (1, LANE_BY_LANE_BELOW):
+            paths = LanePaths(np.full(lanes, 1e-306), np.full(lanes, 50.0), np.empty(0), R)
+            assert not paths.screened
+            with pytest.raises(RateDomainError, match="a\\*r underflows"):
+                solve_lanes(paths, np.full(lanes, price))
 
     def test_a_capacity_near_the_float_max_is_quiet(self):
         # the table's midpoints past the float max are inf, as the float walk's
-        # (lo + hi) * 0.5 are; every lane walks into the step cap, as solve_rate does
+        # (lo + hi) * 0.5 are; every lane walks into the step cap, as solve_rate
+        # does, in floats and in lockstep.  A logarithmic lane's slope there
+        # is 0: (1 + k*r) * log1p(k*r) overflows to inf
         capacity = sys.float_info.max
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ends, spans = midpoint_table(TOL, capacity)
             assert ends.tolist() == float_tree(TOL, capacity, len(spans) - 1)
             assert math.inf in ends.tolist()
-            lanes = np.array([0.5, 1.0]), np.array([20.0, 10.0]), np.empty(0)
-            with pytest.raises(BisectionError, match="200 bisection steps"):
-                solve_lanes(LanePaths(*lanes, capacity), np.ones(2))
-            with pytest.raises(BisectionError, match="200 bisection steps"):
-                solve_rate(SigmoidalUtility(a=0.5, b=20.0), 1.0, capacity)
+            assert LogarithmicUtility(k=1.0, r_max=capacity).log_slope(capacity) == 0.0
+            for copies in (1, LANE_BY_LANE_BELOW):
+                lanes = np.tile([0.5, 1.0], copies), np.tile([20.0, 10.0], copies), np.ones(copies)
+                paths = LanePaths(*lanes, capacity)
+                assert (paths.at_capacity[2 * copies :] == 0.0).all()
+                with pytest.raises(BisectionError, match="200 bisection steps"):
+                    solve_lanes(paths, np.ones(3 * copies))
+            for utility in (SigmoidalUtility(a=0.5, b=20.0), LogarithmicUtility(k=1.0, r_max=capacity)):
+                with pytest.raises(BisectionError, match="200 bisection steps"):
+                    solve_rate(utility, 1.0, capacity)
 
 
 def float_tree(tol: float, capacity: float, levels: int) -> list:
@@ -862,13 +921,15 @@ def table_walks(draw):
 
 
 class TestLookedUpWalk:
-    """A lockstep walk from level 0 takes its first levels from the
-    ``midpoint_table`` of its ``(tol, capacity)``: the midpoints, ``on``
-    rows, bracket and stop levels of the walk that bisects every level."""
+    """A lockstep walk takes its first levels from the ``midpoint_table`` of
+    its ``(tol, capacity)``: the ``on`` rows, bracket and stop levels of the
+    walk that bisects every level, and its midpoints where the paths are
+    unscreened, since only the guards read them."""
 
     @staticmethod
-    def walk(roots, clamped, capacity, looked_up):
+    def walk(roots, clamped, capacity, looked_up, screened=True):
         paths = LanePaths(np.empty(0), np.empty(0), np.ones(len(roots)), capacity)
+        paths.screened = screened
         bracket = np.where(clamped, capacity, paths.first_bracket)
         np.greater(np.subtract(bracket[1], bracket[0], out=paths.widths[0]), paths.tol_array, out=paths.on[0])
         # the table's levels first, then the walk below them if a lane is left
@@ -882,13 +943,15 @@ class TestLookedUpWalk:
     def test_looked_up_levels_equal_the_walk_by_every_level(self, walk):
         roots, clamped, capacity = walk
         want_paths, want_bracket, (level, end) = self.walk(roots, clamped, capacity, False)
-        paths, bracket, stops = self.walk(roots, clamped, capacity, True)
-        assert stops == (level, end)
-        assert paths.looked_up == min(end, len(midpoint_table(TOL, capacity)[1]) - 1) > 0
-        assert paths.mids[:end].tobytes() == want_paths.mids[:end].tobytes()
-        assert (paths.mids[:level] <= roots).tobytes() == (want_paths.mids[:level] <= roots).tobytes()
-        assert paths.on[: end + 1].tobytes() == want_paths.on[: end + 1].tobytes()
-        assert bracket.tobytes() == want_bracket.tobytes()
+        for screened in (False, True):
+            paths, bracket, stops = self.walk(roots, clamped, capacity, True, screened)
+            assert stops == (level, end)
+            assert paths.looked_up == min(end, len(midpoint_table(TOL, capacity)[1]) - 1) > 0
+            top = paths.looked_up if screened else 0  # the midpoints written
+            assert paths.mids[top:end].tobytes() == want_paths.mids[top:end].tobytes()
+            assert (paths.mids[top:level] <= roots).tobytes() == (want_paths.mids[top:level] <= roots).tobytes()
+            assert paths.on[: end + 1].tobytes() == want_paths.on[: end + 1].tobytes()
+            assert bracket.tobytes() == want_bracket.tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), capacity=st.sampled_from(TABLE_CAPACITIES),
@@ -928,26 +991,27 @@ class TestLookedUpWalk:
                 assert np.diff(ends).min() <= TOL
         assert midpoint_table(TOL, 100.0)[0].nbytes <= 2**19 + 8
 
-    def test_only_walks_from_level_0_look_up(self):
+    def test_every_walk_looks_up(self):
+        # each solve walks from level 0, in lockstep or in floats, and takes
+        # its first levels from the table, the same paths' solves included
         copies = LANE_BY_LANE_BELOW // 6 + 1
         lanes = (np.tile([15.0, 10.0, 5.0], copies), np.tile([20.0, 25.0, 35.0], copies),
                  np.tile([1.0, 0.1, 0.02], copies))
         price = np.full(6 * copies, 0.05)
         paths = LanePaths(*lanes, R)
-        solve_lanes(paths, price)
-        assert paths.looked_up == TABLE_LEVELS
-        solve_lanes(paths, price * (1 + 1e-9))  # replays its paths, and walks on below them
-        assert paths.compared and not paths.looked_up
+        for nudge in (1.0, 1.0 + 1e-9):
+            solve_lanes(paths, price * nudge)
+            assert (paths.predicted, paths.looked_up) == (27, TABLE_LEVELS)
         few = LanePaths(lanes[0][:3], lanes[1][:3], lanes[2][:3], R)
         solve_lanes(few, price[:6])
         assert (few.predicted, few.looked_up) == (27, TABLE_LEVELS)
 
 
 class TestSlopeCalls:
-    """A solve with paths takes no slope a path has recorded: replayed
-    levels reuse the recorded slopes, and the clamp test the slopes at
-    capacity taken when the paths were built.  The lane solve evaluates
-    slopes through the unguarded kernels only."""
+    """A solve takes one call per slope kernel, over its lanes' two final
+    bracket ends, and its clamp test the slopes at capacity taken when the
+    paths were built.  The lane solve evaluates slopes through the
+    unguarded kernels only."""
 
     @staticmethod
     def count_calls(monkeypatch) -> dict[str, int]:
@@ -960,17 +1024,24 @@ class TestSlopeCalls:
             monkeypatch.setattr(rateauction.ue, name, counted)
         return calls
 
-    def test_a_repeated_solve_takes_no_slope(self, monkeypatch):
-        # LANE_BY_LANE_BELOW lanes or more, in lockstep; the last lane is clamped
+    def test_a_lockstep_solve_takes_one_call_per_kernel(self, monkeypatch):
+        # LANE_BY_LANE_BELOW lanes or more, in lockstep; the last lane is
+        # clamped.  Each call takes its family's rows lo and hi.
         copies = LANE_BY_LANE_BELOW // 4 + 1
         sigmoid = np.array([15.0, 5.0] * copies), np.array([20.0, 35.0] * copies)
         lanes = *sigmoid, np.array([0.1, 1.0] * copies)
         price = np.array([0.3, 0.05] * copies + [0.02, 1e-9] * copies)
         paths = LanePaths(*lanes, R)
         first = solve_lanes(paths, price)
-        calls = self.count_calls(monkeypatch)
+        seen = []
+        for name in ("sigmoid_slope", "logarithmic_slope"):
+            def seen_slope(*args, _name=name, _slope=getattr(rateauction.ue, name), **kwargs):
+                seen.append((_name, np.shape(args[-1])))
+                return _slope(*args, **kwargs)
+
+            monkeypatch.setattr(rateauction.ue, name, seen_slope)
         again = solve_lanes(paths, price)
-        assert calls == {"sigmoid_slope": 0, "logarithmic_slope": 0}
+        assert seen == [("sigmoid_slope", (2, 2 * copies)), ("logarithmic_slope", (2, 2 * copies))]
         assert again.tobytes() == first.tobytes()
         assert again[-1] == R
 
