@@ -24,24 +24,21 @@ for every live run and drawn user at once, as array arithmetic, bit for
 bit the draws of each cell's own generator, and serves each round from
 the block; where runs may stop early, the blocks start at one round and
 double, so that the sampler draws at most about twice the rounds the runs
-use.  A cell whose draw fails is drawn again, in its round, by the
-scalar reference, which names the error.  ``run`` is a batch of
-one seed, ``run_replication`` runs all its seeds together, and a run
-leaves the batch when it converges.  A result holds its rounds as arrays.
+use.  A cell whose draw fails is drawn again, in its round, by the scalar
+reference, which names the error.  ``run`` is a batch of one seed,
+``run_replication`` runs all its seeds together, and a run leaves the
+batch when it converges.  A result holds its rounds as arrays, and its
+users' lanes, which the trace formats one user of each.
 
-A batch keeps one :class:`~rateauction.ue.LanePaths` for its lane layout.
-Each solve walks every lane from the top of the bisection tree, a few
-lanes one at a time in floats and more in lockstep, and certifies each by
-its two final bracket ends.  A batch with a drawn user sets each round's
-draw into its paths (:meth:`~rateauction.ue.LanePaths.set_sigmoid`); the
-logarithmic lanes, their screen and slopes, and the buffers stay.  A
-batch that runs leave builds new paths for the runs left: runs with no
-drawn user differ only in their seed, so they leave together, each with
-its sampler and ledger rows.  One DEBUG line per batch reports its first
-round's lanes against its (run, user) cells, the lanes re-solved by the
-scalar solver after a failed check, the levels walked against the
-estimated roots and those looked up in the midpoint table, and the
-sampler's blocks, cells and cells redrawn off the ziggurat's fast path.
+A batch keeps one :class:`~rateauction.ue.LanePaths` for its lane layout,
+and sets each round's draw into it; a batch that runs leave builds new
+paths for the runs left.  Runs with no drawn user differ only in their
+seed, so they leave together, each with its sampler and ledger rows.  One
+DEBUG line per batch reports its first round's lanes against its (run,
+user) cells, the lanes re-solved by the scalar solver after a failed
+check, the levels walked against the estimated roots and those looked up
+in the midpoint table, and the sampler's blocks, cells and cells redrawn
+off the ziggurat's fast path.
 
 Runs are deterministic: the same scenario (including seed) always yields
 an identical result, trace included, whatever batch it ran in.
@@ -196,7 +193,9 @@ class TraceRecord:
 class RunResult:
     """A run's outcome and its rounds: ``prices`` per round; ``rates`` and
     ``bids`` (the ``price * rate`` the station priced) per round and user;
-    ``a`` and ``b`` per round and sigmoid user, the users ``sigmoid`` marks."""
+    ``a`` and ``b`` per round and sigmoid user, the users ``sigmoid`` marks;
+    ``lane``, each user's lane in a run alone, one read-only array a batch:
+    users of one lane have bit-equal columns and final rates."""
 
     stop_reason: str
     converged_at: Optional[int]
@@ -209,6 +208,7 @@ class RunResult:
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     sigmoid: np.ndarray = field(repr=False)
+    lane: np.ndarray = field(repr=False)
 
     def __eq__(self, other: object) -> bool:
         """Every field equal, the arrays bit for bit."""
@@ -284,6 +284,8 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
     a, b = np.tile(np.reshape(ab, (-1, 2)).T[:, None], (runs, 1))
     sigmoid, column, k = np.array(sigmoid), np.array(column, dtype=int), np.array(list(k), dtype=float)
     user_col, drawn_cols = column[sigmoid], [j for j, _, _ in drawn]  # each sigmoid user's column
+    lane = _lane_layout(1, sigmoid, column, a.shape[1], k)[2][0]  # each user's lane in a run alone
+    lane.flags.writeable = False
     early_stop = not drawn if scenario.allow_early_stop is None else scenario.allow_early_stop
     if drawn:
         sampler = BatchSampler(seeds, [uid for _, uid, _ in drawn], [(spec.a, spec.b) for _, _, spec in drawn],
@@ -347,7 +349,7 @@ def _run_lockstep(scenario: Scenario, seeds: list[int]) -> list[RunResult]:
     finals = zip(converged_at.tolist(), final_prices.tolist(), final_rates.tolist(), arrays)
     return [
         RunResult(STOP_CONVERGED if stop else STOP_ITERATION_CAP, stop or None, len(cols[0]), price,
-                  dict(enumerate(rates, start=1)), *cols, sigmoid)
+                  dict(enumerate(rates, start=1)), *cols, sigmoid, lane)
         for stop, price, rates, cols in finals
     ]
 

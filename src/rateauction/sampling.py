@@ -409,13 +409,9 @@ class BatchSampler:
     a block of one round and doubles the rounds of each block after it, so
     that it draws at most about twice the rounds its runs use.
 
-    Every cell of a block is derived at once.  Each seed's pool is numpy's
-    ``SeedSequence(seed).pool``, built once per batch; the rest of the hash
-    runs as array arithmetic, each block: the iterations and the user ids,
-    one word each, and the output words.
-    Then PCG64's first outputs, numpy's uniform and the ziggurat normal's
-    fast path, which all but about 1.5% of normal draws take.  A cell in
-    which a normal draw leaves that path is redrawn whole from its own
+    Every cell of a block is derived at once, as the module says.  The
+    ziggurat normal's fast path takes all but about 1.5% of normal draws,
+    and a cell in which one leaves it is redrawn whole from its own
     generator.  Rows are runs, in batch order, and columns users;
     :meth:`drop` removes the runs that leave the batch, from the block held
     too.  The per-user arrays have a leading axis of two halves, a then b.

@@ -23,15 +23,8 @@ that fails: both raise the same ``RateDomainError``.
 The lane solve rests on one fact: a level's midpoint depends only on
 ``tol``, ``capacity`` and the decisions above it, so a walk against
 estimated roots that makes every ``slope >= price`` decision right is
-the lane's exact path.  A walk from level 0 takes its first levels from
-the bisection tree of ``(tol, capacity)``, built once
-(:func:`midpoint_table`): one ``searchsorted`` of the roots.  Fewer than
-``LANE_BY_LANE_BELOW`` lanes walk on in Python floats, more in numpy
-lockstep.  Either walk certifies each lane by its two final bracket ends
-(``MARGIN``), one call per slope kernel, and its lanes whose check fails
-are solved again by :func:`solve_rate`.  Every solve walks from level 0:
-a :class:`LanePaths` keeps a layout's parameters, screens and buffers,
-and new sigmoid parameters are set into it (:meth:`LanePaths.set_sigmoid`).
+the lane's exact path; :func:`solve_lanes` says how its walks are made
+and certified.
 """
 
 from __future__ import annotations
@@ -263,6 +256,22 @@ def midpoint_table(tol: float, capacity: float) -> tuple[np.ndarray, np.ndarray]
     return ends, spans
 
 
+def _leaves(ends: np.ndarray, root) -> np.ndarray:
+    """The leaf each root's walk reaches in the table ``ends``: ``mid <=
+    root`` moves it right, so it is the count of midpoints at most the root
+    (none for NaN).  It is guessed from the root, the entries lying close to
+    evenly spaced, moved one entry as its two neighbours say, and searched
+    where still off, such as past entries that overflowed to inf."""
+    top, root = len(ends) - 2, np.fmax(root, -np.inf)  # the last leaf, and NaN read as -inf
+    guess = (np.clip(root, ends[0], ends[-1]) - ends[0]) * ((top + 1) / (ends[-1] - ends[0]) if top else 0.0)
+    leaf = np.minimum(guess, top).astype(np.intp)
+    leaf += (ends[leaf + 1] <= root) & (leaf < top)
+    leaf -= (ends[leaf] > root) & (leaf > 0)
+    off = np.flatnonzero(((ends[leaf] > root) & (leaf > 0)) | ((ends[leaf + 1] <= root) & (leaf < top)))
+    leaf[off] = np.searchsorted(ends[1:-1], root[off], side="right")
+    return leaf
+
+
 def _look_up(paths: LanePaths, bracket: np.ndarray, root, clamped, n_clamped: int) -> int:
     """Walk against ``root`` from the first bracket as far as the paths'
     :func:`midpoint_table` reaches: the bracket and its width where the
@@ -272,12 +281,9 @@ def _look_up(paths: LanePaths, bracket: np.ndarray, root, clamped, n_clamped: in
     than tol."""
     ends, spans = midpoint_table(paths.tol, paths.capacity)
     levels = len(spans) - 1
-    # mid <= root moves a lane right at every midpoint, so the leaf it ends
-    # in is the count of midpoints at most its root, and its bracket the
-    # leaf's two table entries; NaN moves it left.  Every index is in
-    # range, and a take into out= with the default mode copies through a
-    # buffer
-    leaf = np.searchsorted(ends[1:-1], np.fmax(root, -np.inf), side="right")
+    # a lane's bracket is its leaf's two table entries.  Every index is in
+    # range, and a take into out= with the default mode copies through a buffer
+    leaf = _leaves(ends, root)
     if not paths.screened:
         # each level's midpoint lies half a bracket on from the first table
         # entry of the level's bracket, the leaf with its low bits cleared
@@ -388,14 +394,14 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     :class:`BisectionError` when a lane needs more than
     ``MAX_BISECTION_STEPS`` steps.
 
-    Fewer than ``LANE_BY_LANE_BELOW`` lanes walk in Python floats
-    (:func:`_solve_each`); more bisect in lockstep against the estimated
-    roots, the first levels from the :func:`midpoint_table`.  Either way
-    each lane is certified by its two final bracket ends (``MARGIN``), one
-    call per slope kernel, and :func:`solve_rate` solves every lane whose
-    check fails again.  Guards failing at ``tol`` run on the checked paths
-    only, so an estimate can cost time but never changes a rate, raises or
-    warns.
+    A solve walks every lane from level 0, the first levels from the
+    :func:`midpoint_table` (each root's leaf guessed or searched), fewer than
+    ``LANE_BY_LANE_BELOW`` lanes on in Python floats (:func:`_solve_each`),
+    more in lockstep.  Either way each lane is certified by its two final
+    bracket ends (``MARGIN``), one call per slope kernel, and
+    :func:`solve_rate` solves every lane whose check fails again.  Guards
+    failing at ``tol`` run on the checked paths only, so an estimate can
+    cost time but never changes a rate, raises or warns.
     """
     price = np.asarray(price, dtype=float)
     if np.count_nonzero(price > 0) != price.size:

@@ -138,9 +138,15 @@ def run_results(draw, family):
     drawn = draw(st.integers(1, users))
     copies = draw(st.lists(st.integers(0, drawn - 1), min_size=users, max_size=users))
     rates, bids, a, b = matrix(4, rounds, drawn)[:, :, copies]
-    # the final rates are drawn apart from the columns or copied as they are,
-    # so the summary meets equal rates, 0.0 beside -0.0 and NaN payloads too
-    final_rates = matrix(drawn)[copies] if draw(st.booleans()) else matrix(users)
+    # the final rates are drawn apart from the columns, one per drawn column
+    # or one per user, so the summary meets equal rates, 0.0 beside -0.0 and
+    # NaN payloads too.  The users of one drawn column and family share a
+    # lane, and with it their final rate; with a final rate of its own,
+    # every user has a lane of its own, though its columns may repeat
+    if draw(st.booleans()):
+        final_rates, lane = matrix(drawn)[copies], np.where(sigmoid, copies, drawn + np.array(copies))
+    else:
+        final_rates, lane = matrix(users), np.arange(users)
     converged_at = draw(st.one_of(st.none(), st.just(rounds)))
     return RunResult(
         stop_reason="converged" if converged_at else "iteration_cap",
@@ -154,29 +160,28 @@ def run_results(draw, family):
         a=a[:, sigmoid],
         b=b[:, sigmoid],
         sigmoid=sigmoid,
+        lane=lane,
     )
 
 
-def columns_result(rates, sigmoid):
+def columns_result(rates, sigmoid, lane):
     """A run whose bids equal its rates, with every sigmoid user's a and b
-    held at 0.0."""
+    held at 0.0, and the users' ``lane``."""
     rates = np.array(rates, dtype=float)
     sigmoid = np.array(sigmoid)
     params = np.zeros((len(rates), int(sigmoid.sum())))
     return RunResult(
         stop_reason="iteration_cap", converged_at=None, iterations=len(rates), final_price=1.0,
         final_rates=dict(enumerate(rates[-1].tolist(), start=1)), prices=np.ones(len(rates)),
-        rates=rates, bids=rates.copy(), a=params, b=params, sigmoid=sigmoid,
+        rates=rates, bids=rates.copy(), a=params, b=params, sigmoid=sigmoid, lane=np.array(lane),
     )
 
 
 def formatted_columns(result):
-    """How many user columns the renderer formats when it renders result."""
-    grouping = rateauction.trace._distinct_columns
-    with mock.patch.object(rateauction.trace, "_distinct_columns", wraps=grouping) as spy:
-        render_trace(result)
-    columns, group = grouping(*spy.call_args.args)
-    return result.rates.shape[1] if group is None else len(columns)
+    """How many user columns the renderer formats when it renders result:
+    one a lane."""
+    _, _, families, *_ = rateauction.trace._layout(result.sigmoid.tobytes(), result.lane.tobytes())
+    return len(families)
 
 
 class TestRendererMatchesPerFieldFormatting:
@@ -219,41 +224,43 @@ class TestRendererMatchesPerFieldFormatting:
 
 
 class TestGroupedColumns:
-    """Users whose columns are bit-equal over the run are formatted once."""
+    """Users that share a lane are formatted once."""
 
     NAN = np.array(0x7FF8000000000001, dtype=np.uint64).view(float).item()  # another NaN payload
 
     @pytest.mark.parametrize(
-        "rates, sigmoid, formatted",
+        "rates, sigmoid, lane, formatted",
         [
             # a log column and a sigmoid one with a = b = 0.0: the same bits
-            # but for the family
-            pytest.param([[1.5, 1.5], [2.5, 2.5]], [True, False], 2, id="families"),
-            # the last round tells them apart: no grouping is tried
-            pytest.param([[1.0, 1.0], [2.0, 3.0]], [False, False], 2, id="last-round-distinct"),
-            pytest.param([[0.0, -0.0, 0.0, -0.0]], [False] * 4, 2, id="signed-zeros"),
-            pytest.param([[math.nan, math.nan, NAN, 2.0, 2.0]], [False] * 5, 3, id="nans"),
-            # all five tie in the last round; columns 0, 1 and 3 are equal,
-            # but column 2 sorts between them
-            pytest.param([[1.0, 1.0, 2.0, 1.0, 2.0], [3.0] * 5], [True, True, True, True, False], 4,
-                         id="last-round-tie"),
+            # but for the family, and a lane each
+            pytest.param([[1.5, 1.5], [2.5, 2.5]], [True, False], [0, 1], 2, id="families"),
+            pytest.param([[1.0, 1.0], [2.0, 3.0]], [False, False], [1, 0], 2, id="last-round-distinct"),
+            pytest.param([[0.0, -0.0, 0.0, -0.0]], [False] * 4, [0, 1, 0, 1], 2, id="signed-zeros"),
+            pytest.param([[math.nan, math.nan, NAN, 2.0, 2.0]], [False] * 5, [0, 0, 1, 2, 2], 3, id="nans"),
+            # all five tie in the last round; users 1, 2 and 4 share a lane
+            pytest.param([[1.0, 1.0, 2.0, 1.0, 2.0], [3.0] * 5], [True, True, True, True, False],
+                         [0, 0, 1, 0, 2], 3, id="last-round-tie"),
+            # bit-equal columns in lanes of their own: the template
+            pytest.param([[1.0, 1.0, 1.0]], [False] * 3, [0, 1, 2], 3, id="equal-columns-apart"),
         ],
     )
-    def test_byte_equal(self, rates, sigmoid, formatted):
-        result = columns_result(rates, sigmoid)
+    def test_byte_equal(self, rates, sigmoid, lane, formatted):
+        result = columns_result(rates, sigmoid, lane)
         assert formatted_columns(result) == formatted
         assert render_trace(result) == reference_render(result)
 
     def test_equal_rates_with_other_bids(self):
-        result = replace(columns_result([[1.0, 1.0]], [False, False]), bids=np.array([[1.0, 2.0]]))
+        result = replace(columns_result([[1.0, 1.0]], [False, False], [0, 1]), bids=np.array([[1.0, 2.0]]))
         assert formatted_columns(result) == 2
         assert render_trace(result) == reference_render(result)
 
-    def test_one_group_with_other_final_rates(self):
-        # the final rates are not the columns' last rates, and may differ
-        # within a group; 0.0 and -0.0 are formatted apart
-        result = replace(columns_result([[1.0] * 4], [True] * 4), final_rates={1: 0.5, 2: -0.0, 3: 0.0, 4: 0.5})
-        assert formatted_columns(result) == 1
+    def test_lanes_with_other_final_rates(self):
+        # the final rates are not the columns' last rates; bit-equal columns
+        # with other final rates are other lanes, and 0.0 and -0.0 are
+        # formatted apart
+        result = replace(columns_result([[1.0] * 4], [True] * 4, [0, 1, 2, 0]),
+                         final_rates={1: 0.5, 2: -0.0, 3: 0.0, 4: 0.5})
+        assert formatted_columns(result) == 3
         assert render_trace(result) == reference_render(result)
         assert printed_summary(result) == reference_summary(result)
 
@@ -288,6 +295,53 @@ class TestGroupedColumns:
         for result in run_replication(replace(normal, users=normal.users * 3), [0, 1]):
             assert formatted_columns(result) == 12
             assert render_trace(result) == reference_render(result)
+
+
+class TestLayoutPlans:
+    """Each layout's plan is built once and kept: renders of many layouts,
+    in any order, read as their own.  Each pair below differs in one thing
+    that keys the plan, and in nothing else that does."""
+
+    @staticmethod
+    def held_a(a):
+        users = (LogarithmicUserSpec(k=1.0, r_max=100.0), SigmoidalUserSpec(a=a, b=Normal(20.0, 2.0)))
+        return run(Scenario(capacity=100.0, delta=1e-2, max_iterations=20, seed=4, users=users))
+
+    @staticmethod
+    def held_field(held):
+        # one sigmoid user whose a or b varies while the other is held at 0.5
+        result = columns_result([[1.0, 2.0], [3.0, 4.0]], [True, False], [0, 1])
+        varies, fixed = np.array([[0.25], [0.75]]), np.full((2, 1), 0.5)
+        return replace(result, a=fixed, b=varies) if held == "a" else replace(result, a=varies, b=fixed)
+
+    def results(self):
+        fixed = preset("fixed")
+        clamped, steady = self.held_a(Normal(-100.0, 1.0)), self.held_a(Fixed(0.2))
+        assert clamped.a[:, 0].tolist() == [0.1] * 20  # the clamp holds a
+        return [
+            # the families: a sigmoid user beside a log one, or two log users
+            columns_result([[1.0, 2.0], [3.0, 4.0]], [True, False], [0, 1]),
+            columns_result([[1.0, 2.0], [3.0, 4.0]], [False, False], [0, 1]),
+            # the lanes: two sigmoid users beside two log ones, which share a
+            # lane, or the sigmoid users share one: a lane's first user
+            # gives its family
+            columns_result([[1.0, 2.0, 1.0, 2.0]], [True, False, True, False], [0, 2, 1, 2]),
+            columns_result([[1.0, 2.0, 1.0, 3.0]], [True, False, True, False], [0, 1, 0, 2]),
+            # which fields vary: a or b, the other held at the same bits
+            self.held_field("a"),
+            self.held_field("b"),
+            # the held fields' bits: a clamp-held a of 0.1, or a fixed 0.2
+            clamped,
+            steady,
+            run(replace(fixed, capacity=1000.0, users=fixed.users * 10)),
+            *run_replication(preset("normal"), [0, 1]),
+        ]
+
+    def test_interleaved_layouts_render_as_their_own(self):
+        results = self.results()
+        for result in results + results[::-1] + results[::2] + results[1::2]:
+            assert render_trace(result) == reference_render(result)
+            assert printed_summary(result) == reference_summary(result)
 
 
 class TestStreamedEmission:

@@ -612,6 +612,47 @@ class TestSharedLanes:
         assert results == [run(replace(scenario, seed=s)) for s in (0, 1)]
 
 
+def lane_cases():
+    """The scenarios and seeds of the lane contract, and the lanes a run."""
+    fixed, normal = preset("fixed"), preset("normal")
+    mixed = (
+        SigmoidalUserSpec(a=Fixed(0.05), b=Normal(20.0, 2.0)),
+        SigmoidalUserSpec(a=Normal(10.0, 2.0), b=Fixed(150.0)),
+        LogarithmicUserSpec(k=1.0, r_max=100.0),
+    )
+    cases = {name: (preset(name), [0, 1], 6) for name in ("fixed", "normal", "triangular")}
+    cases["fixed-tiled100-R10000"] = (replace(fixed, capacity=10_000.0, users=fixed.users * 100), [0], 6)
+    cases["normal-tiled3"] = (replace(normal, users=normal.users * 3), [0, 1], 12)
+    # runs settle between rounds 6 and 16, leaving the batch
+    cases["normal-early-stop"] = (replace(normal, delta=1.0, allow_early_stop=True, max_iterations=50),
+                                  list(range(10)), 6)
+    cases["mixed-stochastic"] = (replace(normal, users=mixed), [1, 0], 3)
+    return cases
+
+
+class TestLaneContract:
+    """Users with equal ``lane`` entries have bit-equal rates, bids, a and b
+    columns and final rates; a lane holds one family, the sigmoid lanes
+    first, and a batch's results share one read-only ``lane``."""
+
+    @pytest.mark.parametrize("name", sorted(lane_cases()))
+    def test_users_of_a_lane_are_bit_equal(self, name):
+        scenario, seeds, lanes = lane_cases()[name]
+        results = run_replication(scenario, seeds)
+        lane, sig = results[0].lane, results[0].sigmoid
+        assert all(result.lane is lane for result in results) and not lane.flags.writeable
+        assert sorted(set(lane.tolist())) == list(range(lanes))
+        assert lane[sig].max(initial=-1) < lane[~sig].min(initial=lanes)
+        for result in results:
+            params = np.zeros((2, *result.rates.shape))
+            params[:, :, sig] = result.a, result.b
+            columns = np.concatenate((result.rates, result.bids, *params)).view(np.uint64)
+            finals = np.array([result.final_rates[uid] for uid in range(1, len(lane) + 1)]).view(np.uint64)
+            first = np.unique(lane, return_index=True)[1][lane]  # each user's lane's first user
+            assert (columns == columns[:, first]).all()
+            assert (finals == finals[first]).all()
+
+
 class TestSamplerCounts:
     """The batch's DEBUG line reports the sampler's blocks, the cells they
     hold, and the cells redrawn off the ziggurat's fast path."""

@@ -28,6 +28,7 @@ from rateauction.ue import (
     LANE_BY_LANE_BELOW,
     TABLE_LEVELS,
     LanePaths,
+    _leaves,
     _look_up,
     _walk,
     midpoint_table,
@@ -918,6 +919,46 @@ def table_walks(draw):
                           min_size=LANE_BY_LANE_BELOW, max_size=LANE_BY_LANE_BELOW + 20))
     roots, clamped = zip(*lanes)
     return np.array(roots), np.array([False, *clamped[1:]]), capacity
+
+
+class TestGuessedLeaves:
+    """A lockstep walk guesses each root's leaf of the ``midpoint_table``
+    from the root, and must land where ``searchsorted`` of the midpoints
+    does, a NaN root counting none; at R = 1.7976931348623157e308 the table
+    holds inf past the float max."""
+
+    CAPACITIES = [100.0, 1e-4, 0.03, sys.float_info.max]
+
+    @staticmethod
+    def searched(ends, roots):
+        return np.searchsorted(ends[1:-1], np.fmax(roots, -np.inf), side="right")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), capacity=st.sampled_from(CAPACITIES))
+    def test_leaves_equal_searchsorted(self, data, capacity):
+        ends, _ = midpoint_table(TOL, capacity)
+        roots = np.array(data.draw(st.lists(table_estimates(capacity), min_size=1, max_size=60)))
+        assert _leaves(ends, roots).tolist() == self.searched(ends, roots).tolist()
+
+    @pytest.mark.parametrize("capacity", [*CAPACITIES, TOL, 1.5 * TOL])
+    def test_every_entry_and_its_neighbours(self, capacity):
+        # the last two: a table of one leaf, [tol, R]
+        ends, _ = midpoint_table(TOL, capacity)
+        with np.errstate(over="ignore"):  # the float max's next float up is inf
+            above = np.nextafter(ends, np.inf)
+        roots = np.concatenate((ends, np.nextafter(ends, -np.inf), above, [np.nan, -np.nan, np.inf, -np.inf, 0.0, -1.0]))
+        with patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            leaves = _leaves(ends, roots)
+        assert leaves.tolist() == self.searched(ends, roots).tolist()
+        # every guess was at most one leaf off, so the neighbours set it right
+        assert [call.args[1].size for call in search.call_args_list] == [0]
+
+    def test_a_guess_far_off_is_searched(self):
+        # entries far from evenly spaced: a guess two or more leaves off
+        # is found by searchsorted
+        ends = np.array([TOL, 1.0, 2.0, 3.0, 100.0])
+        roots = np.linspace(-1.0, 101.0, 1021)
+        assert _leaves(ends, roots).tolist() == self.searched(ends, roots).tolist()
 
 
 class TestLookedUpWalk:
