@@ -134,10 +134,9 @@ class LanePaths:
     ``capacity`` where that fails) and take each lane's slope at
     ``capacity``: once for the logarithmic lanes, and for the sigmoid ones
     each time :meth:`set_sigmoid` takes new ``a`` and ``b``.  A lockstep
-    walk writes, at each level, every lane's midpoint, its bracket's width
-    there and whether that is on the lane's path, where its bracket is wider
-    than ``tol``.  Of the last solve, ``predicted`` counts the levels walked
-    against the estimated roots (a few-lane solve's deepest lane's),
+    walk keeps every lane's last midpoint and its bracket's widths at the
+    last three levels.  Of the last solve, ``predicted`` counts the levels
+    walked against the estimated roots (a few-lane solve's deepest lane's),
     ``looked_up`` those taken from the :func:`midpoint_table`, and
     ``resolved`` the lanes solved again by :func:`solve_rate` after a
     failed check.
@@ -161,11 +160,10 @@ class LanePaths:
         self.at_capacity = np.empty(len(a) + len(k))  # per lane: the slope at capacity
         with np.errstate(over="ignore"):  # (1 + k*r) * log1p(k*r) past the float max: the slope is 0
             logarithmic_slope(k, capacity, out=self.at_capacity[len(a) :])
-        # (level, lane): midpoint, the bracket's width there, and whether it
-        # is on the lane's path
-        self.mids = np.empty((MAX_BISECTION_STEPS, len(self.at_capacity)))
-        self.widths = np.empty((MAX_BISECTION_STEPS + 1, len(self.at_capacity)))
-        self.on = np.empty(self.widths.shape, dtype=bool)
+        # per lane: the walk's last midpoint, and its bracket's width at the
+        # last three levels, level l in row l % 3
+        self.mid = np.empty(len(self.at_capacity))
+        self.widths = np.empty((3, len(self.at_capacity)))
         self.resolved = self.predicted = self.looked_up = 0
         self.set_sigmoid(a, b)
 
@@ -190,54 +188,43 @@ class LanePaths:
             sigmoid_slope(self.a, self.neg_a, self.b, self.capacity, out=self.at_capacity[: len(a)])
 
 
-def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, root) -> tuple[int, int]:
-    """Bisect every lane of ``bracket`` in lockstep from ``level``, whose
-    widths row holds some lane wider than ``tol``, against ``root``, a few
-    numpy calls a level: ``mid <= root`` stands in for ``slope >= price``.
-    Return the level at which none is left or the step cap is reached, and
-    the level the bracket was walked to.
+def _walk(paths: LanePaths, bracket: np.ndarray, level: int, tol, root) -> int:
+    """Bisect every lane of ``bracket`` in lockstep from ``level``, at which
+    some lane is wider than ``tol``, against ``root``, a few numpy calls a
+    level: ``mid <= root`` stands in for ``slope >= price``.  Return the
+    level at which none is left or the step cap is reached.
 
     No lane is masked: one within ``tol`` halves on (a clamped ``[capacity,
-    capacity]`` stays put), and its rate is its midpoint where it stopped.
+    capacity]`` stays put), past its stop, where its rate was its midpoint.
     """
-    (lo, hi), mids, widths = bracket, paths.mids, paths.widths
+    (lo, hi), mid, widths = bracket, paths.mid, paths.widths
     # rows of the bracket a lane's midpoint replaces: lo where it is at
     # most the root, hi where it is above
     ups, downs = moved_to = np.empty(bracket.shape, dtype=bool)
-    start = level
     log2_tol = math.log2(tol)
     while True:
         # every level halves each bracket, so the widest is within tol
         # after about this many; a NaN or infinite width walks to the cap
-        steps = min(MAX_BISECTION_STEPS, math.log2(widths[level].max()) - log2_tol)
+        steps = min(MAX_BISECTION_STEPS, math.log2(widths[level % 3].max()) - log2_tol)
         end = min(MAX_BISECTION_STEPS, level + max(1, math.ceil(steps)))
         for row in range(level, end):
-            mid = mids[row]
             np.add(lo, hi, out=mid)
             mid *= HALF
             np.less_equal(mid, root, out=ups)
             np.logical_not(ups, out=downs)
             np.copyto(bracket, mid, where=moved_to)
-            np.subtract(hi, lo, out=widths[row + 1])
+            np.subtract(hi, lo, out=widths[(row + 1) % 3])
         level = end
-        if level == MAX_BISECTION_STEPS or not np.count_nonzero(np.greater(widths[level], tol, out=paths.on[level])):
-            break
-    np.greater(widths[start : level + 1], tol, out=paths.on[start : level + 1])
-    on = paths.on[start : level + 1]
-    if level > start and not np.count_nonzero(on[-2]):
-        # rounding stopped every lane above the last level: end at the first with none
-        return start + np.count_nonzero(on.any(axis=1)), level
-    return level, level
+        if level == MAX_BISECTION_STEPS or not np.count_nonzero(widths[level % 3] > tol):
+            return level
 
 
 @lru_cache(maxsize=8)
-def midpoint_table(tol: float, capacity: float) -> tuple[np.ndarray, np.ndarray]:
+def midpoint_table(tol: float, capacity: float) -> tuple[np.ndarray, int]:
     """The bisection tree of ``[tol, capacity]`` down to ``TABLE_LEVELS``
     levels, fewer where some bracket of a level is within ``tol``, as the
     walk computes it: its brackets' ends and midpoints in order, ``tol``
-    first, and one row per level and the one below them of ``2**(levels -
-    level)``, the number of table entries one bracket of the level spans.
-    Both are read-only."""
+    first, read-only, and the number of levels."""
     ends = np.empty((1 << TABLE_LEVELS) + 1)
     ends[0], ends[-1], step, levels = tol, capacity, len(ends) - 1, 0
     while levels < TABLE_LEVELS:
@@ -251,9 +238,8 @@ def midpoint_table(tol: float, capacity: float) -> tuple[np.ndarray, np.ndarray]
         step, levels = step // 2, levels + 1
     if step > 1:
         ends = ends[::step].copy()
-    spans = np.left_shift(1, np.arange(levels, -1, -1))[:, None]
-    ends.flags.writeable = spans.flags.writeable = False
-    return ends, spans
+    ends.flags.writeable = False
+    return ends, levels
 
 
 def _leaves(ends: np.ndarray, root) -> np.ndarray:
@@ -275,30 +261,19 @@ def _leaves(ends: np.ndarray, root) -> np.ndarray:
 def _look_up(paths: LanePaths, bracket: np.ndarray, root, clamped, n_clamped: int) -> int:
     """Walk against ``root`` from the first bracket as far as the paths'
     :func:`midpoint_table` reaches: the bracket and its width where the
-    table ends, the ``on`` rows below level 0, and each lane's midpoints
-    where the paths are unscreened, since only the guards read them.
-    Returns the levels taken, at least 1 where level 0 has a lane wider
-    than tol."""
-    ends, spans = midpoint_table(paths.tol, paths.capacity)
-    levels = len(spans) - 1
+    table ends.  Returns the levels taken, at least 1 where level 0 has a
+    lane wider than tol."""
+    ends, levels = midpoint_table(paths.tol, paths.capacity)
     # a lane's bracket is its leaf's two table entries.  Every index is in
     # range, and a take into out= with the default mode copies through a buffer
     leaf = _leaves(ends, root)
-    if not paths.screened:
-        # each level's midpoint lies half a bracket on from the first table
-        # entry of the level's bracket, the leaf with its low bits cleared
-        index = np.bitwise_and(leaf, -spans[:levels])
-        index += spans[1:]
-        np.take(ends, index, out=paths.mids[:levels], mode="clip")
-        np.copyto(paths.mids[:levels], paths.capacity, where=clamped)
     lo, hi = bracket
     np.take(ends, leaf, out=lo, mode="clip")
     leaf += 1
     np.take(ends, leaf, out=hi, mode="clip")
     if n_clamped:  # a clamped lane stays at [capacity, capacity]
         np.copyto(bracket, paths.capacity, where=clamped)
-    np.logical_not(clamped, out=paths.on[1:levels])
-    np.subtract(hi, lo, out=paths.widths[levels])
+    np.subtract(hi, lo, out=paths.widths[levels % 3])
     paths.looked_up = levels
     return levels
 
@@ -321,14 +296,23 @@ def _solve_again(paths: LanePaths, price, lanes, rates):
     return rates
 
 
-def _first_up(tol: float, capacity: float, root: float) -> float:
-    """The first midpoint a walk of ``[tol, capacity]`` against ``root`` moves ``lo`` to, else ``capacity``."""
-    hi = capacity
-    while hi - tol > tol:
-        if (mid := (tol + hi) * 0.5) <= root:
-            return mid
-        hi = mid
-    return capacity
+def _guard(paths: LanePaths, roots, highs, held) -> None:
+    """Run both domain guards at each ``held`` lane's lowest visited
+    midpoint, its first up-move against its entry of ``roots`` (NaN moves
+    none) or its final ``hi`` of ``highs``, and at ``capacity`` for the
+    other lanes: a guard passing at a rate passes at every higher one."""
+    tol, capacity, s = paths.tol, paths.capacity, len(paths.a)
+    downs, hi = [], capacity  # the midpoints a walk moving only hi visits, within the step cap
+    while hi - tol > tol and len(downs) < MAX_BISECTION_STEPS:
+        hi = (tol + hi) * 0.5
+        downs.append(hi)
+    # a lane's first up-move is the first of them at most its root
+    ups = np.array([capacity, *downs[::-1]])
+    first = np.searchsorted(ups[1:], np.fmax(np.asarray(roots)[held], -np.inf), side="right")
+    lowest = np.full(len(paths.at_capacity), capacity)
+    lowest[held] = np.minimum(ups[first], np.asarray(highs)[held])
+    check_sigmoid_rate(paths.a, lowest[:s])
+    check_logarithmic_rate(paths.k, lowest[s:])
 
 
 def _end_slopes(paths: LanePaths, ends: np.ndarray) -> np.ndarray:
@@ -347,14 +331,14 @@ def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
     leaf of the :func:`midpoint_table` (a NaN root goes left), walks on
     against its estimated root in Python floats, and holds where its final
     ends pass the ``MARGIN`` check, one kernel call per family; any other
-    lane is solved again.  Where a guard fails at ``tol`` it runs at each
-    held lane's lowest visited midpoint, its first ``lo`` or final ``hi``."""
+    lane is solved again.  Where a guard fails at ``tol``, :func:`_guard`
+    runs it over the held lanes' paths."""
     paths.resolved = 0
     a, s, tol, capacity, prices = paths.a, len(paths.a), paths.tol, paths.capacity, price.tolist()
     roots = [*sigmoid_root_floats(a.tolist(), paths.b.tolist(), prices[:s]),
              *logarithmic_root_floats(paths.k.tolist(), prices[s:])]
-    ends, spans = midpoint_table(tol, capacity)
-    top, leaf = len(spans) - 1, np.searchsorted(ends[1:-1], np.fmax(roots, -np.inf), side="right")
+    ends, top = midpoint_table(tol, capacity)
+    leaf = np.searchsorted(ends[1:-1], np.fmax(roots, -np.inf), side="right")
     walks = []  # per lane: rate, final ends (tol, capacity where it moved no lo, hi), levels
     for root, held, lo, hi in zip(roots, clamped.tolist(), ends[leaf].tolist(), ends[leaf + 1].tolist()):
         level, lo = top, (hi if held else lo)  # a clamped lane walks nothing
@@ -373,11 +357,8 @@ def _solve_each(paths: LanePaths, price, clamped) -> np.ndarray:
     slopes = _end_slopes(paths, np.array((lows, highs)))
     again = [j for j, (lo, hi, at_lo, at_hi, p) in enumerate(zip(lows, highs, *slopes.tolist(), prices))
              if not ((lo == tol or at_lo >= p * ABOVE) and (hi == capacity or at_hi < p * BELOW))]
-    if not paths.screened:  # a guard passing at a rate passes at every higher one
-        lowest = np.array([min(_first_up(tol, capacity, root), hi) if level and j not in again else capacity
-                           for j, (root, hi, level) in enumerate(zip(roots, highs, levels))])
-        check_sigmoid_rate(a, lowest[:s])
-        check_logarithmic_rate(paths.k, lowest[s:])
+    if not paths.screened:
+        _guard(paths, roots, highs, [j for j, level in enumerate(levels) if level and j not in again])
     paths.predicted, paths.looked_up = max(levels, default=0), (top if any(levels) else 0)
     return _solve_again(paths, price, again, np.array(rates)) if again else np.array(rates)
 
@@ -397,11 +378,13 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
     A solve walks every lane from level 0, the first levels from the
     :func:`midpoint_table` (each root's leaf guessed or searched), fewer than
     ``LANE_BY_LANE_BELOW`` lanes on in Python floats (:func:`_solve_each`),
-    more in lockstep.  Either way each lane is certified by its two final
-    bracket ends (``MARGIN``), one call per slope kernel, and
-    :func:`solve_rate` solves every lane whose check fails again.  Guards
-    failing at ``tol`` run on the checked paths only, so an estimate can
-    cost time but never changes a rate, raises or warns.
+    more in lockstep, all to the last lane's stop: a lane one level past its
+    own takes the walk's last midpoint, and one further past is solved
+    again.  Either way each lane is certified by its two final bracket ends
+    (``MARGIN``), one call per slope kernel, and :func:`solve_rate` solves
+    every lane whose check fails again.  Guards failing at ``tol`` run on
+    the checked paths only (:func:`_guard`), so an estimate can cost time
+    but never changes a rate, raises or warns.
     """
     price = np.asarray(price, dtype=float)
     if np.count_nonzero(price > 0) != price.size:
@@ -414,53 +397,52 @@ def solve_lanes(paths: LanePaths, price) -> np.ndarray:
         return _solve_each(paths, price, clamped)
     # Basic slices keep both families' views contiguous and copy-free.
     a, b, k, capacity, tol, s = paths.a, paths.b, paths.k, paths.capacity, paths.tol, len(paths.a)
-    mids, on, widths, tol_array = paths.mids, paths.on, paths.widths, paths.tol_array
+    widths, tol_array = paths.widths, paths.tol_array
     n_clamped = np.count_nonzero(clamped)
     # Each lane's bracket, rows lo and hi.  A clamped lane starts as
     # [capacity, capacity]: never active, and its midpoint is capacity exactly.
     bracket = np.where(clamped, capacity, paths.first_bracket)
     lo, hi = bracket
-    paths.looked_up = paths.resolved = level = end = 0
-    again = ()
+    paths.looked_up = paths.resolved = paths.predicted = 0
+    if n_clamped == len(price) or capacity - tol <= tol:  # no lane walks
+        return (lo + hi) * HALF
     # The estimates, the walk and the kernels may overflow or divide by
     # zero, quietly: a midpoint past the float max is inf, as (lo + hi) *
     # 0.5 gives in floats, and an end outside the domain is guarded below
     # where it lies on a lane's path.
     with np.errstate(divide="ignore", over="ignore"):
-        if np.count_nonzero(np.greater(np.subtract(hi, lo, out=widths[0]), tol_array, out=on[0])):
-            root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
-            level = end = _look_up(paths, bracket, root, clamped, n_clamped)
-            if np.count_nonzero(np.greater(widths[level], tol_array, out=on[level])):
-                level, end = _walk(paths, bracket, level, tol_array, root)
-            # A lane holds where each final end is one the walk never moved,
-            # or has its slope beyond MARGIN of the price on its side.  lo
-            # only rises and hi only falls, so every up-move lies at or below
-            # the final lo and every down-move at or above the final hi:
-            # lanes the walk halved on past their stop are checked at those
-            # over-walked ends, which covers their paths too.
-            at_lo, at_hi = _end_slopes(paths, bracket)
-            holds = np.greater_equal(at_lo, price * ABOVE)
-            holds |= lo == tol
-            holds &= (at_hi < price * BELOW) | (hi == capacity)
-            holds |= clamped
-            if np.count_nonzero(holds) != len(price):  # those lanes' walks may leave their paths
-                again = np.flatnonzero(~holds).tolist()
-                on[: level + 1, again] = False
+        root = np.concatenate((sigmoid_root(a, b, price[:s]), logarithmic_root(k, price[s:])))
+        level = top = _look_up(paths, bracket, root, clamped, n_clamped)
+        if np.count_nonzero(widths[level % 3] > tol_array):
+            level = _walk(paths, bracket, level, tol_array, root)
+        # A lane holds where each final end is one the walk never moved,
+        # or has its slope beyond MARGIN of the price on its side.  lo
+        # only rises and hi only falls, so every up-move lies at or below
+        # the final lo and every down-move at or above the final hi:
+        # lanes the walk halved on past their stop are checked at those
+        # over-walked ends, which covers their paths too.
+        at_lo, at_hi = _end_slopes(paths, bracket)
+        holds = np.greater_equal(at_lo, price * ABOVE)
+        holds |= lo == tol
+        holds &= (at_hi < price * BELOW) | (hi == capacity)
+        holds |= clamped
     rates = np.add(lo, hi)
     rates *= HALF
-    if end and np.count_nonzero(on[end - 1]) + n_clamped != len(price):
-        # lanes the walk halved on past their stop take their midpoint there
-        early = np.flatnonzero(np.less(on[end - 1], ~clamped))
-        rates[early] = mids[np.count_nonzero(on[:end, early], axis=0), early]
-    # Where a lane fails its guard at tol, the guards run over every held
-    # lane's path, raising before the step cap as a guarded walk would.
+    # Every unclamped lane is on each looked-up level, so only the walk
+    # halves one past its stop.  One level past, its rate is the walk's last
+    # midpoint; two or more, or one where the paths are unscreened (the
+    # guards need its final hi on its path), it is solved again.
+    if level > top and np.count_nonzero(past := (widths[(level - 1) % 3] <= tol_array) & ~clamped):
+        np.copyto(rates, paths.mid, where=past)
+        if not paths.screened:
+            holds &= ~past
+        elif level - 2 >= top:
+            holds &= ~(past & (widths[(level - 2) % 3] <= tol_array))
     if not paths.screened:
-        on_paths = np.where(on[:level], mids[:level], capacity)
-        check_sigmoid_rate(a, on_paths[:, :s])
-        check_logarithmic_rate(k, on_paths[:, s:])
-    if again:
-        _solve_again(paths, price, again, rates)
-    if level == MAX_BISECTION_STEPS and (active := np.count_nonzero(on[level])):
+        _guard(paths, root, hi, np.flatnonzero(holds & ~clamped))
+    if np.count_nonzero(holds) != len(price):  # those lanes' walks may leave their paths
+        _solve_again(paths, price, np.flatnonzero(~holds).tolist(), rates)
+    if level == MAX_BISECTION_STEPS and (active := np.count_nonzero((widths[level % 3] > tol_array) & holds)):
         raise BisectionError(
             f"no convergence after {MAX_BISECTION_STEPS} bisection steps in "
             f"{active} lane(s) (capacity={capacity}, tol={tol})"

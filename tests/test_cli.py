@@ -644,11 +644,71 @@ class TestWarningsAsErrors:
 
     @staticmethod
     def run_cli(*args):
+        return TestWarningsAsErrors.run_python("-m", "rateauction.cli", *args)
+
+    @staticmethod
+    def run_python(*args):
         src = Path(rateauction.__file__).resolve().parent.parent
         return subprocess.run(
-            [sys.executable, "-W", "error", "-m", "rateauction.cli", *map(str, args)],
+            [sys.executable, "-W", "error", *map(str, args)],
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300,
         )
+
+    @staticmethod
+    def distinct_copies(copies):
+        """The fixed preset tiled ``copies`` times, each copy's a scaled by 1 + j/1000."""
+        fixed = preset("fixed")
+        return tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
+                     for j in range(copies) for u in fixed.users)
+
+    def test_distinct_lanes_in_lockstep_converge(self, tmp_path):
+        # the fixed preset tiled 100 times with distinct a, at R = 10000, to
+        # convergence: 300 distinct sigmoid lanes and 3 shared logarithmic
+        # ones walk in lockstep from level 0 for 87 rounds, each lane checked
+        # at its two final bracket ends
+        path = tmp_path / "scenario.json"
+        save_scenario(replace(preset("fixed"), users=self.distinct_copies(100), capacity=1e4), path)
+        done = self.run_cli("run", "--scenario", path, "--delta", "1e-6", "--iterations", "200",
+                            "--output", tmp_path / "trace.csv")
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("capacity", ["1e-4", "0.03"])
+    def test_normal_batches_below_a_full_table(self, capacity):
+        # replicate's batch of the normal preset at R = 1e-4 and 0.03,
+        # through the library: the 42 lanes of 7 runs walk in lockstep, and
+        # the midpoint table stops above tol, 7 and 15 levels down
+        done = self.run_python("-c", "import sys; from dataclasses import replace; import rateauction as ra\n"
+                               "ra.run_replication(replace(ra.preset('normal'), capacity=float(sys.argv[1])), range(7))",
+                               capacity)
+        assert done.returncode == 0, done.stderr
+
+    def test_an_unscreened_lane_in_floats_converges(self, tmp_path):
+        # the fixed preset beside a = 1e-303, whose guard fails at tol but at
+        # no midpoint on its path: every round walks its 7 lanes in floats,
+        # each guarded at its lowest visited midpoint, to convergence
+        fixed = preset("fixed")
+        path = tmp_path / "scenario.json"
+        save_scenario(replace(fixed, users=(*fixed.users, SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0)))), path)
+        done = self.run_cli("run", "--scenario", path, "--delta", "1e-6", "--iterations", "200")
+        assert done.returncode == 0, done.stderr
+        assert re.search("^stop_reason: converged", done.stdout, re.MULTILINE)
+
+    def test_lanes_at_the_float_max_fail_to_converge(self, tmp_path):
+        # R at the float max with two sigmoid users and a logarithmic one:
+        # the few-lane walk's midpoint table holds inf past the float max,
+        # quietly, and the logarithmic user's slope at R is 0; every lane
+        # walks into the step cap, a solver failure: exit 3, and no warning
+        capacity = sys.float_info.max
+        path = write_scenario(tmp_path, R=capacity, delta=0.01, max_iterations=20, users=[
+            {"type": "sigmoidal", "a": "FIXED(0.5)", "b": "FIXED(20.0)"},
+            {"type": "sigmoidal", "a": "FIXED(1.0)", "b": "FIXED(10.0)"},
+            {"type": "logarithmic", "k": 1.0, "r_max": capacity},
+        ])
+        done = self.run_cli("run", "--scenario", path)
+        assert done.returncode == 3, done.stderr
+        assert re.search("^error: user 1 failed at iteration 1: no convergence after 200 bisection steps",
+                         done.stderr, re.MULTILINE)
+        assert "Warning" not in done.stderr
 
     def test_a_logarithmic_user_at_the_float_max_fails_to_converge(self, tmp_path):
         # R at the float max: the logarithmic user's (1 + k*R) * log1p(k*R)
@@ -667,10 +727,8 @@ class TestWarningsAsErrors:
         # the fixed preset tiled 14 times with each copy's a scaled by
         # 1 + j/1000, at R = 1400, beside a = 1e-303, whose guard fails at tol:
         # 46 lanes walk in lockstep, guarded on their paths, to convergence
-        fixed = preset("fixed")
-        users = tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
-                      for j in range(14) for u in fixed.users)
-        scenario = replace(fixed, capacity=1400.0, users=(*users, SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0))))
+        users = (*self.distinct_copies(14), SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0)))
+        scenario = replace(preset("fixed"), capacity=1400.0, users=users)
         path, trace = tmp_path / "scenario.json", tmp_path / "trace.csv"
         save_scenario(scenario, path)
         done = self.run_cli("run", "--scenario", path, "--delta", "1e-6", "--iterations", "200", "--output", trace)

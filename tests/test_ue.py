@@ -18,6 +18,7 @@ from rateauction import (
     BisectionError,
     LogarithmicUtility,
     RateDomainError,
+    SigmoidalUserSpec,
     SigmoidalUtility,
     preset,
     run,
@@ -35,6 +36,7 @@ from rateauction.ue import (
     solve_lanes,
 )
 from rateauction.utility import (
+    SMALLEST_NORMAL,
     check_logarithmic_rate,
     check_sigmoid_rate,
     logarithmic_slope,
@@ -615,7 +617,8 @@ class TestUnevenStops:
         none = np.empty(0)
         want = self.solve_rates(capacity, tol, prices)
         utility = LogarithmicUtility(k=1.0, r_max=capacity)
-        ends = [final_ends(utility, p, solve_rate_midpoints(utility, p, capacity, tol), capacity, tol) for p in prices]
+        walks = [solve_rate_midpoints(utility, p, capacity, tol) for p in prices]
+        ends = [final_ends(utility, p, walk, capacity, tol) for p, walk in zip(prices, walks)]
         checked = []
 
         def logarithmic_slope_seen(k, r, out=None):
@@ -628,7 +631,7 @@ class TestUnevenStops:
             checked.clear()
             got = solve_lanes(paths, np.tile(np.array(prices)[order], copies))
             assert got.tobytes() == np.tile(want[order], copies).tobytes()
-            stops = np.count_nonzero(paths.on[: paths.predicted + 1, :2], axis=0)
+            stops = [len(walks[j]) for j in order]
             assert sorted(stops) == [paths.predicted - 1, paths.predicted]
             (seen,) = checked
             for lane, j in enumerate(order):
@@ -641,16 +644,72 @@ class TestUnevenStops:
             assert paths.resolved == 0
 
     def test_a_walk_past_every_stop(self):
-        # log2(capacity - tol) - log2(tol) rounds to just above 18, so the
-        # lockstep walk takes 19 levels, while the lanes stop at level 18;
-        # a lone lane walks to its own stop
+        # log2(capacity - tol) - log2(tol) rounds to just above 18, so a
+        # lockstep walk from level 0 would take 19 levels where every lane
+        # stops at 18.  The solve looks up 16 levels and walks 2, to the
+        # lanes' stop, in lockstep as a lone lane does in floats
         capacity, tol, price = 0.9648064809633523, 3.6804306050586654e-06, 0.7699745596976851
         want = self.solve_rates(capacity, tol, [price])
         for lanes in (LANE_BY_LANE_BELOW, 1):
             paths = LanePaths(np.empty(0), np.empty(0), np.ones(lanes), capacity, tol)
             got = solve_lanes(paths, np.full(lanes, price))
             assert got.tobytes() == np.repeat(want, lanes).tobytes()
-            assert paths.predicted == 18
+            assert (paths.predicted, paths.looked_up, paths.resolved) == (18, TABLE_LEVELS, 0)
+
+    def test_lanes_one_level_past_their_stop_take_the_last_midpoint(self):
+        # the fixed preset tiled 20 times with each copy's a scaled by 1 +
+        # j/1000, at R = tol * (2**34 + 1): the level-34 brackets are within
+        # a few ulps of tol, so rounding stops some lanes there and the
+        # walk halves them once more, to level 35.  Each takes the walk's
+        # last midpoint, and none is solved again
+        capacity = 17179.869185
+        fixed = preset("fixed")
+        sig = [u for u in fixed.users if isinstance(u, SigmoidalUserSpec)]
+        a = np.array([u.a.value * (1 + j / 1000) for j in range(20) for u in sig])
+        b = np.array([u.b.value for _ in range(20) for u in sig])
+        k = np.array([u.k for u in fixed.users if not isinstance(u, SigmoidalUserSpec)])
+        utilities = [SigmoidalUtility(a=aj, b=bj) for aj, bj in zip(a.tolist(), b.tolist())] + [
+            LogarithmicUtility(k=kj, r_max=capacity) for kj in k.tolist()]
+        paths = LanePaths(a, b, k, capacity)
+        for price in (1e-4, 1e-2, 1.0):
+            got = solve_lanes(paths, np.full(len(utilities), price))
+            assert got.tobytes() == np.array([solve_rate(u, price, capacity) for u in utilities]).tobytes()
+            assert (paths.resolved, paths.predicted) == (0, 35)
+            stops = [len(solve_rate_midpoints(u, price, capacity, TOL)) for u in utilities]
+            assert min(stops) == paths.predicted - 1 and max(stops) == paths.predicted
+
+    @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
+    @pytest.mark.parametrize("case", ["over-walked", "in the domain", "off the domain"])
+    def test_an_unscreened_lane_beside_them_in_lockstep(self, capacity, tol, prices, case):
+        # beside LANE_BY_LANE_BELOW lanes or more, a sigmoid lane whose a*r
+        # underflows below some rate between tol and capacity, so that its
+        # guard fails at tol.  Over-walked: its walk goes down at every
+        # level, and its guard holds at its stop's hi but fails at the
+        # midpoint below it, where the walk halves it on where its stop is
+        # one level above the other lanes' (the second and third stops).
+        # Otherwise its path lies within the domain, or leaves it.  Each
+        # rate, or the RateDomainError, is solve_rate's
+        copies = LANE_BY_LANE_BELOW // 2 + 1
+        hi = capacity
+        while hi - tol > tol:  # the lowest hi of a walk that goes down at every level
+            hi = (tol + hi) * 0.5
+        edge = {"over-walked": ((tol + hi) * 0.5 + hi) * 0.5}.get(case, math.sqrt(tol * capacity))
+        price = {"over-walked": 2 / tol, "in the domain": 0.25 / edge, "off the domain": 4 / edge}[case]
+        utility = SigmoidalUtility(a=SMALLEST_NORMAL / edge, b=50.0)
+        paths = LanePaths(np.array([utility.a]), np.array([utility.b]), np.ones(2 * copies), capacity, tol)
+        assert not paths.screened
+        price = np.array([price, *np.tile(prices, copies)])
+        try:
+            want = np.array([solve_rate(utility, price[0], capacity, tol), *self.solve_rates(capacity, tol, price[1:])])
+        except RateDomainError:
+            with pytest.raises(RateDomainError):
+                solve_lanes(paths, price)
+            assert case == "off the domain"
+            return
+        assert solve_lanes(paths, price).tobytes() == want.tobytes()
+        if case == "over-walked":
+            stop = len(solve_rate_midpoints(utility, price[0], capacity, tol))
+            assert (stop < paths.predicted) == (capacity > 1.0)
 
     @pytest.mark.parametrize("capacity, tol, prices", UNEVEN_STOPS)
     def test_a_clamped_lane_beside_them(self, capacity, tol, prices):
@@ -867,8 +926,8 @@ class TestTwoEndCheck:
         capacity = sys.float_info.max
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ends, spans = midpoint_table(TOL, capacity)
-            assert ends.tolist() == float_tree(TOL, capacity, len(spans) - 1)
+            ends, levels = midpoint_table(TOL, capacity)
+            assert ends.tolist() == float_tree(TOL, capacity, levels)
             assert math.inf in ends.tolist()
             assert LogarithmicUtility(k=1.0, r_max=capacity).log_slope(capacity) == 0.0
             for copies in (1, LANE_BY_LANE_BELOW):
@@ -963,36 +1022,30 @@ class TestGuessedLeaves:
 
 class TestLookedUpWalk:
     """A lockstep walk takes its first levels from the ``midpoint_table`` of
-    its ``(tol, capacity)``: the ``on`` rows, bracket and stop levels of the
-    walk that bisects every level, and its midpoints where the paths are
-    unscreened, since only the guards read them."""
+    its ``(tol, capacity)``: the bracket, the stop level and the widths of
+    the walk that bisects every level."""
 
     @staticmethod
-    def walk(roots, clamped, capacity, looked_up, screened=True):
+    def walk(roots, clamped, capacity, looked_up):
         paths = LanePaths(np.empty(0), np.empty(0), np.ones(len(roots)), capacity)
-        paths.screened = screened
         bracket = np.where(clamped, capacity, paths.first_bracket)
-        np.greater(np.subtract(bracket[1], bracket[0], out=paths.widths[0]), paths.tol_array, out=paths.on[0])
+        np.subtract(bracket[1], bracket[0], out=paths.widths[0])
         # the table's levels first, then the walk below them if a lane is left
         level = _look_up(paths, bracket, roots, clamped, np.count_nonzero(clamped)) if looked_up else 0
-        if level and not np.count_nonzero(np.greater(paths.widths[level], paths.tol_array, out=paths.on[level])):
-            return paths, bracket, (level, level)
+        if level and not np.count_nonzero(paths.widths[level % 3] > TOL):
+            return paths, bracket, level
         return paths, bracket, _walk(paths, bracket, level, paths.tol_array, roots)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(walk=table_walks())
-    def test_looked_up_levels_equal_the_walk_by_every_level(self, walk):
+    def test_looked_up_levels_end_where_the_walk_does(self, walk):
         roots, clamped, capacity = walk
-        want_paths, want_bracket, (level, end) = self.walk(roots, clamped, capacity, False)
-        for screened in (False, True):
-            paths, bracket, stops = self.walk(roots, clamped, capacity, True, screened)
-            assert stops == (level, end)
-            assert paths.looked_up == min(end, len(midpoint_table(TOL, capacity)[1]) - 1) > 0
-            top = paths.looked_up if screened else 0  # the midpoints written
-            assert paths.mids[top:end].tobytes() == want_paths.mids[top:end].tobytes()
-            assert (paths.mids[top:level] <= roots).tobytes() == (want_paths.mids[top:level] <= roots).tobytes()
-            assert paths.on[: end + 1].tobytes() == want_paths.on[: end + 1].tobytes()
-            assert bracket.tobytes() == want_bracket.tobytes()
+        want_paths, want_bracket, level = self.walk(roots, clamped, capacity, False)
+        paths, bracket, stop = self.walk(roots, clamped, capacity, True)
+        assert stop == level
+        assert paths.looked_up == min(level, midpoint_table(TOL, capacity)[1]) > 0
+        assert bracket.tobytes() == want_bracket.tobytes()
+        assert paths.widths[level % 3].tobytes() == want_paths.widths[level % 3].tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), capacity=st.sampled_from(TABLE_CAPACITIES),
@@ -1018,15 +1071,15 @@ class TestLookedUpWalk:
             got = solve_lanes(paths, price)
         assert got.tobytes() == want.tobytes()
         walked = np.count_nonzero(got < capacity)  # some lane is not clamped
-        assert paths.looked_up == (len(midpoint_table(TOL, capacity)[1]) - 1 if walked else 0)
+        assert paths.looked_up == (midpoint_table(TOL, capacity)[1] if walked else 0)
 
     def test_table_levels_stop_above_tol(self):
         # every bracket of a looked-up level is wider than tol, and some
         # bracket one level below is not, unless the table is full
         for capacity, levels in zip(TABLE_CAPACITIES, [7, 15, TABLE_LEVELS, TABLE_LEVELS]):
-            ends, spans = midpoint_table(TOL, capacity)
-            assert len(ends) == 2**levels + 1 and len(spans) == levels + 1
-            assert not ends.flags.writeable and not spans.flags.writeable
+            ends, table_levels = midpoint_table(TOL, capacity)
+            assert len(ends) == 2**levels + 1 and table_levels == levels
+            assert not ends.flags.writeable
             assert np.diff(ends[:: 2]).min() > TOL
             if levels < TABLE_LEVELS:
                 assert np.diff(ends).min() <= TOL
