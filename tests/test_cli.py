@@ -637,6 +637,91 @@ class TestExtremeParameters:
         assert "field 'users[0].a': a*max(b, R) must be finite, got 1e+307*100.0\n" in capsys.readouterr().err
 
 
+def distinct_copies(copies):
+    """The fixed preset tiled ``copies`` times, each copy's a scaled by 1 + j/1000."""
+    fixed = preset("fixed")
+    return tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
+                 for j in range(copies) for u in fixed.users)
+
+
+def few_float_lanes():
+    """The fixed preset tiled 12 times with distinct a, at R = 1200, cut to one
+    lane fewer than ``ue.LANE_BY_LANE_BELOW``: its first sigmoid users beside
+    the 3 shared logarithmic lanes, the most lanes a float walk takes."""
+    users = distinct_copies(12)
+    sigmoid = tuple(u for u in users if isinstance(u, SigmoidalUserSpec))
+    logarithmic = tuple(u for u in users if not isinstance(u, SigmoidalUserSpec))
+    return replace(preset("fixed"), capacity=1200.0,
+                   users=sigmoid[: rateauction.ue.LANE_BY_LANE_BELOW - 4] + logarithmic)
+
+
+# a drawn a of NORM(0.5,0.5), held at the clamp sampling.MIN_STEEPNESS in 9
+# of the 40 rounds, beside a logarithmic user: a*r stays below 30, so every
+# round polishes the sigmoid root estimate
+SHALLOW = Scenario(capacity=100.0, delta=0.01, max_iterations=40, seed=0, users=(
+    SigmoidalUserSpec(a=Normal(0.5, 0.5), b=Normal(10.0, 2.0)), LogarithmicUserSpec(k=1.0, r_max=100.0)))
+
+
+def shallow_copies(copies):
+    """SHALLOW with its drawn user ``copies`` times, at R = 50 per copy."""
+    return replace(SHALLOW, users=SHALLOW.users[:1] * copies + SHALLOW.users[1:], capacity=50.0 * copies)
+
+
+# a trace row whose a is held at the clamp
+CLAMPED_ROW = rf"^\d+,\d+,(?:[^,]*,){{3}}{re.escape(format_number(rateauction.sampling.MIN_STEEPNESS))},"
+
+# `run --output` writes the scenario's trace, and a library batch of it over
+# seeds 0 and 1 (the replicate command takes presets only) writes each run's;
+# the three traces' sha256 are printed last
+REPLICATE_AGAINST_RUN = """\
+import hashlib
+from pathlib import Path
+import rateauction as ra
+from rateauction.cli import main
+assert main(["run", "--scenario", "scenario.json", "--output", "run.csv"]) == 0
+for seed, result in enumerate(ra.run_replication(ra.load_scenario("scenario.json"), [0, 1])):
+    ra.emit_trace(result, f"seed{seed}.csv")
+for name in ("run.csv", "seed0.csv", "seed1.csv"):
+    print(hashlib.sha256(Path(name).read_bytes()).hexdigest())
+"""
+
+CLI = ("-m", "rateauction.cli")
+RUN_SCENARIO = (*CLI, "run", "--scenario", "scenario.json")
+
+# End-to-end commands that no in-process test makes, each run in a directory
+# of its own: the scenario saved there as scenario.json (or None), the argv
+# after ``python -W error``, the exit code, and the text, stdout or a file the
+# command wrote there, in which a pattern matches ``count`` times.
+COMMANDS = [
+    pytest.param(None, (*CLI, "replicate", "--preset", "normal", "--seeds", "5", "--output-dir", "out"), 0,
+                 "stdout", r"^seed \d: iteration_cap after 20 iterations -> ", 5, id="normal-5-seeds"),
+    pytest.param(None, (*CLI, "replicate", "--preset", "triangular", "--seeds", "5", "--output-dir", "out"), 0,
+                 "stdout", r"^seed \d: iteration_cap after 20 iterations -> ", 5, id="triangular-5-seeds"),
+    # drawn users that may stop early are drawn in blocks of 1, 2, 4, ...
+    # rounds; at delta = 0.01 the run goes to its cap
+    pytest.param(None, (*CLI, "run", "--preset", "normal", "--allow-early-stop", "--iterations", "60"), 0,
+                 "stdout", r"\Astop_reason: iteration_cap\niterations: 60\n", 1, id="normal-early-stop"),
+    # 9 drawn lanes of their own beside 3 shared logarithmic ones
+    pytest.param(lambda: replace(preset("normal"), users=preset("normal").users * 3), RUN_SCENARIO, 0,
+                 "stdout", r"^final_rate\[\d+\]: ", 18, id="normal-tiled-3"),
+    # SHALLOW alone and with 20 drawn copies walk in floats; with 40, their
+    # 41 lanes walk in lockstep and polish in numpy
+    pytest.param(lambda: SHALLOW, (*RUN_SCENARIO, "--output", "trace.csv"), 0,
+                 "trace.csv", CLAMPED_ROW, 9, id="shallow"),
+    pytest.param(lambda: shallow_copies(20), (*RUN_SCENARIO, "--output", "trace.csv"), 0,
+                 "trace.csv", CLAMPED_ROW, 194, id="shallow-x20"),
+    pytest.param(lambda: shallow_copies(40), (*RUN_SCENARIO, "--output", "trace.csv"), 0,
+                 "trace.csv", CLAMPED_ROW, 371, id="shallow-x40"),
+    pytest.param(few_float_lanes, (*RUN_SCENARIO, "--delta", "1e-6", "--iterations", "200"), 0,
+                 "stdout", r"^stop_reason: converged$", 1, id="few-float-lanes"),
+    # the scaled-600 workload's scenario: one lane layout and one render
+    # plan for the batch's runs, and each trace is the run's, byte for byte
+    pytest.param(lambda: replace(preset("fixed"), users=preset("fixed").users * 100, capacity=1e4),
+                 ("-c", REPLICATE_AGAINST_RUN), 0, "stdout", r"^([0-9a-f]{64})\n\1\n\1\n\Z", 1,
+                 id="scaled-600-replicate-against-run"),
+]
+
+
 class TestWarningsAsErrors:
     """Runs of the CLI in a fresh interpreter under ``python -W error``: the
     lane solve's floating-point errors are silenced only where the result
@@ -644,22 +729,24 @@ class TestWarningsAsErrors:
 
     @staticmethod
     def run_cli(*args):
-        return TestWarningsAsErrors.run_python("-m", "rateauction.cli", *args)
+        return TestWarningsAsErrors.run_python(*CLI, *args)
 
     @staticmethod
-    def run_python(*args):
+    def run_python(*args, cwd=None):
         src = Path(rateauction.__file__).resolve().parent.parent
         return subprocess.run(
-            [sys.executable, "-W", "error", *map(str, args)],
+            [sys.executable, "-W", "error", *map(str, args)], cwd=cwd,
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300,
         )
 
-    @staticmethod
-    def distinct_copies(copies):
-        """The fixed preset tiled ``copies`` times, each copy's a scaled by 1 + j/1000."""
-        fixed = preset("fixed")
-        return tuple(replace(u, a=Fixed(u.a.value * (1 + j / 1000))) if isinstance(u, SigmoidalUserSpec) else u
-                     for j in range(copies) for u in fixed.users)
+    @pytest.mark.parametrize("build, argv, code, where, pattern, count", COMMANDS)
+    def test_command(self, tmp_path, build, argv, code, where, pattern, count):
+        if build is not None:
+            save_scenario(build(), tmp_path / "scenario.json")
+        done = self.run_python(*argv, cwd=tmp_path)
+        assert done.returncode == code, done.stderr
+        text = done.stdout if where == "stdout" else (tmp_path / where).read_text(encoding="utf-8")
+        assert len(re.findall(pattern, text, re.MULTILINE)) == count, text[-2000:]
 
     def test_distinct_lanes_in_lockstep_converge(self, tmp_path):
         # the fixed preset tiled 100 times with distinct a, at R = 10000, to
@@ -667,7 +754,7 @@ class TestWarningsAsErrors:
         # ones walk in lockstep from level 0 for 87 rounds, each lane checked
         # at its two final bracket ends
         path = tmp_path / "scenario.json"
-        save_scenario(replace(preset("fixed"), users=self.distinct_copies(100), capacity=1e4), path)
+        save_scenario(replace(preset("fixed"), users=distinct_copies(100), capacity=1e4), path)
         done = self.run_cli("run", "--scenario", path, "--delta", "1e-6", "--iterations", "200",
                             "--output", tmp_path / "trace.csv")
         assert done.returncode == 0, done.stderr
@@ -727,7 +814,7 @@ class TestWarningsAsErrors:
         # the fixed preset tiled 14 times with each copy's a scaled by
         # 1 + j/1000, at R = 1400, beside a = 1e-303, whose guard fails at tol:
         # 46 lanes walk in lockstep, guarded on their paths, to convergence
-        users = (*self.distinct_copies(14), SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0)))
+        users = (*distinct_copies(14), SigmoidalUserSpec(a=Fixed(1e-303), b=Fixed(50.0)))
         scenario = replace(preset("fixed"), capacity=1400.0, users=users)
         path, trace = tmp_path / "scenario.json", tmp_path / "trace.csv"
         save_scenario(scenario, path)
